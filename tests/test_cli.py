@@ -5,17 +5,11 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from vanhove.cli import (
-    ConfigError,
-    config_hash,
-    main,
-    parallel_map,
-    resolve_config,
-    splitmix64,
-    worker_count,
-)
+from vanhove import cli, gibbs_quantum, kms_check
+from vanhove.cli import ConfigError, config_hash, main, resolve_config, splitmix64
 
 # a fast shared configuration for commands that take grid keys
 _SMALL = ["panels=8", "points=16", "r_min=1e-4"]
@@ -36,27 +30,6 @@ def test_splitmix64_is_deterministic_and_spread():
     assert len(set(a)) == 8
     assert splitmix64(12346, 8) != a
     assert all(0 <= x < 2**64 for x in a)
-
-
-def test_worker_count_reads_the_environment(monkeypatch):
-    monkeypatch.delenv("VANHOVE_THREADS", raising=False)
-    assert worker_count() == 1
-    monkeypatch.setenv("VANHOVE_THREADS", "3")
-    assert worker_count() == 3
-    monkeypatch.setenv("VANHOVE_THREADS", "0")
-    assert worker_count() >= 1
-    monkeypatch.setenv("VANHOVE_THREADS", "nope")
-    with pytest.raises(ConfigError):
-        worker_count()
-    monkeypatch.setenv("VANHOVE_THREADS", "-2")
-    with pytest.raises(ConfigError):
-        worker_count()
-
-
-def test_parallel_map_preserves_order(monkeypatch):
-    monkeypatch.setenv("VANHOVE_THREADS", "4")
-    items = list(range(20))
-    assert parallel_map(lambda x: x * x, items) == [x * x for x in items]
 
 
 def test_resolve_config_layers_file_then_overrides(tmp_path):
@@ -108,15 +81,55 @@ def test_outputs_are_byte_identical_across_runs(tmp_path):
     assert js1 == js2
 
 
-def test_kms_command_is_thread_count_invariant(tmp_path, monkeypatch):
-    args = ["pairs=3", "t_points=5", *_SMALL]
-    monkeypatch.delenv("VANHOVE_THREADS", raising=False)
-    code, csv_serial, _ = _run(tmp_path, "kms", *args)
+def test_kms_batch_rows_equal_one_pair_calls(tmp_path):
+    """The kms command checks all its pairs in one batched kms_check; each
+    batched row is bitwise equal to a one-pair call, and the command writes
+    the row maxima."""
+    overrides = ["pairs=6", "t_points=9", "seed=11", *_SMALL]
+    code, csv, _ = _run(tmp_path, "kms", *overrides)
     assert code == 0
-    monkeypatch.setenv("VANHOVE_THREADS", "4")
-    code, csv_threaded, _ = _run(tmp_path, "kms", *args)
-    assert code == 0
-    assert csv_serial == csv_threaded
+    cfg = resolve_config(cli._COMMANDS["kms"][1], None, overrides)
+    sys_ = cli._system_from(cfg)
+    state = gibbs_quantum(sys_.source, cfg["beta_h"], cfg["hbar"])
+    ts = np.linspace(cfg["t_min"], cfg["t_max"], cfg["t_points"])
+    fs, gs = [], []
+    for seed in splitmix64(cfg["seed"], cfg["pairs"]):
+        rng = np.random.default_rng(seed)
+        fs.append(cli._random_panel_member(sys_.grid, rng))
+        gs.append(cli._random_panel_member(sys_.grid, rng))
+    batch = kms_check(sys_, state, fs, gs, ts).residuals
+    assert batch.shape == (6, 9)
+    written = [float(line.split(",")[1]) for line in csv.splitlines()[-6:]]
+    for row, f, g, max_written in zip(batch, fs, gs, written):
+        one = kms_check(sys_, state, [f], [g], ts).residuals[0]
+        assert row.tobytes() == one.tobytes()
+        assert max_written == one.max()
+    with pytest.raises(ValueError, match="shorter"):
+        kms_check(sys_, state, fs, gs[:-1], ts)
+    with pytest.raises(ValueError, match="one time"):
+        kms_check(sys_, state, [], [], ts)
+
+
+@pytest.mark.parametrize(
+    "command, override",
+    [
+        ("kms", "pairs=0"),
+        ("kms", "t_points=0"),
+        ("kms", "beta_h=-1"),
+        ("kms", "beta_h=inf"),
+        ("kms", "hbar=inf"),
+        ("kms", "hbar=nan"),
+        ("evolve", "steps=0"),
+    ],
+)
+def test_bad_kms_and_evolve_parameters_exit_2_before_compute(
+    tmp_path, capsys, monkeypatch, command, override
+):
+    monkeypatch.setattr(cli, "_system_from", lambda cfg: pytest.fail("computed before validating"))
+    code, csv, js = _run(tmp_path, command, override)
+    assert code == 2
+    assert capsys.readouterr().err.startswith("configuration error: ")
+    assert csv == js == ""
 
 
 def test_classify_command_agrees_with_itself(tmp_path):

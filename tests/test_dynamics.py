@@ -177,7 +177,7 @@ def test_kms_residual_is_at_arithmetic_level(system_g03, f_gauss, g_gauss):
     ts = np.linspace(-5.0, 5.0, 41)
     for beta in (0.5, 1.0, 4.0, 40.0):
         state = gibbs_quantum(system_g03.source, beta, 0.5)
-        report = kms_check(system_g03, state, f_gauss, g_gauss, ts)
+        report = kms_check(system_g03, state, [f_gauss], [g_gauss], ts)
         assert report.max_residual <= 1e-12, f"beta_h={beta}"
 
 
@@ -185,10 +185,12 @@ def test_kms_residual_with_random_arguments(system_g03):
     rng = np.random.default_rng(5)
     ts = np.linspace(-3.0, 3.0, 13)
     state = gibbs_quantum(system_g03.source, 2.0, 0.3)
-    for _ in range(5):
-        f = random_member(system_g03.grid, rng)
-        g = random_member(system_g03.grid, rng)
-        assert kms_check(system_g03, state, f, g, ts).max_residual <= 1e-12
+    pairs = [
+        (random_member(system_g03.grid, rng), random_member(system_g03.grid, rng))
+        for _ in range(5)
+    ]
+    fs, gs = zip(*pairs)
+    assert kms_check(system_g03, state, fs, gs, ts).max_residual <= 1e-12
 
 
 def test_kms_check_needs_a_finite_temperature_gibbs_state(
@@ -196,10 +198,10 @@ def test_kms_check_needs_a_finite_temperature_gibbs_state(
 ):
     center = sample(system_g03.grid, lambda r: np.exp(-(r**2)))
     with pytest.raises(ValueError, match="Gibbs state"):
-        kms_check(system_g03, coherent(center, 0.5), f_gauss, g_gauss, [0.0])
+        kms_check(system_g03, coherent(center, 0.5), [f_gauss], [g_gauss], [0.0])
     with pytest.raises(ValueError, match="Gibbs state"):
         ground = gibbs_quantum(system_g03.source, math.inf, 0.5)
-        kms_check(system_g03, ground, f_gauss, g_gauss, [0.0])
+        kms_check(system_g03, ground, [f_gauss], [g_gauss], [0.0])
 
 
 # --------------------------------------------------------------------------
