@@ -25,7 +25,6 @@ from .grid import (
     MomentumGrid,
     RadialFunction,
     apply_free_phase,
-    dispersion,
     from_values,
     inner_product,
     make_grid,
@@ -40,13 +39,11 @@ from .sources import (
     classify_analytic,
     classify_numeric,
     custom_source,
-    gaussian_only,
     power_law_gaussian,
     realize,
 )
 from .states import (
     CharState,
-    StateKind,
     bochner_gram,
     coherent,
     deformed,
@@ -78,7 +75,6 @@ __all__ = [
     "MomentumGrid",
     "RadialFunction",
     "SourceSpec",
-    "StateKind",
     "TrigPolynomial",
     "VanHoveSystem",
     "__version__",
@@ -97,13 +93,11 @@ __all__ = [
     "custom_source",
     "deformed",
     "dirac",
-    "dispersion",
     "evaluate",
     "evolve_state",
     "evolve_weyl",
     "free_system",
     "from_values",
-    "gaussian_only",
     "gibbs_classical",
     "gibbs_quantum",
     "gram_matrix",

@@ -269,6 +269,9 @@ def cmd_evolve(cfg: dict) -> CommandResult:
     gibbs = states.gibbs_quantum(sys_.source, cfg["beta_h"], cfg["hbar"])
     probe = sample(grid, lambda r: np.exp(-(r**2)))
     char0 = gibbs.char(probe)
+    # Heisenberg picture: evolve_state would only move the centre along the
+    # flow, which fixes -J/omega exactly and so could not drift at all.
+    probe_w = weyl.weyl(probe, gibbs.hbar)
     ts = np.linspace(-cfg["t_max"], cfg["t_max"], cfg["steps"])
     rows = []
     worst_drift = 0.0
@@ -276,7 +279,7 @@ def cmd_evolve(cfg: dict) -> CommandResult:
     for t in ts:
         e_t = dynamics.classical_energy(sys_, dynamics.classical_flow(sys_, alpha0, t))
         drift = abs(e_t - e0) / scale
-        char_t = dynamics.evolve_state(sys_, gibbs, t).char(probe)
+        char_t = states.evaluate(gibbs, dynamics.evolve_weyl(sys_, probe_w, t))
         char_drift = abs(char_t - char0)
         worst_drift = max(worst_drift, drift)
         worst_char = max(worst_char, char_drift)
@@ -420,6 +423,11 @@ def cmd_equilibrium(cfg: dict) -> CommandResult:
 
 
 def cmd_scattering(cfg: dict) -> CommandResult:
+    if cfg["t_points"] < 1:
+        raise ConfigError(f"t_points must be >= 1, got {cfg['t_points']}")
+    for key in ("t_min", "t_max"):
+        if not 0.0 < cfg[key] < math.inf:
+            raise ConfigError(f"{key} must be finite and > 0, got {cfg[key]}")
     sys_ = _system_from(cfg)
     grid = sys_.grid
     f = sample(grid, lambda r: np.exp(-(r**2)))
@@ -463,6 +471,9 @@ def cmd_scattering(cfg: dict) -> CommandResult:
 
 
 def cmd_fock_spectrum(cfg: dict) -> CommandResult:
+    for key in ("omega", "hbar"):
+        if not 0.0 < cfg[key] < math.inf:
+            raise ConfigError(f"{key} must be finite and > 0, got {cfg[key]}")
     j = complex(cfg["coupling_re"], cfg["coupling_im"])
     cutoff = cfg["cutoff"] if cfg["cutoff"] > 0 else fock.adequate_cutoff(
         cfg["omega"], j, cfg["hbar"]

@@ -42,7 +42,7 @@ chosen so the window transform has decayed below 1e-12 of its peak.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable
 
 import numpy as np
@@ -57,7 +57,7 @@ from .grid import (
     zero_function,
 )
 from .sources import InfraredClass, SourceSpec, classify, realize
-from .states import CharState, MappedState, StateKind, StateLike, stable_coth
+from .states import CharState, stable_coth
 from .weyl import TrigPolynomial, WeylTerm, handle, trig_polynomial
 
 __all__ = [
@@ -166,15 +166,13 @@ def evolve_weyl(sys: VanHoveSystem, a: TrigPolynomial, t: float) -> TrigPolynomi
     return trig_polynomial(a.grid, a.hbar, terms)
 
 
-def evolve_state(sys: VanHoveSystem, state: StateLike, t: float) -> MappedState:
-    """Schroedinger picture: the transpose of evolve_weyl on characters."""
+def evolve_state(sys: VanHoveSystem, state: CharState, t: float) -> CharState:
+    """Schroedinger picture, the transpose of evolve_weyl: the centre follows
+    the classical flow and the Gaussian stays (|e^{i t omega} f| = |f|).  A
+    Gibbs state keeps its beta, being invariant."""
     if state.grid is not sys.grid:
         raise ValueError("state lives on a different grid than the system")
-
-    def char_fn(f: RadialFunction) -> complex:
-        return state.char(apply_free_phase(f, t)) * _cis(_dressing_angle(sys, f, t))
-
-    return MappedState(hbar=state.hbar, grid=sys.grid, char_fn=char_fn)
+    return replace(state, center=classical_flow(sys, state.center, t))
 
 
 # --------------------------------------------------------------------------
@@ -338,7 +336,7 @@ def kms_check(
     ``fs`` and ``gs`` (equal lengths) are consumed in step, the k-th f before
     the k-th g, so iterators may draw each pair only when it is checked.
     """
-    if state.kind is not StateKind.GIBBS_QUANTUM or state.beta is None:
+    if state.beta is None:
         raise ValueError("kms_check needs a quantum Gibbs state at finite beta_h")
     if state.grid is not sys.grid:
         raise ValueError("state lives on a different grid than the system")

@@ -33,7 +33,6 @@ __all__ = [
     "sample",
     "from_values",
     "zero_function",
-    "dispersion",
     "inner_product",
     "weighted_norm_sq",
     "apply_free_phase",
@@ -199,11 +198,6 @@ def from_values(grid: MomentumGrid, values) -> RadialFunction:
 
 def zero_function(grid: MomentumGrid) -> RadialFunction:
     return RadialFunction(grid, np.zeros(grid.size, dtype=np.complex128))
-
-
-def dispersion(grid: MomentumGrid) -> np.ndarray:
-    """omega(r) = sqrt(r^2 + mass^2) on the nodes (read-only view)."""
-    return grid.omega
 
 
 def _check_alpha(alpha: int) -> None:

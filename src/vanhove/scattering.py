@@ -27,13 +27,13 @@ so probing many times costs one fit plus trivial per-t sums.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import spherical_jn
 
 from .grid import MomentumGrid, RadialFunction, inner_product
-from .states import MappedState, StateLike
+from .states import CharState
 from .weyl import TrigPolynomial, WeylTerm, handle, trig_polynomial
 
 __all__ = [
@@ -183,19 +183,17 @@ def convergence_probe(sys, f: RadialFunction, hbar: float, t: float) -> Converge
     )
 
 
-def transport_state(sys, state: StateLike, inverse: bool = False) -> MappedState:
-    """Shift a state by the dressing profile: char -> char * e^{+-2 pi i Re <f, J/omega>}.
+def transport_state(sys, state: CharState, inverse: bool = False) -> CharState:
+    """Shift a state by the dressing profile: centre -> centre +- J/omega, so
+    char -> char * e^{+-2 pi i Re <f, J/omega>}.
 
     The forward map is the common value of both Moller transports (they
     coincide), so transport followed by inverse transport is the identity
-    and the scattering map on states is trivial.
+    and the scattering map on states is trivial.  The shifted state is no
+    Gibbs state of the dressed dynamics, so it drops ``beta``.
     """
     if state.grid is not sys.grid:
         raise ValueError("state lives on a different grid than the system")
-    sign = -1.0 if inverse else 1.0
-
-    def char_fn(f: RadialFunction) -> complex:
-        angle = sign * 2.0 * math.pi * inner_product(f, sys.j_over_omega, 0).real
-        return state.char(f) * complex(math.cos(angle), math.sin(angle))
-
-    return MappedState(hbar=state.hbar, grid=sys.grid, char_fn=char_fn)
+    jw = sys.j_over_omega
+    center = state.center - jw if inverse else state.center + jw
+    return replace(state, center=center, beta=None)

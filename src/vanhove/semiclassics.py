@@ -32,7 +32,7 @@ import numpy as np
 from .dynamics import VanHoveSystem, evolve_state
 from .grid import MomentumGrid, RadialFunction, from_values, sample
 from .scattering import transport_state
-from .states import CharState, StateLike, dirac, gibbs_classical, gibbs_quantum
+from .states import CharState, dirac, gibbs_classical, gibbs_quantum
 
 __all__ = [
     "DEFAULT_HBAR_LADDER",
@@ -133,7 +133,7 @@ def _check_ladder(hbars: Sequence[float]) -> tuple[float, ...]:
         raise ValueError("hbar ladder must be strictly decreasing and positive")
     return hs
 
-def _sup_deviation(a: StateLike, b: StateLike, panel: Sequence[RadialFunction]) -> float:
+def _sup_deviation(a: CharState, b: CharState, panel: Sequence[RadialFunction]) -> float:
     return max(abs(a.char(f) - b.char(f)) for f in panel)
 
 
@@ -159,8 +159,8 @@ def _report(
 
 def egorov_sweep(
     sys: VanHoveSystem,
-    family: Callable[[float], StateLike],
-    classical_state: StateLike,
+    family: Callable[[float], CharState],
+    classical_state: CharState,
     t: float,
     panel: Sequence[RadialFunction],
     hbars: Sequence[float] = DEFAULT_HBAR_LADDER,
@@ -216,8 +216,8 @@ def equilibrium_sweep(
 
 def scattering_sweep(
     sys: VanHoveSystem,
-    family: Callable[[float], StateLike],
-    classical_state: StateLike,
+    family: Callable[[float], CharState],
+    classical_state: CharState,
     panel: Sequence[RadialFunction],
     hbars: Sequence[float] = DEFAULT_HBAR_LADDER,
 ) -> SweepReport:

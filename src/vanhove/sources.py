@@ -39,7 +39,6 @@ __all__ = [
     "SourceSpec",
     "NumericClassification",
     "power_law_gaussian",
-    "gaussian_only",
     "custom_source",
     "realize",
     "classify_analytic",
@@ -48,7 +47,6 @@ __all__ = [
 ]
 
 POWER_LAW_GAUSSIAN = "power_law_gaussian"
-GAUSSIAN_ONLY = "gaussian_only"
 CUSTOM_SAMPLES = "custom_samples"
 
 #: A fitted shell slope above this margin counts as convergent; at the exact
@@ -88,7 +86,7 @@ class SourceSpec:
     samples: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if self.family not in (POWER_LAW_GAUSSIAN, GAUSSIAN_ONLY, CUSTOM_SAMPLES):
+        if self.family not in (POWER_LAW_GAUSSIAN, CUSTOM_SAMPLES):
             raise ValueError(f"unknown source family {self.family!r}")
         if self.ir_cutoff is not None:
             if not isinstance(self.ir_cutoff, int) or self.ir_cutoff < 1:
@@ -111,11 +109,6 @@ def power_law_gaussian(grid: MomentumGrid, gamma: float, ir_cutoff: int | None =
     return SourceSpec(grid=grid, family=POWER_LAW_GAUSSIAN, gamma=float(gamma), ir_cutoff=ir_cutoff)
 
 
-def gaussian_only(grid: MomentumGrid, ir_cutoff: int | None = None) -> SourceSpec:
-    """e^{-r^2}; identical to the gamma = 0 member of the power family."""
-    return SourceSpec(grid=grid, family=GAUSSIAN_ONLY, gamma=0.0, ir_cutoff=ir_cutoff)
-
-
 def custom_source(grid: MomentumGrid, values, ir_cutoff: int | None = None) -> SourceSpec:
     return SourceSpec(grid=grid, family=CUSTOM_SAMPLES, ir_cutoff=ir_cutoff, samples=np.asarray(values))
 
@@ -126,7 +119,7 @@ def realize(spec: SourceSpec) -> RadialFunction:
     if spec.family == CUSTOM_SAMPLES:
         vals = np.array(spec.samples, dtype=np.complex128)
     else:
-        if spec.family == POWER_LAW_GAUSSIAN and spec.gamma >= spec.grid.dim / 2.0 and spec.ir_cutoff is None:
+        if spec.gamma >= spec.grid.dim / 2.0 and spec.ir_cutoff is None:
             raise ValueError(
                 f"gamma = {spec.gamma} >= d/2 = {spec.grid.dim / 2.0} is not "
                 "square-integrable without an infrared cutoff"

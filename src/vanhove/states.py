@@ -1,55 +1,59 @@
-r"""Quasi-free states given by closed-form characteristic functions.
+r"""Quasi-free states: one record, a Gaussian times a centre phase.
 
 A state is the positive-definite function f -> omega(W_h(f)) it induces on
-the exponential algebra.  The catalogue (T is a grid function, J a source,
-omega the dispersion, beta an inverse temperature):
+the exponential algebra.  Every state here is quasi-free with a diagonal
+covariance, so one record holds them all:
 
-    coherent(T, h):   exp(-(pi^2 h / 2) ||f||_0^2) exp(2 pi i Re <f, T>_0)
-    dirac(T):         exp(2 pi i Re <f, T>_0)                      (h = 0)
-    gibbs_quantum:    exp(-(pi^2 h / 2) <f, coth(beta_h omega / 2) f>_0)
-                      * exp(2 pi i Re <f, -J/omega>_0)             (h > 0)
-    gibbs_classical:  exp(-(pi^2 / beta) <f, f>_{-1})
-                      * exp(2 pi i Re <f, -J/omega>_0)             (h = 0)
-    deformed(base,h): exp(-(pi^2 h / 2) ||f||_0^2) * base(f)
+    char(f) = exp(scale * sum_i weight_i |f_i|^2) * exp(2 pi i Re <f, center>_0)
 
-The quantum Gibbs state at beta_h = oo degenerates to the coherent state
-centred at -J/omega (the dressed ground state); deforming a Dirac state
-reproduces the coherent state bit for bit.  Gibbs states exist only for
-sources whose infrared class keeps -J/omega square-integrable (regular or
-type I); type II sources have no dressed state and are rejected.
+with ``weight`` a nonnegative diagonal on the grid nodes.  The constructors
+(T is a grid function, J a source, omega the dispersion, m_alpha the
+quadrature measure of <.,.>_alpha, coth taken at beta_h omega / 2):
+
+    constructor        scale            weight                          center
+    coherent(T, h)     -pi^2 h / 2      m_0                             T
+    dirac(T)           0                m_0                             T
+    gibbs_quantum      -pi^2 h / 2      m_0 coth  (finite beta_h)       -J/omega
+    gibbs_classical    -pi^2 / beta     m_{-1}                          -J/omega
+    deformed(base, h)  -pi^2 h / 2      m_0 + (base.scale/scale) base.weight
+                                                                        base.center
+
+``scale`` stays outside the sum, so each constructor reproduces its closed
+form factor by factor.  ``beta`` is set only on a quantum Gibbs state at
+finite beta_h; it is what the KMS check reads.  The quantum Gibbs state at
+beta_h = oo is the coherent state centred at -J/omega (the dressed ground
+state); deforming a Dirac state reproduces the coherent state bit for bit.
+Gibbs states exist only for sources whose infrared class keeps -J/omega
+square-integrable (regular or type I); type II sources have no dressed state
+and are rejected.
+
+The dynamics and the dressing transport leave the Gaussian alone
+(|e^{i t omega} f| = |f|) and move only the centre: along the classical flow
+(``dynamics.evolve_state``) or by +-J/omega (``scattering.transport_state``).
 
 Positive-definiteness is observable: for any finite panel {f_j} the matrix
 
     M_{jk} = omega(W_h(f_j - f_k)) exp(-i pi^2 h sigma(f_j, f_k))
 
-is Hermitian positive semidefinite (Bochner).  ``bochner_gram`` builds it
-and reports the minimal eigenvalue against the tolerance 1e-10 * size.
+is Hermitian positive semidefinite (Bochner).  ``gram_matrix`` builds it from
+k x N x k products over the panel; ``bochner_gram`` reports its minimal
+eigenvalue against the tolerance 1e-10 * size.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Protocol, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .grid import (
-    MomentumGrid,
-    RadialFunction,
-    from_values,
-    inner_product,
-    weighted_norm_sq,
-)
+from .grid import MomentumGrid, RadialFunction, from_values, inner_product
 from .sources import InfraredClass, SourceSpec, classify, realize
-from .weyl import TrigPolynomial, symplectic_form
+from .weyl import TrigPolynomial
 
 __all__ = [
-    "StateKind",
     "CharState",
-    "MappedState",
-    "StateLike",
     "coherent",
     "dirac",
     "gibbs_quantum",
@@ -75,87 +79,39 @@ _HERMITIAN_TOL = 1e-10
 _MAX_PANEL = 64
 
 
-class StateKind(enum.Enum):
-    COHERENT = "coherent"
-    DIRAC = "dirac"
-    GIBBS_QUANTUM = "gibbs_quantum"
-    GIBBS_CLASSICAL = "gibbs_classical"
-    DEFORMED = "deformed"
-
-
-class StateLike(Protocol):
-    """Anything that evaluates characteristic values at a fixed hbar."""
-
-    hbar: float
-    grid: MomentumGrid
-
-    def char(self, f: RadialFunction) -> complex: ...
-
-
 @dataclass(frozen=True, eq=False)
 class CharState:
-    kind: StateKind
+    """Quasi-free state: exp(scale * sum weight |f|^2) exp(2 pi i Re <f, center>_0)."""
+
     hbar: float
     grid: MomentumGrid
-    center: RadialFunction | None = None
+    center: RadialFunction
+    scale: float
+    weight: np.ndarray
     beta: float | None = None
-    base: "CharState | None" = None
-    thermal_weight: np.ndarray | None = None
 
     def char(self, f: RadialFunction) -> complex:
         if f.grid is not self.grid:
             raise ValueError("argument lives on a different grid than the state")
-        kind = self.kind
-        if kind is StateKind.COHERENT:
-            return _vacuum_gauss(self.hbar, f) * _center_phase(f, self.center)
-        if kind is StateKind.DIRAC:
-            return _center_phase(f, self.center)
-        if kind is StateKind.GIBBS_QUANTUM:
-            v = f.values
-            q = float(np.sum(self.thermal_weight * (v.real**2 + v.imag**2)))
-            return math.exp(-0.5 * _PI2 * self.hbar * q) * _center_phase(f, self.center)
-        if kind is StateKind.GIBBS_CLASSICAL:
-            damp = math.exp(-(_PI2 / self.beta) * weighted_norm_sq(f, -1))
-            return damp * _center_phase(f, self.center)
-        if kind is StateKind.DEFORMED:
-            return _vacuum_gauss(self.hbar, f) * self.base.char(f)
-        raise AssertionError(f"unhandled state kind {kind}")
+        v = f.values
+        q = float(np.sum(self.weight * (v.real**2 + v.imag**2)))
+        angle = 2.0 * math.pi * inner_product(f, self.center, 0).real
+        return math.exp(self.scale * q) * complex(math.cos(angle), math.sin(angle))
 
 
-@dataclass(frozen=True, eq=False)
-class MappedState:
-    """A state transformed by a character-level map (evolution, transport)."""
-
-    hbar: float
-    grid: MomentumGrid
-    char_fn: Callable[[RadialFunction], complex]
-
-    def char(self, f: RadialFunction) -> complex:
-        if f.grid is not self.grid:
-            raise ValueError("argument lives on a different grid than the state")
-        return self.char_fn(f)
-
-
-def _vacuum_gauss(hbar: float, f: RadialFunction) -> float:
-    return math.exp(-0.5 * _PI2 * hbar * weighted_norm_sq(f, 0))
-
-
-def _center_phase(f: RadialFunction, center: RadialFunction | None) -> complex:
-    if center is None:
-        return 1.0 + 0.0j
-    angle = 2.0 * math.pi * inner_product(f, center, 0).real
-    return complex(math.cos(angle), math.sin(angle))
+MappedState = CharState  # alias only: perfbench/tracer.py traces MappedState.char
 
 
 def coherent(center: RadialFunction, hbar: float) -> CharState:
     if hbar < 0.0:
         raise ValueError(f"hbar must be >= 0, got {hbar}")
-    return CharState(StateKind.COHERENT, float(hbar), center.grid, center=center)
+    hbar = float(hbar)
+    return CharState(hbar, center.grid, center, -0.5 * _PI2 * hbar, center.grid.measure(0))
 
 
 def dirac(center: RadialFunction) -> CharState:
     """Point mass on phase space; the hbar = 0 limit of coherent states."""
-    return CharState(StateKind.DIRAC, 0.0, center.grid, center=center)
+    return CharState(0.0, center.grid, center, 0.0, center.grid.measure(0))
 
 
 def _dressed_center(source: SourceSpec) -> RadialFunction:
@@ -177,36 +133,33 @@ def gibbs_quantum(source: SourceSpec, beta_h: float, hbar: float) -> CharState:
         raise ValueError(f"beta_h must be > 0, got {beta_h}")
     center = _dressed_center(source)
     if math.isinf(beta_h):
-        return CharState(StateKind.COHERENT, float(hbar), source.grid, center=center)
+        return coherent(center, hbar)
     grid = source.grid
-    tw = grid.measure(0) * stable_coth(0.5 * beta_h * grid.omega)
-    tw.setflags(write=False)
-    return CharState(
-        StateKind.GIBBS_QUANTUM,
-        float(hbar),
-        grid,
-        center=center,
-        beta=float(beta_h),
-        thermal_weight=tw,
-    )
+    weight = grid.measure(0) * stable_coth(0.5 * beta_h * grid.omega)
+    weight.setflags(write=False)
+    hbar = float(hbar)
+    return CharState(hbar, grid, center, -0.5 * _PI2 * hbar, weight, beta=float(beta_h))
 
 
 def gibbs_classical(source: SourceSpec, beta: float) -> CharState:
     if not (beta > 0.0 and math.isfinite(beta)):
         raise ValueError(f"beta must be finite and > 0, got {beta}")
     center = _dressed_center(source)
-    return CharState(
-        StateKind.GIBBS_CLASSICAL, 0.0, source.grid, center=center, beta=float(beta)
-    )
+    return CharState(0.0, source.grid, center, -_PI2 / float(beta), source.grid.measure(-1))
 
 
 def deformed(base: CharState, hbar: float) -> CharState:
-    """Convolve a classical state with the vacuum Gaussian of width hbar."""
+    """Convolve a classical state with the vacuum Gaussian of width hbar:
+    the weights add once the base's scale is moved onto them."""
     if base.hbar != 0.0:
         raise ValueError("deformation starts from a classical (hbar = 0) state")
     if hbar <= 0.0:
         raise ValueError(f"hbar must be > 0, got {hbar}")
-    return CharState(StateKind.DEFORMED, float(hbar), base.grid, base=base)
+    hbar = float(hbar)
+    scale = -0.5 * _PI2 * hbar
+    weight = base.grid.measure(0) + (base.scale / scale) * base.weight
+    weight.setflags(write=False)
+    return CharState(hbar, base.grid, base.center, scale, weight)
 
 
 def stable_coth(x: np.ndarray) -> np.ndarray:
@@ -222,7 +175,7 @@ def stable_coth(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def evaluate(state: StateLike, a: TrigPolynomial) -> complex:
+def evaluate(state: CharState, a: TrigPolynomial) -> complex:
     """omega(A) = sum_j c_j omega(W_h(f_j)); hbar and grid must match."""
     if state.hbar != a.hbar:
         raise ValueError(f"hbar mismatch: state {state.hbar} vs polynomial {a.hbar}")
@@ -233,20 +186,30 @@ def evaluate(state: StateLike, a: TrigPolynomial) -> complex:
     )
 
 
-def gram_matrix(state: StateLike, panel: Sequence[RadialFunction]) -> np.ndarray:
-    """Bochner matrix M_{jk} = char(f_j - f_k) e^{-i pi^2 h sigma(f_j, f_k)}."""
+def gram_matrix(state: CharState, panel: Sequence[RadialFunction]) -> np.ndarray:
+    """Bochner matrix M_{jk} = char(f_j - f_k) e^{-i pi^2 h sigma(f_j, f_k)}.
+
+    With Q_{jk} = sum weight conj(f_j) f_k the Gaussian exponent is
+    Q_jj + Q_kk - 2 Re Q_jk, the centre phase is a difference of per-function
+    angles, and sigma(f_j, f_k) = Im <f_j, f_k>_0: one matvec and at most two
+    k x N x k products for the whole panel.
+    """
     n = len(panel)
     if n == 0 or n > _MAX_PANEL:
         raise ValueError(f"panel size must be in 1..{_MAX_PANEL}, got {n}")
-    m = np.empty((n, n), dtype=np.complex128)
-    for j, fj in enumerate(panel):
-        for k, fk in enumerate(panel):
-            value = state.char(fj - fk)
-            if state.hbar > 0.0:
-                s = symplectic_form(fj, fk)
-                value *= np.exp(-1j * _PI2 * state.hbar * s)
-            m[j, k] = value
-    return m
+    if any(f.grid is not state.grid for f in panel):
+        raise ValueError("argument lives on a different grid than the state")
+    fs = np.array([f.values for f in panel])
+    conj = np.conj(fs)
+    q = (conj * state.weight) @ fs.T
+    norms = q.diagonal().real
+    exponent = norms[:, None] + norms[None, :] - 2.0 * q.real
+    conj *= state.grid.measure(0)
+    centre = 2.0 * math.pi * (conj @ state.center.values).real
+    angle = centre[:, None] - centre[None, :]
+    if state.hbar > 0.0:
+        angle -= _PI2 * state.hbar * (conj @ fs.T).imag
+    return np.exp(state.scale * exponent) * np.exp(1j * angle)
 
 
 @dataclass(frozen=True)
@@ -261,7 +224,7 @@ class GramReport:
         return self.min_eigenvalue >= -self.psd_tol
 
 
-def bochner_gram(state: StateLike, panel: Sequence[RadialFunction]) -> GramReport:
+def bochner_gram(state: CharState, panel: Sequence[RadialFunction]) -> GramReport:
     """Build the Bochner matrix and check positive semidefiniteness."""
     m = gram_matrix(state, panel)
     defect = float(np.max(np.abs(m - m.conj().T)))

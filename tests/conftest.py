@@ -10,7 +10,18 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from vanhove import make_grid, make_system, power_law_gaussian, sample
+from vanhove import (
+    CharState,
+    coherent,
+    deformed,
+    dirac,
+    gibbs_classical,
+    gibbs_quantum,
+    make_grid,
+    make_system,
+    power_law_gaussian,
+    sample,
+)
 from vanhove.grid import MomentumGrid, RadialFunction, from_values
 from vanhove.semiclassics import default_panel
 
@@ -48,3 +59,27 @@ def random_member(grid: MomentumGrid, rng: np.random.Generator) -> RadialFunctio
         c * np.exp(-s * grid.nodes**2) for c, s in zip(coeffs, (0.5, 1.0, 2.0, 4.0))
     )
     return from_values(grid, vals)
+
+
+#: One state per constructor, the two deformations included.
+STATE_KINDS = (
+    "coherent",
+    "dirac",
+    "gibbs_quantum",
+    "gibbs_classical",
+    "deformed_dirac",
+    "deformed_gibbs_classical",
+)
+
+
+def every_state(center: RadialFunction, source) -> dict[str, CharState]:
+    """The states of ``STATE_KINDS``, keyed by kind, at hbar = 0.4 where
+    quantum and beta = 1.5 where thermal."""
+    return {
+        "coherent": coherent(center, 0.4),
+        "dirac": dirac(center),
+        "gibbs_quantum": gibbs_quantum(source, 1.5, 0.4),
+        "gibbs_classical": gibbs_classical(source, 1.5),
+        "deformed_dirac": deformed(dirac(center), 0.4),
+        "deformed_gibbs_classical": deformed(gibbs_classical(source, 1.5), 0.4),
+    }

@@ -24,7 +24,6 @@ from vanhove import (
     deformed,
     dirac,
     from_values,
-    gaussian_only,
     gibbs_quantum,
     ground_energy,
     make_grid,
@@ -59,7 +58,7 @@ def test_gaussian_source_ground_state_energy_is_minus_pi(grid):
     -||J||_{-1}^2 = -pi, and the classical field energy attains it at the
     displaced minimizer -J/omega."""
     t0 = time.monotonic()
-    sys_ = make_system(gaussian_only(grid))
+    sys_ = make_system(power_law_gaussian(grid, 0.0))
     bottom = ground_energy(sys_)
     minimizer = from_values(grid, -sys_.j_over_omega.values)
     attained = classical_energy(sys_, minimizer)

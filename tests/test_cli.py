@@ -120,12 +120,21 @@ def test_kms_batch_rows_equal_one_pair_calls(tmp_path):
         ("kms", "hbar=inf"),
         ("kms", "hbar=nan"),
         ("evolve", "steps=0"),
+        ("scattering", "t_points=0"),
+        ("scattering", "t_min=0"),
+        ("fock-spectrum", "hbar=0"),
+        ("fock-spectrum", "omega=0"),
     ],
 )
 def test_bad_kms_and_evolve_parameters_exit_2_before_compute(
     tmp_path, capsys, monkeypatch, command, override
 ):
-    monkeypatch.setattr(cli, "_system_from", lambda cfg: pytest.fail("computed before validating"))
+    def computed(*args, **kwargs):
+        pytest.fail("computed before validating")
+
+    monkeypatch.setattr(cli, "_system_from", computed)
+    monkeypatch.setattr(cli.fock, "adequate_cutoff", computed)
+    monkeypatch.setattr(cli.fock, "FockMode", computed)
     code, csv, js = _run(tmp_path, command, override)
     assert code == 2
     assert capsys.readouterr().err.startswith("configuration error: ")

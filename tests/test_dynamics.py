@@ -30,7 +30,7 @@ from vanhove import (
     from_values,
 )
 from vanhove.dynamics import WINDOW_TOL, window_transform
-from conftest import random_member
+from conftest import STATE_KINDS, every_state, random_member
 
 
 @pytest.fixture(scope="module")
@@ -130,6 +130,24 @@ def test_schroedinger_picture_is_the_transpose(system_g03, f_gauss, g_gauss):
     lhs = evaluate(evolve_state(system_g03, state, t), a)
     rhs = evaluate(state, evolve_weyl(system_g03, a, t))
     assert lhs == pytest.approx(rhs, rel=1e-13)
+
+
+@pytest.mark.parametrize("t", [-11.0, 0.7, 300.0])
+@pytest.mark.parametrize("kind", STATE_KINDS)
+def test_schroedinger_and_heisenberg_pictures_agree_for_every_state(
+    system_g03, f_gauss, g_gauss, kind, t
+):
+    # the closed-form centre flow of evolve_state against the dressing angle
+    # evolve_weyl applies term by term
+    from vanhove.weyl import add, weyl
+
+    center = sample(system_g03.grid, lambda r: (0.2 + 0.9j) * np.exp(-(r**2)))
+    state = every_state(center, system_g03.source)[kind]
+    h = state.hbar
+    a = add(weyl(f_gauss, h, 1.1 - 0.7j), weyl(g_gauss, h, 0.5j))
+    lhs = evaluate(evolve_state(system_g03, state, t), a)
+    rhs = evaluate(state, evolve_weyl(system_g03, a, t))
+    assert abs(lhs - rhs) <= 1e-13
 
 
 def test_gibbs_states_are_invariant_under_their_dynamics(system_g03, panel):

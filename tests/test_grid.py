@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 
 from vanhove import (
     apply_free_phase,
-    dispersion,
     from_values,
     inner_product,
     make_grid,
@@ -67,8 +66,8 @@ def test_doubling_the_resolution_does_not_move_the_norms():
 
 def test_mass_enters_the_dispersion():
     g = make_grid(mass=2.5)
-    assert np.allclose(dispersion(g), np.hypot(g.nodes, 2.5))
-    assert dispersion(g).min() >= 2.5
+    assert np.allclose(g.omega, np.hypot(g.nodes, 2.5))
+    assert g.omega.min() >= 2.5
 
 
 def test_grid_rejects_bad_parameters():

@@ -11,7 +11,6 @@ from vanhove import (
     classify_analytic,
     classify_numeric,
     custom_source,
-    gaussian_only,
     make_grid,
     power_law_gaussian,
     realize,
@@ -60,12 +59,6 @@ def test_shell_slopes_match_the_power_counting(grid, gamma):
         assert report.divergence_slopes[alpha] == pytest.approx(
             expected, abs=2e-3
         ), f"alpha={alpha}"
-
-
-def test_gaussian_only_is_the_gamma_zero_member(grid):
-    a = realize(gaussian_only(grid))
-    b = realize(power_law_gaussian(grid, 0.0))
-    assert np.array_equal(a.values, b.values)
 
 
 def test_infrared_cutoff_masks_below_one_over_n(grid):

@@ -10,7 +10,6 @@ import pytest
 
 from vanhove import (
     CharState,
-    StateKind,
     bochner_gram,
     coherent,
     deformed,
@@ -23,11 +22,15 @@ from vanhove import (
     make_grid,
     power_law_gaussian,
     sample,
+    symplectic_form,
     weighted_norm_sq,
     zero_function,
 )
+from vanhove.dynamics import evolve_state
+from vanhove.scattering import dressing_coefficient, transport_state
 from vanhove.states import gibbs_regularization_deviations, stable_coth
 from vanhove.weyl import add, weyl
+from conftest import STATE_KINDS, every_state, random_member
 
 _PI2 = math.pi**2
 
@@ -68,7 +71,9 @@ def test_char_at_zero_is_one(grid, center, system_g03):
 def test_gibbs_at_infinite_beta_is_the_dressed_coherent_state(grid, system_g03, panel):
     h = 0.2
     ground = gibbs_quantum(system_g03.source, math.inf, h)
-    assert ground.kind is StateKind.COHERENT
+    assert ground.beta is None
+    assert ground.scale == coherent(ground.center, h).scale
+    assert np.array_equal(ground.weight, grid.measure(0))
     assert np.allclose(ground.center.values, -system_g03.j_over_omega.values)
     # finite but huge beta converges to the same characteristic values
     cold = gibbs_quantum(system_g03.source, 1e6, h)
@@ -84,6 +89,19 @@ def test_deforming_a_dirac_state_reproduces_the_coherent_state(
     b = coherent(center, h)
     for f in panel:
         assert a.char(f) == b.char(f)  # bitwise: same factors in the same order
+
+
+def test_deforming_a_classical_gibbs_state_multiplies_in_the_vacuum_gaussian(
+    system_g03, panel
+):
+    # deformed(base, h) = exp(-(pi^2 h / 2) ||f||_0^2) * base, even when the
+    # base weight (m_{-1}) differs from the vacuum one (m_0)
+    h = 0.3
+    base = gibbs_classical(system_g03.source, 1.7)
+    st = deformed(base, h)
+    for f in panel:
+        expect = math.exp(-0.5 * _PI2 * h * weighted_norm_sq(f, 0)) * base.char(f)
+        assert st.char(f) == pytest.approx(expect, rel=1e-14)
 
 
 def test_gibbs_quantum_dominates_its_ground_state(grid, system_g03, f_gauss):
@@ -207,17 +225,51 @@ def test_regularized_gibbs_states_converge_to_the_full_one(grid, system_g03, f_g
     assert devs[-1] < 1e-4
 
 
-def test_mapped_state_checks_the_grid(grid, center):
-    from vanhove.states import MappedState
-
-    st = MappedState(hbar=0.0, grid=grid, char_fn=lambda f: 1.0 + 0.0j)
+def test_mapped_state_checks_the_grid(grid, center, system_g03):
+    # evolved and transported states are records on the system's grid
     other = make_grid(panels=4, points=8)
+    st = coherent(center, 0.2)
+    for mapped in (evolve_state(system_g03, st, 1.5), transport_state(system_g03, st)):
+        assert isinstance(mapped, CharState) and mapped.grid is grid
+        with pytest.raises(ValueError, match="different grid"):
+            mapped.char(zero_function(other))
     with pytest.raises(ValueError, match="different grid"):
-        st.char(zero_function(other))
+        gram_matrix(st, [zero_function(other)])
 
 
 def test_charstate_is_the_advertised_dataclass(grid, center):
     st = coherent(center, 0.1)
     assert isinstance(st, CharState)
     clone = replace(st, hbar=0.2)
-    assert clone.hbar == 0.2 and clone.kind is StateKind.COHERENT
+    assert clone.hbar == 0.2 and clone.beta is None
+    assert clone.center is st.center and clone.weight is st.weight
+    assert clone.scale == -0.5 * _PI2 * 0.1
+
+
+@pytest.mark.parametrize("kind", STATE_KINDS)
+def test_batched_gram_matrix_matches_the_entrywise_oracle(
+    grid, center, system_g03, panel, kind
+):
+    st = every_state(center, system_g03.source)[kind]
+    rng = np.random.default_rng(11)
+    members = panel + [random_member(grid, rng) for _ in range(8)]
+    got = gram_matrix(st, members)
+    n = len(members)
+    oracle = np.empty((n, n), dtype=np.complex128)
+    for j, fj in enumerate(members):
+        for k, fk in enumerate(members):
+            twist = np.exp(-1j * _PI2 * st.hbar * symplectic_form(fj, fk))
+            oracle[j, k] = st.char(fj - fk) * twist
+    assert np.max(np.abs(got - oracle)) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", STATE_KINDS)
+def test_transport_multiplies_in_the_dressing_coefficient(
+    center, system_g03, panel, kind
+):
+    st = every_state(center, system_g03.source)[kind]
+    moved = transport_state(system_g03, st)
+    assert moved.beta is None
+    for f in panel:
+        expect = st.char(f) * dressing_coefficient(system_g03, f)
+        assert abs(moved.char(f) - expect) <= 1e-14
