@@ -37,7 +37,6 @@ from .sources import (
     SourceSpec,
     classify,
     classify_analytic,
-    classify_numeric,
     custom_source,
     power_law_gaussian,
     realize,
@@ -87,7 +86,6 @@ __all__ = [
     "classical_flow",
     "classify",
     "classify_analytic",
-    "classify_numeric",
     "coherent",
     "compose",
     "custom_source",

@@ -60,6 +60,24 @@ class InvariantFailure(Exception):
     pass
 
 
+#: Parameter rules, keyed by the text a violation reports.
+_RULES: dict[str, Callable[[float], bool]] = {
+    ">= 1": lambda n: n >= 1,
+    "<= 0 (automatic) or >= 2": lambda n: n <= 0 or n >= 2,
+    "finite": math.isfinite,
+    "finite and > 0": lambda x: 0.0 < x < math.inf,
+    "> 0": lambda x: x > 0.0,
+    ">= 0": lambda x: not x < 0.0,  # lets nan through, which scattering accepts
+}
+
+
+def _require(cfg: dict, rule: str, *keys: str) -> None:
+    """Raise ConfigError for the first key whose value breaks ``rule``."""
+    for key in keys:
+        if not _RULES[rule](cfg[key]):
+            raise ConfigError(f"{key} must be {rule}, got {cfg[key]}")
+
+
 def _fmt(x) -> str:
     if isinstance(x, bool):
         return "true" if x else "false"
@@ -156,14 +174,7 @@ _SOURCE_KEYS = dict(gamma=0.0, ir_cutoff=0)
 
 
 def _grid_from(cfg: dict) -> MomentumGrid:
-    return make_grid(
-        dim=cfg["dim"],
-        mass=cfg["mass"],
-        r_min=cfg["r_min"],
-        r_max=cfg["r_max"],
-        panels=cfg["panels"],
-        points=cfg["points"],
-    )
+    return make_grid(**{key: cfg[key] for key in _GRID_KEYS})
 
 
 def _source_from(cfg: dict, grid: MomentumGrid) -> sources.SourceSpec:
@@ -255,8 +266,9 @@ def cmd_energy(cfg: dict) -> CommandResult:
 
 
 def cmd_evolve(cfg: dict) -> CommandResult:
-    if cfg["steps"] < 1:
-        raise ConfigError(f"steps must be >= 1, got {cfg['steps']}")
+    _require(cfg, ">= 1", "steps")
+    _require(cfg, "finite", "t_max")
+    _require(cfg, "> 0", "hbar", "beta_h")
     sys_ = _system_from(cfg)
     grid = sys_.grid
     alpha0 = from_values(
@@ -301,12 +313,9 @@ def cmd_evolve(cfg: dict) -> CommandResult:
 
 
 def cmd_kms(cfg: dict) -> CommandResult:
-    for key in ("pairs", "t_points"):
-        if cfg[key] < 1:
-            raise ConfigError(f"{key} must be >= 1, got {cfg[key]}")
-    for key in ("beta_h", "hbar"):
-        if not 0.0 < cfg[key] < math.inf:
-            raise ConfigError(f"{key} must be finite and > 0, got {cfg[key]}")
+    _require(cfg, ">= 1", "pairs", "t_points")
+    _require(cfg, "finite and > 0", "beta_h", "hbar")
+    _require(cfg, "finite", "t_min", "t_max")
     sys_ = _system_from(cfg)
     state = states.gibbs_quantum(sys_.source, cfg["beta_h"], cfg["hbar"])
     ts = np.linspace(cfg["t_min"], cfg["t_max"], cfg["t_points"])
@@ -366,6 +375,7 @@ def _hbar_ladder(cfg: dict) -> tuple[float, ...]:
 
 
 def cmd_egorov(cfg: dict) -> CommandResult:
+    _require(cfg, "finite", "t")
     sys_ = _system_from(cfg)
     grid = sys_.grid
     center = sample(grid, lambda r: cfg["center_scale"] * (1.0 + 0.5j) * np.exp(-(r**2)))
@@ -393,7 +403,6 @@ def cmd_egorov(cfg: dict) -> CommandResult:
 
 
 def cmd_equilibrium(cfg: dict) -> CommandResult:
-    sys_ = _system_from(cfg)
     regimes = {
         "ground": semiclassics.GroundState(),
         "linear": semiclassics.Linear(cfg["beta"]),
@@ -404,6 +413,9 @@ def cmd_equilibrium(cfg: dict) -> CommandResult:
         raise ConfigError(
             f"regime must be one of {sorted(regimes)}, got {cfg['regime']!r}"
         )
+    if cfg["regime"] == "linear":
+        _require(cfg, "finite and > 0", "beta")
+    sys_ = _system_from(cfg)
     panel = semiclassics.default_panel(sys_.grid)
     report = semiclassics.equilibrium_sweep(
         sys_, regimes[cfg["regime"]], panel, _hbar_ladder(cfg)
@@ -423,11 +435,11 @@ def cmd_equilibrium(cfg: dict) -> CommandResult:
 
 
 def cmd_scattering(cfg: dict) -> CommandResult:
-    if cfg["t_points"] < 1:
-        raise ConfigError(f"t_points must be >= 1, got {cfg['t_points']}")
-    for key in ("t_min", "t_max"):
-        if not 0.0 < cfg[key] < math.inf:
-            raise ConfigError(f"{key} must be finite and > 0, got {cfg[key]}")
+    _require(cfg, ">= 1", "t_points")
+    _require(cfg, "finite and > 0", "t_min", "t_max")
+    _require(cfg, ">= 0", "hbar")
+    if cfg["t_min"] > cfg["t_max"]:
+        raise ConfigError(f"t_min must be <= t_max, got {cfg['t_min']}, {cfg['t_max']}")
     sys_ = _system_from(cfg)
     grid = sys_.grid
     f = sample(grid, lambda r: np.exp(-(r**2)))
@@ -471,9 +483,8 @@ def cmd_scattering(cfg: dict) -> CommandResult:
 
 
 def cmd_fock_spectrum(cfg: dict) -> CommandResult:
-    for key in ("omega", "hbar"):
-        if not 0.0 < cfg[key] < math.inf:
-            raise ConfigError(f"{key} must be finite and > 0, got {cfg[key]}")
+    _require(cfg, "finite and > 0", "omega", "hbar")
+    _require(cfg, "<= 0 (automatic) or >= 2", "cutoff")
     j = complex(cfg["coupling_re"], cfg["coupling_im"])
     cutoff = cfg["cutoff"] if cfg["cutoff"] > 0 else fock.adequate_cutoff(
         cfg["omega"], j, cfg["hbar"]
@@ -533,10 +544,8 @@ def cmd_soft_photons(cfg: dict) -> CommandResult:
 
 def cmd_garding(cfg: dict) -> CommandResult:
     grid = fock.single_mode_grid()
-    one = weyl.identity(grid, 0.0)
-    w1 = weyl.weyl(from_values(grid, np.array([1.0 + 0.0j])), 0.0)
-    wi = weyl.weyl(from_values(grid, np.array([1j])), 0.0)
-    p = weyl.add(weyl.add(one, w1), wi)
+    # p = 1 + W(1) + W(i)
+    p = weyl.trig_polynomial(grid, 0.0, np.ones(3), [[0.0], [1.0], [1j]])
     symbol = weyl.compose(weyl.adjoint(p), p)
     hbars = _hbar_ladder(cfg)
     report = fock.garding_probe(symbol, hbars, cutoff=cfg["cutoff"])

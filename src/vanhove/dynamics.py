@@ -58,7 +58,7 @@ from .grid import (
 )
 from .sources import InfraredClass, SourceSpec, classify, realize
 from .states import CharState, stable_coth
-from .weyl import TrigPolynomial, WeylTerm, handle, trig_polynomial
+from .weyl import TrigPolynomial, trig_polynomial
 
 __all__ = [
     "VanHoveSystem",
@@ -146,24 +146,19 @@ def ground_energy(sys: VanHoveSystem) -> float:
 # Heisenberg / Schroedinger evolution
 
 
-def _dressing_angle(sys: VanHoveSystem, f: RadialFunction, t: float) -> float:
-    """2 pi Re <f, (e^{-i t omega} - 1) J/omega>_0."""
-    grid = sys.grid
-    shifted = (np.exp(-1j * t * grid.omega) - 1.0) * sys.j_over_omega.values
-    val = np.sum(grid.measure(0) * np.conj(f.values) * shifted).real
-    return 2.0 * math.pi * float(val)
-
-
 def evolve_weyl(sys: VanHoveSystem, a: TrigPolynomial, t: float) -> TrigPolynomial:
-    """Heisenberg evolution term by term (exact closed form)."""
+    """Heisenberg evolution of every row at once (exact closed form): the
+    coefficient of W(f) picks up the dressing angle
+    2 pi Re <f, (e^{-i t omega} - 1) J/omega>_0 and f turns to e^{i t omega} f."""
     if a.grid is not sys.grid:
         raise ValueError("polynomial lives on a different grid than the system")
-    terms = []
-    for term in a.terms:
-        f = term.generator.function
-        coeff = term.coefficient * _cis(_dressing_angle(sys, f, t))
-        terms.append(WeylTerm(coeff, handle(apply_free_phase(f, t))))
-    return trig_polynomial(a.grid, a.hbar, terms)
+    grid = sys.grid
+    shifted = (np.exp(-1j * t * grid.omega) - 1.0) * sys.j_over_omega.values
+    dots = np.sum(grid.measure(0) * np.conj(a.gens) * shifted, axis=1).real
+    phases = [_cis(angle) for angle in (2.0 * math.pi * dots).tolist()]
+    return trig_polynomial(
+        grid, a.hbar, a.coeffs * np.array(phases), a.gens * np.exp(1j * t * grid.omega)
+    )
 
 
 def evolve_state(sys: VanHoveSystem, state: CharState, t: float) -> CharState:

@@ -444,8 +444,8 @@ def garding_probe(
         raise ValueError("the Garding probe quantizes a classical symbol")
     if symbol.grid.size != 1:
         raise ValueError("the probe works over the single-mode grid")
-    gens = np.array([t.generator.function.values[0] for t in symbol.terms])
-    coeffs = np.array([t.coefficient for t in symbol.terms])
+    gens = symbol.gens[:, 0]
+    coeffs = symbol.coeffs
     lattice = np.round(gens.real) + 1j * np.round(gens.imag)
     if np.max(np.abs(gens - lattice)) > 1e-12:
         raise ValueError(
@@ -478,16 +478,12 @@ def garding_probe(
         cutoffs.append(n_h)
         half = slice(0, n_h // 2 + 1)
         mode = FockMode(omega=1.0, coupling=0.0, cutoff=n_h, hbar=float(h))
-        q = np.zeros((mode.dim, mode.dim), dtype=np.complex128)
-        mats = {}
-        for c, z in zip(coeffs, gens):
-            mats[complex(z)] = weyl_matrix(mode, complex(z))
-            q += c * mats[complex(z)]
-        aw = antiwick(symbol, float(h))
-        q_aw = np.zeros_like(q)
-        for term in aw.terms:
-            z = complex(term.generator.function.values[0])
-            q_aw += term.coefficient * mats[z]
+        mats = {complex(z): weyl_matrix(mode, complex(z)) for z in gens}
+        q, q_aw = np.zeros((2, mode.dim, mode.dim), dtype=np.complex128)
+        for poly, acc in ((symbol, q), (antiwick(symbol, float(h)), q_aw)):
+            for c, z in zip(poly.coeffs, poly.gens[:, 0]):
+                acc += c * mats[complex(z)]
+        del mats  # free this cutoff's matrices before the next ones are built
         for name, mat in (("plain", q), ("anti-Wick", q_aw)):
             defect = float(np.max(np.abs(mat - mat.conj().T)))
             if defect > 1e-10:

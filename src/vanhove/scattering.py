@@ -34,7 +34,7 @@ from scipy.special import spherical_jn
 
 from .grid import MomentumGrid, RadialFunction, inner_product
 from .states import CharState
-from .weyl import TrigPolynomial, WeylTerm, handle, trig_polynomial
+from .weyl import TrigPolynomial, weyl
 
 __all__ = [
     "FILON_THRESHOLD",
@@ -63,9 +63,7 @@ def asymptotic_character(sys, f: RadialFunction, hbar: float) -> TrigPolynomial:
     """The dressed element W_h(f) e^{2 pi i Re <f, J/omega>} (same for +-oo)."""
     if f.grid is not sys.grid:
         raise ValueError("argument lives on a different grid than the system")
-    return trig_polynomial(
-        sys.grid, hbar, [WeylTerm(dressing_coefficient(sys, f), handle(f))]
-    )
+    return weyl(f, hbar, dressing_coefficient(sys, f))
 
 
 # --------------------------------------------------------------------------

@@ -17,10 +17,11 @@ exact thresholds are
 Equivalently: regular means ||J||_{-2} < oo, type I means ||J||_{-1} < oo
 but ||J||_{-2} = oo, type II means ||J||_{-1} = oo but ||J||_0 < oo.
 
-``classify_numeric`` estimates the same trichotomy from grid data alone by
-fitting log-log slopes of per-panel infrared shell masses; on geometric
-panels Gauss-Legendre integrates the power family essentially exactly, so
-the fitted slope of the shell mass against the shell position is
+``numeric_classification`` estimates the same trichotomy from grid data
+alone by fitting log-log slopes of per-panel infrared shell masses (its
+``infrared_class`` is what ``classify`` returns for custom samples); on
+geometric panels Gauss-Legendre integrates the power family essentially
+exactly, so the fitted slope of the shell mass against the shell position is
 d - alpha - 2 gamma, and the mass diverges iff that slope is <= 0.
 """
 
@@ -42,7 +43,6 @@ __all__ = [
     "custom_source",
     "realize",
     "classify_analytic",
-    "classify_numeric",
     "numeric_classification",
 ]
 
@@ -233,12 +233,8 @@ def numeric_classification(spec: SourceSpec) -> NumericClassification:
     )
 
 
-def classify_numeric(spec: SourceSpec) -> InfraredClass:
-    return numeric_classification(spec).infrared_class
-
-
 def classify(spec: SourceSpec) -> InfraredClass:
     """Analytic classification when available, numeric otherwise."""
     if spec.family == CUSTOM_SAMPLES:
-        return classify_numeric(spec)
+        return numeric_classification(spec).infrared_class
     return classify_analytic(spec)

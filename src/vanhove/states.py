@@ -181,9 +181,9 @@ def evaluate(state: CharState, a: TrigPolynomial) -> complex:
         raise ValueError(f"hbar mismatch: state {state.hbar} vs polynomial {a.hbar}")
     if state.grid is not a.grid:
         raise ValueError("state and polynomial live on different grids")
-    return complex(
-        sum(t.coefficient * state.char(t.generator.function) for t in a.terms)
-    )
+    # one char per row: a batched np.exp can differ from math.exp in the last bit
+    rows = (from_values(a.grid, g) for g in a.gens)
+    return complex(sum(c * state.char(f) for c, f in zip(a.coeffs.tolist(), rows)))
 
 
 def gram_matrix(state: CharState, panel: Sequence[RadialFunction]) -> np.ndarray:

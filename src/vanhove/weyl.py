@@ -9,10 +9,13 @@ with h >= 0 the semiclassical parameter.  At h = 0 the algebra is abelian
 and W_0(f) is the phase-space character T -> exp(2 pi i Re <f, T>_0).
 
 Elements here are finite sums sum_j c_j W_h(f_j) ("trigonometric
-polynomials") in canonical form: duplicate generators merged by bit-exact
-sample equality, zero coefficients dropped, terms ordered by generator key.
-The l^1 coefficient norm is an upper bound for the C*-norm (each W is
-unitary), which is all the norm control the workbench needs.
+polynomials") held as two read-only arrays: ``coeffs`` (k,) with the c_j and
+``gens`` (k, N) with the samples of f_j on the N grid nodes, one row per
+term.  They are kept in canonical form: rows with bit-identical samples
+merged (coefficients summed in input order), zero coefficients dropped, rows
+ordered by their bytes.  The l^1 coefficient norm is an upper bound for the
+C*-norm (each W is unitary), which is all the norm control the workbench
+needs.
 
 Quantization maps a classical polynomial to the same coefficients at h > 0;
 the anti-Wick variant additionally damps each coefficient by
@@ -21,26 +24,16 @@ exp(-(pi^2 h / 2) ||f_j||_0^2) and is positivity-preserving.
 
 from __future__ import annotations
 
-import hashlib
 import math
-from dataclasses import dataclass
-from typing import Iterable
+from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.typing import ArrayLike
 
-from .grid import (
-    MomentumGrid,
-    RadialFunction,
-    inner_product,
-    weighted_norm_sq,
-    zero_function,
-)
+from .grid import MomentumGrid, RadialFunction, inner_product, zero_function
 
 __all__ = [
-    "FunctionHandle",
-    "WeylTerm",
     "TrigPolynomial",
-    "handle",
     "weyl",
     "identity",
     "trig_polynomial",
@@ -58,69 +51,51 @@ _PI2 = math.pi**2
 
 
 @dataclass(frozen=True, eq=False)
-class FunctionHandle:
-    """Content-addressed identity for a generator (bit-exact samples)."""
-
-    function: RadialFunction
-    key: tuple[int, bytes]
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, FunctionHandle) and self.key == other.key
-
-    def __hash__(self) -> int:
-        return hash(self.key)
-
-
-def handle(f: RadialFunction) -> FunctionHandle:
-    digest = hashlib.blake2b(f.values.tobytes(), digest_size=16).digest()
-    return FunctionHandle(function=f, key=(id(f.grid), digest))
-
-
-@dataclass(frozen=True)
-class WeylTerm:
-    coefficient: complex
-    generator: FunctionHandle
-
-
-@dataclass(frozen=True, eq=False)
 class TrigPolynomial:
-    """Canonical finite sum of Weyl elements at a fixed h >= 0."""
+    """Canonical sum_j coeffs[j] W_h(gens[j]) at a fixed h >= 0; build it
+    with ``trig_polynomial``."""
 
     hbar: float
     grid: MomentumGrid
-    terms: tuple[WeylTerm, ...]
+    coeffs: np.ndarray  # (k,) complex, read-only
+    gens: np.ndarray  # (k, N) complex, read-only, one generator per row
 
     def __post_init__(self) -> None:
         if self.hbar < 0.0:
             raise ValueError(f"hbar must be >= 0, got {self.hbar}")
 
+    @property
+    def terms(self) -> np.ndarray:
+        # alias only: perfbench/workloads.py counts terms as len(product.terms)
+        return self.coeffs
+
 
 def trig_polynomial(
-    grid: MomentumGrid, hbar: float, terms: Iterable[WeylTerm]
+    grid: MomentumGrid, hbar: float, coeffs: ArrayLike, gens: ArrayLike
 ) -> TrigPolynomial:
-    """Canonicalize: merge duplicate generators, drop zeros, sort by key."""
-    merged: dict[tuple[int, bytes], WeylTerm] = {}
-    for term in terms:
-        gen = term.generator
-        if gen.function.grid is not grid:
-            raise ValueError("term generator lives on a different grid")
-        prev = merged.get(gen.key)
-        if prev is None:
-            merged[gen.key] = term
-        else:
-            merged[gen.key] = WeylTerm(prev.coefficient + term.coefficient, prev.generator)
-    kept = tuple(
-        sorted(
-            (t for t in merged.values() if t.coefficient != 0.0),
-            key=lambda t: t.generator.key[1],
-        )
-    )
-    return TrigPolynomial(hbar=float(hbar), grid=grid, terms=kept)
+    """Canonicalize: merge bit-identical rows, drop zeros, sort by bytes."""
+    coeffs = np.asarray(coeffs, dtype=np.complex128)
+    gens = np.asarray(gens, dtype=np.complex128)
+    if coeffs.ndim != 1 or gens.shape != (coeffs.size, grid.size):
+        raise ValueError(f"need coeffs (k,), gens (k, {grid.size}); got {gens.shape}")
+    if not np.isfinite(gens).all():
+        raise ValueError("samples must be finite")
+    merged: dict[bytes, list] = {}  # row bytes -> [first row index, summed coefficient]
+    for i, (c, row) in enumerate(zip(coeffs.tolist(), gens)):
+        entry = merged.setdefault(row.tobytes(), [i, None])
+        entry[1] = c if entry[1] is None else entry[1] + c
+    kept = [entry for _, entry in sorted(merged.items()) if entry[1] != 0.0]
+    del merged  # the keys are as large as gens: free them before the copy below
+    out = np.array([c for _, c in kept], dtype=np.complex128)
+    rows = gens[[i for i, _ in kept]]
+    for arr in (out, rows):
+        arr.setflags(write=False)
+    return TrigPolynomial(float(hbar), grid, out, rows)
 
 
 def weyl(f: RadialFunction, hbar: float, coefficient: complex = 1.0) -> TrigPolynomial:
     """Single Weyl element c * W_h(f)."""
-    return trig_polynomial(f.grid, hbar, [WeylTerm(complex(coefficient), handle(f))])
+    return trig_polynomial(f.grid, hbar, [complex(coefficient)], f.values[None])
 
 
 def identity(grid: MomentumGrid, hbar: float) -> TrigPolynomial:
@@ -133,48 +108,44 @@ def symplectic_form(f: RadialFunction, g: RadialFunction) -> float:
     return inner_product(f, g, 0).imag
 
 
-def compose(a: TrigPolynomial, b: TrigPolynomial) -> TrigPolynomial:
-    """Product in the Weyl algebra (pointwise product of characters at h=0)."""
+def _check_compatible(a: TrigPolynomial, b: TrigPolynomial, verb: str) -> None:
     if a.grid is not b.grid:
-        raise ValueError("cannot compose polynomials on different grids")
+        raise ValueError(f"cannot {verb} polynomials on different grids")
     if a.hbar != b.hbar:
         raise ValueError(f"hbar mismatch: {a.hbar} vs {b.hbar}")
-    out: list[WeylTerm] = []
-    for ta in a.terms:
-        for tb in b.terms:
-            coeff = ta.coefficient * tb.coefficient
-            if a.hbar > 0.0:
-                s = symplectic_form(ta.generator.function, tb.generator.function)
-                coeff *= np.exp(-1j * _PI2 * a.hbar * s)
-            gen = handle(ta.generator.function + tb.generator.function)
-            out.append(WeylTerm(coeff, gen))
-    return trig_polynomial(a.grid, a.hbar, out)
+
+
+def compose(a: TrigPolynomial, b: TrigPolynomial) -> TrigPolynomial:
+    """Product in the Weyl algebra (pointwise product of characters at h=0):
+    row (i, j) of the result is c_i d_j e^{-i pi^2 h sigma(f_i, g_j)} W(f_i + g_j)."""
+    _check_compatible(a, b, "compose")
+    # c_i d_j in real arithmetic: numpy's complex loops fuse multiply-adds,
+    # which would make c_i d_j and d_j c_i differ in the last bit
+    ar, ai = a.coeffs.real[:, None], a.coeffs.imag[:, None]
+    br, bi = b.coeffs.real, b.coeffs.imag
+    coeffs = np.empty((ar.size, br.size), dtype=np.complex128)
+    coeffs.real = ar * br - ai * bi
+    coeffs.imag = ar * bi + ai * br
+    if a.hbar > 0.0:
+        sigma = ((np.conj(a.gens) * a.grid.measure(0)) @ b.gens.T).imag
+        coeffs *= np.exp(-1j * _PI2 * a.hbar * sigma)
+    gens = (a.gens[:, None] + b.gens[None]).reshape(-1, a.grid.size)
+    return trig_polynomial(a.grid, a.hbar, coeffs.ravel(), gens)
 
 
 def adjoint(a: TrigPolynomial) -> TrigPolynomial:
     """Conjugate coefficients, negate generators."""
-    return trig_polynomial(
-        a.grid,
-        a.hbar,
-        [
-            WeylTerm(np.conj(t.coefficient), handle(-t.generator.function))
-            for t in a.terms
-        ],
-    )
+    return trig_polynomial(a.grid, a.hbar, np.conj(a.coeffs), -a.gens)
 
 
 def add(a: TrigPolynomial, b: TrigPolynomial) -> TrigPolynomial:
-    if a.grid is not b.grid:
-        raise ValueError("cannot add polynomials on different grids")
-    if a.hbar != b.hbar:
-        raise ValueError(f"hbar mismatch: {a.hbar} vs {b.hbar}")
-    return trig_polynomial(a.grid, a.hbar, a.terms + b.terms)
+    _check_compatible(a, b, "add")
+    gens = np.concatenate([a.gens, b.gens])
+    return trig_polynomial(a.grid, a.hbar, np.concatenate([a.coeffs, b.coeffs]), gens)
 
 
 def scale(a: TrigPolynomial, c: complex) -> TrigPolynomial:
-    return trig_polynomial(
-        a.grid, a.hbar, [WeylTerm(complex(c) * t.coefficient, t.generator) for t in a.terms]
-    )
+    return trig_polynomial(a.grid, a.hbar, complex(c) * a.coeffs, a.gens)
 
 
 def quantize(a: TrigPolynomial, hbar: float) -> TrigPolynomial:
@@ -183,7 +154,7 @@ def quantize(a: TrigPolynomial, hbar: float) -> TrigPolynomial:
         raise ValueError("quantization starts from a classical (hbar = 0) polynomial")
     if hbar <= 0.0:
         raise ValueError(f"target hbar must be > 0, got {hbar}")
-    return TrigPolynomial(hbar=float(hbar), grid=a.grid, terms=a.terms)
+    return replace(a, hbar=float(hbar))
 
 
 def antiwick(a: TrigPolynomial, hbar: float) -> TrigPolynomial:
@@ -193,17 +164,11 @@ def antiwick(a: TrigPolynomial, hbar: float) -> TrigPolynomial:
         raise ValueError("anti-Wick quantization starts from hbar = 0")
     if hbar <= 0.0:
         raise ValueError(f"target hbar must be > 0, got {hbar}")
-    terms = [
-        WeylTerm(
-            t.coefficient
-            * math.exp(-0.5 * _PI2 * hbar * weighted_norm_sq(t.generator.function, 0)),
-            t.generator,
-        )
-        for t in a.terms
-    ]
-    return trig_polynomial(a.grid, hbar, terms)
+    g = a.gens
+    norms = np.sum(a.grid.measure(0) * (g.real**2 + g.imag**2), axis=1)
+    return trig_polynomial(a.grid, hbar, a.coeffs * np.exp(-0.5 * _PI2 * hbar * norms), g)
 
 
 def norm_bound(a: TrigPolynomial) -> float:
     """l^1 coefficient norm; an upper bound for the C*-norm."""
-    return float(sum(abs(t.coefficient) for t in a.terms))
+    return float(np.abs(a.coeffs).sum())

@@ -97,17 +97,13 @@ def test_weyl_composition_identities_hold_on_five_hundred_random_triples(grid):
         wa, wb, wc = (weyl(x, h) for x in fs)
         left = compose(compose(wa, wb), wc)
         right = compose(wa, compose(wb, wc))
-        worst_assoc = max(
-            worst_assoc, abs(left.terms[0].coefficient - right.terms[0].coefficient)
-        )
+        worst_assoc = max(worst_assoc, abs(left.coeffs[0] - right.coeffs[0]))
         lhs = adjoint(compose(wa, wb))
         rhs = compose(adjoint(wb), adjoint(wa))
-        worst_adj = max(
-            worst_adj, abs(lhs.terms[0].coefficient - rhs.terms[0].coefficient)
-        )
+        worst_adj = max(worst_adj, abs(lhs.coeffs[0] - rhs.coeffs[0]))
         comm = compose(compose(wa, wb), adjoint(compose(wb, wa)))
         expect = np.exp(-2j * _PI2 * h * symplectic_form(fs[0], fs[1]))
-        worst_comm = max(worst_comm, abs(comm.terms[0].coefficient - expect))
+        worst_comm = max(worst_comm, abs(comm.coeffs[0] - expect))
     _under(t0, 5.0)
     assert worst_assoc <= 1e-13
     assert worst_adj <= 1e-13

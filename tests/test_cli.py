@@ -124,6 +124,14 @@ def test_kms_batch_rows_equal_one_pair_calls(tmp_path):
         ("scattering", "t_min=0"),
         ("fock-spectrum", "hbar=0"),
         ("fock-spectrum", "omega=0"),
+        ("fock-spectrum", "cutoff=1"),
+        ("evolve", "t_max=inf"),
+        ("evolve", "hbar=0"),
+        ("egorov", "t=nan"),
+        ("scattering", "hbar=-1"),
+        ("equilibrium", "beta=0"),
+        ("scattering", "t_min=5 t_max=1"),
+        ("kms", "t_min=nan"),
     ],
 )
 def test_bad_kms_and_evolve_parameters_exit_2_before_compute(
@@ -135,7 +143,7 @@ def test_bad_kms_and_evolve_parameters_exit_2_before_compute(
     monkeypatch.setattr(cli, "_system_from", computed)
     monkeypatch.setattr(cli.fock, "adequate_cutoff", computed)
     monkeypatch.setattr(cli.fock, "FockMode", computed)
-    code, csv, js = _run(tmp_path, command, override)
+    code, csv, js = _run(tmp_path, command, *override.split())
     assert code == 2
     assert capsys.readouterr().err.startswith("configuration error: ")
     assert csv == js == ""

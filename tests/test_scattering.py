@@ -88,8 +88,8 @@ def test_dressing_coefficient_is_a_phase(system_g03, f_gauss):
 
 def test_asymptotic_character_carries_the_dressing(system_g03, f_gauss):
     a = asymptotic_character(system_g03, f_gauss, 0.3)
-    assert len(a.terms) == 1
-    assert a.terms[0].coefficient == pytest.approx(
+    assert len(a.coeffs) == 1
+    assert a.coeffs[0] == pytest.approx(
         dressing_coefficient(system_g03, f_gauss), abs=1e-15
     )
     other = make_grid(panels=4, points=8)

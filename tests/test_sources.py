@@ -9,7 +9,6 @@ from vanhove import (
     InfraredClass,
     classify,
     classify_analytic,
-    classify_numeric,
     custom_source,
     make_grid,
     power_law_gaussian,
@@ -46,7 +45,7 @@ def test_analytic_trichotomy_thresholds(grid, gamma, expected):
 )
 def test_numeric_classification_agrees_with_analytic(grid, gamma):
     spec = power_law_gaussian(grid, gamma)
-    assert classify_numeric(spec) is classify_analytic(spec)
+    assert numeric_classification(spec).infrared_class is classify_analytic(spec)
 
 
 @pytest.mark.parametrize("gamma", [0.3, 0.8, 1.2])
@@ -72,7 +71,7 @@ def test_infrared_cutoff_masks_below_one_over_n(grid):
 def test_cutoff_source_classifies_as_regular(grid):
     spec = power_law_gaussian(grid, 1.2, ir_cutoff=8)
     assert classify_analytic(spec) is InfraredClass.REGULAR
-    assert classify_numeric(spec) is InfraredClass.REGULAR
+    assert numeric_classification(spec).infrared_class is InfraredClass.REGULAR
 
 
 def test_massive_dispersion_collapses_the_trichotomy():
@@ -110,4 +109,4 @@ def test_spec_validation():
 def test_slope_fit_needs_enough_infrared_shells():
     shallow = make_grid(r_min=0.5, r_max=12.0, panels=6, points=8)
     with pytest.raises(ValueError, match="too few infrared shells"):
-        classify_numeric(power_law_gaussian(shallow, 0.3))
+        numeric_classification(power_law_gaussian(shallow, 0.3))
