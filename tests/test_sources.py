@@ -88,7 +88,7 @@ def test_out_of_scope_source_has_no_realization(grid):
     realize(power_law_gaussian(grid, 1.6, ir_cutoff=4))
 
 
-def test_custom_sources_classify_numerically(grid):
+def test_custom_sources_are_classified_from_grid_data(grid):
     vals = grid.nodes**-0.8 * np.exp(-grid.nodes**2)
     spec = custom_source(grid, vals)
     assert classify(spec) is InfraredClass.TYPE_I
