@@ -67,7 +67,7 @@ _RULES: dict[str, Callable[[float], bool]] = {
     "finite": math.isfinite,
     "finite and > 0": lambda x: 0.0 < x < math.inf,
     "> 0": lambda x: x > 0.0,
-    ">= 0": lambda x: not x < 0.0,  # lets nan through, which scattering accepts
+    "finite and >= 0": lambda x: 0.0 <= x < math.inf,
 }
 
 
@@ -76,6 +76,15 @@ def _require(cfg: dict, rule: str, *keys: str) -> None:
     for key in keys:
         if not _RULES[rule](cfg[key]):
             raise ConfigError(f"{key} must be {rule}, got {cfg[key]}")
+
+
+def _require_span(cfg: dict, low: str, high: str, count: int) -> None:
+    """Raise ConfigError unless the integer range low..high holds ``count`` values."""
+    if cfg[high] - cfg[low] + 1 < count:
+        raise ConfigError(
+            f"{low}..{high} must span at least {count} value{'s' * (count > 1)}, "
+            f"got {cfg[low]}..{cfg[high]}"
+        )
 
 
 def _fmt(x) -> str:
@@ -268,7 +277,8 @@ def cmd_energy(cfg: dict) -> CommandResult:
 def cmd_evolve(cfg: dict) -> CommandResult:
     _require(cfg, ">= 1", "steps")
     _require(cfg, "finite", "t_max")
-    _require(cfg, "> 0", "hbar", "beta_h")
+    _require(cfg, "finite and > 0", "hbar")
+    _require(cfg, "> 0", "beta_h")
     sys_ = _system_from(cfg)
     grid = sys_.grid
     alpha0 = from_values(
@@ -376,6 +386,7 @@ def _hbar_ladder(cfg: dict) -> tuple[float, ...]:
 
 def cmd_egorov(cfg: dict) -> CommandResult:
     _require(cfg, "finite", "t")
+    _require_span(cfg, "k_min", "k_max", 2)
     sys_ = _system_from(cfg)
     grid = sys_.grid
     center = sample(grid, lambda r: cfg["center_scale"] * (1.0 + 0.5j) * np.exp(-(r**2)))
@@ -415,6 +426,7 @@ def cmd_equilibrium(cfg: dict) -> CommandResult:
         )
     if cfg["regime"] == "linear":
         _require(cfg, "finite and > 0", "beta")
+    _require_span(cfg, "k_min", "k_max", 2)
     sys_ = _system_from(cfg)
     panel = semiclassics.default_panel(sys_.grid)
     report = semiclassics.equilibrium_sweep(
@@ -437,7 +449,8 @@ def cmd_equilibrium(cfg: dict) -> CommandResult:
 def cmd_scattering(cfg: dict) -> CommandResult:
     _require(cfg, ">= 1", "t_points")
     _require(cfg, "finite and > 0", "t_min", "t_max")
-    _require(cfg, ">= 0", "hbar")
+    _require(cfg, "finite and >= 0", "hbar")
+    _require_span(cfg, "k_min", "k_max", 2)
     if cfg["t_min"] > cfg["t_max"]:
         raise ConfigError(f"t_min must be <= t_max, got {cfg['t_min']}, {cfg['t_max']}")
     sys_ = _system_from(cfg)
@@ -485,13 +498,14 @@ def cmd_scattering(cfg: dict) -> CommandResult:
 def cmd_fock_spectrum(cfg: dict) -> CommandResult:
     _require(cfg, "finite and > 0", "omega", "hbar")
     _require(cfg, "<= 0 (automatic) or >= 2", "cutoff")
+    _require(cfg, "finite", "coupling_re", "coupling_im")
     j = complex(cfg["coupling_re"], cfg["coupling_im"])
     cutoff = cfg["cutoff"] if cfg["cutoff"] > 0 else fock.adequate_cutoff(
         cfg["omega"], j, cfg["hbar"]
     )
     mode = fock.FockMode(omega=cfg["omega"], coupling=j, cutoff=cutoff, hbar=cfg["hbar"])
     report = fock.ground_state_analysis(mode)
-    number = fock.mode_number_expectation(mode)
+    number = report.photon_number
     number_closed = abs(j / cfg["omega"]) ** 2
     failures = []
     scale = max(abs(report.energy_closed_form), 1.0)
@@ -521,6 +535,9 @@ def cmd_fock_spectrum(cfg: dict) -> CommandResult:
 
 
 def cmd_soft_photons(cfg: dict) -> CommandResult:
+    _require(cfg, "finite and > 0", "hbar")
+    _require(cfg, "finite and >= 0", "n_min_log2")  # 2^n_min_log2 is an integer cutoff
+    _require_span(cfg, "n_min_log2", "n_max_log2", 3)
     sys_ = _system_from(cfg)
     ns = [2**k for k in range(cfg["n_min_log2"], cfg["n_max_log2"] + 1)]
     report = fock.soft_photon_sweep(sys_, cfg["hbar"], ns)
@@ -543,6 +560,7 @@ def cmd_soft_photons(cfg: dict) -> CommandResult:
 
 
 def cmd_garding(cfg: dict) -> CommandResult:
+    _require_span(cfg, "k_min", "k_max", 1)
     grid = fock.single_mode_grid()
     # p = 1 + W(1) + W(i)
     p = weyl.trig_polynomial(grid, 0.0, np.ones(3), [[0.0], [1.0], [1j]])
@@ -572,6 +590,7 @@ def cmd_garding(cfg: dict) -> CommandResult:
             "fit_residual": report.fit_residual,
             "bound_margin": report.bound_margin,
             "symbol_min": report.symbol_min,
+            "unitarity_defect": report.unitarity_defect,
         },
         failures=failures,
     )

@@ -1,4 +1,5 @@
-r"""Dense single-mode Fock machinery: spectra, coherent dressing, bounds.
+r"""Single-mode Fock machinery on tridiagonal matrices: spectra, coherent
+dressing, bounds.
 
 One radial quadrature node (omega_m, weight) of a sourced system defines a
 displaced harmonic mode: with ladder matrices a, a* on the (N+1)-dimensional
@@ -10,13 +11,20 @@ whose exact ground state is the coherent vector W_h(z*) e_0 with amplitude
 z* = -j / (pi i hbar omega), energy E_0 = -|j|^2/omega and gap hbar omega.
 The field and exponential operators use
 
-    phi_h(z) = sqrt(hbar) (z a* + conj(z) a),    W_h(z) = e^{i pi phi_h(z)},
+    phi_h(z) = sqrt(hbar) (z a* + conj(z) a),    W_h(z) = e^{i pi phi_h(z)}.
 
-built by exact Hermitian eigendecomposition, so that <e_0, W_h(z) e_0> =
-e^{-(pi^2 hbar/2)|z|^2} and W_h(z) W_h(w) = W_h(z+w) e^{-i pi^2 hbar Im(conj(z) w)}
-hold on the trusted (lower) half of the truncated space.  Truncation is
-honest: every mode must satisfy N >= 4|j|^2/(hbar omega^2) + 20 so the
-displaced ground state lives far from the cutoff edge.
+Both H and phi_h(z) are tridiagonal, and the diagonal gauge
+D = diag(e^{i k theta}) (theta = arg j, resp. arg z) turns each into a real
+symmetric tridiagonal R with nonnegative off-diagonal: H (resp. phi_h(z))
+= D R D*.  So their spectra come from ``scipy.linalg.eigh_tridiagonal`` on
+R: W_h(z) = D e^{i pi R} D* with R depending on |z| only, and the ground
+state of H is D times a real vector.  The exponentials satisfy
+<e_0, W_h(z) e_0> = e^{-(pi^2 hbar/2)|z|^2} and
+W_h(z) W_h(w) = W_h(z+w) e^{-i pi^2 hbar Im(conj(z) w)} on the trusted
+(lower) half of the truncated space, where their unitarity is checked.
+Truncation is honest: every mode must satisfy
+N >= 4|j|^2/(hbar omega^2) + 20 so the displaced ground state lives far
+from the cutoff edge.
 
 Summing modes over a grid recovers the field quantities analytically: the
 total ground energy is -sum |j_m|^2/omega_m = -||J||_{-1}^2 exactly (the
@@ -39,6 +47,7 @@ quantization dips below zero only O(hbar), anti-Wick stays nonnegative.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -132,31 +141,57 @@ def build_hamiltonian(mode: FockMode) -> np.ndarray:
     return h
 
 
-def weyl_matrix(mode: FockMode, z: complex) -> np.ndarray:
-    """W_h(z) = exp(i pi phi_h(z)) via exact eigendecomposition.
+def _gauge(theta: float, dim: int) -> np.ndarray:
+    """The diagonal p_k = e^{i k theta} of D: D R D* multiplies the k-th
+    sub-diagonal entry of R by e^{i theta}."""
+    return np.exp(1j * theta * np.arange(dim))
+
+
+def _real_exponential(mode: FockMode, modulus: float) -> tuple[np.ndarray, float]:
+    """U = e^{i pi R} for the real tridiagonal R = phi_h(|z|) (zero diagonal,
+    off-diagonal sqrt(hbar) |z| sqrt(k)), and its trusted-block unitarity
+    defect max |(U*U - 1)[:half, :half]|.
 
     Rejects displacements too large for the truncation
-    (pi^2 hbar |z|^2 > N/4) and checks unitarity on the trusted lower half.
+    (pi^2 hbar |z|^2 > N/4) and defects above the unitarity ceiling.
     """
-    z = complex(z)
-    if _PI2 * mode.hbar * abs(z) ** 2 > mode.cutoff / 4.0:
+    # imported on first use: the CLI imports this module for every command,
+    # and loading scipy.linalg costs ~6 MB of resident memory and ~50 ms
+    from scipy.linalg import eigh_tridiagonal
+
+    if _PI2 * mode.hbar * modulus**2 > mode.cutoff / 4.0:
         raise ValueError(
-            f"displacement |z|^2 = {abs(z)**2:.3g} exceeds the truncation "
+            f"displacement |z|^2 = {modulus**2:.3g} exceeds the truncation "
             f"adequacy pi^2 hbar |z|^2 <= N/4 for N = {mode.cutoff}"
         )
-    a, adag, _ = build_ladder(mode)
-    phi = math.sqrt(mode.hbar) * (z * adag + np.conj(z) * a)
-    evals, vecs = np.linalg.eigh(_PI * phi)
-    w = (vecs * np.exp(1j * evals)) @ vecs.conj().T
-    half = mode.cutoff // 2 + 1
-    defect = w.conj().T @ w - np.eye(mode.dim)
-    worst = float(np.max(np.abs(defect[:half, :half])))
+    off = _PI * math.sqrt(mode.hbar) * modulus * np.sqrt(np.arange(1.0, mode.dim))
+    evals, vecs = eigh_tridiagonal(np.zeros(mode.dim), off)
+    u = np.empty((mode.dim, mode.dim), dtype=np.complex128)
+    u.real = (vecs * np.cos(evals)) @ vecs.T
+    u.imag = (vecs * np.sin(evals)) @ vecs.T
+    trusted = u[:, : mode.cutoff // 2 + 1]
+    defect = trusted.conj().T @ trusted
+    defect[np.diag_indices_from(defect)] -= 1.0
+    worst = float(np.max(np.abs(defect)))
     if worst > _UNITARITY_TOL:
         raise RuntimeError(
             f"exponential matrix lost unitarity on the trusted block "
             f"(defect {worst:.3e}); truncation inadequate"
         )
-    return w
+    return u, worst
+
+
+def _gauged(u: np.ndarray, z: complex) -> np.ndarray:
+    """W_h(z) = D U D* from the real exponential U at |z|, D gauged by arg z."""
+    p = _gauge(cmath.phase(z), len(u))
+    return np.outer(p, p.conj()) * u
+
+
+def weyl_matrix(mode: FockMode, z: complex) -> np.ndarray:
+    """W_h(z) = exp(i pi phi_h(z)), gauged from the real tridiagonal
+    exponential at |z| (see ``_real_exponential`` for the checks)."""
+    z = complex(z)
+    return _gauged(_real_exponential(mode, abs(z))[0], z)
 
 
 @dataclass(frozen=True)
@@ -165,33 +200,52 @@ class GroundReport:
     energy_closed_form: float
     gap: float
     overlap_sq: float
+    photon_number: float
+
+
+def _lowest_pair(mode: FockMode) -> tuple[np.ndarray, np.ndarray]:
+    """The two lowest eigenvalues of H and its ground vector D v, where v is
+    the ground vector of the real gauged R = D* H D (D gauged by arg j)."""
+    from scipy.linalg import eigh_tridiagonal  # on first use, as in _real_exponential
+
+    occ = np.arange(mode.dim, dtype=np.float64)
+    j = complex(mode.coupling)
+    evals, vecs = eigh_tridiagonal(
+        mode.hbar * mode.omega * occ,
+        math.sqrt(mode.hbar) * abs(j) * np.sqrt(occ[1:]),
+        select="i",
+        select_range=(0, 1),
+    )
+    return evals, _gauge(cmath.phase(j), mode.dim) * vecs[:, 0]
+
+
+def _photon_number(mode: FockMode, ground: np.ndarray) -> float:
+    occ = np.arange(mode.dim, dtype=np.float64)
+    return float(mode.hbar * np.sum(occ * np.abs(ground) ** 2))
 
 
 def ground_state_analysis(mode: FockMode) -> GroundReport:
-    """Diagonalize H and compare against the displaced-oscillator closed
+    """Diagonalize H once and compare against the displaced-oscillator closed
     forms: E_0 = -|j|^2/omega, gap = hbar omega, ground vector = coherent
-    vector W_h(z*) e_0 with z* = i j/(pi hbar omega)."""
-    evals, vecs = np.linalg.eigh(build_hamiltonian(mode))
+    vector W_h(z*) e_0 with z* = i j/(pi hbar omega), and hbar <n> =
+    |j/omega|^2 (reported as ``photon_number``)."""
+    evals, ground = _lowest_pair(mode)
     z_star = 1j * complex(mode.coupling) / (_PI * mode.hbar * mode.omega)
-    e0 = np.zeros(mode.dim, dtype=np.complex128)
-    e0[0] = 1.0
-    coherent_vec = weyl_matrix(mode, z_star) @ e0
-    overlap = np.vdot(coherent_vec, vecs[:, 0])
+    coherent_vec = weyl_matrix(mode, z_star)[:, 0]
+    overlap = np.vdot(coherent_vec, ground)
     return GroundReport(
         energy=float(evals[0]),
         energy_closed_form=-abs(mode.coupling) ** 2 / mode.omega,
         gap=float(evals[1] - evals[0]),
         overlap_sq=float(abs(overlap) ** 2),
+        photon_number=_photon_number(mode, ground),
     )
 
 
 def mode_number_expectation(mode: FockMode) -> float:
     """<dGamma_h(1)> = hbar <n> in the true (diagonalized) ground state;
     closed form |j/omega|^2."""
-    evals, vecs = np.linalg.eigh(build_hamiltonian(mode))
-    ground = vecs[:, 0]
-    occ = np.arange(mode.dim, dtype=np.float64)
-    return float(mode.hbar * np.sum(occ * np.abs(ground) ** 2))
+    return _photon_number(mode, _lowest_pair(mode)[1])
 
 
 # --------------------------------------------------------------------------
@@ -357,6 +411,8 @@ class GardingReport:
     fitted_constant: float
     fit_residual: float
     symbol_min: float
+    #: max trusted-block unitarity defect over the probe's exponentials
+    unitarity_defect: float
 
     @property
     def bound_margin(self) -> float:
@@ -431,14 +487,16 @@ def garding_probe(
     sampling on a torus_points^2 grid of the unit periodicity cell and
     Newton-polishing the minimum.  Per hbar the plain quantization
     sum_j c_j W_h(z_j) is assembled as a dense matrix on an adaptively
-    enlarged truncation (``cutoff`` is only a floor), compressed to the
+    enlarged truncation (``cutoff`` is only a floor), each W_h(z_j) gauged
+    from one real exponential per distinct |z_j|, compressed to the
     trusted lower half, and its lowest eigenvalue recorded together with
-    the anti-Wick variant (positive by construction).  The rate constant C
-    is fitted through the origin to lambda_min - min(symbol) over the
-    smaller half of the hbar ladder, where the linear law has set in; the
-    spectral bottom then obeys min(symbol) - C hbar <= lambda_min <=
-    min(symbol) + C hbar (residual reported) and nothing converges faster
-    than that O(hbar) rate.
+    the anti-Wick variant (positive by construction); the largest
+    trusted-block unitarity defect of those exponentials is reported.  The
+    rate constant C is fitted through the origin to lambda_min - min(symbol)
+    over the smaller half of the hbar ladder, where the linear law has set
+    in; the spectral bottom then obeys min(symbol) - C hbar <= lambda_min
+    <= min(symbol) + C hbar (residual reported) and nothing converges
+    faster than that O(hbar) rate.
     """
     if symbol.hbar != 0.0:
         raise ValueError("the Garding probe quantizes a classical symbol")
@@ -473,17 +531,26 @@ def garding_probe(
     lams: list[float] = []
     lams_aw: list[float] = []
     cutoffs: list[int] = []
+    worst_unitarity = 0.0
+    zs = gens.tolist()
     for h in hbars:
         n_h = _garding_cutoff(float(h), cutoff)
         cutoffs.append(n_h)
         half = slice(0, n_h // 2 + 1)
         mode = FockMode(omega=1.0, coupling=0.0, cutoff=n_h, hbar=float(h))
-        mats = {complex(z): weyl_matrix(mode, complex(z)) for z in gens}
+        # one real exponential per distinct |z|, gauged for each generator
+        exps = {r: _real_exponential(mode, r) for r in {abs(z) for z in zs}}
+        worst_unitarity = max([worst_unitarity, *(worst for _, worst in exps.values())])
+        # anti-Wick damps the coefficients only; a row whose damped
+        # coefficient underflowed to 0 is dropped from it
+        aw = antiwick(symbol, float(h))
+        damped = dict(zip(aw.gens[:, 0].tolist(), aw.coeffs.tolist()))
         q, q_aw = np.zeros((2, mode.dim, mode.dim), dtype=np.complex128)
-        for poly, acc in ((symbol, q), (antiwick(symbol, float(h)), q_aw)):
-            for c, z in zip(poly.coeffs, poly.gens[:, 0]):
-                acc += c * mats[complex(z)]
-        del mats  # free this cutoff's matrices before the next ones are built
+        for c, z in zip(coeffs, zs):
+            w = _gauged(exps[abs(z)][0], z)
+            q += c * w
+            q_aw += damped.get(z, 0.0) * w
+        exps = w = None  # free this cutoff's matrices before the eigensolves
         for name, mat in (("plain", q), ("anti-Wick", q_aw)):
             defect = float(np.max(np.abs(mat - mat.conj().T)))
             if defect > 1e-10:
@@ -515,4 +582,5 @@ def garding_probe(
         fitted_constant=constant,
         fit_residual=residual,
         symbol_min=sym_min,
+        unitarity_defect=worst_unitarity,
     )

@@ -132,6 +132,13 @@ def test_kms_batch_rows_equal_one_pair_calls(tmp_path):
         ("equilibrium", "beta=0"),
         ("scattering", "t_min=5 t_max=1"),
         ("kms", "t_min=nan"),
+        ("soft-photons", "hbar=0"),
+        ("soft-photons", "n_min_log2=5 n_max_log2=3"),
+        ("garding", "k_min=8 k_max=3"),
+        ("fock-spectrum", "coupling_re=nan"),
+        ("scattering", "hbar=nan"),
+        ("scattering", "hbar=inf"),
+        ("evolve", "hbar=inf"),
     ],
 )
 def test_bad_kms_and_evolve_parameters_exit_2_before_compute(
@@ -143,6 +150,7 @@ def test_bad_kms_and_evolve_parameters_exit_2_before_compute(
     monkeypatch.setattr(cli, "_system_from", computed)
     monkeypatch.setattr(cli.fock, "adequate_cutoff", computed)
     monkeypatch.setattr(cli.fock, "FockMode", computed)
+    monkeypatch.setattr(cli.fock, "garding_probe", computed)
     code, csv, js = _run(tmp_path, command, *override.split())
     assert code == 2
     assert capsys.readouterr().err.startswith("configuration error: ")
@@ -234,6 +242,12 @@ def test_scattering_command_reports_the_round_trip(tmp_path):
     assert payload["summary"]["final_overlap"] < 1e-2
 
 
+def test_scattering_command_accepts_the_classical_limit(tmp_path):
+    code, _, js = _run(tmp_path, "scattering", "hbar=0")
+    assert code == 0
+    assert json.loads(js)["summary"]["round_trip"] <= 1e-15
+
+
 def test_fock_spectrum_command_matches_closed_forms(tmp_path):
     code, _, js = _run(tmp_path, "fock-spectrum", "hbar=0.25", "cutoff=64")
     assert code == 0
@@ -256,6 +270,7 @@ def test_garding_command_reports_the_bound(tmp_path):
     payload = json.loads(js)
     assert payload["summary"]["bound_margin"] >= -1e-9
     assert payload["summary"]["symbol_min"] == pytest.approx(0.0, abs=1e-12)
+    assert 0.0 <= payload["summary"]["unitarity_defect"] <= 1e-9
 
 
 def test_config_file_feeds_a_command(tmp_path):

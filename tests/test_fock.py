@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from scipy.special import eval_genlaguerre, gammaln
 
 from vanhove import make_grid, make_system, power_law_gaussian
 from vanhove.fock import (
@@ -101,6 +104,61 @@ def test_weyl_matrix_composition_law(mode):
     half = mode.cutoff // 2 + 1
     gap = np.max(np.abs((w1 @ w2 - phase * w12)[:half, :half]))
     assert gap <= 1e-10
+
+
+def _displacement_entry(alpha: complex, m: int, n: int) -> complex:
+    """<m|D(alpha)|n> for m >= n (Cahill and Glauber, Phys. Rev. 177, 1857
+    (1969)): sqrt(n!/m!) alpha^(m-n) e^(-|alpha|^2/2) L_n^(m-n)(|alpha|^2)."""
+    x = abs(alpha) ** 2
+    log_scale = 0.5 * (gammaln(n + 1) - gammaln(m + 1)) - 0.5 * x
+    if m > n:
+        log_scale += (m - n) * math.log(abs(alpha))
+    phase = np.exp(1j * (m - n) * np.angle(alpha))
+    return complex(np.exp(log_scale) * phase * eval_genlaguerre(n, m - n, x))
+
+
+def test_weyl_matrix_matches_the_cahill_glauber_closed_form():
+    # W_h(z) = exp(alpha a* - conj(alpha) a) = D(alpha) with alpha = i pi sqrt(h) z;
+    # the entries above the diagonal follow by adjointness, D(alpha)* = D(-alpha)
+    wide = FockMode(omega=1.0, coupling=0.0, cutoff=96, hbar=0.25)
+    half = wide.cutoff // 2 + 1
+    for z in (0.7 + 0.5j, -0.9 + 0.4j, -0.6 - 1.1j, 1.0 - 1.0j):
+        alpha = 1j * math.pi * math.sqrt(wide.hbar) * z
+        exact = np.array(
+            [
+                [
+                    _displacement_entry(alpha, m, n)
+                    if m >= n
+                    else np.conj(_displacement_entry(-alpha, n, m))
+                    for n in range(half)
+                ]
+                for m in range(half)
+            ]
+        )
+        w = weyl_matrix(wide, z)
+        assert np.max(np.abs(w[:half, :half] - exact)) <= 1e-12
+
+
+def test_complex_coupling_matches_the_closed_forms():
+    # arg j != 0 and != pi: a wrong gauge sign rotates the ground vector away
+    # from the coherent vector W_h(z*) e_0, whose own gauge is arg z* = arg j + pi/2
+    j = -0.35 + 0.6j
+    h = 0.2
+    cplx = FockMode(omega=1.3, coupling=j, cutoff=adequate_cutoff(1.3, j, h), hbar=h)
+    report = ground_state_analysis(cplx)
+    assert report.energy_closed_form == pytest.approx(-abs(j) ** 2 / 1.3, rel=1e-15)
+    assert report.energy == pytest.approx(report.energy_closed_form, abs=1e-12)
+    assert report.gap == pytest.approx(h * 1.3, abs=1e-12)
+    assert report.overlap_sq == pytest.approx(1.0, abs=1e-10)
+    closed = abs(j / 1.3) ** 2
+    assert report.photon_number == pytest.approx(closed, abs=1e-10)
+    assert mode_number_expectation(cplx) == pytest.approx(closed, abs=1e-10)
+
+
+def test_importing_the_cli_leaves_scipy_linalg_unloaded():
+    # every command imports fock; only the Fock solvers need scipy.linalg
+    code = "import sys, vanhove.cli; assert 'scipy.linalg' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True)
 
 
 def test_weyl_matrix_rejects_oversized_displacements(mode):
@@ -214,6 +272,7 @@ def test_garding_probe_shows_the_order_hbar_gap():
     assert report.fit_residual < 0.1
     assert report.bound_margin >= -1e-9
     assert all(lam >= -1e-10 for lam in report.lambda_min_antiwick)
+    assert 0.0 <= report.unitarity_defect <= 1e-9
     # truncations grow as hbar shrinks
     assert all(b >= a for a, b in zip(report.cutoffs, report.cutoffs[1:]))
 
