@@ -63,7 +63,6 @@ __all__ = [
     "FockMode",
     "adequate_cutoff",
     "build_ladder",
-    "build_hamiltonian",
     "weyl_matrix",
     "GroundReport",
     "ground_state_analysis",
@@ -132,15 +131,6 @@ def build_ladder(mode: FockMode) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return a, a.conj().T, np.diag(np.arange(n, dtype=np.float64)).astype(np.complex128)
 
 
-def build_hamiltonian(mode: FockMode) -> np.ndarray:
-    """H = hbar omega n + sqrt(hbar) (j a* + conj(j) a); Hermitian by
-    construction."""
-    a, adag, num = build_ladder(mode)
-    j = complex(mode.coupling)
-    h = mode.hbar * mode.omega * num + math.sqrt(mode.hbar) * (j * adag + np.conj(j) * a)
-    return h
-
-
 def _gauge(theta: float, dim: int) -> np.ndarray:
     """The diagonal p_k = e^{i k theta} of D: D R D* multiplies the k-th
     sub-diagonal entry of R by e^{i theta}."""
@@ -156,7 +146,8 @@ def _real_exponential(mode: FockMode, modulus: float) -> tuple[np.ndarray, float
     (pi^2 hbar |z|^2 > N/4) and defects above the unitarity ceiling.
     """
     # imported on first use: the CLI imports this module for every command,
-    # and loading scipy.linalg costs ~6 MB of resident memory and ~50 ms
+    # and with scipy >= 1.17 (where scipy.special no longer pulls it in)
+    # loading scipy.linalg costs ~6 MB of resident memory and ~50 ms
     from scipy.linalg import eigh_tridiagonal
 
     if _PI2 * mode.hbar * modulus**2 > mode.cutoff / 4.0:
@@ -541,16 +532,11 @@ def garding_probe(
         # one real exponential per distinct |z|, gauged for each generator
         exps = {r: _real_exponential(mode, r) for r in {abs(z) for z in zs}}
         worst_unitarity = max([worst_unitarity, *(worst for _, worst in exps.values())])
-        # anti-Wick damps the coefficients only; a row whose damped
-        # coefficient underflowed to 0 is dropped from it
-        aw = antiwick(symbol, float(h))
-        damped = dict(zip(aw.gens[:, 0].tolist(), aw.coeffs.tolist()))
         q, q_aw = np.zeros((2, mode.dim, mode.dim), dtype=np.complex128)
-        for c, z in zip(coeffs, zs):
-            w = _gauged(exps[abs(z)][0], z)
-            q += c * w
-            q_aw += damped.get(z, 0.0) * w
-        exps = w = None  # free this cutoff's matrices before the eigensolves
+        for poly, acc in ((symbol, q), (antiwick(symbol, float(h)), q_aw)):
+            for c, z in zip(poly.coeffs, poly.gens[:, 0].tolist()):
+                acc += c * _gauged(exps[abs(z)][0], z)
+        exps = None  # free this cutoff's matrices before the eigensolves
         for name, mat in (("plain", q), ("anti-Wick", q_aw)):
             defect = float(np.max(np.abs(mat - mat.conj().T)))
             if defect > 1e-10:

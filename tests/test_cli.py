@@ -139,6 +139,11 @@ def test_kms_batch_rows_equal_one_pair_calls(tmp_path):
         ("scattering", "hbar=nan"),
         ("scattering", "hbar=inf"),
         ("evolve", "hbar=inf"),
+        ("egorov", "k_min=5 k_max=5"),
+        ("equilibrium", "k_min=5 k_max=5"),
+        ("scattering", "k_min=5 k_max=5"),
+        ("fock-spectrum", "coupling_im=inf"),
+        ("soft-photons", "n_min_log2=-1"),
     ],
 )
 def test_bad_kms_and_evolve_parameters_exit_2_before_compute(
