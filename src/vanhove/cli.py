@@ -1,11 +1,15 @@
 r"""Deterministic command-line front end.
 
-Every command reads a flat ``key=value`` configuration (defaults, optionally
-a ``--config`` file, then positional overrides; unknown keys are an error),
-runs one workbench computation, writes ``<out>.csv`` (rows of numbers, 17
-significant digits, ``#``-prefixed header recording the full configuration
-and its hash) plus ``<out>.json`` (flat summary), and prints a one-line
-summary.  Identical configurations produce byte-identical outputs.
+Every command is one declaration in ``_COMMANDS``: its runner, its keys as
+``key: (default, rule)`` and its cross-key rules.  A command reads a flat
+``key=value`` configuration (defaults, optionally a ``--config`` file, then
+positional overrides; unknown keys are an error), checks every rule before
+any compute, runs one workbench computation and returns ``Check`` records.
+It writes ``<out>.csv`` (rows of numbers, 17 significant digits,
+``#``-prefixed header recording the full configuration and its hash) plus
+``<out>.json`` (flat summary, each check as value, tolerance and margin, and
+the names of the failed checks), and prints a one-line summary.  Identical
+configurations produce byte-identical outputs.
 
 Exit codes: 0 success, 1 a named invariant failed, 2 configuration error.
 
@@ -56,35 +60,49 @@ class ConfigError(Exception):
     pass
 
 
-class InvariantFailure(Exception):
-    pass
+#: A key's rule: (what its value must be, the test).
+Rule = tuple[str, Callable[[object], bool]]
+#: A cross-key rule: (the message, formatted with the configuration; the test).
+CrossRule = tuple[str, Callable[[dict], bool]]
+
+_ANY: Rule = ("any integer", lambda n: True)
+_COUNT: Rule = (">= 1", lambda n: n >= 1)
+_FINITE: Rule = ("finite", math.isfinite)
+_POSITIVE: Rule = ("finite and > 0", lambda x: 0.0 < x < math.inf)
+_NONNEGATIVE: Rule = ("finite and >= 0", lambda x: 0.0 <= x < math.inf)
+#: hbar = 2^-k from 1 down to the float epsilon
+_EXPONENT: Rule = ("in 0..52", lambda k: 0 <= k <= 52)
+#: beyond these the infrared panels' r^(d-1) falls below the smallest float
+_DIM: Rule = ("in 1..16", lambda d: 1 <= d <= 16)
 
 
-#: Parameter rules, keyed by the text a violation reports.
-_RULES: dict[str, Callable[[float], bool]] = {
-    ">= 1": lambda n: n >= 1,
-    "<= 0 (automatic) or >= 2": lambda n: n <= 0 or n >= 2,
-    "finite": math.isfinite,
-    "finite and > 0": lambda x: 0.0 < x < math.inf,
-    "> 0": lambda x: x > 0.0,
-    "finite and >= 0": lambda x: 0.0 <= x < math.inf,
-}
+def _span(low: str, high: str, count: int) -> CrossRule:
+    """The integer range low..high holds at least ``count`` values."""
+    return (
+        f"{low}..{high} must span at least {count} value{'s' * (count > 1)}, "
+        f"got {{{low}}}..{{{high}}}",
+        lambda c: c[high] - c[low] + 1 >= count,
+    )
 
 
-def _require(cfg: dict, rule: str, *keys: str) -> None:
-    """Raise ConfigError for the first key whose value breaks ``rule``."""
-    for key in keys:
-        if not _RULES[rule](cfg[key]):
-            raise ConfigError(f"{key} must be {rule}, got {cfg[key]}")
+def _validate(cfg: dict, keys: dict, cross: Sequence[CrossRule]) -> None:
+    """Raise ConfigError for the first key, then the first cross-key rule,
+    that the configuration breaks."""
+    for key, (_, (text, holds)) in keys.items():
+        if not holds(cfg[key]):
+            raise ConfigError(f"{key} must be {text}, got {cfg[key]}")
+    for text, holds in cross:
+        if not holds(cfg):
+            raise ConfigError(text.format_map(cfg))
 
 
-def _require_span(cfg: dict, low: str, high: str, count: int) -> None:
-    """Raise ConfigError unless the integer range low..high holds ``count`` values."""
-    if cfg[high] - cfg[low] + 1 < count:
-        raise ConfigError(
-            f"{low}..{high} must span at least {count} value{'s' * (count > 1)}, "
-            f"got {cfg[low]}..{cfg[high]}"
-        )
+@dataclass(frozen=True)
+class Check:
+    """A named invariant: it holds iff ``value <= tol``, so nan fails."""
+
+    name: str
+    value: float
+    tol: float
 
 
 def _fmt(x) -> str:
@@ -158,7 +176,11 @@ class CommandResult:
     header: list[str]
     rows: list[tuple]
     summary: dict
-    failures: list[str] = field(default_factory=list)
+    checks: list[Check] = field(default_factory=list)
+
+    @property
+    def failures(self) -> list[str]:
+        return sorted({c.name for c in self.checks if not c.value <= c.tol})
 
 
 def _write_outputs(out_prefix: str, cfg: dict, result: CommandResult) -> None:
@@ -173,13 +195,13 @@ def _write_outputs(out_prefix: str, cfg: dict, result: CommandResult) -> None:
         "config": {k: cfg[k] for k in sorted(cfg)},
         "config_hash": chash,
         "summary": {k: result.summary[k] for k in sorted(result.summary)},
-        "failures": sorted(result.failures),
+        "checks": {
+            c.name: {"value": float(c.value), "tol": float(c.tol), "margin": float(c.tol - c.value)}
+            for c in result.checks
+        },
+        "failures": result.failures,
     }
     Path(out_prefix + ".json").write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-
-
-_GRID_KEYS = dict(dim=3, mass=0.0, r_min=1e-6, r_max=12.0, panels=16, points=32)
-_SOURCE_KEYS = dict(gamma=0.0, ir_cutoff=0)
 
 
 def _grid_from(cfg: dict) -> MomentumGrid:
@@ -203,6 +225,11 @@ def _random_panel_member(grid: MomentumGrid, rng: np.random.Generator):
     return from_values(grid, vals)
 
 
+def _verdict(holds: bool) -> float:
+    """A yes/no invariant as a check value against a tolerance of 0."""
+    return 0.0 if holds else 1.0
+
+
 # --------------------------------------------------------------------------
 # commands
 
@@ -211,81 +238,54 @@ def cmd_classify(cfg: dict) -> CommandResult:
     grid = _grid_from(cfg)
     spec = _source_from(cfg, grid)
     analytic = sources.classify_analytic(spec)
+    header = ["alpha", "divergence_slope", "clearly_divergent"]
     if analytic is sources.InfraredClass.OUT_OF_SCOPE:
         # no realization exists, so there is nothing to integrate numerically
         return CommandResult(
-            header=["alpha", "divergence_slope", "clearly_divergent"],
-            rows=[(alpha, math.nan, False) for alpha in (0, 1, 2)],
-            summary={
-                "analytic_class": analytic.value,
-                "numeric_class": "not_applicable",
-                "agreement": True,
-            },
+            header,
+            [(alpha, math.nan, False) for alpha in (0, 1, 2)],
+            {"analytic_class": analytic.value, "numeric_class": "not_applicable",
+             "agreement": True},
         )
     report = sources.numeric_classification(spec)
-    rows = []
-    for alpha in (0, 1, 2):
-        slope = report.divergence_slopes[alpha]
-        rows.append(
-            (
-                alpha,
-                math.nan if slope is None else slope,
-                report.clearly_divergent[alpha],
-            )
-        )
+    rows = [
+        (alpha, math.nan if slope is None else slope, report.clearly_divergent[alpha])
+        for alpha, slope in report.divergence_slopes.items()
+    ]
     agree = analytic == report.infrared_class
-    failures = [] if agree else ["classification agreement"]
     return CommandResult(
-        header=["alpha", "divergence_slope", "clearly_divergent"],
-        rows=rows,
-        summary={
-            "analytic_class": analytic.value,
-            "numeric_class": report.infrared_class.value,
-            "agreement": agree,
-        },
-        failures=failures,
+        header,
+        rows,
+        {"analytic_class": analytic.value, "numeric_class": report.infrared_class.value,
+         "agreement": agree},
+        [Check("classification agreement", _verdict(agree), 0.0)],
     )
 
 
 def cmd_energy(cfg: dict) -> CommandResult:
     sys_ = _system_from(cfg)
     minimizer = from_values(sys_.grid, -sys_.j_over_omega.values)
-    e_min = dynamics.classical_energy(sys_, minimizer)
-    e_ground = dynamics.ground_energy(sys_)
-    residual = abs(e_min - e_ground) / max(abs(e_ground), 1.0)
-    photon = weighted_norm_sq(sys_.j, -2)
-    failures = [] if residual <= 1e-10 else ["energy identity"]
-    rows = [
-        ("classical_min_energy", e_min),
-        ("spectral_bottom", e_ground),
-        ("identity_residual", residual),
-        ("photon_number", photon),
-    ]
+    summary = {
+        "classical_min_energy": dynamics.classical_energy(sys_, minimizer),
+        "spectral_bottom": dynamics.ground_energy(sys_),
+    }
+    e_ground = summary["spectral_bottom"]
+    residual = abs(summary["classical_min_energy"] - e_ground) / max(abs(e_ground), 1.0)
+    summary["identity_residual"] = residual
+    summary["photon_number"] = weighted_norm_sq(sys_.j, -2)
     return CommandResult(
-        header=["quantity", "value"],
-        rows=rows,
-        summary={
-            "classical_min_energy": e_min,
-            "spectral_bottom": e_ground,
-            "identity_residual": residual,
-            "photon_number": photon,
-        },
-        failures=failures,
+        ["quantity", "value"],
+        list(summary.items()),
+        summary,
+        [Check("energy identity", residual, 1e-10)],
     )
 
 
 def cmd_evolve(cfg: dict) -> CommandResult:
-    _require(cfg, ">= 1", "steps")
-    _require(cfg, "finite", "t_max")
-    _require(cfg, "finite and > 0", "hbar")
-    _require(cfg, "> 0", "beta_h")
     sys_ = _system_from(cfg)
     grid = sys_.grid
-    alpha0 = from_values(
-        grid,
-        -sys_.j_over_omega.values
-        + cfg["perturbation"] * np.exp(-grid.nodes**2) * (1.0 + 0.5j),
-    )
+    bump = cfg["perturbation"] * np.exp(-grid.nodes**2) * (1.0 + 0.5j)
+    alpha0 = from_values(grid, -sys_.j_over_omega.values + bump)
     e0 = dynamics.classical_energy(sys_, alpha0)
     scale = max(abs(e0), 1.0)
     gibbs = states.gibbs_quantum(sys_.source, cfg["beta_h"], cfg["hbar"])
@@ -294,38 +294,22 @@ def cmd_evolve(cfg: dict) -> CommandResult:
     # Heisenberg picture: evolve_state would only move the centre along the
     # flow, which fixes -J/omega exactly and so could not drift at all.
     probe_w = weyl.weyl(probe, gibbs.hbar)
-    ts = np.linspace(-cfg["t_max"], cfg["t_max"], cfg["steps"])
     rows = []
-    worst_drift = 0.0
-    worst_char = 0.0
-    for t in ts:
+    for t in np.linspace(-cfg["t_max"], cfg["t_max"], cfg["steps"]):
         e_t = dynamics.classical_energy(sys_, dynamics.classical_flow(sys_, alpha0, t))
-        drift = abs(e_t - e0) / scale
         char_t = states.evaluate(gibbs, dynamics.evolve_weyl(sys_, probe_w, t))
-        char_drift = abs(char_t - char0)
-        worst_drift = max(worst_drift, drift)
-        worst_char = max(worst_char, char_drift)
-        rows.append((t, e_t, drift, char_drift))
-    failures = []
-    if worst_drift > 1e-10:
-        failures.append("energy conservation")
-    if worst_char > 1e-13:
-        failures.append("equilibrium invariance")
+        rows.append((t, e_t, abs(e_t - e0) / scale, abs(char_t - char0)))
+    worst_drift, worst_char = (float(x) for x in np.max([r[2:] for r in rows], axis=0))
     return CommandResult(
-        header=["t", "energy", "energy_drift", "equilibrium_char_drift"],
-        rows=rows,
-        summary={
-            "max_energy_drift": worst_drift,
-            "max_equilibrium_char_drift": worst_char,
-        },
-        failures=failures,
+        ["t", "energy", "energy_drift", "equilibrium_char_drift"],
+        rows,
+        {"max_energy_drift": worst_drift, "max_equilibrium_char_drift": worst_char},
+        [Check("energy conservation", worst_drift, 1e-10),
+         Check("equilibrium invariance", worst_char, 1e-13)],
     )
 
 
 def cmd_kms(cfg: dict) -> CommandResult:
-    _require(cfg, ">= 1", "pairs", "t_points")
-    _require(cfg, "finite and > 0", "beta_h", "hbar")
-    _require(cfg, "finite", "t_min", "t_max")
     sys_ = _system_from(cfg)
     state = states.gibbs_quantum(sys_.source, cfg["beta_h"], cfg["hbar"])
     ts = np.linspace(cfg["t_min"], cfg["t_max"], cfg["t_points"])
@@ -337,16 +321,13 @@ def cmd_kms(cfg: dict) -> CommandResult:
         for rng in map(np.random.default_rng, splitmix64(cfg["seed"], cfg["pairs"]))
         for _ in range(2)
     )
-    report = dynamics.kms_check(sys_, state, draws, draws, ts)
-    residuals = report.residuals.max(axis=1).tolist()
-    rows = list(enumerate(residuals))
-    worst = max(residuals)
-    failures = [] if worst <= 1e-10 else ["kms residual"]
+    residuals = dynamics.kms_check(sys_, state, draws, draws, ts).residuals.max(axis=1)
+    worst = float(np.max(residuals))
     return CommandResult(
-        header=["pair", "max_residual"],
-        rows=rows,
-        summary={"max_residual": worst, "pairs": cfg["pairs"]},
-        failures=failures,
+        ["pair", "max_residual"],
+        list(enumerate(residuals.tolist())),
+        {"max_residual": worst, "pairs": cfg["pairs"]},
+        [Check("kms residual", worst, 1e-10)],
     )
 
 
@@ -358,25 +339,15 @@ def cmd_groundstate(cfg: dict) -> CommandResult:
     g = sample(grid, lambda r: np.exp(-2.0 * r**2))
     report = dynamics.ground_state_check(sys_, f, g, window, hbar=cfg["hbar"])
     negative = cfg["s_plus"] < 0.0
-    failures = []
-    if negative and not report.is_annihilated:
-        failures.append("ground-state annihilation")
-    rows = [
-        ("window_value", report.value),
-        ("t_max", window.t_max),
-        ("t_points", report.t_points),
-    ]
+    checks = []
+    if negative:
+        checks.append(Check("ground-state annihilation", report.value, dynamics.WINDOW_TOL))
     return CommandResult(
-        header=["quantity", "value"],
-        rows=rows,
-        summary={
-            "window_value": report.value,
-            "s_minus": cfg["s_minus"],
-            "s_plus": cfg["s_plus"],
-            "t_max": window.t_max,
-            "negative_support": negative,
-        },
-        failures=failures,
+        ["quantity", "value"],
+        [("window_value", report.value), ("t_max", window.t_max), ("t_points", report.t_points)],
+        {"window_value": report.value, "s_minus": cfg["s_minus"], "s_plus": cfg["s_plus"],
+         "t_max": window.t_max, "negative_support": negative},
+        checks,
     )
 
 
@@ -385,96 +356,61 @@ def _hbar_ladder(cfg: dict) -> tuple[float, ...]:
 
 
 def cmd_egorov(cfg: dict) -> CommandResult:
-    _require(cfg, "finite", "t")
-    _require_span(cfg, "k_min", "k_max", 2)
     sys_ = _system_from(cfg)
     grid = sys_.grid
     center = sample(grid, lambda r: cfg["center_scale"] * (1.0 + 0.5j) * np.exp(-(r**2)))
-    panel = semiclassics.default_panel(grid)
     report = semiclassics.egorov_sweep(
         sys_,
         lambda h: states.coherent(center, h),
         states.dirac(center),
         cfg["t"],
-        panel,
+        semiclassics.default_panel(grid),
         _hbar_ladder(cfg),
     )
-    rows = list(zip(report.hbar_values, report.deviations))
-    failures = [] if report.converged else ["egorov convergence"]
     return CommandResult(
-        header=["hbar", "deviation"],
-        rows=rows,
-        summary={
-            "fitted_order": report.fitted_order,
-            "verdict": report.verdict,
-            "t": cfg["t"],
-        },
-        failures=failures,
+        ["hbar", "deviation"],
+        list(zip(report.hbar_values, report.deviations)),
+        {"fitted_order": report.fitted_order, "verdict": report.verdict, "t": cfg["t"]},
+        [Check("egorov convergence", _verdict(report.converged), 0.0)],
     )
+
+
+#: equilibrium's regimes, built from the configuration
+_REGIMES: dict[str, Callable[[dict], semiclassics.Regime]] = {
+    "ground": lambda c: semiclassics.GroundState(),
+    "linear": lambda c: semiclassics.Linear(c["beta"]),
+    "sublinear": lambda c: semiclassics.SubLinear(c["coefficient"], c["epsilon"]),
+    "superlinear": lambda c: semiclassics.SuperLinear(c["coefficient"], c["epsilon"]),
+}
 
 
 def cmd_equilibrium(cfg: dict) -> CommandResult:
-    regimes = {
-        "ground": semiclassics.GroundState(),
-        "linear": semiclassics.Linear(cfg["beta"]),
-        "sublinear": semiclassics.SubLinear(cfg["coefficient"], cfg["epsilon"]),
-        "superlinear": semiclassics.SuperLinear(cfg["coefficient"], cfg["epsilon"]),
-    }
-    if cfg["regime"] not in regimes:
-        raise ConfigError(
-            f"regime must be one of {sorted(regimes)}, got {cfg['regime']!r}"
-        )
-    if cfg["regime"] == "linear":
-        _require(cfg, "finite and > 0", "beta")
-    _require_span(cfg, "k_min", "k_max", 2)
     sys_ = _system_from(cfg)
-    panel = semiclassics.default_panel(sys_.grid)
     report = semiclassics.equilibrium_sweep(
-        sys_, regimes[cfg["regime"]], panel, _hbar_ladder(cfg)
+        sys_, _REGIMES[cfg["regime"]](cfg), semiclassics.default_panel(sys_.grid),
+        _hbar_ladder(cfg),
     )
-    rows = list(zip(report.hbar_values, report.deviations))
-    failures = [] if report.converged else ["equilibrium convergence"]
     return CommandResult(
-        header=["hbar", "deviation"],
-        rows=rows,
-        summary={
-            "regime": cfg["regime"],
-            "fitted_order": report.fitted_order,
-            "verdict": report.verdict,
-        },
-        failures=failures,
+        ["hbar", "deviation"],
+        list(zip(report.hbar_values, report.deviations)),
+        {"regime": cfg["regime"], "fitted_order": report.fitted_order, "verdict": report.verdict},
+        [Check("equilibrium convergence", _verdict(report.converged), 0.0)],
     )
 
 
 def cmd_scattering(cfg: dict) -> CommandResult:
-    _require(cfg, ">= 1", "t_points")
-    _require(cfg, "finite and > 0", "t_min", "t_max")
-    _require(cfg, "finite and >= 0", "hbar")
-    _require_span(cfg, "k_min", "k_max", 2)
-    if cfg["t_min"] > cfg["t_max"]:
-        raise ConfigError(f"t_min must be <= t_max, got {cfg['t_min']}, {cfg['t_max']}")
     sys_ = _system_from(cfg)
     grid = sys_.grid
     f = sample(grid, lambda r: np.exp(-(r**2)))
     ts = np.geomspace(cfg["t_min"], cfg["t_max"], cfg["t_points"])
     overlaps = scattering.decay_probe(sys_, f, ts)
-    rows = []
-    failures = []
-    for t, ov in zip(ts, overlaps):
-        probe = scattering.convergence_probe(sys_, f, cfg["hbar"], float(t))
-        rows.append((t, ov, probe.bound, probe.deviation))
-        if probe.deviation > probe.bound + 1e-12:
-            failures.append("dressing bound")
-    if overlaps[-1] >= 1e-2:
-        failures.append("overlap decay")
+    probes = [scattering.convergence_probe(sys_, f, cfg["hbar"], float(t)) for t in ts]
     center = sample(grid, lambda r: (0.3 - 0.2j) * np.exp(-(r**2)))
     state = states.coherent(center, cfg["hbar"])
     moved = scattering.transport_state(sys_, state)
     back = scattering.transport_state(sys_, moved, inverse=True)
     panel = semiclassics.default_panel(grid)
-    round_trip = max(abs(back.char(p) - state.char(p)) for p in panel)
-    if round_trip > 1e-15:
-        failures.append("transport round trip")
+    round_trip = float(np.max([abs(back.char(p) - state.char(p)) for p in panel]))
     sweep = semiclassics.scattering_sweep(
         sys_,
         lambda h: states.coherent(center, h),
@@ -483,228 +419,284 @@ def cmd_scattering(cfg: dict) -> CommandResult:
         _hbar_ladder(cfg),
     )
     return CommandResult(
-        header=["t", "overlap", "bound", "probe_deviation"],
-        rows=rows,
-        summary={
-            "round_trip": round_trip,
-            "transport_mismatch": sweep.transport_mismatch,
-            "final_overlap": float(overlaps[-1]),
-            "verdict": sweep.verdict,
-        },
-        failures=sorted(set(failures)),
+        ["t", "overlap", "bound", "probe_deviation"],
+        [(t, ov, p.bound, p.deviation) for t, ov, p in zip(ts, overlaps, probes)],
+        {"round_trip": round_trip, "transport_mismatch": sweep.transport_mismatch,
+         "final_overlap": float(overlaps[-1]), "verdict": sweep.verdict},
+        [Check("dressing bound", float(np.max([p.deviation - p.bound for p in probes])), 1e-12),
+         Check("overlap decay", float(overlaps[-1]), 1e-2),
+         Check("transport round trip", round_trip,
+               scattering.round_trip_tolerance(sys_, state, panel))],
     )
 
 
 def cmd_fock_spectrum(cfg: dict) -> CommandResult:
-    _require(cfg, "finite and > 0", "omega", "hbar")
-    _require(cfg, "<= 0 (automatic) or >= 2", "cutoff")
-    _require(cfg, "finite", "coupling_re", "coupling_im")
     j = complex(cfg["coupling_re"], cfg["coupling_im"])
     cutoff = cfg["cutoff"] if cfg["cutoff"] > 0 else fock.adequate_cutoff(
         cfg["omega"], j, cfg["hbar"]
     )
     mode = fock.FockMode(omega=cfg["omega"], coupling=j, cutoff=cutoff, hbar=cfg["hbar"])
     report = fock.ground_state_analysis(mode)
-    number = report.photon_number
     number_closed = abs(j / cfg["omega"]) ** 2
-    failures = []
-    scale = max(abs(report.energy_closed_form), 1.0)
-    if abs(report.energy - report.energy_closed_form) > 1e-8 * scale:
-        failures.append("ground energy")
-    if abs(report.gap - mode.hbar * mode.omega) > 1e-8:
-        failures.append("spectral gap")
-    if report.overlap_sq < 1.0 - 1e-6:
-        failures.append("coherent ground overlap")
-    if abs(number - number_closed) > 1e-8:
-        failures.append("photon number")
     rows = [
         ("ground_energy", report.energy),
         ("ground_energy_closed_form", report.energy_closed_form),
         ("gap", report.gap),
         ("overlap_sq", report.overlap_sq),
-        ("photon_number", number),
+        ("photon_number", report.photon_number),
         ("photon_number_closed_form", number_closed),
         ("cutoff", cutoff),
     ]
+    scale = max(abs(report.energy_closed_form), 1.0)
     return CommandResult(
-        header=["quantity", "value"],
-        rows=rows,
-        summary={k: v for k, v in rows},
-        failures=failures,
+        ["quantity", "value"],
+        rows,
+        dict(rows),
+        [Check("ground energy", abs(report.energy - report.energy_closed_form), 1e-8 * scale),
+         Check("spectral gap", abs(report.gap - mode.hbar * mode.omega), 1e-8),
+         Check("coherent ground overlap", 1.0 - report.overlap_sq, 1e-6),
+         Check("photon number", abs(report.photon_number - number_closed), 1e-8)],
     )
 
 
 def cmd_soft_photons(cfg: dict) -> CommandResult:
-    _require(cfg, "finite and > 0", "hbar")
-    _require(cfg, "finite and >= 0", "n_min_log2")  # 2^n_min_log2 is an integer cutoff
-    _require_span(cfg, "n_min_log2", "n_max_log2", 3)
     sys_ = _system_from(cfg)
     ns = [2**k for k in range(cfg["n_min_log2"], cfg["n_max_log2"] + 1)]
     report = fock.soft_photon_sweep(sys_, cfg["hbar"], ns)
     mode = fock.FockMode(omega=1.0, coupling=0.5, cutoff=64, hbar=cfg["hbar"])
     cross = fock.mode_number_expectation(mode)
-    failures = []
-    if abs(cross - 0.25) > 1e-8:
-        failures.append("mode number cross-check")
-    rows = list(zip(report.cutoffs, report.numbers))
     return CommandResult(
-        header=["cutoff", "photon_number"],
-        rows=rows,
-        summary={
-            "increment_slope": report.increment_slope,
-            "diverging": report.diverging,
-            "mode_cross_check": cross,
-        },
-        failures=failures,
+        ["cutoff", "photon_number"],
+        list(zip(report.cutoffs, report.numbers)),
+        {"increment_slope": report.increment_slope, "diverging": report.diverging,
+         "mode_cross_check": cross},
+        [Check("mode number cross-check", abs(cross - 0.25), 1e-8)],
     )
+
+
+#: garding's symbol is |p|^2 for p = 1 + W(1) + W(i); its generators z_j - z_k
+#: reach |z|^2 = 2 (at 1 - i)
+_GARDING_GENS = (0.0, 1.0, 1j)
+_GARDING_REACH = max(abs(a - b) for a in _GARDING_GENS for b in _GARDING_GENS) ** 2
 
 
 def cmd_garding(cfg: dict) -> CommandResult:
-    _require_span(cfg, "k_min", "k_max", 1)
-    grid = fock.single_mode_grid()
-    # p = 1 + W(1) + W(i)
-    p = weyl.trig_polynomial(grid, 0.0, np.ones(3), [[0.0], [1.0], [1j]])
+    p = weyl.trig_polynomial(fock.single_mode_grid(), 0.0, np.ones(3), [[z] for z in _GARDING_GENS])
     symbol = weyl.compose(weyl.adjoint(p), p)
-    hbars = _hbar_ladder(cfg)
-    report = fock.garding_probe(symbol, hbars, cutoff=cfg["cutoff"])
-    failures = []
-    if report.fit_residual >= 0.1:
-        failures.append("garding linear fit")
-    if min(report.lambda_min_antiwick) < -1e-8:
-        failures.append("anti-Wick positivity")
-    if report.bound_margin < -1e-9:
-        failures.append("garding lower bound")
-    rows = list(
-        zip(
-            report.hbar_values,
-            report.cutoffs,
-            report.lambda_min,
-            report.lambda_min_antiwick,
-        )
-    )
+    report = fock.garding_probe(symbol, _hbar_ladder(cfg), cutoff=cfg["cutoff"])
     return CommandResult(
-        header=["hbar", "cutoff", "lambda_min", "lambda_min_antiwick"],
-        rows=rows,
-        summary={
-            "fitted_constant": report.fitted_constant,
-            "fit_residual": report.fit_residual,
-            "bound_margin": report.bound_margin,
-            "symbol_min": report.symbol_min,
-            "unitarity_defect": report.unitarity_defect,
-        },
-        failures=failures,
+        ["hbar", "cutoff", "lambda_min", "lambda_min_antiwick"],
+        list(zip(report.hbar_values, report.cutoffs, report.lambda_min,
+                 report.lambda_min_antiwick)),
+        {"fitted_constant": report.fitted_constant, "fit_residual": report.fit_residual,
+         "bound_margin": report.bound_margin, "symbol_min": report.symbol_min,
+         "unitarity_defect": report.unitarity_defect},
+        [Check("garding linear fit", report.fit_residual, 0.1),
+         Check("anti-Wick positivity", -float(np.min(report.lambda_min_antiwick)), 1e-8),
+         Check("garding lower bound", -report.bound_margin, 1e-9)],
     )
 
 
-_COMMANDS: dict[str, tuple[Callable[[dict], CommandResult], dict]] = {
-    "classify": (cmd_classify, {**_GRID_KEYS, **_SOURCE_KEYS, "gamma": 0.8}),
-    "energy": (cmd_energy, {**_GRID_KEYS, **_SOURCE_KEYS}),
+# --------------------------------------------------------------------------
+# keys and rules
+
+
+def _ordered(low: str, high: str, op: str = "<") -> CrossRule:
+    test = (lambda x, y: x < y) if op == "<" else (lambda x, y: x <= y)
+    return (
+        f"{low} must be {op} {high}, got {{{low}}}, {{{high}}}", lambda c: test(c[low], c[high])
+    )
+
+
+def _in_regime(regime: str, key: str, rule: Rule) -> CrossRule:
+    text, holds = rule
+    return (
+        f"{key} must be {text} in the {regime} regime, got {{{key}}}",
+        lambda c: c["regime"] != regime or holds(c[key]),
+    )
+
+
+_GRID_KEYS = {
+    "dim": (3, _DIM), "mass": (0.0, _NONNEGATIVE), "r_min": (1e-6, _POSITIVE),
+    "r_max": (12.0, _POSITIVE), "panels": (16, _COUNT), "points": (32, _COUNT),
+}
+_SOURCE_KEYS = {"gamma": (0.0, _FINITE), "ir_cutoff": (0, (">= 0 (0: none)", lambda n: n >= 0))}
+_GRID_RULES = [_ordered("r_min", "r_max")]
+_LADDER_KEYS = {"k_min": (3, _EXPONENT), "k_max": (14, _EXPONENT)}
+
+
+def _grid_keys(**defaults) -> dict:
+    """The shared grid and source keys, some with another default."""
+    return {
+        key: (defaults.get(key, default), rule)
+        for key, (default, rule) in {**_GRID_KEYS, **_SOURCE_KEYS}.items()
+    }
+
+
+#: Widest groundstate window.  kms_window scans |F(t)| at 2501 times against
+#: ceil(1.1 * 5000 * width / 12) sigma panels: at width 8 that phase block is
+#: 2501 x 3667 complex (147 MB, ~340 MB peak with its temporaries); s_plus = 100
+#: at the default s_minus would ask for 2501 x 47209 (1.9 GB).
+_WINDOW_WIDTH_MAX = 8.0
+
+#: Largest fock-spectrum truncation N.  weyl_matrix holds about four dense
+#: (N + 1)^2 arrays at once (the real eigenvectors, two real products, the
+#: complex exponential): at N = 2048 a complex one is 2049^2 * 16 B = 67 MB,
+#: and a run peaks at 235 MB; coupling_re = 30 would derive N = 36,020 (20.8 GB
+#: for one complex matrix).
+_FOCK_CUTOFF_MAX = 2048
+
+#: Largest garding truncation N (at the smallest hbar).  garding_probe holds
+#: about eight complex (N + 1)^2 matrices at once (one exponential per |z|,
+#: the two quantizations, their Hermitian parts): at N = 1536 one is
+#: 1537^2 * 16 B = 38 MB, and a run at that N peaks at 326 MB; the default
+#: cutoff floor reaches N = 1436 at k_max = 10, while k_max = 13 needs
+#: 9265^2 * 16 B = 1.37 GB per matrix.
+_GARDING_CUTOFF_MAX = 1536
+
+
+def _fock_levels(c: dict) -> float:
+    """The truncation fock.adequate_cutoff derives, 4|j|^2/(hbar omega^2) plus
+    its margin, formed from |j|/omega like it (inf, not OverflowError, when huge)."""
+    ratio = math.hypot(c["coupling_re"], c["coupling_im"]) / c["omega"]
+    return 4.0 * ratio * ratio / c["hbar"] + fock.CUTOFF_MARGIN
+
+
+def _garding_adequate(c: dict) -> bool:
+    """The largest hbar keeps pi^2 hbar |z|^2 <= N/4 for every generator."""
+    hbar = 2.0 ** -c["k_min"]
+    return math.pi**2 * hbar * _GARDING_REACH <= fock.garding_cutoff(hbar, c["cutoff"]) / 4.0
+
+
+_COMMANDS: dict[str, tuple[Callable[[dict], CommandResult], dict, list[CrossRule]]] = {
+    "classify": (cmd_classify, _grid_keys(gamma=0.8), _GRID_RULES),
+    "energy": (cmd_energy, _grid_keys(), _GRID_RULES),
     "evolve": (
         cmd_evolve,
         {
-            **_GRID_KEYS,
-            **_SOURCE_KEYS,
-            "t_max": 10.0,
-            "steps": 21,
-            "hbar": 0.5,
-            "beta_h": 1.0,
-            "perturbation": 0.5,
+            **_grid_keys(), "t_max": (10.0, _FINITE), "steps": (21, _COUNT),
+            "hbar": (0.5, _POSITIVE), "beta_h": (1.0, ("> 0", lambda x: x > 0.0)),
+            "perturbation": (0.5, _FINITE),
         },
+        _GRID_RULES,
     ),
     "kms": (
         cmd_kms,
         {
-            **_GRID_KEYS,
-            **_SOURCE_KEYS,
-            "beta_h": 1.0,
-            "hbar": 0.5,
-            "t_min": -5.0,
-            "t_max": 5.0,
-            "t_points": 21,
-            "pairs": 5,
-            "seed": 0,
+            **_grid_keys(), "beta_h": (1.0, _POSITIVE), "hbar": (0.5, _POSITIVE),
+            "t_min": (-5.0, _FINITE), "t_max": (5.0, _FINITE), "t_points": (21, _COUNT),
+            "pairs": (5, _COUNT), "seed": (0, _ANY),
         },
+        _GRID_RULES,
     ),
     "groundstate": (
         cmd_groundstate,
         {
-            **_GRID_KEYS,
-            **_SOURCE_KEYS,
-            "gamma": 0.3,
-            "s_minus": -3.0,
-            "s_plus": -1.0,
-            "hbar": 0.1,
+            **_grid_keys(gamma=0.3), "s_minus": (-3.0, _FINITE), "s_plus": (-1.0, _FINITE),
+            "hbar": (0.1, _POSITIVE),
         },
+        [
+            *_GRID_RULES,
+            _ordered("s_minus", "s_plus"),
+            (
+                f"s_plus - s_minus must be <= {_WINDOW_WIDTH_MAX:g}, got {{s_minus}}, {{s_plus}}",
+                lambda c: c["s_plus"] - c["s_minus"] <= _WINDOW_WIDTH_MAX,
+            ),
+        ],
     ),
     "egorov": (
         cmd_egorov,
-        {
-            **_GRID_KEYS,
-            **_SOURCE_KEYS,
-            "t": 1.0,
-            "center_scale": 1.0,
-            "k_min": 3,
-            "k_max": 14,
-        },
+        {**_grid_keys(), "t": (1.0, _FINITE), "center_scale": (1.0, _FINITE), **_LADDER_KEYS},
+        [*_GRID_RULES, _span("k_min", "k_max", 2)],
     ),
     "equilibrium": (
         cmd_equilibrium,
         {
-            **_GRID_KEYS,
-            **_SOURCE_KEYS,
-            "gamma": 0.3,
-            "regime": "linear",
-            "beta": 1.0,
-            "coefficient": 1.0,
-            "epsilon": 0.5,
-            "k_min": 3,
-            "k_max": 14,
+            **_grid_keys(gamma=0.3),
+            "regime": ("linear", (f"one of {', '.join(_REGIMES)}", lambda r: r in _REGIMES)),
+            "beta": (1.0, _FINITE), "coefficient": (1.0, _POSITIVE), "epsilon": (0.5, _FINITE),
+            **_LADDER_KEYS,
         },
+        [
+            *_GRID_RULES,
+            _in_regime("linear", "beta", ("> 0", lambda x: x > 0.0)),
+            _in_regime("sublinear", "epsilon", ("in (0, 1]", lambda x: 0.0 < x <= 1.0)),
+            _in_regime("superlinear", "epsilon", ("> 0", lambda x: x > 0.0)),
+            _span("k_min", "k_max", 2),
+        ],
     ),
     "scattering": (
         cmd_scattering,
         {
-            **_GRID_KEYS,
-            **_SOURCE_KEYS,
-            "hbar": 0.5,
-            "t_min": 1.0,
-            "t_max": 1000.0,
-            "t_points": 7,
-            "k_min": 3,
-            "k_max": 14,
+            **_grid_keys(), "hbar": (0.5, _NONNEGATIVE), "t_min": (1.0, _POSITIVE),
+            "t_max": (1000.0, _POSITIVE), "t_points": (7, _COUNT), **_LADDER_KEYS,
         },
+        [
+            *_GRID_RULES,
+            _span("k_min", "k_max", 2),
+            _ordered("t_min", "t_max", "<="),
+            (
+                f"points must be > {scattering.FILON_DEGREE} when t_max > "
+                f"{scattering.FILON_THRESHOLD:g} (Filon quadrature), got {{points}}",
+                lambda c: c["t_max"] <= scattering.FILON_THRESHOLD
+                or c["points"] > scattering.FILON_DEGREE,
+            ),
+        ],
     ),
     "fock-spectrum": (
         cmd_fock_spectrum,
         {
-            "omega": 1.0,
-            "coupling_re": 0.5,
-            "coupling_im": 0.0,
-            "hbar": 0.1,
-            "cutoff": 0,
+            "omega": (1.0, _POSITIVE), "coupling_re": (0.5, _FINITE),
+            "coupling_im": (0.0, _FINITE), "hbar": (0.1, _POSITIVE),
+            "cutoff": (0, ("<= 0 (automatic) or >= 2", lambda n: n <= 0 or n >= 2)),
         },
+        [
+            (
+                f"the truncation must be <= {_FOCK_CUTOFF_MAX}, given or derived as "
+                f"4|j|^2/(hbar omega^2) + {fock.CUTOFF_MARGIN}; got cutoff={{cutoff}}, "
+                "omega={omega}, coupling_re={coupling_re}, coupling_im={coupling_im}, hbar={hbar}",
+                lambda c: max(c["cutoff"], _fock_levels(c)) <= _FOCK_CUTOFF_MAX,
+            ),
+            (
+                f"cutoff must be <= 0 (automatic) or >= 4|j|^2/(hbar omega^2) + "
+                f"{fock.CUTOFF_MARGIN}, got {{cutoff}}",
+                lambda c: c["cutoff"] <= 0 or _fock_levels(c) <= c["cutoff"],
+            ),
+        ],
     ),
     "soft-photons": (
         cmd_soft_photons,
         {
-            "dim": 3,
-            "mass": 0.0,
-            "r_min": 2.0**-10,
-            "r_max": 16.0,
-            "panels": 14,
-            "points": 32,
-            "gamma": 0.8,
-            "ir_cutoff": 0,
-            "hbar": 0.1,
-            "n_min_log2": 2,
-            "n_max_log2": 8,
+            **_grid_keys(r_min=2.0**-10, r_max=16.0, panels=14, gamma=0.8),
+            "hbar": (0.1, _POSITIVE),
+            # 2^n is an integer infrared cutoff
+            "n_min_log2": (2, _EXPONENT), "n_max_log2": (8, _EXPONENT),
         },
+        [*_GRID_RULES, _span("n_min_log2", "n_max_log2", 3)],
     ),
     "garding": (
         cmd_garding,
-        {"k_min": 3, "k_max": 8, "cutoff": 64},
+        {"k_min": (3, _EXPONENT), "k_max": (8, _EXPONENT), "cutoff": (64, _COUNT)},
+        [
+            _span("k_min", "k_max", 1),
+            (
+                f"the truncation at hbar = 2^-k_max must be <= {_GARDING_CUTOFF_MAX}, "
+                "got k_max={k_max}, cutoff={cutoff}",
+                lambda c: fock.garding_cutoff(2.0 ** -c["k_max"], c["cutoff"])
+                <= _GARDING_CUTOFF_MAX,
+            ),
+            (
+                "hbar = 2^-k_min must keep pi^2 hbar |z|^2 <= N/4 for the symbol's "
+                "generators, got k_min={k_min}, cutoff={cutoff}",
+                _garding_adequate,
+            ),
+        ],
     ),
 }
+
+
+def _defaults(command: str) -> dict:
+    return {key: default for key, (default, _) in _COMMANDS[command][1].items()}
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -719,9 +711,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         p.add_argument("--out", default=None, help="output prefix")
         p.add_argument("overrides", nargs="*", help="key=value overrides")
     args = parser.parse_args(argv)
-    runner, defaults = _COMMANDS[args.command]
+    runner, keys, cross = _COMMANDS[args.command]
     try:
-        cfg = resolve_config(defaults, args.config, args.overrides)
+        cfg = resolve_config(_defaults(args.command), args.config, args.overrides)
+        _validate(cfg, keys, cross)
         result = runner(cfg)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
@@ -733,11 +726,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     _write_outputs(out, cfg, result)
     summary_bits = ", ".join(f"{k}={_fmt(v)}" for k, v in sorted(result.summary.items()))
     print(f"{args.command}: {summary_bits}")
-    if result.failures:
-        for name in result.failures:
-            print(f"invariant failed: {name}", file=sys.stderr)
-        return 1
-    return 0
+    for name in result.failures:
+        print(f"invariant failed: {name}", file=sys.stderr)
+    return 1 if result.failures else 0
 
 
 if __name__ == "__main__":

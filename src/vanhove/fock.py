@@ -76,6 +76,7 @@ __all__ = [
     "ladder_bound_check",
     "single_mode_grid",
     "GardingReport",
+    "garding_cutoff",
     "garding_probe",
 ]
 
@@ -83,7 +84,7 @@ _PI = math.pi
 _PI2 = math.pi**2
 
 #: Extra Fock levels beyond the displaced occupancy scale.
-_CUTOFF_MARGIN = 20
+CUTOFF_MARGIN = 20
 
 #: Trusted-block unitarity defect ceiling for exponential matrices.
 _UNITARITY_TOL = 1e-9
@@ -109,7 +110,7 @@ class FockMode:
         if self.cutoff < needed:
             raise ValueError(
                 f"cutoff {self.cutoff} too small for the displacement: "
-                f"need >= {needed} (4|j|^2/(hbar omega^2) + {_CUTOFF_MARGIN})"
+                f"need >= {needed} (4|j|^2/(hbar omega^2) + {CUTOFF_MARGIN})"
             )
 
     @property
@@ -118,8 +119,11 @@ class FockMode:
 
 
 def adequate_cutoff(omega: float, coupling: complex, hbar: float) -> int:
-    """Smallest admissible truncation for a displaced mode."""
-    return math.ceil(4.0 * abs(coupling) ** 2 / (hbar * omega**2)) + _CUTOFF_MARGIN
+    """Smallest admissible truncation for a displaced mode,
+    4|j|^2/(hbar omega^2) + margin; formed from |j|/omega, because |j|^2 and
+    omega^2 overflow on their own past 1e154."""
+    ratio = abs(coupling) / omega
+    return math.ceil(4.0 * ratio * ratio / hbar) + CUTOFF_MARGIN
 
 
 def build_ladder(mode: FockMode) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -226,7 +230,7 @@ def ground_state_analysis(mode: FockMode) -> GroundReport:
     overlap = np.vdot(coherent_vec, ground)
     return GroundReport(
         energy=float(evals[0]),
-        energy_closed_form=-abs(mode.coupling) ** 2 / mode.omega,
+        energy_closed_form=-abs(mode.coupling) * abs(mode.coupling) / mode.omega,
         gap=float(evals[1] - evals[0]),
         overlap_sq=float(abs(overlap) ** 2),
         photon_number=_photon_number(mode, ground),
@@ -457,7 +461,7 @@ def _refine_torus_min(
     return best
 
 
-def _garding_cutoff(hbar: float, floor: int) -> int:
+def garding_cutoff(hbar: float, floor: int) -> int:
     """Truncation large enough that states localized anywhere inside the
     unit periodicity cell (occupation <= 1/(2 hbar)) sit well inside the
     trusted lower half of the basis."""
@@ -525,7 +529,7 @@ def garding_probe(
     worst_unitarity = 0.0
     zs = gens.tolist()
     for h in hbars:
-        n_h = _garding_cutoff(float(h), cutoff)
+        n_h = garding_cutoff(float(h), cutoff)
         cutoffs.append(n_h)
         half = slice(0, n_h // 2 + 1)
         mode = FockMode(omega=1.0, coupling=0.0, cutoff=n_h, hbar=float(h))

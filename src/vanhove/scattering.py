@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 from scipy.special import spherical_jn
@@ -38,6 +39,7 @@ from .weyl import TrigPolynomial, weyl
 
 __all__ = [
     "FILON_THRESHOLD",
+    "FILON_DEGREE",
     "asymptotic_character",
     "dressing_coefficient",
     "free_overlap",
@@ -45,12 +47,17 @@ __all__ = [
     "ConvergenceReport",
     "convergence_probe",
     "transport_state",
+    "round_trip_tolerance",
 ]
 
 #: Above this |t| the overlap switches from the plain node sum to Filon.
 FILON_THRESHOLD = 32.0
 
-_FILON_DEGREE = 16
+#: Degree of the per-panel Legendre fit; Filon needs more points per panel.
+FILON_DEGREE = 16
+
+#: Unit round-off of float64.
+_UNIT_ROUNDOFF = 2.0**-53
 
 
 def dressing_coefficient(sys, f: RadialFunction) -> complex:
@@ -92,9 +99,9 @@ def _filon_fit(grid: MomentumGrid, amplitude: np.ndarray) -> _FilonFit:
     """Fit sigma r^{d-1} amp(r) dr = A(u) du per panel, A in Legendre form."""
     n_panels = grid.panel_edges.size - 1
     pts = grid.points_per_panel
-    if pts <= _FILON_DEGREE:
+    if pts <= FILON_DEGREE:
         raise ValueError(
-            f"oscillatory quadrature needs more than {_FILON_DEGREE} points "
+            f"oscillatory quadrature needs more than {FILON_DEGREE} points "
             f"per panel, grid has {pts}"
         )
     r = grid.nodes.reshape(n_panels, pts)
@@ -105,10 +112,10 @@ def _filon_fit(grid: MomentumGrid, amplitude: np.ndarray) -> _FilonFit:
     u_half = 0.5 * (u_hi - u_lo)
     # du = (r/u) dr, so the u-space amplitude is amp * u / r.
     amp_u = amplitude.reshape(n_panels, pts) * (u / r)
-    coeffs = np.empty((n_panels, _FILON_DEGREE + 1), dtype=np.complex128)
+    coeffs = np.empty((n_panels, FILON_DEGREE + 1), dtype=np.complex128)
     for p in range(n_panels):
         x = (u[p] - u_mid[p]) / u_half[p]
-        design = np.polynomial.legendre.legvander(x, _FILON_DEGREE)
+        design = np.polynomial.legendre.legvander(x, FILON_DEGREE)
         coeffs[p], *_ = np.linalg.lstsq(design, amp_u[p], rcond=None)
     return _FilonFit(coeffs=coeffs, u_mid=u_mid, u_half=u_half)
 
@@ -195,3 +202,31 @@ def transport_state(sys, state: CharState, inverse: bool = False) -> CharState:
     jw = sys.j_over_omega
     center = state.center - jw if inverse else state.center + jw
     return replace(state, center=center, beta=None)
+
+
+def round_trip_tolerance(sys, state: CharState, panel: Sequence[RadialFunction]) -> float:
+    """Round-off bound on |char(p) after transport and back - char(p)|, the
+    smallest over ``panel``; first order in the unit round-off u.
+
+    Every state here has scale <= 0 and weight >= 0, so both values are a
+    common Gaussian factor in (0, 1] times cis(A) with A = 2 pi Re <p, c>_0,
+    and the gap is at most |A - A'| plus 4u for cos, sin and the factor.
+    With d = J/omega, c' = fl(fl(c + d) - d) misses c by at most
+    u (|c + d|_1 + |c|_1) per node (|z|_1 = |Re z| + |Im z|), which moves A
+    by at most 2 pi sum_i m_i |p_i|_1 that much.  Each A is 2 pi times the
+    real part of numpy's pairwise sum of the products m conj(p) c: a product
+    carries at most 4u m |p|_1 |c|_1 per component, each term meets fewer
+    than L = ceil(log2 N) + 12 additions (at most 16 terms per accumulator in
+    a block, blocks halved pairwise), and the product with 2 pi adds u |A|,
+    so each A is off by at most 2 pi (L + 5) u sum_i m_i |p_i|_1 |c_i|_1.
+    """
+    c = state.center.values
+    moved = c + sys.j_over_omega.values
+    depth = math.ceil(math.log2(c.size)) + 12
+    per_node = np.abs(moved.real) + np.abs(moved.imag)
+    per_node += (2 * depth + 11) * (np.abs(c.real) + np.abs(c.imag))
+    m = state.grid.measure(0)
+    sums = [
+        np.sum(m * (np.abs(p.values.real) + np.abs(p.values.imag)) * per_node) for p in panel
+    ]
+    return float(2.0 * math.pi * _UNIT_ROUNDOFF * min(sums) + 4.0 * _UNIT_ROUNDOFF)

@@ -12,10 +12,10 @@ Elements here are finite sums sum_j c_j W_h(f_j) ("trigonometric
 polynomials") held as two read-only arrays: ``coeffs`` (k,) with the c_j and
 ``gens`` (k, N) with the samples of f_j on the N grid nodes, one row per
 term.  They are kept in canonical form: rows with bit-identical samples
-merged (coefficients summed in input order), zero coefficients dropped, rows
-ordered by their bytes.  The l^1 coefficient norm is an upper bound for the
-C*-norm (each W is unitary), which is all the norm control the workbench
-needs.
+merged (coefficients summed in input order; -0.0 counts as +0.0), zero
+coefficients dropped, rows ordered by their bytes.  The l^1 coefficient norm
+is an upper bound for the C*-norm (each W is unitary), which is all the norm
+control the workbench needs.
 
 Quantization maps a classical polynomial to the same coefficients at h > 0;
 the anti-Wick variant additionally damps each coefficient by
@@ -73,21 +73,25 @@ class TrigPolynomial:
 def trig_polynomial(
     grid: MomentumGrid, hbar: float, coeffs: ArrayLike, gens: ArrayLike
 ) -> TrigPolynomial:
-    """Canonicalize: merge bit-identical rows, drop zeros, sort by bytes."""
+    """Canonicalize: merge bit-identical rows (-0.0 as +0.0), drop zeros, sort by bytes."""
     coeffs = np.asarray(coeffs, dtype=np.complex128)
     gens = np.asarray(gens, dtype=np.complex128)
     if coeffs.ndim != 1 or gens.shape != (coeffs.size, grid.size):
         raise ValueError(f"need coeffs (k,), gens (k, {grid.size}); got {gens.shape}")
     if not np.isfinite(gens).all():
         raise ValueError("samples must be finite")
-    merged: dict[bytes, list] = {}  # row bytes -> [first row index, summed coefficient]
+    # row bytes -> [first row index, summed coefficient]; ``+ 0.0`` turns -0.0
+    # into +0.0, so rows that differ only in the sign of a zero (one
+    # phase-space point) merge, one row at a time rather than in a copy of gens
+    merged: dict[bytes, list] = {}
     for i, (c, row) in enumerate(zip(coeffs.tolist(), gens)):
-        entry = merged.setdefault(row.tobytes(), [i, None])
+        entry = merged.setdefault((row + 0.0).tobytes(), [i, None])
         entry[1] = c if entry[1] is None else entry[1] + c
     kept = [entry for _, entry in sorted(merged.items()) if entry[1] != 0.0]
     del merged  # the keys are as large as gens: free them before the copy below
     out = np.array([c for _, c in kept], dtype=np.complex128)
     rows = gens[[i for i, _ in kept]]
+    rows += 0.0  # the kept copy holds +0.0 where its key does
     for arr in (out, rows):
         arr.setflags(write=False)
     return TrigPolynomial(float(hbar), grid, out, rows)

@@ -3,12 +3,17 @@
 Grids are immutable and identity-compared, so session scope is safe and
 keeps the suite fast; anything that needs a different resolution builds its
 own grid locally.
+
+Hypothesis runs under one profile, loaded here for every run: derandomized
+(each test draws the same examples every time) and without an example
+database, so no run writes ``.hypothesis/``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from vanhove import (
     CharState,
@@ -24,6 +29,9 @@ from vanhove import (
 )
 from vanhove.grid import MomentumGrid, RadialFunction, from_values
 from vanhove.semiclassics import default_panel
+
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(scope="session")

@@ -2,17 +2,40 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import math
+import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vanhove import cli, gibbs_quantum, kms_check
 from vanhove.cli import ConfigError, config_hash, main, resolve_config, splitmix64
 
 # a fast shared configuration for commands that take grid keys
 _SMALL = ["panels=8", "points=16", "r_min=1e-4"]
+
+# cheap base configurations: small grids, ladders of at most 4 rungs, at most
+# 5 steps, pairs or times (scattering keeps 32 points: Filon needs > 16)
+_CHEAP = {
+    "classify": ["points=16"],
+    "energy": _SMALL,
+    "evolve": [*_SMALL, "steps=5"],
+    "kms": [*_SMALL, "pairs=2", "t_points=5"],
+    "groundstate": _SMALL,
+    "egorov": [*_SMALL, "k_min=3", "k_max=6"],
+    "equilibrium": [*_SMALL, "k_min=3", "k_max=6"],
+    "scattering": ["panels=8", "r_min=1e-4", "k_min=3", "k_max=6", "t_points=5"],
+    "fock-spectrum": [],
+    "soft-photons": [*_SMALL, "n_min_log2=2", "n_max_log2=5"],
+    "garding": ["k_min=3", "k_max=5"],
+}
+_EDGE_VALUES = ("nan", "inf", "-inf", "0", "-1", "1e300", "1", "2")
 
 
 def _run(tmp_path: Path, command: str, *overrides: str) -> tuple[int, str, str]:
@@ -72,6 +95,62 @@ def test_energy_command_writes_csv_and_json(tmp_path):
     assert payload["failures"] == []
     assert payload["summary"]["identity_residual"] <= 1e-10
     assert payload["config"]["gamma"] == 0.3
+    check = payload["checks"]["energy identity"]
+    assert check["value"] == payload["summary"]["identity_residual"]
+    assert check["tol"] == 1e-10
+    assert check["margin"] == check["tol"] - check["value"]
+
+
+def test_a_nan_check_fails_and_names_its_invariant(tmp_path, capsys):
+    # |alpha|^2 overflows, so the energy drift is nan: it must not pass
+    code, _, js = _run(tmp_path, "evolve", "perturbation=1e300", "steps=5", *_SMALL)
+    assert code == 1
+    assert "invariant failed: energy conservation" in capsys.readouterr().err
+    payload = json.loads(js)
+    assert payload["failures"] == ["energy conservation"]
+    assert math.isnan(payload["checks"]["energy conservation"]["value"])
+    assert payload["checks"]["equilibrium invariance"]["margin"] > 0.0
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_every_key_has_a_rule_its_default_keeps(command):
+    _, keys, cross = cli._COMMANDS[command]
+    for key, (default, (text, holds)) in keys.items():
+        assert isinstance(text, str) and holds(default), key
+    assert all(holds(cli._defaults(command)) for _, holds in cross)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(sorted(cli._COMMANDS)).flatmap(
+        lambda command: st.tuples(
+            st.just(command),
+            st.sampled_from(sorted(cli._defaults(command))),
+            st.sampled_from(_EDGE_VALUES),
+        )
+    )
+)
+def test_every_key_keeps_the_exit_contract(case):
+    """One key at a time at an edge value: exit 0, 1 or 2 and never a
+    traceback; exit 2 before any output, exit 1 naming an invariant, exit 0
+    with finite check values only."""
+    command, key, value = case
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as scratch:
+        out = Path(scratch) / "out"
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([command, "--out", str(out), *_CHEAP[command], f"{key}={value}"])
+        written = out.with_suffix(".json")
+        payload = json.loads(written.read_text()) if written.exists() else None
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert err.getvalue().startswith("configuration error: ")
+        assert payload is None
+    if code == 1:
+        assert re.search(r"^invariant failed: \S", err.getvalue(), re.MULTILINE)
+    if code == 0:
+        assert all(math.isfinite(c["value"]) for c in payload["checks"].values())
 
 
 def test_outputs_are_byte_identical_across_runs(tmp_path):
@@ -88,7 +167,7 @@ def test_kms_batch_rows_equal_one_pair_calls(tmp_path):
     overrides = ["pairs=6", "t_points=9", "seed=11", *_SMALL]
     code, csv, _ = _run(tmp_path, "kms", *overrides)
     assert code == 0
-    cfg = resolve_config(cli._COMMANDS["kms"][1], None, overrides)
+    cfg = resolve_config(cli._defaults("kms"), None, overrides)
     sys_ = cli._system_from(cfg)
     state = gibbs_quantum(sys_.source, cfg["beta_h"], cfg["hbar"])
     ts = np.linspace(cfg["t_min"], cfg["t_max"], cfg["t_points"])
@@ -144,6 +223,33 @@ def test_kms_batch_rows_equal_one_pair_calls(tmp_path):
         ("scattering", "k_min=5 k_max=5"),
         ("fock-spectrum", "coupling_im=inf"),
         ("soft-photons", "n_min_log2=-1"),
+        ("energy", "dim=0"),
+        ("energy", "mass=nan"),
+        ("energy", "r_min=0"),
+        ("energy", "r_max=inf"),
+        ("energy", "r_min=2 r_max=1"),
+        ("energy", "panels=0"),
+        ("energy", "points=0"),
+        ("energy", "gamma=nan"),
+        ("energy", "ir_cutoff=-1"),
+        ("soft-photons", "mass=inf"),
+        ("groundstate", "hbar=0"),
+        ("groundstate", "s_minus=-inf"),
+        ("groundstate", "s_plus=nan"),
+        ("groundstate", "s_minus=-1 s_plus=-3"),
+        ("evolve", "perturbation=nan"),
+        ("egorov", "center_scale=inf"),
+        ("equilibrium", "regime=sublinear epsilon=2"),
+        ("scattering", "points=16"),
+        ("garding", "k_min=0"),
+        ("fock-spectrum", "cutoff=5"),
+        # size ceilings: these would allocate gigabytes
+        ("fock-spectrum", "coupling_re=30"),
+        ("fock-spectrum", "coupling_im=1e300"),
+        ("fock-spectrum", "omega=1e-300"),
+        ("garding", "k_max=13"),
+        ("groundstate", "s_plus=100"),
+        ("groundstate", "s_plus=1000"),
     ],
 )
 def test_bad_kms_and_evolve_parameters_exit_2_before_compute(
@@ -251,6 +357,16 @@ def test_scattering_command_accepts_the_classical_limit(tmp_path):
     code, _, js = _run(tmp_path, "scattering", "hbar=0")
     assert code == 0
     assert json.loads(js)["summary"]["round_trip"] <= 1e-15
+
+
+def test_classical_round_trip_is_held_to_its_round_off_bound(tmp_path):
+    # on this grid the modulus-1 values round off to ~1.4e-15
+    code, _, js = _run(
+        tmp_path, "scattering", "hbar=0", "k_max=10", "t_points=5", "panels=8", "r_min=1e-4"
+    )
+    assert code == 0
+    check = json.loads(js)["checks"]["transport round trip"]
+    assert 1e-15 < check["value"] <= check["tol"] < 1e-13
 
 
 def test_fock_spectrum_command_matches_closed_forms(tmp_path):

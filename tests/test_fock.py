@@ -279,8 +279,7 @@ def test_garding_probe_shows_the_order_hbar_gap():
 
 
 def test_garding_probe_quantizes_each_symbol_row_with_its_own_coefficient():
-    # rows at 0j and -0j stay apart in the symbol but compare equal as
-    # complex numbers: both quantize to the identity, so each sum is 1 + 2
+    # rows at 0j and -0j merge into one identity row with coefficient 1 + 2
     symbol = trig_polynomial(
         single_mode_grid(), 0.0, [1.0, 2.0], [[0j], [complex(-0.0, 0.0)]]
     )

@@ -17,6 +17,7 @@ from vanhove import (
     sample,
     zero_function,
 )
+from vanhove.semiclassics import default_panel
 from vanhove.scattering import (
     FILON_THRESHOLD,
     asymptotic_character,
@@ -24,6 +25,7 @@ from vanhove.scattering import (
     decay_probe,
     dressing_coefficient,
     free_overlap,
+    round_trip_tolerance,
     transport_state,
 )
 
@@ -120,6 +122,28 @@ def test_transport_round_trip_is_the_identity(system_g03, panel):
     )
     worst = max(abs(back.char(f) - state.char(f)) for f in panel)
     assert worst <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "grid_keys",
+    [{}, {"panels": 8, "points": 16, "r_min": 1e-4}, {"panels": 8, "r_min": 1e-4},
+     {"panels": 4, "points": 17}, {"dim": 4}],
+)
+def test_round_trip_tolerance_bounds_the_round_off(grid_keys):
+    """At hbar = 0 the characteristic values have modulus 1, so the round
+    trip shows the bare round-off; the derived bound covers it on every grid
+    and still catches a centre that comes back 1e-12 off."""
+    sys_ = make_system(power_law_gaussian(make_grid(**grid_keys), 0.3))
+    grid = sys_.grid
+    panel = default_panel(grid)
+    center = sample(grid, lambda r: (0.3 - 0.2j) * np.exp(-(r**2)))
+    state = coherent(center, 0.0)
+    back = transport_state(sys_, transport_state(sys_, state), inverse=True)
+    tol = round_trip_tolerance(sys_, state, panel)
+    assert 1e-15 < tol < 1e-13
+    assert max(abs(back.char(f) - state.char(f)) for f in panel) <= tol
+    off = coherent(center + 1e-12 * center, 0.0)
+    assert max(abs(off.char(f) - state.char(f)) for f in panel) > tol
 
 
 def test_transport_shifts_the_dirac_center(system_g03, f_gauss):

@@ -20,6 +20,7 @@ from vanhove.weyl import (
     quantize,
     scale,
     symplectic_form,
+    trig_polynomial,
     weyl,
 )
 
@@ -218,6 +219,17 @@ def test_rows_merge_on_their_exact_samples(grid, f_gauss):
     kept = add(weyl(2.0 * f_gauss, 0.3), weyl(f_gauss, 0.3))
     assert kept.coeffs.tolist() == [1.0, 1.0]
     assert kept.gens.shape == (2, grid.size)
+
+
+def test_signed_zero_rows_merge_into_one_positive_zero_row():
+    # 0j and -0j are one phase-space point, so one operator W_h(0) = 1
+    from vanhove.fock import single_mode_grid
+
+    merged = trig_polynomial(single_mode_grid(), 0.0, [1.0, 2.0], [[0j], [-0j]])
+    assert merged.coeffs.tolist() == [3.0]
+    assert merged.gens.shape == (1, 1)
+    assert not np.signbit(merged.gens.real).any()
+    assert not np.signbit(merged.gens.imag).any()
 
 
 @given(pair_a=_pair_strategy(), pair_b=_pair_strategy())
