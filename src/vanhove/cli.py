@@ -31,7 +31,15 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import dynamics, fock, scattering, semiclassics, sources, states, weyl
-from .grid import MomentumGrid, from_values, make_grid, sample, weighted_norm_sq
+from .grid import (
+    MomentumGrid,
+    from_values,
+    geometric_edges,
+    make_grid,
+    sample,
+    sphere_area,
+    weighted_norm_sq,
+)
 
 __all__ = ["main"]
 
@@ -470,7 +478,9 @@ def cmd_soft_photons(cfg: dict) -> CommandResult:
         list(zip(report.cutoffs, report.numbers)),
         {"increment_slope": report.increment_slope, "diverging": report.diverging,
          "mode_cross_check": cross},
-        [Check("mode number cross-check", abs(cross - 0.25), 1e-8)],
+        [Check("mode number cross-check", abs(cross - 0.25), 1e-8),
+         Check("soft-photon sweep finite", _verdict(bool(np.all(np.isfinite(report.numbers)))),
+               0.0)],
     )
 
 
@@ -521,7 +531,42 @@ _GRID_KEYS = {
     "r_max": (12.0, _POSITIVE), "panels": (16, _COUNT), "points": (32, _COUNT),
 }
 _SOURCE_KEYS = {"gamma": (0.0, _FINITE), "ir_cutoff": (0, (">= 0 (0: none)", lambda n: n >= 0))}
-_GRID_RULES = [_ordered("r_min", "r_max")]
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
+
+def _log_omega(r: float, mass: float) -> float:
+    """log hypot(r, mass), without overflow."""
+    log_r = math.log(r)
+    log_mass = math.log(mass) if mass > 0.0 else -math.inf
+    return max(log_r, log_mass) + 0.5 * math.log1p(math.exp(-2.0 * abs(log_r - log_mass)))
+
+
+def _measures_finite(c: dict) -> bool:
+    """make_grid's measures sigma w r^(d-1) omega^a (a = -2..1), and the powers
+    r^(d-1) and omega^a it forms on the way, stay below the largest float.
+
+    Bounded in log space with w < r_max - r_min and each factor at its largest
+    over [r_min, r_max]: r^(d-1) omega^a peaks at an end of the range or, for
+    d = 2 and a = -2, at r = mass."""
+    d, mass, r_min, r_max = c["dim"], c["mass"], c["r_min"], c["r_max"]
+    log_sigma_w = math.log(sphere_area(d)) + math.log(r_max - r_min)
+    radii = (r_min, min(max(mass, r_min), r_max), r_max)
+    logs = [(d - 1) * math.log(r_max)]
+    for a in (-2, -1, 0, 1):
+        for r in radii:
+            log_omega = _log_omega(r, mass)
+            logs += [a * log_omega, log_sigma_w + (d - 1) * math.log(r) + a * log_omega]
+    return max(logs) < _LOG_FLOAT_MAX
+
+
+_GRID_RULES = [
+    _ordered("r_min", "r_max"),
+    (
+        "the grid measures sigma w r^(d-1) omega^a must be finite, got dim={dim}, "
+        "mass={mass}, r_min={r_min}, r_max={r_max}",
+        _measures_finite,
+    ),
+]
 _LADDER_KEYS = {"k_min": (3, _EXPONENT), "k_max": (14, _EXPONENT)}
 
 
@@ -533,10 +578,14 @@ def _grid_keys(**defaults) -> dict:
     }
 
 
-#: Widest groundstate window.  kms_window scans |F(t)| at 2501 times against
-#: ceil(1.1 * 5000 * width / 12) sigma panels: at width 8 that phase block is
-#: 2501 x 3667 complex (147 MB, ~340 MB peak with its temporaries); s_plus = 100
-#: at the default s_minus would ask for 2501 x 47209 (1.9 GB).
+#: Widest groundstate window.  kms_window scans |F(t)| at 2501 times (50
+#: anchors x 51 comb steps) against Q = ceil(1.1 * 5000 * width / 12) sigma
+#: panels of 16 nodes.  It holds the (51, Q) comb table, one (51, Q) anchor
+#: chunk of complex phases and the (Q, 16) rule and weight matrix, ~2.9 kB per
+#: panel, and makes 2501 * 16 * Q complex multiply-adds: at width 8 (Q = 3667)
+#: that is 11 MB and 1.5e8 (a run peaks at ~65 MB, 55 MB of it the imports);
+#: s_plus = 100 at the default s_minus asks for Q = 47,209, 1.9e9 and a
+#: ~160 MB peak, s_plus = 1000 for ~1.3 GB.
 _WINDOW_WIDTH_MAX = 8.0
 
 #: Largest fock-spectrum truncation N.  weyl_matrix holds about four dense
@@ -640,6 +689,15 @@ _COMMANDS: dict[str, tuple[Callable[[dict], CommandResult], dict, list[CrossRule
                 f"{scattering.FILON_THRESHOLD:g} (Filon quadrature), got {{points}}",
                 lambda c: c["t_max"] <= scattering.FILON_THRESHOLD
                 or c["points"] > scattering.FILON_DEGREE,
+            ),
+            (
+                f"omega = hypot(r, mass) must grow across every panel when t_max > "
+                f"{scattering.FILON_THRESHOLD:g} (Filon quadrature), got mass={{mass}}, "
+                "r_min={r_min}, r_max={r_max}, panels={panels}",
+                lambda c: c["t_max"] <= scattering.FILON_THRESHOLD
+                or not scattering.flat_panels(
+                    geometric_edges(c["r_min"], c["r_max"], c["panels"]), c["mass"]
+                ).size,
             ),
         ],
     ),

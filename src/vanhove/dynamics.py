@@ -37,6 +37,17 @@ profile is supported in sigma < 0 must annihilate it, while windows over
 positive frequencies inside the dispersion range see the one-excitation
 mass.  Windows use the standard smooth bump exp(-1/(1-u^2)) and a t-range
 chosen so the window transform has decayed below 1e-12 of its peak.
+
+Every phase in these sums is e^{-i sigma t} with both axes on uniform panels:
+a frequency node is sigma = S_q + d_k (panel mid plus a shared offset), and a
+time node is t = A_a + c_b + o_j (an anchor, a comb step of the uniform mid
+ladder, and a shared Gauss-Legendre offset).  So every phase table is a
+product of small carrier and comb tables, and the sum over frequencies is one
+matmul of carriers e^{-i S_q (A_a + c_b)} against the comb-weighted weights
+w_qk e^{-i (S_q + d_k) o_j}, closed by the carriers e^{-i d_k (A_a + c_b)}
+(``_phase_grid``).  The window transform and the correlation's frequency sum
+<f, e^{i t omega} g>_0 both go through it, at O((A + B)(Q + K)) exponentials
+instead of one per (time, frequency) pair.
 """
 
 from __future__ import annotations
@@ -184,7 +195,9 @@ class KmsWindow:
     shared set of offsets).  That splits e^{-i sigma t} into a per-panel
     carrier times a panel-independent comb, which is what lets the
     transform stay accurate (and cheap) out to t in the hundreds where a
-    single global rule would only return aliasing noise.
+    single global rule would only return aliasing noise.  The time axis is
+    split the same way (anchor, comb step and offset of a uniform ladder), so
+    F on a ladder costs two small exponential tables per axis and one matmul.
     """
 
     s_minus: float
@@ -208,18 +221,65 @@ _WINDOW_GL = 16  # quadrature order per sigma panel
 _THETA_MAX = 6.0  # largest phase (radians) a panel half-width may sweep
 
 
+#: Entries of one phase table chunk (1 MB of complex128).
+_CHUNK = 1 << 16
+
+_ZERO = np.zeros(1)
+
+
+def _ladder(start: float, step: float, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The uniform ladder start + n step, n < count, as anchor + comb: ceil(sqrt(count))
+    comb steps and enough anchors to cover the ladder (the last anchor's row may
+    run past it, so callers keep the first ``count`` points)."""
+    width = math.isqrt(count - 1) + 1
+    return start + (step * width) * np.arange(-(-count // width)), step * np.arange(width)
+
+
+def _cis_ladder(anchors: np.ndarray, teeth: np.ndarray, freqs: np.ndarray) -> np.ndarray:
+    """e^{-i f (a + c)} for every anchor a, comb step c (anchor-major rows) and
+    frequency f: the carriers e^{-i f a} times the comb table teeth = e^{-i f c}."""
+    carrier = np.exp(-1j * np.multiply.outer(anchors, freqs))
+    return (carrier[:, None, :] * teeth[None, :, :]).reshape(-1, freqs.size)
+
+
+def _phase_grid(
+    mids: np.ndarray,
+    offsets: np.ndarray,
+    weights: np.ndarray,
+    t_anchors: np.ndarray,
+    t_comb: np.ndarray,
+    t_offsets: np.ndarray,
+) -> np.ndarray:
+    """sum_{q,k} weights[q, k] e^{-i (mids[q] + offsets[k]) t} at every
+    t = t_anchors[a] + t_comb[b] + t_offsets[j], as rows a * len(t_comb) + b and
+    columns j.
+
+    The per-offset phases go into a (Q, J*K) comb-weighted weight matrix once;
+    each chunk of anchors then costs one (rows, Q) @ (Q, J*K) matmul and one
+    (rows, K) carrier contraction."""
+    n_q, n_k = weights.shape
+    nodes = mids[:, None, None] + offsets[None, None, :]
+    combed = (weights[:, None, :] * np.exp(-1j * nodes * t_offsets[:, None])).reshape(n_q, -1)
+    teeth_q = np.exp(-1j * np.multiply.outer(t_comb, mids))
+    teeth_k = np.exp(-1j * np.multiply.outer(t_comb, offsets))
+    rows = t_comb.size
+    out = np.empty((t_anchors.size * rows, t_offsets.size), dtype=np.complex128)
+    per_chunk = max(1, _CHUNK // (rows * max(n_q, combed.shape[1])))
+    for start in range(0, t_anchors.size, per_chunk):
+        anchors = t_anchors[start : start + per_chunk]
+        summed = (_cis_ladder(anchors, teeth_q, mids) @ combed).reshape(-1, t_offsets.size, n_k)
+        out[start * rows : (start + anchors.size) * rows] = np.einsum(
+            "pjk,pk->pj", summed, _cis_ladder(anchors, teeth_k, offsets)
+        )
+    return out
+
+
 def window_transform(window: KmsWindow, t) -> np.ndarray | complex:
     """F(t) = int Fhat(sigma) e^{-i sigma t} d sigma on the window rule."""
     tt = np.atleast_1d(np.asarray(t, dtype=np.float64)).ravel()
-    out = np.empty(tt.size, dtype=np.complex128)
-    block = 16384
-    for start in range(0, tt.size, block):
-        ts = tt[start : start + block]
-        e_mid = np.exp(-1j * np.multiply.outer(ts, window.sigma_mids))
-        e_off = np.exp(-1j * np.multiply.outer(ts, window.sigma_offsets))
-        out[start : start + block] = np.einsum(
-            "ij,ij->i", e_off, e_mid @ window.sigma_weights
-        )
+    out = _phase_grid(
+        window.sigma_mids, window.sigma_offsets, window.sigma_weights, tt, _ZERO, _ZERO
+    )[:, 0]
     if np.isscalar(t):
         return complex(out[0])
     return out.reshape(np.shape(t))
@@ -254,19 +314,9 @@ def kms_window(
 ) -> KmsWindow:
     if not s_minus < s_plus:
         raise ValueError(f"need s_minus < s_plus, got [{s_minus}, {s_plus}]")
-    floor = max(1, math.ceil(points / _WINDOW_GL))
     if t_max is None:
-        scan_panels = _window_panels(s_minus, s_plus, _SCAN_TO, floor)
-        mids, offsets, weights = _sigma_rule(s_minus, s_plus, scan_panels)
-        scan_win = KmsWindow(
-            s_minus=float(s_minus),
-            s_plus=float(s_plus),
-            t_max=0.0,
-            sigma_mids=mids,
-            sigma_offsets=offsets,
-            sigma_weights=weights,
-        )
-        t_max = _auto_t_max(scan_win)
+        t_max = _auto_t_max(kms_window(s_minus, s_plus, _SCAN_TO, points))
+    floor = max(1, math.ceil(points / _WINDOW_GL))
     panels = _window_panels(s_minus, s_plus, t_max, floor)
     mids, offsets, weights = _sigma_rule(s_minus, s_plus, panels)
     return KmsWindow(
@@ -280,23 +330,29 @@ def kms_window(
 
 
 _SCAN_TO = 5000.0
+_SCAN_STEP = 2.0
 
 
-def _auto_t_max(window: KmsWindow, scan_to: float = _SCAN_TO, step: float = 2.0) -> float:
-    """Smallest t past which |F| stays below the drop threshold (scanned on a
-    coarse ladder, with margin for the oscillation between samples)."""
-    t = np.arange(0.0, scan_to + step, step)
-    vals = np.abs(window_transform(window, t))
+def _auto_t_max(window: KmsWindow) -> float:
+    """Smallest t past which |F| stays below the drop threshold, scanned on the
+    ladder 0, 2, ..., window.t_max (the rule resolves F that far), with margin
+    for the oscillation between samples."""
+    count = math.floor(window.t_max / _SCAN_STEP) + 1
+    anchors, comb = _ladder(0.0, _SCAN_STEP, count)
+    vals = np.abs(
+        _phase_grid(
+            window.sigma_mids, window.sigma_offsets, window.sigma_weights, anchors, comb, _ZERO
+        )[:count, 0]
+    )
     threshold = _WINDOW_DROP * window.peak
     tail_max = np.maximum.accumulate(vals[::-1])[::-1]
     ok = tail_max < threshold
-    if not ok[-1] or vals[-1] >= threshold:
+    if not ok[-1]:
         raise ValueError(
             f"window transform does not decay below {_WINDOW_DROP:g} of its "
-            f"peak within t <= {scan_to}"
+            f"peak within t <= {window.t_max:g}"
         )
-    first = int(np.argmax(ok))
-    return float(t[first] + 25.0)
+    return float(int(np.argmax(ok)) * _SCAN_STEP + 25.0)
 
 
 @dataclass(frozen=True)
@@ -410,31 +466,24 @@ def ground_state_check(
     t_max = window.t_max
     panel_width = 0.25 / resolution
     n_panels = 2 * max(1, math.ceil(t_max / panel_width))
-    edges = np.linspace(-t_max, t_max, n_panels + 1)
-    mids = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1] - edges[0])
+    half = t_max / n_panels
     xg, wg = np.polynomial.legendre.leggauss(10)
     offsets = half * xg
     node_w = half * wg
+    anchors, comb = _ladder(half - t_max, 2.0 * half, n_panels)
 
     c0 = math.exp(
         -0.5 * _PI2 * hbar * (weighted_norm_sq(f, 0) + weighted_norm_sq(g, 0))
     )
     p = _cis(2.0 * math.pi * inner_product(f + g, _ground_center(sys), 0).real)
     v = grid.measure(0) * np.conj(f.values) * g.values
-
-    omega = grid.omega
-    off_omega = np.exp(1j * np.multiply.outer(offsets, omega))
-
-    integral = 0.0 + 0.0j
-    chunk = 512
-    for start in range(0, n_panels, chunk):
-        mid = mids[start : start + chunk]
-        e_omega = np.exp(1j * np.multiply.outer(mid, omega))
-        s = (e_omega[:, None, :] * off_omega[None, :, :]) @ v
-        fvals = window_transform(window, mid[:, None] + offsets[None, :])
-        corr = c0 * p * np.exp(-_PI2 * hbar * s)
-        integral += np.sum(node_w[None, :] * fvals * corr)
+    # <f, e^{i t omega} g>_0 is a one-node-per-panel rule at frequencies -omega
+    s = _phase_grid(-grid.omega, _ZERO, v[:, None], anchors, comb, offsets)[:n_panels]
+    fvals = _phase_grid(
+        window.sigma_mids, window.sigma_offsets, window.sigma_weights, anchors, comb, offsets
+    )[:n_panels]
+    corr = c0 * p * np.exp(-_PI2 * hbar * s)
+    integral = np.sum(node_w[None, :] * fvals * corr)
     return GroundStateReport(
         value=abs(integral),
         window=window,

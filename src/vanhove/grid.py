@@ -30,6 +30,7 @@ __all__ = [
     "MomentumGrid",
     "RadialFunction",
     "make_grid",
+    "geometric_edges",
     "sample",
     "from_values",
     "zero_function",
@@ -113,8 +114,7 @@ def make_grid(
     if panels < 1 or points < 1:
         raise ValueError("panels and points must be >= 1")
 
-    edges = r_min * (r_max / r_min) ** (np.arange(panels + 1) / panels)
-    edges[0], edges[-1] = r_min, r_max  # kill endpoint roundoff
+    edges = geometric_edges(r_min, r_max, panels)
     x, w = np.polynomial.legendre.leggauss(points)
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])
@@ -145,6 +145,13 @@ def make_grid(
         omega=omega,
         measures=measures,  # type: ignore[arg-type]
     )
+
+
+def geometric_edges(r_min: float, r_max: float, panels: int) -> np.ndarray:
+    """The panel edges of make_grid: ``panels`` equal ratios from r_min to r_max."""
+    edges = r_min * (r_max / r_min) ** (np.arange(panels + 1) / panels)
+    edges[0], edges[-1] = r_min, r_max  # kill endpoint roundoff
+    return edges
 
 
 @dataclass(frozen=True, eq=False)

@@ -42,6 +42,7 @@ __all__ = [
     "FILON_DEGREE",
     "asymptotic_character",
     "dressing_coefficient",
+    "flat_panels",
     "free_overlap",
     "decay_probe",
     "ConvergenceReport",
@@ -95,6 +96,14 @@ class _FilonFit:
         return np.sum(acc * np.exp(1j * theta0) * self.u_half[None, :], axis=1)
 
 
+def flat_panels(edges: np.ndarray, mass: float) -> np.ndarray:
+    """Indices of the panels on which u = hypot(r, mass) does not grow from the
+    lower to the upper edge in floating point (r far below the mass), so the
+    Filon fit cannot map the panel onto u."""
+    u_edges = np.hypot(edges, mass)
+    return np.flatnonzero(u_edges[1:] <= u_edges[:-1])
+
+
 def _filon_fit(grid: MomentumGrid, amplitude: np.ndarray) -> _FilonFit:
     """Fit sigma r^{d-1} amp(r) dr = A(u) du per panel, A in Legendre form."""
     n_panels = grid.panel_edges.size - 1
@@ -103,6 +112,14 @@ def _filon_fit(grid: MomentumGrid, amplitude: np.ndarray) -> _FilonFit:
         raise ValueError(
             f"oscillatory quadrature needs more than {FILON_DEGREE} points "
             f"per panel, grid has {pts}"
+        )
+    flat = flat_panels(grid.panel_edges, grid.mass)
+    if flat.size:
+        lo, hi = grid.panel_edges[flat[0]], grid.panel_edges[flat[0] + 1]
+        raise ValueError(
+            f"oscillatory quadrature needs omega = hypot(r, mass) to grow across "
+            f"every panel, but it is flat on panel {flat[0]} (r in [{lo:g}, {hi:g}], "
+            f"mass {grid.mass:g})"
         )
     r = grid.nodes.reshape(n_panels, pts)
     u = grid.omega.reshape(n_panels, pts)

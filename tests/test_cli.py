@@ -6,7 +6,10 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -250,6 +253,12 @@ def test_kms_batch_rows_equal_one_pair_calls(tmp_path):
         ("garding", "k_max=13"),
         ("groundstate", "s_plus=100"),
         ("groundstate", "s_plus=1000"),
+        # grid measures that overflow to inf (nan photon numbers, nan windows)
+        ("soft-photons", "r_max=1e300"),
+        ("groundstate", "r_max=1e300"),
+        # omega = hypot(r, mass) flat on the first panels: no Filon fit exists
+        ("scattering", "mass=1000"),
+        ("scattering", "mass=1e300"),
     ],
 )
 def test_bad_kms_and_evolve_parameters_exit_2_before_compute(
@@ -266,6 +275,45 @@ def test_bad_kms_and_evolve_parameters_exit_2_before_compute(
     assert code == 2
     assert capsys.readouterr().err.startswith("configuration error: ")
     assert csv == js == ""
+
+
+@pytest.mark.parametrize("overrides", [["mass=10"], ["mass=1000", "t_max=30"]])
+def test_scattering_takes_a_mass_while_omega_grows_on_every_filon_panel(tmp_path, overrides):
+    # mass = 10 still separates hypot(r, mass) at the panel edges; mass = 1000
+    # does not, which matters only once t_max needs the Filon rule
+    code, _, js = _run(tmp_path, "scattering", *_CHEAP["scattering"], *overrides)
+    assert code == 0
+    assert json.loads(js)["failures"] == []
+
+
+def test_groundstate_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # the window and correlation sums are BLAS-3 matmuls; their bytes must not
+    # move with the thread count
+    script = (
+        "import sys\n"
+        "from vanhove.cli import main\n"
+        "out = sys.argv[1]\n"
+        f"main(['groundstate', '--out', out + '_neg', *{_SMALL!r}])\n"
+        f"main(['groundstate', '--out', out + '_pos', *{_SMALL!r}, 's_minus=1', 's_plus=3'])\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    outputs = {}
+    for threads in ("1", "2"):
+        env = {
+            **os.environ,
+            "OPENBLAS_NUM_THREADS": threads,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+        }
+        prefix = tmp_path / f"threads{threads}"
+        subprocess.run(
+            [sys.executable, "-c", script, str(prefix)], env=env, check=True,
+            capture_output=True, timeout=300,
+        )
+        outputs[threads] = [
+            (tmp_path / f"threads{threads}_{sign}{ext}").read_bytes()
+            for sign in ("neg", "pos") for ext in (".csv", ".json")
+        ]
+    assert outputs["1"] == outputs["2"]
 
 
 def test_classify_command_agrees_with_itself(tmp_path):

@@ -29,6 +29,7 @@ from vanhove import (
     zero_function,
     from_values,
 )
+from vanhove import dynamics
 from vanhove.dynamics import WINDOW_TOL, window_transform
 from conftest import STATE_KINDS, every_state, random_member
 
@@ -236,6 +237,91 @@ def test_window_transform_matches_the_unfactored_rule(negative_window):
     for t in (0.0, 0.37, 21.0, 333.3):
         direct = np.sum(weights * np.exp(-1j * nodes * t))
         assert window_transform(w, t) == pytest.approx(direct, abs=1e-13)
+
+
+_WINDOWS = [(-3.0, -1.0), (1.0, 3.0), (14.0, 16.0), (-7.0, 1.0)]
+
+
+def _direct(window, t):
+    """F(t) = sum over every sigma node of w e^{-i sigma t}, one exp per (t, sigma)."""
+    return np.exp(-1j * np.multiply.outer(t, window.sigma_nodes)) @ window.sigma_weights.ravel()
+
+
+@pytest.fixture(scope="module", params=_WINDOWS, ids=lambda w: f"[{w[0]:g},{w[1]:g}]")
+def scan_and_window(request):
+    """The window kms_window scans for t_max (resolved to t = 5000), and the
+    window it returns."""
+    s_minus, s_plus = request.param
+    scan = kms_window(s_minus, s_plus, dynamics._SCAN_TO)
+    return scan, kms_window(s_minus, s_plus, dynamics._auto_t_max(scan))
+
+
+def test_phase_grid_matches_the_direct_sum(scan_and_window):
+    # the scan ladder 0, 2, ..., 5000 (anchors x comb) and the ground-state
+    # ladder (anchors x comb x Gauss-Legendre offsets), on a subsample of rows
+    scan, w = scan_and_window
+    anchors, comb = dynamics._ladder(0.0, 2.0, 2501)
+    grid = dynamics._phase_grid(
+        scan.sigma_mids, scan.sigma_offsets, scan.sigma_weights, anchors, comb, np.zeros(1)
+    )[:2501, 0]
+    rows = np.arange(0, 2501, 47)
+    assert np.max(np.abs(grid[rows] - _direct(scan, 2.0 * rows))) <= 1e-12 * scan.peak
+
+    n_panels = 2 * math.ceil(w.t_max / 0.25)
+    half = w.t_max / n_panels
+    offsets = half * np.polynomial.legendre.leggauss(10)[0]
+    anchors, comb = dynamics._ladder(half - w.t_max, 2.0 * half, n_panels)
+    grid = dynamics._phase_grid(
+        w.sigma_mids, w.sigma_offsets, w.sigma_weights, anchors, comb, offsets
+    )
+    rows = np.arange(0, n_panels, 47)
+    t = (half - w.t_max + 2.0 * half * rows)[:, None] + offsets[None, :]
+    assert np.max(np.abs(grid[rows] - _direct(w, t))) <= 1e-12 * w.peak
+
+
+def test_auto_t_max_matches_a_direct_scan(scan_and_window):
+    # |F| on every rung of 0, 2, ..., 5000, each from its own exponentials
+    # (per panel mid and per offset), then the first rung past which |F|
+    # stays below 1e-12 of the peak, plus the margin of 25
+    scan, w = scan_and_window
+    t = np.arange(0.0, 5002.0, 2.0)
+    vals = np.concatenate([
+        np.abs(np.sum(
+            (np.exp(-1j * np.multiply.outer(ts, scan.sigma_mids)) @ scan.sigma_weights)
+            * np.exp(-1j * np.multiply.outer(ts, scan.sigma_offsets)),
+            axis=1,
+        ))
+        for ts in np.array_split(t, 20)
+    ])
+    above = np.flatnonzero(vals >= 1e-12 * scan.peak)
+    assert w.t_max == t[above[-1] + 1] + 25.0
+
+
+def test_ground_state_check_matches_the_unfactored_evaluation(
+    system_g03, f_gauss, g_gauss
+):
+    # one exp per (t, omega) and per (t, sigma) at every time node; a short
+    # t_max keeps that affordable without changing the rule
+    window = kms_window(1.0, 3.0, t_max=100.0)
+    grid = system_g03.grid
+    hbar = 0.1
+    n_panels = 800
+    edges = np.linspace(-100.0, 100.0, n_panels + 1)
+    half = 0.5 * (edges[1] - edges[0])
+    x, wg = np.polynomial.legendre.leggauss(10)
+    t = (0.5 * (edges[1:] + edges[:-1]))[:, None] + half * x[None, :]
+    v = grid.measure(0) * np.conj(f_gauss.values) * g_gauss.values
+    overlap = np.exp(1j * np.multiply.outer(t.ravel(), grid.omega)) @ v
+    c0 = math.exp(-0.5 * math.pi**2 * hbar * (
+        weighted_norm_sq(f_gauss, 0) + weighted_norm_sq(g_gauss, 0)
+    ))
+    center = from_values(grid, -system_g03.j_over_omega.values)
+    p = np.exp(2j * math.pi * inner_product(f_gauss + g_gauss, center, 0).real)
+    corr = c0 * p * np.exp(-math.pi**2 * hbar * overlap)
+    expect = abs(np.sum(np.tile(half * wg, n_panels) * _direct(window, t.ravel()) * corr))
+    report = ground_state_check(system_g03, f_gauss, g_gauss, window, hbar=hbar)
+    assert report.t_points == t.size
+    assert report.value == pytest.approx(expect, rel=1e-12)
 
 
 def test_window_peak_and_decay(negative_window):

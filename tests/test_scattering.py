@@ -24,6 +24,7 @@ from vanhove.scattering import (
     convergence_probe,
     decay_probe,
     dressing_coefficient,
+    flat_panels,
     free_overlap,
     round_trip_tolerance,
     transport_state,
@@ -174,3 +175,17 @@ def test_filon_needs_enough_points_per_panel(f_gauss):
     f = sample(thin, lambda r: np.exp(-(r**2)))
     with pytest.raises(ValueError, match="points"):
         free_overlap(sys_thin, f, 100.0)
+
+
+def test_filon_names_a_panel_where_omega_is_flat():
+    # hypot(r, 1000) rounds to 1000 on the first panels: refuse before the
+    # least-squares fit divides by a zero panel half-width
+    heavy = make_grid(mass=1000.0)
+    assert list(flat_panels(heavy.panel_edges, heavy.mass)[:1]) == [0]
+    assert flat_panels(make_grid(mass=10.0).panel_edges, 10.0).size == 0
+    with pytest.warns(UserWarning, match="massive"):
+        sys_heavy = make_system(power_law_gaussian(heavy, 0.3))
+    f = sample(heavy, lambda r: np.exp(-(r**2)))
+    assert np.isfinite(free_overlap(sys_heavy, f, FILON_THRESHOLD))
+    with pytest.raises(ValueError, match="flat on panel 0"):
+        free_overlap(sys_heavy, f, 100.0)
