@@ -84,6 +84,26 @@ _EXPONENT: Rule = ("in 0..52", lambda k: 0 <= k <= 52)
 _DIM: Rule = ("in 1..16", lambda d: 1 <= d <= 16)
 
 
+#: Count ceilings, each from the memory it drives (peak RSS growth measured):
+#: - output rows (evolve steps, kms pairs, scattering times) cost ~500 B each,
+#:   row and CSV line (10^5 more evolve steps: +50 MB), so 2^17 rows ~65 MB;
+#: - panels x points grid nodes cost ~120 B each (2^16 nodes: +8 MB);
+#: - a (t_points, N) phase table costs ~24 B an entry in kms (the complex table
+#:   beside its real factor; 20,000 x 512: +234 MB) and ~30 B in scattering
+#:   (+312 MB), the kms (pairs, t_points) residuals 16 B: 2^21 entries ~50,
+#:   ~63 and ~32 MB.
+_ROWS_MAX, _NODES_MAX, _TABLE_MAX = 2**17, 2**16, 2**21
+_ROWS: Rule = (f"in 1..{_ROWS_MAX}", lambda n: 1 <= n <= _ROWS_MAX)
+
+
+def _at_most(limit: int, *keys: str) -> CrossRule:
+    """The product of the keys' values is at most ``limit``."""
+    return (
+        f"{' x '.join(keys)} must be <= {limit}, got " + " x ".join(f"{{{k}}}" for k in keys),
+        lambda c: math.prod(c[k] for k in keys) <= limit,
+    )
+
+
 def _span(low: str, high: str, count: int) -> CrossRule:
     """The integer range low..high holds at least ``count`` values."""
     return (
@@ -272,7 +292,7 @@ def cmd_classify(cfg: dict) -> CommandResult:
 
 def cmd_energy(cfg: dict) -> CommandResult:
     sys_ = _system_from(cfg)
-    minimizer = from_values(sys_.grid, -sys_.j_over_omega.values)
+    minimizer = -sys_.j_over_omega
     summary = {
         "classical_min_energy": dynamics.classical_energy(sys_, minimizer),
         "spectral_bottom": dynamics.ground_energy(sys_),
@@ -347,7 +367,7 @@ def cmd_groundstate(cfg: dict) -> CommandResult:
     g = sample(grid, lambda r: np.exp(-2.0 * r**2))
     report = dynamics.ground_state_check(sys_, f, g, window, hbar=cfg["hbar"])
     negative = cfg["s_plus"] < 0.0
-    checks = []
+    checks = [Check("window value finite", _verdict(math.isfinite(report.value)), 0.0)]
     if negative:
         checks.append(Check("ground-state annihilation", report.value, dynamics.WINDOW_TOL))
     return CommandResult(
@@ -368,12 +388,7 @@ def cmd_egorov(cfg: dict) -> CommandResult:
     grid = sys_.grid
     center = sample(grid, lambda r: cfg["center_scale"] * (1.0 + 0.5j) * np.exp(-(r**2)))
     report = semiclassics.egorov_sweep(
-        sys_,
-        lambda h: states.coherent(center, h),
-        states.dirac(center),
-        cfg["t"],
-        semiclassics.default_panel(grid),
-        _hbar_ladder(cfg),
+        sys_, center, cfg["t"], semiclassics.default_panel(grid), _hbar_ladder(cfg)
     )
     return CommandResult(
         ["hbar", "deviation"],
@@ -411,27 +426,21 @@ def cmd_scattering(cfg: dict) -> CommandResult:
     grid = sys_.grid
     f = sample(grid, lambda r: np.exp(-(r**2)))
     ts = np.geomspace(cfg["t_min"], cfg["t_max"], cfg["t_points"])
-    overlaps = scattering.decay_probe(sys_, f, ts)
-    probes = [scattering.convergence_probe(sys_, f, cfg["hbar"], float(t)) for t in ts]
+    probe = scattering.convergence_probe(sys_, f, ts)
+    overlaps = np.abs(probe.overlap)
     center = sample(grid, lambda r: (0.3 - 0.2j) * np.exp(-(r**2)))
     state = states.coherent(center, cfg["hbar"])
     moved = scattering.transport_state(sys_, state)
     back = scattering.transport_state(sys_, moved, inverse=True)
     panel = semiclassics.default_panel(grid)
-    round_trip = float(np.max([abs(back.char(p) - state.char(p)) for p in panel]))
-    sweep = semiclassics.scattering_sweep(
-        sys_,
-        lambda h: states.coherent(center, h),
-        states.dirac(center),
-        panel,
-        _hbar_ladder(cfg),
-    )
+    round_trip = float(np.max(np.abs(back.chars(panel) - state.chars(panel))))
+    sweep = semiclassics.scattering_sweep(sys_, center, panel, _hbar_ladder(cfg))
     return CommandResult(
         ["t", "overlap", "bound", "probe_deviation"],
-        [(t, ov, p.bound, p.deviation) for t, ov, p in zip(ts, overlaps, probes)],
+        list(zip(ts, overlaps, probe.bound, probe.deviation)),
         {"round_trip": round_trip, "transport_mismatch": sweep.transport_mismatch,
          "final_overlap": float(overlaps[-1]), "verdict": sweep.verdict},
-        [Check("dressing bound", float(np.max([p.deviation - p.bound for p in probes])), 1e-12),
+        [Check("dressing bound", float(np.max(probe.deviation - probe.bound)), 1e-12),
          Check("overlap decay", float(overlaps[-1]), 1e-2),
          Check("transport round trip", round_trip,
                scattering.round_trip_tolerance(sys_, state, panel))],
@@ -560,6 +569,7 @@ def _measures_finite(c: dict) -> bool:
 
 
 _GRID_RULES = [
+    _at_most(_NODES_MAX, "panels", "points"),
     _ordered("r_min", "r_max"),
     (
         "the grid measures sigma w r^(d-1) omega^a must be finite, got dim={dim}, "
@@ -623,7 +633,7 @@ _COMMANDS: dict[str, tuple[Callable[[dict], CommandResult], dict, list[CrossRule
     "evolve": (
         cmd_evolve,
         {
-            **_grid_keys(), "t_max": (10.0, _FINITE), "steps": (21, _COUNT),
+            **_grid_keys(), "t_max": (10.0, _FINITE), "steps": (21, _ROWS),
             "hbar": (0.5, _POSITIVE), "beta_h": (1.0, ("> 0", lambda x: x > 0.0)),
             "perturbation": (0.5, _FINITE),
         },
@@ -633,10 +643,14 @@ _COMMANDS: dict[str, tuple[Callable[[dict], CommandResult], dict, list[CrossRule
         cmd_kms,
         {
             **_grid_keys(), "beta_h": (1.0, _POSITIVE), "hbar": (0.5, _POSITIVE),
-            "t_min": (-5.0, _FINITE), "t_max": (5.0, _FINITE), "t_points": (21, _COUNT),
-            "pairs": (5, _COUNT), "seed": (0, _ANY),
+            "t_min": (-5.0, _FINITE), "t_max": (5.0, _FINITE), "t_points": (21, _ROWS),
+            "pairs": (5, _ROWS), "seed": (0, _ANY),
         },
-        _GRID_RULES,
+        [
+            *_GRID_RULES,
+            _at_most(_TABLE_MAX, "t_points", "panels", "points"),
+            _at_most(_TABLE_MAX, "pairs", "t_points"),
+        ],
     ),
     "groundstate": (
         cmd_groundstate,
@@ -678,10 +692,11 @@ _COMMANDS: dict[str, tuple[Callable[[dict], CommandResult], dict, list[CrossRule
         cmd_scattering,
         {
             **_grid_keys(), "hbar": (0.5, _NONNEGATIVE), "t_min": (1.0, _POSITIVE),
-            "t_max": (1000.0, _POSITIVE), "t_points": (7, _COUNT), **_LADDER_KEYS,
+            "t_max": (1000.0, _POSITIVE), "t_points": (7, _ROWS), **_LADDER_KEYS,
         },
         [
             *_GRID_RULES,
+            _at_most(_TABLE_MAX, "t_points", "panels", "points"),
             _span("k_min", "k_max", 2),
             _ordered("t_min", "t_max", "<="),
             (

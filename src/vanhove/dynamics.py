@@ -166,10 +166,8 @@ def evolve_weyl(sys: VanHoveSystem, a: TrigPolynomial, t: float) -> TrigPolynomi
     grid = sys.grid
     shifted = (np.exp(-1j * t * grid.omega) - 1.0) * sys.j_over_omega.values
     dots = np.sum(grid.measure(0) * np.conj(a.gens) * shifted, axis=1).real
-    phases = [_cis(angle) for angle in (2.0 * math.pi * dots).tolist()]
-    return trig_polynomial(
-        grid, a.hbar, a.coeffs * np.array(phases), a.gens * np.exp(1j * t * grid.omega)
-    )
+    phases = np.exp(1j * (2.0 * math.pi * dots))
+    return trig_polynomial(grid, a.hbar, a.coeffs * phases, a.gens * np.exp(1j * t * grid.omega))
 
 
 def evolve_state(sys: VanHoveSystem, state: CharState, t: float) -> CharState:
@@ -218,6 +216,7 @@ class KmsWindow:
 
 
 _WINDOW_GL = 16  # quadrature order per sigma panel
+_WINDOW_PANELS_MIN = 32  # fewest sigma panels a window rule takes: 512 nodes
 _THETA_MAX = 6.0  # largest phase (radians) a panel half-width may sweep
 
 
@@ -301,24 +300,21 @@ def _sigma_rule(
     return mids, offsets, weights
 
 
-def _window_panels(s_minus: float, s_plus: float, t_max: float, floor: int) -> int:
+def _window_panels(s_minus: float, s_plus: float, t_max: float) -> int:
     half_width = 0.5 * (s_plus - s_minus)
-    return max(4, floor, math.ceil(1.1 * t_max * half_width / _THETA_MAX))
+    return max(_WINDOW_PANELS_MIN, math.ceil(1.1 * t_max * half_width / _THETA_MAX))
 
 
 def kms_window(
     s_minus: float,
     s_plus: float,
     t_max: float | None = None,
-    points: int = 512,
 ) -> KmsWindow:
     if not s_minus < s_plus:
         raise ValueError(f"need s_minus < s_plus, got [{s_minus}, {s_plus}]")
     if t_max is None:
-        t_max = _auto_t_max(kms_window(s_minus, s_plus, _SCAN_TO, points))
-    floor = max(1, math.ceil(points / _WINDOW_GL))
-    panels = _window_panels(s_minus, s_plus, t_max, floor)
-    mids, offsets, weights = _sigma_rule(s_minus, s_plus, panels)
+        t_max = _auto_t_max(kms_window(s_minus, s_plus, _SCAN_TO))
+    mids, offsets, weights = _sigma_rule(s_minus, s_plus, _window_panels(s_minus, s_plus, t_max))
     return KmsWindow(
         s_minus=float(s_minus),
         s_plus=float(s_plus),
@@ -475,7 +471,7 @@ def ground_state_check(
     c0 = math.exp(
         -0.5 * _PI2 * hbar * (weighted_norm_sq(f, 0) + weighted_norm_sq(g, 0))
     )
-    p = _cis(2.0 * math.pi * inner_product(f + g, _ground_center(sys), 0).real)
+    p = _cis(2.0 * math.pi * inner_product(f + g, -sys.j_over_omega, 0).real)
     v = grid.measure(0) * np.conj(f.values) * g.values
     # <f, e^{i t omega} g>_0 is a one-node-per-panel rule at frequencies -omega
     s = _phase_grid(-grid.omega, _ZERO, v[:, None], anchors, comb, offsets)[:n_panels]
@@ -490,7 +486,3 @@ def ground_state_check(
         hbar=hbar,
         t_points=n_panels * 10,
     )
-
-
-def _ground_center(sys: VanHoveSystem) -> RadialFunction:
-    return from_values(sys.grid, -sys.j_over_omega.values)

@@ -89,6 +89,9 @@ CUTOFF_MARGIN = 20
 #: Trusted-block unitarity defect ceiling for exponential matrices.
 _UNITARITY_TOL = 1e-9
 
+#: garding_probe's symbol samples per side of the unit periodicity cell.
+_TORUS_POINTS = 100
+
 
 @dataclass(frozen=True)
 class FockMode:
@@ -473,13 +476,12 @@ def garding_probe(
     symbol: TrigPolynomial,
     hbars: Sequence[float],
     cutoff: int = 64,
-    torus_points: int = 100,
 ) -> GardingReport:
     """Lowest eigenvalue of the quantized nonnegative symbol versus hbar.
 
     The symbol must be a classical polynomial over the single-mode grid
     with (near-)Gaussian-integer generators; nonnegativity is certified by
-    sampling on a torus_points^2 grid of the unit periodicity cell and
+    sampling on a _TORUS_POINTS^2 grid of the unit periodicity cell and
     Newton-polishing the minimum.  Per hbar the plain quantization
     sum_j c_j W_h(z_j) is assembled as a dense matrix on an adaptively
     enlarged truncation (``cutoff`` is only a floor), each W_h(z_j) gauged
@@ -505,7 +507,7 @@ def garding_probe(
             "positivity sampling needs Gaussian-integer generators "
             "(torus periodicity)"
         )
-    xs = np.arange(torus_points) / torus_points
+    xs = np.arange(_TORUS_POINTS) / _TORUS_POINTS
     x, y = np.meshgrid(xs, xs, indexing="ij")
     values = np.zeros_like(x, dtype=np.complex128)
     for c, z in zip(coeffs, lattice):

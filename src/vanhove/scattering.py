@@ -1,4 +1,4 @@
-r"""Wave operators, dressing transport, and long-time decay probes.
+r"""Wave operators, dressing transport, and the long-time dressing probe.
 
 For regular and type I sources the interacting dynamics converges to the
 free one after dressing: the Moller maps exist, coincide for t -> +-oo, and
@@ -20,8 +20,10 @@ a small threshold the overlap integral is evaluated by a Filon-type rule:
 per quadrature panel the non-oscillatory amplitude is fitted in the
 dispersion variable u = omega(r) by a Legendre series (least squares on the
 panel samples), and int P_k(x) e^{i theta x} dx = 2 i^k j_k(theta) supplies
-the oscillatory moments exactly (spherical Bessel j_k).  The fit is t-free,
-so probing many times costs one fit plus trivial per-t sums.
+the oscillatory moments exactly (spherical Bessel j_k); see Iserles and
+Norsett, Proc. R. Soc. A 461 (2005).  The fit is t-free, so a whole ladder of
+times costs one fit plus trivial per-t sums: ``convergence_probe`` takes the
+ladder and makes one ``free_overlap`` call; |ov(t)| on it is the decay curve.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import numpy as np
 from scipy.special import spherical_jn
 
 from .grid import MomentumGrid, RadialFunction, inner_product
-from .states import CharState
+from .states import CharState, dirac
 from .weyl import TrigPolynomial, weyl
 
 __all__ = [
@@ -44,7 +46,6 @@ __all__ = [
     "dressing_coefficient",
     "flat_panels",
     "free_overlap",
-    "decay_probe",
     "ConvergenceReport",
     "convergence_probe",
     "transport_state",
@@ -62,38 +63,18 @@ _UNIT_ROUNDOFF = 2.0**-53
 
 
 def dressing_coefficient(sys, f: RadialFunction) -> complex:
-    """exp(2 pi i Re <f, J/omega>_0), the asymptotic dressing phase."""
-    angle = 2.0 * math.pi * inner_product(f, sys.j_over_omega, 0).real
-    return complex(math.cos(angle), math.sin(angle))
+    """exp(2 pi i Re <f, J/omega>_0), the asymptotic dressing phase: the
+    characteristic value of the point mass at J/omega."""
+    return dirac(sys.j_over_omega).char(f)
 
 
 def asymptotic_character(sys, f: RadialFunction, hbar: float) -> TrigPolynomial:
     """The dressed element W_h(f) e^{2 pi i Re <f, J/omega>} (same for +-oo)."""
-    if f.grid is not sys.grid:
-        raise ValueError("argument lives on a different grid than the system")
     return weyl(f, hbar, dressing_coefficient(sys, f))
 
 
 # --------------------------------------------------------------------------
 # resolved overlap <f, e^{i t omega} J/omega>
-
-
-@dataclass(frozen=True, eq=False)
-class _FilonFit:
-    """t-independent Legendre fit of the overlap amplitude per panel."""
-
-    coeffs: np.ndarray  # (panels, degree + 1), complex
-    u_mid: np.ndarray  # (panels,)
-    u_half: np.ndarray  # (panels,)
-
-    def __call__(self, t: np.ndarray) -> np.ndarray:
-        t = np.atleast_1d(np.asarray(t, dtype=np.float64))
-        theta = np.multiply.outer(t, self.u_half)  # (T, panels)
-        theta0 = np.multiply.outer(t, self.u_mid)
-        acc = np.zeros_like(theta, dtype=np.complex128)
-        for k in range(self.coeffs.shape[1]):
-            acc += (2.0 * 1j**k) * spherical_jn(k, theta) * self.coeffs[None, :, k]
-        return np.sum(acc * np.exp(1j * theta0) * self.u_half[None, :], axis=1)
 
 
 def flat_panels(edges: np.ndarray, mass: float) -> np.ndarray:
@@ -104,8 +85,9 @@ def flat_panels(edges: np.ndarray, mass: float) -> np.ndarray:
     return np.flatnonzero(u_edges[1:] <= u_edges[:-1])
 
 
-def _filon_fit(grid: MomentumGrid, amplitude: np.ndarray) -> _FilonFit:
-    """Fit sigma r^{d-1} amp(r) dr = A(u) du per panel, A in Legendre form."""
+def _filon_fit(grid: MomentumGrid, amplitude: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Fit sigma r^{d-1} amp(r) dr = A(u) du per panel, A in Legendre form
+    (t-free), then sum the fit's exact oscillatory moments at every t."""
     n_panels = grid.panel_edges.size - 1
     pts = grid.points_per_panel
     if pts <= FILON_DEGREE:
@@ -134,17 +116,11 @@ def _filon_fit(grid: MomentumGrid, amplitude: np.ndarray) -> _FilonFit:
         x = (u[p] - u_mid[p]) / u_half[p]
         design = np.polynomial.legendre.legvander(x, FILON_DEGREE)
         coeffs[p], *_ = np.linalg.lstsq(design, amp_u[p], rcond=None)
-    return _FilonFit(coeffs=coeffs, u_mid=u_mid, u_half=u_half)
-
-
-def _overlap_amplitude(sys, f: RadialFunction) -> np.ndarray:
-    grid = sys.grid
-    return (
-        grid.angular_factor
-        * grid.nodes ** (grid.dim - 1)
-        * np.conj(f.values)
-        * sys.j_over_omega.values
-    )
+    theta = np.multiply.outer(t, u_half)  # (T, panels)
+    acc = np.zeros_like(theta, dtype=np.complex128)
+    for k in range(FILON_DEGREE + 1):
+        acc += (2.0 * 1j**k) * spherical_jn(k, theta) * coeffs[None, :, k]
+    return np.sum(acc * np.exp(1j * np.multiply.outer(t, u_mid)) * u_half[None, :], axis=1)
 
 
 def free_overlap(sys, f: RadialFunction, t) -> np.ndarray | complex:
@@ -164,44 +140,43 @@ def free_overlap(sys, f: RadialFunction, t) -> np.ndarray | complex:
         v = grid.measure(0) * np.conj(f.values) * sys.j_over_omega.values
         out[small] = np.exp(1j * np.multiply.outer(tt[small], grid.omega)) @ v
     if (~small).any():
-        fit = _filon_fit(grid, _overlap_amplitude(sys, f))
-        out[~small] = fit(tt[~small])
+        amplitude = grid.angular_factor * grid.nodes ** (grid.dim - 1) * np.conj(f.values)
+        out[~small] = _filon_fit(grid, amplitude * sys.j_over_omega.values, tt[~small])
     return complex(out[0]) if scalar else out
 
 
-def decay_probe(sys, f: RadialFunction, t_grid) -> np.ndarray:
-    """|<f, e^{i t omega} J/omega>_0| on a ladder of times."""
-    return np.abs(free_overlap(sys, f, t_grid))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConvergenceReport:
-    t: float
-    coefficient: complex
+    """Per time t of the ladder: the overlap ov(t), the coefficient, its distance
+    from the dressing coefficient ``target`` and the bound 2 pi |ov(t)|."""
+
+    t: np.ndarray
+    overlap: np.ndarray
+    coefficient: np.ndarray
     target: complex
-    deviation: float
-    bound: float
+    deviation: np.ndarray
+    bound: np.ndarray
 
 
-def convergence_probe(sys, f: RadialFunction, hbar: float, t: float) -> ConvergenceReport:
-    """Coefficient of tau_t[W_h(e^{-i t omega} f)] against its asymptote.
+def convergence_probe(sys, f: RadialFunction, ts) -> ConvergenceReport:
+    """Coefficient of tau_t[W_h(e^{-i t omega} f)] against its asymptote on a
+    ladder of times, from one ``free_overlap`` call (one Filon fit).
 
-    The exact coefficient is exp(2 pi i (Re <f, J/omega> - Re ov(t))); its
-    distance from the dressing coefficient is bounded by 2 pi |ov(t)|.
+    The exact coefficient is exp(2 pi i (Re <f, J/omega> - Re ov(t))), at
+    every hbar; its distance from the dressing coefficient is <= 2 pi |ov(t)|.
     """
-    if hbar < 0.0:
-        raise ValueError(f"hbar must be >= 0, got {hbar}")
+    t = np.atleast_1d(np.asarray(ts, dtype=np.float64))
     target = dressing_coefficient(sys, f)
-    ov = free_overlap(sys, f, float(t))
+    ov = free_overlap(sys, f, t)
     base_angle = 2.0 * math.pi * inner_product(f, sys.j_over_omega, 0).real
-    angle = base_angle - 2.0 * math.pi * ov.real
-    coeff = complex(math.cos(angle), math.sin(angle))
+    coeff = np.exp(1j * (base_angle - 2.0 * math.pi * ov.real))
     return ConvergenceReport(
-        t=float(t),
+        t=t,
+        overlap=ov,
         coefficient=coeff,
         target=target,
-        deviation=abs(coeff - target),
-        bound=2.0 * math.pi * abs(ov),
+        deviation=np.abs(coeff - target),
+        bound=2.0 * math.pi * np.abs(ov),
     )
 
 
@@ -242,8 +217,6 @@ def round_trip_tolerance(sys, state: CharState, panel: Sequence[RadialFunction])
     depth = math.ceil(math.log2(c.size)) + 12
     per_node = np.abs(moved.real) + np.abs(moved.imag)
     per_node += (2 * depth + 11) * (np.abs(c.real) + np.abs(c.imag))
-    m = state.grid.measure(0)
-    sums = [
-        np.sum(m * (np.abs(p.values.real) + np.abs(p.values.imag)) * per_node) for p in panel
-    ]
-    return float(2.0 * math.pi * _UNIT_ROUNDOFF * min(sums) + 4.0 * _UNIT_ROUNDOFF)
+    p = np.array([f.values for f in panel])
+    sums = np.sum(state.grid.measure(0) * (np.abs(p.real) + np.abs(p.imag)) * per_node, axis=1)
+    return float(2.0 * math.pi * _UNIT_ROUNDOFF * np.min(sums) + 4.0 * _UNIT_ROUNDOFF)

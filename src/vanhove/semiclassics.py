@@ -25,14 +25,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .dynamics import VanHoveSystem, evolve_state
-from .grid import MomentumGrid, RadialFunction, from_values, sample
+from .grid import MomentumGrid, RadialFunction, sample
 from .scattering import transport_state
-from .states import CharState, dirac, gibbs_classical, gibbs_quantum
+from .states import CharState, coherent, dirac, gibbs_classical, gibbs_quantum
 
 __all__ = [
     "DEFAULT_HBAR_LADDER",
@@ -133,8 +133,12 @@ def _check_ladder(hbars: Sequence[float]) -> tuple[float, ...]:
         raise ValueError("hbar ladder must be strictly decreasing and positive")
     return hs
 
-def _sup_deviation(a: CharState, b: CharState, panel: Sequence[RadialFunction]) -> float:
-    return max(abs(a.char(f) - b.char(f)) for f in panel)
+
+def _sup_deviation(
+    state: CharState, limit: np.ndarray | float, panel: Sequence[RadialFunction]
+) -> float:
+    """sup over the panel of |state.char - limit|, the limit's values given."""
+    return float(np.max(np.abs(state.chars(panel) - limit)))
 
 
 def _report(
@@ -159,16 +163,15 @@ def _report(
 
 def egorov_sweep(
     sys: VanHoveSystem,
-    family: Callable[[float], CharState],
-    classical_state: CharState,
+    center: RadialFunction,
     t: float,
     panel: Sequence[RadialFunction],
     hbars: Sequence[float] = DEFAULT_HBAR_LADDER,
 ) -> SweepReport:
-    """Evolve family(hbar) and the classical state to time t, compare."""
+    """Evolve coherent(center, hbar) and its limit dirac(center) to t, compare."""
     hs = _check_ladder(hbars)
-    c_t = evolve_state(sys, classical_state, t)
-    devs = [_sup_deviation(evolve_state(sys, family(h), t), c_t, panel) for h in hs]
+    limit = evolve_state(sys, dirac(center), t).chars(panel)
+    devs = [_sup_deviation(evolve_state(sys, coherent(center, h), t), limit, panel) for h in hs]
     return _report(hs, devs)
 
 
@@ -198,44 +201,36 @@ def equilibrium_sweep(
     if sys.source is None:
         raise ValueError("equilibrium sweeps need a sourced system")
     hs = _check_ladder(hbars)
-    devs: list[float] = []
     if isinstance(regime, SuperLinear):
-        for h in hs:
-            state = gibbs_quantum(sys.source, _beta_hbar(regime, h), h)
-            devs.append(max(abs(state.char(f)) for f in panel))
-        return _report(hs, devs)
-    if isinstance(regime, Linear):
-        target: CharState = gibbs_classical(sys.source, regime.beta)
+        limit = 0.0  # no limit state: the values themselves must vanish
+    elif isinstance(regime, Linear):
+        limit = gibbs_classical(sys.source, regime.beta).chars(panel)
     else:
-        target = dirac(from_values(sys.grid, -sys.j_over_omega.values))
-    for h in hs:
-        state = gibbs_quantum(sys.source, _beta_hbar(regime, h), h)
-        devs.append(_sup_deviation(state, target, panel))
-    return _report(hs, devs)
+        limit = dirac(-sys.j_over_omega).chars(panel)
+    states = (gibbs_quantum(sys.source, _beta_hbar(regime, h), h) for h in hs)
+    return _report(hs, [_sup_deviation(state, limit, panel) for state in states])
 
 
 def scattering_sweep(
     sys: VanHoveSystem,
-    family: Callable[[float], CharState],
-    classical_state: CharState,
+    center: RadialFunction,
     panel: Sequence[RadialFunction],
     hbars: Sequence[float] = DEFAULT_HBAR_LADDER,
 ) -> SweepReport:
-    """Dressing transport commutes with hbar -> 0: transported and
-    untransported sup-deviations agree to 1e-15 pointwise on the ladder."""
+    """Dressing transport commutes with hbar -> 0: for coherent(center, hbar)
+    against dirac(center), transported and untransported sup-deviations agree
+    to 1e-15 pointwise on the ladder."""
     hs = _check_ladder(hbars)
-    c_transported = transport_state(sys, classical_state)
-    devs: list[float] = []
-    worst = 0.0
-    for h in hs:
-        state = family(h)
-        plain = _sup_deviation(state, classical_state, panel)
-        moved = _sup_deviation(transport_state(sys, state), c_transported, panel)
-        worst = max(worst, abs(moved - plain))
-        if abs(moved - plain) > 1e-15:
-            raise RuntimeError(
-                "transport does not commute with the semiclassical limit: "
-                f"deviation gap {abs(moved - plain):.3e} at hbar = {h}"
-            )
-        devs.append(moved)
-    return _report(hs, devs, transport_mismatch=worst)
+    classical = dirac(center)
+    states = [coherent(center, h) for h in hs]
+    plain_limit, moved_limit = classical.chars(panel), transport_state(sys, classical).chars(panel)
+    plain = [_sup_deviation(state, plain_limit, panel) for state in states]
+    devs = [_sup_deviation(transport_state(sys, state), moved_limit, panel) for state in states]
+    gaps = np.abs(np.subtract(devs, plain))
+    k = int(np.argmax(gaps))
+    if gaps[k] > 1e-15:
+        raise RuntimeError(
+            "transport does not commute with the semiclassical limit: "
+            f"deviation gap {gaps[k]:.3e} at hbar = {hs[k]}"
+        )
+    return _report(hs, devs, transport_mismatch=float(gaps[k]))

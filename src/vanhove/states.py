@@ -48,7 +48,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import MomentumGrid, RadialFunction, from_values, inner_product
+from .grid import MomentumGrid, RadialFunction, from_values
 from .sources import InfraredClass, SourceSpec, classify, realize
 from .weyl import TrigPolynomial
 
@@ -91,12 +91,32 @@ class CharState:
     beta: float | None = None
 
     def char(self, f: RadialFunction) -> complex:
-        if f.grid is not self.grid:
-            raise ValueError("argument lives on a different grid than the state")
-        v = f.values
-        q = float(np.sum(self.weight * (v.real**2 + v.imag**2)))
-        angle = 2.0 * math.pi * inner_product(f, self.center, 0).real
-        return math.exp(self.scale * q) * complex(math.cos(angle), math.sin(angle))
+        return complex(self._row_chars(_stack(self, (f,)))[0])
+
+    def chars(self, panel: Sequence[RadialFunction]) -> np.ndarray:
+        """char of every panel member; entry i is bitwise char(panel[i])."""
+        return self._row_chars(_stack(self, panel))
+
+    def _row_chars(self, rows: np.ndarray) -> np.ndarray:
+        """char of each row of a (k, N) sample array: products formed in place in
+        ``inner_product``'s order, rows summed pairwise, so k does not matter."""
+        buf = np.conj(rows)
+        np.multiply(self.grid.measure(0), buf, out=buf)
+        buf *= self.center.values
+        angle = 2.0 * math.pi * np.sum(buf, axis=1).real
+        np.square(rows.real, out=buf.real)
+        np.square(rows.imag, out=buf.imag)
+        q = buf.real
+        q += buf.imag
+        q *= self.weight
+        return np.exp(self.scale * np.sum(q, axis=1)) * np.exp(1j * angle)
+
+
+def _stack(state: CharState, panel: Sequence[RadialFunction]) -> np.ndarray:
+    """The panel's samples as the rows of a (k, N) array, on the state's grid."""
+    if any(f.grid is not state.grid for f in panel):
+        raise ValueError("argument lives on a different grid than the state")
+    return np.array([f.values for f in panel])
 
 
 MappedState = CharState  # alias only: perfbench/tracer.py traces MappedState.char
@@ -181,9 +201,7 @@ def evaluate(state: CharState, a: TrigPolynomial) -> complex:
         raise ValueError(f"hbar mismatch: state {state.hbar} vs polynomial {a.hbar}")
     if state.grid is not a.grid:
         raise ValueError("state and polynomial live on different grids")
-    # one char per row: a batched np.exp can differ from math.exp in the last bit
-    rows = (from_values(a.grid, g) for g in a.gens)
-    return complex(sum(c * state.char(f) for c, f in zip(a.coeffs.tolist(), rows)))
+    return complex(np.sum(a.coeffs * state._row_chars(a.gens)))
 
 
 def gram_matrix(state: CharState, panel: Sequence[RadialFunction]) -> np.ndarray:
@@ -197,9 +215,7 @@ def gram_matrix(state: CharState, panel: Sequence[RadialFunction]) -> np.ndarray
     n = len(panel)
     if n == 0 or n > _MAX_PANEL:
         raise ValueError(f"panel size must be in 1..{_MAX_PANEL}, got {n}")
-    if any(f.grid is not state.grid for f in panel):
-        raise ValueError("argument lives on a different grid than the state")
-    fs = np.array([f.values for f in panel])
+    fs = _stack(state, panel)
     conj = np.conj(fs)
     q = (conj * state.weight) @ fs.T
     norms = q.diagonal().real

@@ -38,7 +38,7 @@ _CHEAP = {
     "soft-photons": [*_SMALL, "n_min_log2=2", "n_max_log2=5"],
     "garding": ["k_min=3", "k_max=5"],
 }
-_EDGE_VALUES = ("nan", "inf", "-inf", "0", "-1", "1e300", "1", "2")
+_EDGE_VALUES = ("nan", "inf", "-inf", "0", "-1", "1e300", "1", "2", "10000000000000")
 
 
 def _run(tmp_path: Path, command: str, *overrides: str) -> tuple[int, str, str]:
@@ -259,6 +259,18 @@ def test_kms_batch_rows_equal_one_pair_calls(tmp_path):
         # omega = hypot(r, mass) flat on the first panels: no Filon fit exists
         ("scattering", "mass=1000"),
         ("scattering", "mass=1e300"),
+        # count ceilings: rows, grid nodes and (time x node) or (pair x time) tables
+        ("evolve", "steps=10000000000000"),
+        ("evolve", "steps=131073"),
+        ("kms", "pairs=10000000000000"),
+        ("kms", "t_points=10000000000000"),
+        ("kms", "t_points=4097"),
+        ("kms", "pairs=20000 t_points=201"),
+        ("scattering", "t_points=10000000000000"),
+        ("scattering", "t_points=4097"),
+        ("energy", "panels=10000000000000"),
+        ("classify", "points=10000000000000"),
+        ("energy", "panels=4096 points=17"),
     ],
 )
 def test_bad_kms_and_evolve_parameters_exit_2_before_compute(
@@ -287,14 +299,21 @@ def test_scattering_takes_a_mass_while_omega_grows_on_every_filon_panel(tmp_path
 
 
 def test_groundstate_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
-    # the window and correlation sums are BLAS-3 matmuls; their bytes must not
-    # move with the thread count
+    # the window and correlation sums are BLAS-3 matmuls, and the other
+    # commands here batch their rows through matmuls and row sums; their bytes
+    # must not move with the thread count
+    runs = {
+        "neg": ["groundstate", *_SMALL],
+        "pos": ["groundstate", *_SMALL, "s_minus=1", "s_plus=3"],
+        **{command: [command, *_CHEAP[command]]
+           for command in ("egorov", "equilibrium", "scattering", "evolve")},
+    }
     script = (
         "import sys\n"
         "from vanhove.cli import main\n"
         "out = sys.argv[1]\n"
-        f"main(['groundstate', '--out', out + '_neg', *{_SMALL!r}])\n"
-        f"main(['groundstate', '--out', out + '_pos', *{_SMALL!r}, 's_minus=1', 's_plus=3'])\n"
+        f"for name, argv in {runs!r}.items():\n"
+        "    main([argv[0], '--out', out + '_' + name, *argv[1:]])\n"
     )
     src = str(Path(cli.__file__).resolve().parents[1])
     outputs = {}
@@ -310,10 +329,60 @@ def test_groundstate_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
             capture_output=True, timeout=300,
         )
         outputs[threads] = [
-            (tmp_path / f"threads{threads}_{sign}{ext}").read_bytes()
-            for sign in ("neg", "pos") for ext in (".csv", ".json")
+            (tmp_path / f"threads{threads}_{name}{ext}").read_bytes()
+            for name in runs for ext in (".csv", ".json")
         ]
     assert outputs["1"] == outputs["2"]
+
+
+def test_benchmark_configs_and_the_ceilings_themselves_pass_the_rules():
+    for command, overrides in [
+        ("kms", ["pairs=400", "t_points=201"]),
+        ("evolve", ["steps=2001", "t_max=1000"]),
+        ("scattering", ["t_max=1e5", "t_points=30"]),
+        ("evolve", [f"steps={cli._ROWS_MAX}"]),
+        ("kms", ["t_points=4096"]),
+        ("kms", ["pairs=10000", "t_points=209", "panels=4", "points=8"]),
+        ("energy", ["panels=2048", "points=32"]),
+    ]:
+        cfg = resolve_config(cli._defaults(command), None, overrides)
+        _, keys, cross = cli._COMMANDS[command]
+        cli._validate(cfg, keys, cross)
+
+
+def test_groundstate_flags_a_window_value_that_is_not_finite(tmp_path, capsys):
+    # hbar = 1000: the Gaussian factor underflows to 0 and exp(pi^2 hbar s)
+    # overflows, so the window integral is 0 * inf
+    code, _, js = _run(tmp_path, "groundstate", *_SMALL, "hbar=1000", "s_minus=1", "s_plus=3")
+    assert code == 1
+    payload = json.loads(js)
+    assert math.isnan(payload["summary"]["window_value"])
+    assert payload["failures"] == ["window value finite"]
+    assert "invariant failed: window value finite" in capsys.readouterr().err
+
+
+def test_groundstate_checks_every_window_value_is_finite(tmp_path):
+    for window in ([], ["s_minus=1", "s_plus=3"]):
+        code, _, js = _run(tmp_path, "groundstate", *_SMALL, *window)
+        assert code == 0
+        assert json.loads(js)["checks"]["window value finite"]["value"] == 0.0
+
+
+def test_scattering_fits_the_filon_model_once(tmp_path, monkeypatch):
+    # one free_overlap call over the whole time ladder: one t-free fit
+    fits = []
+    real_fit = cli.scattering._filon_fit
+
+    def counted(*args, **kwargs):
+        fits.append(1)
+        return real_fit(*args, **kwargs)
+
+    monkeypatch.setattr(cli.scattering, "_filon_fit", counted)
+    for overrides in (_CHEAP["scattering"], []):
+        fits.clear()
+        code, _, _ = _run(tmp_path, "scattering", *overrides)
+        assert code == 0
+        assert len(fits) == 1
 
 
 def test_classify_command_agrees_with_itself(tmp_path):

@@ -22,7 +22,6 @@ from vanhove.scattering import (
     FILON_THRESHOLD,
     asymptotic_character,
     convergence_probe,
-    decay_probe,
     dressing_coefficient,
     flat_panels,
     free_overlap,
@@ -66,7 +65,7 @@ def test_gaussian_overlap_decays_like_one_over_t_squared(grid, f_gauss):
 
 def test_decay_probe_reaches_long_times(system_g03, f_gauss):
     ts = np.geomspace(1.0, 1000.0, 7)
-    vals = decay_probe(system_g03, f_gauss, ts)
+    vals = np.abs(free_overlap(system_g03, f_gauss, ts))
     assert vals.shape == ts.shape
     assert vals[-1] < 1e-2
     assert vals[-1] < vals[0]
@@ -101,17 +100,15 @@ def test_asymptotic_character_carries_the_dressing(system_g03, f_gauss):
 
 
 def test_convergence_probe_obeys_the_overlap_bound(system_g03, f_gauss):
-    for t in (0.0, 1.0, 10.0, 100.0, 1000.0):
-        rep = convergence_probe(system_g03, f_gauss, 0.5, t)
-        assert rep.deviation <= rep.bound + 1e-12, f"t={t}"
-        assert abs(rep.coefficient) == pytest.approx(1.0, abs=1e-14)
-    with pytest.raises(ValueError, match="hbar"):
-        convergence_probe(system_g03, f_gauss, -1.0, 0.0)
+    rep = convergence_probe(system_g03, f_gauss, (0.0, 1.0, 10.0, 100.0, 1000.0))
+    for t, dev, bound, coeff in zip(rep.t, rep.deviation, rep.bound, rep.coefficient):
+        assert dev <= bound + 1e-12, f"t={t}"
+        assert abs(coeff) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_convergence_probe_deviation_vanishes_in_the_limit(system_g03, f_gauss):
-    rep = convergence_probe(system_g03, f_gauss, 0.5, 1000.0)
-    assert rep.deviation < 1e-3
+    rep = convergence_probe(system_g03, f_gauss, 1000.0)
+    assert rep.deviation[0] < 1e-3
     assert rep.target == pytest.approx(dressing_coefficient(system_g03, f_gauss))
 
 

@@ -8,8 +8,6 @@ import numpy as np
 import pytest
 
 from vanhove import (
-    coherent,
-    dirac,
     free_system,
     gibbs_classical,
     gibbs_quantum,
@@ -69,22 +67,14 @@ def fit_ladder_probe(hbars):
     g = make_grid(panels=4, points=8)
     sys_small = make_system(power_law_gaussian(g, 0.0))
     c = sample(g, lambda r: np.exp(-(r**2)))
-    return egorov_sweep(
-        sys_small, lambda h: coherent(c, h), dirac(c), 0.0, [c], hbars
-    )
+    return egorov_sweep(sys_small, c, 0.0, [c], hbars)
 
 
 def test_egorov_deviation_has_the_exact_closed_form(system_g03, center, f_gauss):
     # per test function the deviation is |e^{-(pi^2 h / 2)||f||^2} - 1|,
     # independently of the evolution time
     for t in (0.0, 1.0, 10.0, 100.0):
-        rep = egorov_sweep(
-            system_g03,
-            lambda h: coherent(center, h),
-            dirac(center),
-            t,
-            [f_gauss],
-        )
+        rep = egorov_sweep(system_g03, center, t, [f_gauss])
         for h, dev in zip(rep.hbar_values, rep.deviations):
             expect = abs(
                 math.exp(-0.5 * _PI2 * h * weighted_norm_sq(f_gauss, 0)) - 1.0
@@ -93,9 +83,7 @@ def test_egorov_deviation_has_the_exact_closed_form(system_g03, center, f_gauss)
 
 
 def test_egorov_sweep_converges_at_rate_one(system_g03, center, panel):
-    rep = egorov_sweep(
-        system_g03, lambda h: coherent(center, h), dirac(center), 1.0, panel
-    )
+    rep = egorov_sweep(system_g03, center, 1.0, panel)
     assert rep.converged
     assert rep.fitted_order == pytest.approx(1.0, abs=0.05)
 
@@ -158,9 +146,8 @@ def test_scattering_sweep_matches_the_static_comparison(
 ):
     # dressing transport cancels in the sup-deviation, so the sweep equals
     # the egorov sweep at t = 0 pointwise
-    fam = lambda h: coherent(center, h)
-    plain = egorov_sweep(system_g03, fam, dirac(center), 0.0, panel)
-    moved = scattering_sweep(system_g03, fam, dirac(center), panel)
+    plain = egorov_sweep(system_g03, center, 0.0, panel)
+    moved = scattering_sweep(system_g03, center, panel)
     assert moved.transport_mismatch <= 1e-15
     for a, b in zip(plain.deviations, moved.deviations):
         assert abs(a - b) <= 1e-15
@@ -168,9 +155,7 @@ def test_scattering_sweep_matches_the_static_comparison(
 
 
 def test_report_fields_are_consistent(system_g03, center, panel):
-    rep = egorov_sweep(
-        system_g03, lambda h: coherent(center, h), dirac(center), 0.5, panel
-    )
+    rep = egorov_sweep(system_g03, center, 0.5, panel)
     assert len(rep.hbar_values) == len(rep.deviations) == 12
     assert rep.verdict in ("converged", "diverged")
     assert rep.converged == (rep.verdict == "converged")

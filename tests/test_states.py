@@ -273,3 +273,21 @@ def test_transport_multiplies_in_the_dressing_coefficient(
     for f in panel:
         expect = st.char(f) * dressing_coefficient(system_g03, f)
         assert abs(moved.char(f) - expect) <= 1e-14
+
+
+@pytest.mark.parametrize("kind", STATE_KINDS)
+def test_char_chars_and_evaluate_share_one_kernel(grid, center, system_g03, panel, kind):
+    # one row kernel: a batch entry, a single value and a one-term polynomial
+    # agree bitwise, whatever the batch size
+    st = every_state(center, system_g03.source)[kind]
+    rng = np.random.default_rng(5)
+    members = panel + [random_member(grid, rng) for _ in range(8)]
+    batch = st.chars(members)
+    assert batch.shape == (len(members),)
+    for f, value in zip(members, batch):
+        one = st.char(f)
+        assert np.complex128(one).tobytes() == value.tobytes()
+        assert np.complex128(evaluate(st, weyl(f, st.hbar))).tobytes() == value.tobytes()
+    other = make_grid(panels=4, points=8)
+    with pytest.raises(ValueError, match="different grid"):
+        st.chars([members[0], zero_function(other)])
