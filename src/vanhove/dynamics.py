@@ -15,6 +15,15 @@ hbar.  The Heisenberg dynamics acts on exponential elements by
 
 one phase for all hbar >= 0 (at hbar = 0 this is the flow transposed).
 
+Over a whole time axis both sides run on (time x node) row arrays:
+``flow_energies`` gives E(Phi_t alpha) and ``heisenberg_chars`` gives
+omega(tau_t[W_h(f)]) at every t, in chunks of at most 2^13 table entries
+(16 rows at N = 512), with one e^{i t omega} table per chunk whose conjugate
+is e^{-i t omega} bit for bit.  Entry i of each is bitwise the scalar
+composition at ts[i] (``classical_energy`` of ``classical_flow``, and
+``evaluate`` of ``evolve_weyl``), which stay as the reference API.  The two
+routes share no formula: the Heisenberg one never moves the state.
+
 Two spectral diagnostics close the module.  ``kms_check`` verifies the
 thermal boundary condition: the analytic continuation t -> t + i beta_h of
 omega(W(f) tau_t[W(g)]) must equal omega(tau_t[W(g)] W(f)).  Both sides have
@@ -69,7 +78,7 @@ from .grid import (
 )
 from .sources import InfraredClass, SourceSpec, classify, realize
 from .states import CharState, stable_coth
-from .weyl import TrigPolynomial, trig_polynomial
+from .weyl import TrigPolynomial, trig_polynomial, weyl
 
 __all__ = [
     "VanHoveSystem",
@@ -77,9 +86,11 @@ __all__ = [
     "free_system",
     "classical_flow",
     "classical_energy",
+    "flow_energies",
     "ground_energy",
     "evolve_weyl",
     "evolve_state",
+    "heisenberg_chars",
     "KmsWindow",
     "kms_window",
     "window_transform",
@@ -153,6 +164,38 @@ def ground_energy(sys: VanHoveSystem) -> float:
     return -weighted_norm_sq(sys.j, -1)
 
 
+#: Entries of one (time, node) phase table in the time-axis routes (128 KB of
+#: complex128, 16 rows at N = 512): larger chunks run no faster and only raise
+#: the peak memory.
+_ROW_CHUNK = 1 << 13
+
+
+def _phase_rows(grid: MomentumGrid, ts: np.ndarray) -> Iterable[tuple[slice, np.ndarray]]:
+    """Chunks of the time axis with their e^{i t omega} tables (t-major rows);
+    e^{-i t omega} is their conjugate, bit for bit."""
+    rows = max(1, _ROW_CHUNK // grid.size)
+    for start in range(0, ts.size, rows):
+        part = slice(start, start + rows)
+        yield part, np.exp(np.multiply.outer(1j * ts[part], grid.omega))
+
+
+def flow_energies(sys: VanHoveSystem, alpha: RadialFunction, ts) -> np.ndarray:
+    """E(Phi_t alpha) at every t in ts; entry i is bitwise
+    classical_energy(sys, classical_flow(sys, alpha, ts[i]))."""
+    ts = np.asarray(ts, dtype=np.float64)
+    jw = sys.j_over_omega.values
+    shifted = (alpha + sys.j_over_omega).values
+    m0, m1 = sys.grid.measure(0), sys.grid.measure(1)
+    out = np.empty(ts.size)
+    for part, phase in _phase_rows(sys.grid, ts):
+        flowed = shifted * np.conj(phase) - jw
+        if not np.isfinite(flowed.view(np.float64)).all():
+            raise ValueError("samples must be finite")
+        norms = np.sum(m1 * (flowed.real**2 + flowed.imag**2), axis=1)
+        out[part] = norms + 2.0 * np.sum(m0 * np.conj(flowed) * sys.j.values, axis=1).real
+    return out
+
+
 # --------------------------------------------------------------------------
 # Heisenberg / Schroedinger evolution
 
@@ -177,6 +220,29 @@ def evolve_state(sys: VanHoveSystem, state: CharState, t: float) -> CharState:
     if state.grid is not sys.grid:
         raise ValueError("state lives on a different grid than the system")
     return replace(state, center=classical_flow(sys, state.center, t))
+
+
+def heisenberg_chars(
+    sys: VanHoveSystem, state: CharState, f: RadialFunction, ts
+) -> np.ndarray:
+    """state(tau_t[W_h(f)]) at every t in ts, h = state.hbar; entry i is bitwise
+    evaluate(state, evolve_weyl(sys, weyl(f, h), ts[i])).  The state is never
+    moved: this is the Heisenberg side of the invariance of a Gibbs state."""
+    if state.grid is not sys.grid or f.grid is not sys.grid:
+        raise ValueError("state or probe lives on a different grid than the system")
+    probe = weyl(f, state.hbar)
+    ts = np.asarray(ts, dtype=np.float64)
+    paired = sys.grid.measure(0) * np.conj(probe.gens[0])
+    out = np.empty(ts.size, dtype=np.complex128)
+    for part, phase in _phase_rows(sys.grid, ts):
+        shifted = (np.conj(phase) - 1.0) * sys.j_over_omega.values
+        dots = np.sum(paired * shifted, axis=1).real
+        coeffs = probe.coeffs * np.exp(1j * (2.0 * math.pi * dots))
+        rotated = probe.gens[0] * phase
+        rotated += 0.0  # as trig_polynomial stores a generator: -0.0 as +0.0
+        # evaluate's sum over the one term (which turns -0.0 into +0.0)
+        out[part] = np.sum((coeffs * state._row_chars(rotated))[:, None], axis=1)
+    return out
 
 
 # --------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -306,7 +307,9 @@ def test_groundstate_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
         "neg": ["groundstate", *_SMALL],
         "pos": ["groundstate", *_SMALL, "s_minus=1", "s_plus=3"],
         **{command: [command, *_CHEAP[command]]
-           for command in ("egorov", "equilibrium", "scattering", "evolve")},
+           for command in ("egorov", "equilibrium", "scattering")},
+        # 200 steps span four phase table chunks on the small grid
+        "evolve": ["evolve", *_SMALL, "steps=200"],
     }
     script = (
         "import sys\n"
@@ -414,6 +417,33 @@ def test_type_ii_source_is_an_invariant_failure(tmp_path, capsys):
     code, _, _ = _run(tmp_path, "energy", "gamma=1.2")
     assert code == 1
     assert "invariant failed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("hbar", ["1", "100"])
+def test_evolve_refuses_a_probe_too_small_to_show_a_drift(tmp_path, capsys, hbar):
+    # the probe's Gibbs value is 9.6e-15 at hbar = 1 and 0.0 at hbar = 100,
+    # under the 1e-13 drift tolerance, so invariance alone would pass vacuously
+    code, _, js = _run(tmp_path, "evolve", *_CHEAP["evolve"], f"hbar={hbar}")
+    assert code == 1
+    payload = json.loads(js)
+    assert payload["failures"] == ["equilibrium probe resolution"]
+    check = payload["checks"]["equilibrium probe resolution"]
+    assert check["value"] == 1e-13 and check["tol"] < 1e-13
+    assert "invariant failed: equilibrium probe resolution" in capsys.readouterr().err
+
+
+def test_evolve_holds_one_phase_table_chunk_at_a_time():
+    # the bench config: 2001 x 512 phase tables would be 16.4 MB; one chunk at
+    # a time keeps the traced peak near 1 MB
+    cfg = resolve_config(cli._defaults("evolve"), None, ["steps=2001", "t_max=1000"])
+    tracemalloc.start()
+    try:
+        result = cli.cmd_evolve(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.failures == []
+    assert peak <= 4_000_000
 
 
 def test_evolve_command_conserves_energy(tmp_path):

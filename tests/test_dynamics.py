@@ -180,6 +180,42 @@ def test_evolution_rejects_foreign_grids(system_g03):
         evolve_weyl(system_g03, weyl(zero_function(other), 0.1), 1.0)
 
 
+@pytest.mark.parametrize("grid_keys", [{}, {"panels": 8, "points": 16, "r_min": 1e-4}])
+def test_time_axis_routes_are_bitwise_the_scalar_routes(grid_keys):
+    # the default grid and the CLI tests' small one; three full chunks, a
+    # partial fourth, negative times and t = 0
+    from vanhove.weyl import weyl
+
+    grid = make_grid(**grid_keys)
+    sys_ = make_system(power_law_gaussian(grid, 0.3))
+    alpha = sample(grid, lambda r: (0.6 - 0.3j) * np.exp(-1.5 * r**2))
+    f = sample(grid, lambda r: np.exp(-(r**2)))
+    state = gibbs_quantum(sys_.source, 1.0, 0.5)
+    rows = dynamics._ROW_CHUNK // grid.size
+    ts = np.append(np.linspace(-1000.0, 1000.0, 3 * rows + 4), 0.0)
+    energies = dynamics.flow_energies(sys_, alpha, ts)
+    chars = dynamics.heisenberg_chars(sys_, state, f, ts)
+    probe = weyl(f, state.hbar)
+    for t, e_t, char_t in zip(ts, energies, chars):
+        energy = classical_energy(sys_, classical_flow(sys_, alpha, t))
+        assert e_t.tobytes() == np.float64(energy).tobytes()
+        char = evaluate(state, evolve_weyl(sys_, probe, t))
+        assert char_t.tobytes() == np.complex128(char).tobytes()
+
+
+def test_the_flow_route_refuses_an_orbit_that_overflows(system_g03):
+    # as classical_flow does: |alpha + J/omega| is finite, but a rotated
+    # sample's real part x cos - y sin is not
+    grid = system_g03.grid
+    alpha = from_values(grid, np.full(grid.size, 1.7e308 * (1.0 + 0.5j)))
+    ts = np.linspace(-10.0, 10.0, 21)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="samples must be finite"):
+            [classical_flow(system_g03, alpha, t) for t in ts]
+        with pytest.raises(ValueError, match="samples must be finite"):
+            dynamics.flow_energies(system_g03, alpha, ts)
+
+
 def test_make_system_refuses_type_ii_sources(grid):
     with pytest.raises(ValueError, match="type_ii"):
         make_system(power_law_gaussian(grid, 1.2))
