@@ -6,7 +6,9 @@ own grid locally.
 
 Hypothesis runs under one profile, loaded here for every run: derandomized
 (each test draws the same examples every time) and without an example
-database, so no run writes ``.hypothesis/``.
+database, so no run stores examples.  Hypothesis still caches the constants
+it collects from the source under ``.hypothesis/constants/`` in the working
+directory (``.hypothesis/`` is in ``.gitignore``).
 """
 
 from __future__ import annotations

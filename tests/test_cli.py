@@ -301,13 +301,14 @@ def test_scattering_takes_a_mass_while_omega_grows_on_every_filon_panel(tmp_path
 
 def test_groundstate_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
     # the window and correlation sums are BLAS-3 matmuls, and the other
-    # commands here batch their rows through matmuls and row sums; their bytes
-    # must not move with the thread count
+    # commands here batch their rows through matmuls and row sums (kms writes
+    # relative residuals at the rounding level); their bytes must not move with
+    # the thread count
     runs = {
         "neg": ["groundstate", *_SMALL],
         "pos": ["groundstate", *_SMALL, "s_minus=1", "s_plus=3"],
         **{command: [command, *_CHEAP[command]]
-           for command in ("egorov", "equilibrium", "scattering")},
+           for command in ("egorov", "equilibrium", "scattering", "kms")},
         # 200 steps span four phase table chunks on the small grid
         "evolve": ["evolve", *_SMALL, "steps=200"],
     }
@@ -430,6 +431,38 @@ def test_evolve_refuses_a_probe_too_small_to_show_a_drift(tmp_path, capsys, hbar
     check = payload["checks"]["equilibrium probe resolution"]
     assert check["value"] == 1e-13 and check["tol"] < 1e-13
     assert "invariant failed: equilibrium probe resolution" in capsys.readouterr().err
+
+
+def test_kms_residual_sees_a_corrupted_coth_at_the_defaults(tmp_path, monkeypatch):
+    # the characteristic values are ~1e-89 at the defaults: a residual taken as
+    # a difference of values reads ~1e-35 whatever the coth, a relative one not
+    coth = cli.dynamics.stable_coth
+    monkeypatch.setattr(cli.dynamics, "stable_coth", lambda x: coth(x) * (1.0 + 1e-8))
+    code, _, js = _run(tmp_path, "kms")
+    assert code == 1
+    payload = json.loads(js)
+    assert payload["failures"] == ["kms residual"]
+    assert payload["summary"]["max_residual"] > 1e-10
+
+
+def test_kms_refuses_values_that_underflow(tmp_path, capsys):
+    # hbar = 1e300: every characteristic value underflows to 0 on both sides
+    code, _, js = _run(tmp_path, "kms", *_CHEAP["kms"], "hbar=1e300")
+    assert code == 1
+    assert json.loads(js)["failures"] == ["kms residual"]
+    assert "invariant failed: kms residual" in capsys.readouterr().err
+
+
+def test_scattering_refuses_a_panel_too_small_to_show_a_round_trip(tmp_path, capsys):
+    # hbar = 1e300: every panel value underflows, so round_trip reads 0
+    code, _, js = _run(tmp_path, "scattering", *_CHEAP["scattering"], "hbar=1e300")
+    assert code == 1
+    payload = json.loads(js)
+    assert payload["summary"]["round_trip"] == 0.0
+    assert payload["failures"] == ["transport round trip resolution"]
+    check = payload["checks"]["transport round trip resolution"]
+    assert check["tol"] == 0.0 and check["value"] > 0.0
+    assert "invariant failed: transport round trip resolution" in capsys.readouterr().err
 
 
 def test_evolve_holds_one_phase_table_chunk_at_a_time():

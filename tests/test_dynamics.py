@@ -193,8 +193,7 @@ def test_time_axis_routes_are_bitwise_the_scalar_routes(grid_keys):
     state = gibbs_quantum(sys_.source, 1.0, 0.5)
     rows = dynamics._ROW_CHUNK // grid.size
     ts = np.append(np.linspace(-1000.0, 1000.0, 3 * rows + 4), 0.0)
-    energies = dynamics.flow_energies(sys_, alpha, ts)
-    chars = dynamics.heisenberg_chars(sys_, state, f, ts)
+    energies, chars = dynamics.evolve_rows(sys_, alpha, state, f, ts)
     probe = weyl(f, state.hbar)
     for t, e_t, char_t in zip(ts, energies, chars):
         energy = classical_energy(sys_, classical_flow(sys_, alpha, t))
@@ -203,17 +202,18 @@ def test_time_axis_routes_are_bitwise_the_scalar_routes(grid_keys):
         assert char_t.tobytes() == np.complex128(char).tobytes()
 
 
-def test_the_flow_route_refuses_an_orbit_that_overflows(system_g03):
+def test_the_flow_route_refuses_an_orbit_that_overflows(system_g03, f_gauss):
     # as classical_flow does: |alpha + J/omega| is finite, but a rotated
     # sample's real part x cos - y sin is not
     grid = system_g03.grid
     alpha = from_values(grid, np.full(grid.size, 1.7e308 * (1.0 + 0.5j)))
+    state = gibbs_quantum(system_g03.source, 1.0, 0.5)
     ts = np.linspace(-10.0, 10.0, 21)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ValueError, match="samples must be finite"):
             [classical_flow(system_g03, alpha, t) for t in ts]
         with pytest.raises(ValueError, match="samples must be finite"):
-            dynamics.flow_energies(system_g03, alpha, ts)
+            dynamics.evolve_rows(system_g03, alpha, state, f_gauss, ts)
 
 
 def test_make_system_refuses_type_ii_sources(grid):
