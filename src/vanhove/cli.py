@@ -145,12 +145,6 @@ def _fmt(x) -> str:
 
 def _coerce(key: str, raw: str, template) -> object:
     try:
-        if isinstance(template, bool):
-            if raw.lower() in ("true", "1", "yes"):
-                return True
-            if raw.lower() in ("false", "0", "no"):
-                return False
-            raise ValueError(raw)
         if isinstance(template, int):
             return int(raw)
         if isinstance(template, float):
@@ -344,21 +338,20 @@ def cmd_kms(cfg: dict) -> CommandResult:
     sys_ = _system_from(cfg)
     state = states.gibbs_quantum(sys_.source, cfg["beta_h"], cfg["hbar"])
     ts = np.linspace(cfg["t_min"], cfg["t_max"], cfg["t_points"])
-    # f0, g0, f1, g1, ... (f then g from each pair's generator): kms_check takes
-    # fs and gs in step, so this one stream as both draws each pair only when it
-    # is checked (400 pairs held at once would add ~6.5 MB to peak memory).
-    draws = (
-        _random_panel_member(sys_.grid, rng)
+    pairs = (
+        (_random_panel_member(sys_.grid, rng), _random_panel_member(sys_.grid, rng))
         for rng in map(np.random.default_rng, splitmix64(cfg["seed"], cfg["pairs"]))
-        for _ in range(2)
     )
-    residuals = dynamics.kms_check(sys_, state, draws, draws, ts).residuals.max(axis=1)
+    report = dynamics.kms_check(sys_, state, cfg["beta_h"], pairs, ts)
+    residuals = report.residuals.max(axis=1)
     worst = float(np.max(residuals))
     return CommandResult(
         ["pair", "max_residual"],
         list(enumerate(residuals.tolist())),
         {"max_residual": worst, "pairs": cfg["pairs"]},
-        [Check("kms residual", worst, 1e-10)],
+        # the residual carries hbar in its exponent, the cross-term defect none
+        [Check("kms cross terms", float(np.max(report.defects)), 1e-12),
+         Check("kms residual", worst, 1e-10)],
     )
 
 

@@ -25,21 +25,19 @@ composition at ts[i] (``classical_energy`` of ``classical_flow``, and
 routes share the table and no formula: the Heisenberg one never moves the state.
 
 Two spectral diagnostics close the module.  ``kms_check`` verifies the
-thermal boundary condition: the analytic continuation t -> t + i beta_h of
-omega(W(f) tau_t[W(g)]) must equal omega(tau_t[W(g)] W(f)).  Both sides have
-closed forms; per node the continuation replaces
-
-    (coth(x) + 1) e^{i t omega} -> (coth(x) + 1) e^{-2x} e^{i t omega},
-    (coth(x) - 1) e^{-i t omega} -> (coth(x) - 1) e^{+2x} e^{-i t omega},
-
-with x = beta_h omega / 2, and the check evaluates the continued factors
-through expm1 ((coth(x)+1) e^{-2x} = 2/(e^{2x}-1), (coth(x)-1) e^{+2x} =
-2/(1-e^{-2x})) so nothing cancels catastrophically at large x.  The two sides
-share their Gaussian diagonal and centre phase, so the residual is relative:
-|lhs/rhs - 1| = |expm1(-pi^2 hbar/2 (cross_lhs - cross_rhs))| from the cross
-terms alone, which does not vanish with the values when they underflow.  A
-batch of (f, g) pairs, taken one pair at a time, shares the phase matrix and
-the continued factors; each residual row is bitwise equal to a one-pair call.
+thermal boundary condition at a given beta_h: the analytic continuation
+t -> t + i beta_h of omega(W(f) tau_t[W(g)]) must equal omega(tau_t[W(g)] W(f)).
+Per node, with x = beta_h omega / 2, the right side weighs e^{+-i t omega} by
+the state's own covariance, weight -+ m_0 (m_0 (coth(x) -+ 1) for a Gibbs
+state), and the left side by the continued Gibbs factors
+m_0 (coth(x) + 1) e^{-2x} = 2 m_0/(e^{2x}-1) and m_0 (coth(x) - 1) e^{+2x} =
+2 m_0/(1-e^{-2x}), taken through expm1 so nothing cancels at large x.  The sides
+share their Gaussian diagonal and centre phase, so only the cross terms
+differ, measured twice: the residual |lhs/rhs - 1| = |expm1(-pi^2 hbar/2
+(cross_lhs - cross_rhs))| does not vanish with the values when they
+underflow, and the defect max_t |cross_lhs - cross_rhs| / max_t |cross_rhs|
+does not fade with hbar.  A batch of (f, g) pairs, taken one pair at a time,
+shares the phase matrix and the per-node factors.
 
 ``ground_state_check`` probes the spectral measure of the dressed ground
 state omega^oo (the coherent state at -J/omega): the correlation
@@ -80,7 +78,7 @@ from .grid import (
     zero_function,
 )
 from .sources import InfraredClass, SourceSpec, classify, realize
-from .states import CharState, stable_coth
+from .states import CharState
 from .weyl import TrigPolynomial, trig_polynomial, weyl
 
 __all__ = [
@@ -191,8 +189,7 @@ def evolve_weyl(sys: VanHoveSystem, a: TrigPolynomial, t: float) -> TrigPolynomi
 
 def evolve_state(sys: VanHoveSystem, state: CharState, t: float) -> CharState:
     """Schroedinger picture, the transpose of evolve_weyl: the centre follows
-    the classical flow and the Gaussian stays (|e^{i t omega} f| = |f|).  A
-    Gibbs state keeps its beta, being invariant."""
+    the classical flow and the Gaussian stays (|e^{i t omega} f| = |f|)."""
     if state.grid is not sys.grid:
         raise ValueError("state lives on a different grid than the system")
     return replace(state, center=classical_flow(sys, state.center, t))
@@ -410,10 +407,8 @@ def _auto_t_max(window: KmsWindow) -> float:
 
 @dataclass(frozen=True)
 class KmsReport:
-    beta_h: float
-    hbar: float
-    t_grid: np.ndarray
     residuals: np.ndarray  # (pairs, t_points)
+    defects: np.ndarray  # (pairs,)
 
     @property
     def max_residual(self) -> float:
@@ -423,60 +418,61 @@ class KmsReport:
 def kms_check(
     sys: VanHoveSystem,
     state: CharState,
-    fs: Iterable[RadialFunction],
-    gs: Iterable[RadialFunction],
+    beta_h: float,
+    pairs: Iterable[tuple[RadialFunction, RadialFunction]],
     t_grid,
 ) -> KmsReport:
-    """Relative residuals |lhs/rhs - 1| of the KMS condition at inverse
-    temperature beta_h, one row per pair (fs[k], gs[k]).
+    """The KMS condition of ``state`` at inverse temperature beta_h on each
+    (f, g) pair: a row of residuals |lhs/rhs - 1| over the times, and a defect
+    max_t |cross_lhs - cross_rhs| / max_t |cross_rhs| (0 when both vanish).
 
-    LHS: omega(W(f) tau_t[W(g)]) continued to t + i beta_h, assembled from
-    the expm1-stable continued factors.  RHS: omega(tau_t[W(g)] W(f)) from
-    its own closed form.  Both are exact for the dressed Gibbs state, so the
-    residual is limited only by arithmetic (<= 1e-10 by a wide margin).  The
-    two sides share the Gaussian diagonal and the centre phase, so their ratio
-    is exp(-pi^2 hbar/2 (cross_lhs - cross_rhs)) and the residual its expm1:
-    relative at any size of the values (~1e-89 at the CLI defaults), where a
-    difference of the values themselves would underflow to 0.
+    LHS: omega(W(f) tau_t[W(g)]) continued to t + i beta_h, from the
+    expm1-stable continued Gibbs factors.  RHS: omega(tau_t[W(g)] W(f)) from
+    the state's own ``weight``.  Only the Gibbs state at beta_h passes both at
+    arithmetic level.  The residual is relative at any size of the values
+    (~1e-89 at the CLI defaults) but first order in hbar; the defect has no hbar.
 
-    The batch shares the phase matrix and the continued factors; row k is
-    bitwise equal to the one row of ``kms_check(..., [fs[k]], [gs[k]], t_grid)``.
-    ``fs`` and ``gs`` (equal lengths) are consumed in step, the k-th f before
-    the k-th g, so iterators may draw each pair only when it is checked.
+    Row k is bitwise that of ``kms_check(..., beta_h, [pairs[k]], t_grid)``, and
+    ``pairs`` is consumed one at a time, so an iterator may draw each pair only
+    when it is checked.
     """
-    if state.beta is None:
-        raise ValueError("kms_check needs a quantum Gibbs state at finite beta_h")
+    if not 0.0 < beta_h < math.inf:
+        raise ValueError(f"beta_h must be finite and > 0, got {beta_h}")
     if state.grid is not sys.grid:
         raise ValueError("state lives on a different grid than the system")
     grid = sys.grid
     t = np.asarray(t_grid, dtype=np.float64)
-    omega = grid.omega
     m = grid.measure(0)
-    x = 0.5 * state.beta * omega
-    c = stable_coth(x)
+    x = 0.5 * beta_h * grid.omega
 
-    # Continued factors, stable at large x: (c+1)e^{-2x} and (c-1)e^{+2x}.
-    a_lhs = 2.0 / np.expm1(2.0 * x)
-    b_lhs = 2.0 / (-np.expm1(-2.0 * x))
-    a_rhs = c - 1.0
-    b_rhs = c + 1.0
+    # Continued factors m (c+1)e^{-2x} and m (c-1)e^{+2x} of c = coth(x); past
+    # x ~ 355 expm1 overflows and 2m / inf = 0 is the limit wanted there.
+    with np.errstate(over="ignore"):
+        a_lhs = 2.0 * m / np.expm1(2.0 * x)
+    b_lhs = 2.0 * m / (-np.expm1(-2.0 * x))
+    a_rhs = state.weight - m
+    b_rhs = state.weight + m
 
-    phases = 1j * np.multiply.outer(t, omega)
+    phases = 1j * np.multiply.outer(t, grid.omega)
     np.exp(phases, out=phases)  # in place: the largest array of the check
     scale = -0.5 * _PI2 * state.hbar
-    rows = []
-    for f, g in zip(fs, gs, strict=True):
+    rows, defects = [], []
+    for f, g in pairs:
         fv, gv = f.values, g.values
-        base = np.conj(fv) * gv * m
-        rev = np.conj(gv) * fv * m
+        base = np.conj(fv) * gv
+        rev = np.conj(gv) * fv
         cross_lhs = phases @ (a_lhs * base) + np.conj(phases @ np.conj(b_lhs * rev))
         cross_rhs = phases @ (a_rhs * base) + np.conj(phases @ np.conj(b_rhs * rev))
-        # |lhs/rhs - 1|: the Gaussian diagonal and the centre phase are common
-        # factors of both sides, so only the cross terms enter the exponent
-        rows.append(np.abs(np.expm1(scale * (cross_lhs - cross_rhs))))
+        gap = cross_lhs - cross_rhs
+        # the Gaussian diagonal and the centre phase are common factors of both
+        # sides, so only the cross terms enter the exponent
+        rows.append(np.abs(np.expm1(scale * gap)))
+        worst = float(np.max(np.abs(gap), initial=0.0))
+        size = float(np.max(np.abs(cross_rhs), initial=0.0))
+        defects.append(worst / size if size else (math.inf if worst else 0.0))
     if not rows or not t.size:
         raise ValueError("kms_check needs at least one (f, g) pair and one time")
-    return KmsReport(beta_h=state.beta, hbar=state.hbar, t_grid=t, residuals=np.array(rows))
+    return KmsReport(residuals=np.array(rows), defects=np.array(defects))
 
 
 # --------------------------------------------------------------------------

@@ -186,14 +186,13 @@ def transport_state(sys, state: CharState, inverse: bool = False) -> CharState:
 
     The forward map is the common value of both Moller transports (they
     coincide), so transport followed by inverse transport is the identity
-    and the scattering map on states is trivial.  The shifted state is no
-    Gibbs state of the dressed dynamics, so it drops ``beta``.
+    and the scattering map on states is trivial.  The Gaussian is untouched.
     """
     if state.grid is not sys.grid:
         raise ValueError("state lives on a different grid than the system")
     jw = sys.j_over_omega
     center = state.center - jw if inverse else state.center + jw
-    return replace(state, center=center, beta=None)
+    return replace(state, center=center)
 
 
 def round_trip_tolerance(sys, state: CharState, panel: Sequence[RadialFunction]) -> float:

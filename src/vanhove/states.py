@@ -18,11 +18,13 @@ quadrature measure of <.,.>_alpha, coth taken at beta_h omega / 2):
     deformed(base, h)  -pi^2 h / 2      m_0 + (base.scale/scale) base.weight
                                                                         base.center
 
+The record is ``(hbar, grid, center, scale, weight)`` and nothing else.
 ``scale`` stays outside the sum, so each constructor reproduces its closed
-form factor by factor.  ``beta`` is set only on a quantum Gibbs state at
-finite beta_h; it is what the KMS check reads.  The quantum Gibbs state at
-beta_h = oo is the coherent state centred at -J/omega (the dressed ground
-state); deforming a Dirac state reproduces the coherent state bit for bit.
+form factor by factor.  This module is the one place the Gibbs covariance
+coth(beta_h omega / 2) is formed; the KMS check reads it back from
+``weight``.  The quantum Gibbs state at beta_h = oo is the coherent state
+centred at -J/omega (the dressed ground state); deforming a Dirac state
+reproduces the coherent state bit for bit.
 Gibbs states exist only for sources whose infrared class keeps -J/omega
 square-integrable (regular or type I); type II sources have no dressed state
 and are rejected.
@@ -88,7 +90,6 @@ class CharState:
     center: RadialFunction
     scale: float
     weight: np.ndarray
-    beta: float | None = None
 
     def char(self, f: RadialFunction) -> complex:
         return complex(self._row_chars(_stack(self, (f,)))[0])
@@ -158,7 +159,7 @@ def gibbs_quantum(source: SourceSpec, beta_h: float, hbar: float) -> CharState:
     weight = grid.measure(0) * stable_coth(0.5 * beta_h * grid.omega)
     weight.setflags(write=False)
     hbar = float(hbar)
-    return CharState(hbar, grid, center, -0.5 * _PI2 * hbar, weight, beta=float(beta_h))
+    return CharState(hbar, grid, center, -0.5 * _PI2 * hbar, weight)
 
 
 def gibbs_classical(source: SourceSpec, beta: float) -> CharState:

@@ -175,22 +175,23 @@ def test_kms_batch_rows_equal_one_pair_calls(tmp_path):
     sys_ = cli._system_from(cfg)
     state = gibbs_quantum(sys_.source, cfg["beta_h"], cfg["hbar"])
     ts = np.linspace(cfg["t_min"], cfg["t_max"], cfg["t_points"])
-    fs, gs = [], []
-    for seed in splitmix64(cfg["seed"], cfg["pairs"]):
-        rng = np.random.default_rng(seed)
-        fs.append(cli._random_panel_member(sys_.grid, rng))
-        gs.append(cli._random_panel_member(sys_.grid, rng))
-    batch = kms_check(sys_, state, fs, gs, ts).residuals
-    assert batch.shape == (6, 9)
+    member = cli._random_panel_member
+    pairs = [
+        (member(sys_.grid, rng), member(sys_.grid, rng))  # f drawn before g
+        for rng in map(np.random.default_rng, splitmix64(cfg["seed"], cfg["pairs"]))
+    ]
+    batch = kms_check(sys_, state, cfg["beta_h"], pairs, ts)
+    assert batch.residuals.shape == (6, 9) and batch.defects.shape == (6,)
     written = [float(line.split(",")[1]) for line in csv.splitlines()[-6:]]
-    for row, f, g, max_written in zip(batch, fs, gs, written):
-        one = kms_check(sys_, state, [f], [g], ts).residuals[0]
-        assert row.tobytes() == one.tobytes()
-        assert max_written == one.max()
-    with pytest.raises(ValueError, match="shorter"):
-        kms_check(sys_, state, fs, gs[:-1], ts)
+    for row, defect, pair, max_written in zip(batch.residuals, batch.defects, pairs, written):
+        one = kms_check(sys_, state, cfg["beta_h"], [pair], ts)
+        assert row.tobytes() == one.residuals[0].tobytes()
+        assert defect == one.defects[0]
+        assert max_written == one.residuals[0].max()
     with pytest.raises(ValueError, match="one time"):
-        kms_check(sys_, state, [], [], ts)
+        kms_check(sys_, state, cfg["beta_h"], [], ts)
+    with pytest.raises(ValueError, match="one time"):
+        kms_check(sys_, state, cfg["beta_h"], pairs, [])
 
 
 @pytest.mark.parametrize(
@@ -433,16 +434,50 @@ def test_evolve_refuses_a_probe_too_small_to_show_a_drift(tmp_path, capsys, hbar
     assert "invariant failed: equilibrium probe resolution" in capsys.readouterr().err
 
 
+def _corrupt_the_gibbs_covariance(monkeypatch):
+    # the covariance m_0 coth is formed in states; kms_check reads it back
+    coth = cli.states.stable_coth
+    monkeypatch.setattr(cli.states, "stable_coth", lambda x: coth(x) * (1.0 + 1e-8))
+
+
 def test_kms_residual_sees_a_corrupted_coth_at_the_defaults(tmp_path, monkeypatch):
     # the characteristic values are ~1e-89 at the defaults: a residual taken as
     # a difference of values reads ~1e-35 whatever the coth, a relative one not
-    coth = cli.dynamics.stable_coth
-    monkeypatch.setattr(cli.dynamics, "stable_coth", lambda x: coth(x) * (1.0 + 1e-8))
+    _corrupt_the_gibbs_covariance(monkeypatch)
     code, _, js = _run(tmp_path, "kms")
     assert code == 1
     payload = json.loads(js)
-    assert payload["failures"] == ["kms residual"]
+    assert payload["failures"] == ["kms cross terms", "kms residual"]
     assert payload["summary"]["max_residual"] > 1e-10
+
+
+@pytest.mark.parametrize("hbar", ["1e-8", "1e-300"])
+def test_kms_cross_terms_see_a_corrupted_coth_as_hbar_vanishes(tmp_path, monkeypatch, hbar):
+    # the residual's exponent carries hbar (7.1e-14 at hbar = 1e-8, 7.1e-306 at
+    # 1e-300, both under 1e-10); the cross-term defect reads the 1e-8 at any hbar
+    _corrupt_the_gibbs_covariance(monkeypatch)
+    code, _, js = _run(tmp_path, "kms", f"hbar={hbar}")
+    assert code == 1
+    payload = json.loads(js)
+    assert payload["failures"] == ["kms cross terms"]
+    assert payload["checks"]["kms cross terms"]["value"] == pytest.approx(1e-8, rel=0.1)
+
+
+def test_kms_keeps_the_nodes_whose_measure_underflows(tmp_path):
+    # r_min = 1e-300 in dim 4: m_0 ~ r^3 underflows to 0 at the smallest nodes,
+    # so a covariance read as weight / m_0 would be nan there
+    code, _, js = _run(tmp_path, "kms", "mass=1", "dim=4", "r_min=1e-300")
+    assert code == 0
+    assert json.loads(js)["failures"] == []
+
+
+@pytest.mark.filterwarnings("error")
+def test_kms_at_large_beta_h_warns_nothing(tmp_path):
+    # expm1(beta_h omega) overflows past beta_h omega ~ 710; 2 m_0 / inf = 0 is
+    # the limit wanted there, not a numpy warning
+    code, _, js = _run(tmp_path, "kms", *_CHEAP["kms"], "beta_h=300")
+    assert code == 0
+    assert json.loads(js)["failures"] == []
 
 
 def test_kms_refuses_values_that_underflow(tmp_path, capsys):

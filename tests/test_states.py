@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -71,7 +71,6 @@ def test_char_at_zero_is_one(grid, center, system_g03):
 def test_gibbs_at_infinite_beta_is_the_dressed_coherent_state(grid, system_g03, panel):
     h = 0.2
     ground = gibbs_quantum(system_g03.source, math.inf, h)
-    assert ground.beta is None
     assert ground.scale == coherent(ground.center, h).scale
     assert np.array_equal(ground.weight, grid.measure(0))
     assert np.allclose(ground.center.values, -system_g03.j_over_omega.values)
@@ -241,7 +240,8 @@ def test_charstate_is_the_advertised_dataclass(grid, center):
     st = coherent(center, 0.1)
     assert isinstance(st, CharState)
     clone = replace(st, hbar=0.2)
-    assert clone.hbar == 0.2 and clone.beta is None
+    assert clone.hbar == 0.2
+    assert [f.name for f in fields(CharState)] == ["hbar", "grid", "center", "scale", "weight"]
     assert clone.center is st.center and clone.weight is st.weight
     assert clone.scale == -0.5 * _PI2 * 0.1
 
@@ -269,7 +269,7 @@ def test_transport_multiplies_in_the_dressing_coefficient(
 ):
     st = every_state(center, system_g03.source)[kind]
     moved = transport_state(system_g03, st)
-    assert moved.beta is None
+    assert moved.weight is st.weight and moved.scale == st.scale
     for f in panel:
         expect = st.char(f) * dressing_coefficient(system_g03, f)
         assert abs(moved.char(f) - expect) <= 1e-14
