@@ -509,7 +509,7 @@ def cmd_garding(cfg: dict) -> CommandResult:
                  report.lambda_min_antiwick)),
         {"fitted_constant": report.fitted_constant, "fit_residual": report.fit_residual,
          "bound_margin": report.bound_margin, "symbol_min": report.symbol_min,
-         "unitarity_defect": report.unitarity_defect},
+         "vacuum_defect": report.vacuum_defect},
         [Check("garding linear fit", report.fit_residual, 0.1),
          Check("anti-Wick positivity", -float(np.min(report.lambda_min_antiwick)), 1e-8),
          Check("garding lower bound", -report.bound_margin, 1e-9)],
@@ -598,18 +598,17 @@ def _grid_keys(**defaults) -> dict:
 #: ~160 MB peak, s_plus = 1000 for ~1.3 GB.
 _WINDOW_WIDTH_MAX = 8.0
 
-#: Largest fock-spectrum truncation N.  weyl_matrix holds about four dense
-#: (N + 1)^2 arrays at once (the real eigenvectors, two real products, the
-#: complex exponential): at N = 2048 a complex one is 2049^2 * 16 B = 67 MB,
-#: and a run peaks at 235 MB; coupling_re = 30 would derive N = 36,020 (20.8 GB
-#: for one complex matrix).
+#: Largest fock-spectrum truncation N.  The one (N + 1)^2 array is the real
+#: eigenvector matrix of the coherent exponential, 2049^2 * 8 B = 34 MB at
+#: N = 2048, where a run peaks at 70 MB traced (132 MB resident); coupling_re
+#: = 30 would derive N = 36,020 (10.4 GB for those eigenvectors).
 _FOCK_CUTOFF_MAX = 2048
 
 #: Largest garding truncation N (at the smallest hbar).  garding_probe holds
-#: about eight complex (N + 1)^2 matrices at once (one exponential per |z|,
-#: the two quantizations, their Hermitian parts): at N = 1536 one is
-#: 1537^2 * 16 B = 38 MB, and a run at that N peaks at 326 MB; the default
-#: cutoff floor reaches N = 1436 at k_max = 10, while k_max = 13 needs
+#: one complex (N + 1)^2 exponential per |z|, the two quantizations and their
+#: gauged terms: at cutoff = 1536 (N = 1536 at every hbar) a run peaks at
+#: 343 MB traced (399 MB resident), nine 1537^2 * 16 B = 38 MB matrices; the
+#: default cutoff floor reaches N = 1436 at k_max = 10, while k_max = 13 needs
 #: 9265^2 * 16 B = 1.37 GB per matrix.
 _GARDING_CUTOFF_MAX = 1536
 

@@ -465,8 +465,9 @@ def kms_check(
         cross_rhs = phases @ (a_rhs * base) + np.conj(phases @ np.conj(b_rhs * rev))
         gap = cross_lhs - cross_rhs
         # the Gaussian diagonal and the centre phase are common factors of both
-        # sides, so only the cross terms enter the exponent
-        rows.append(np.abs(np.expm1(scale * gap)))
+        # sides, so only the cross terms enter the exponent (inf/nan, failing, on overflow)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows.append(np.abs(np.expm1(scale * gap)))
         worst = float(np.max(np.abs(gap), initial=0.0))
         size = float(np.max(np.abs(cross_rhs), initial=0.0))
         defects.append(worst / size if size else (math.inf if worst else 0.0))

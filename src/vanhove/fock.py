@@ -19,9 +19,9 @@ symmetric tridiagonal R with nonnegative off-diagonal: H (resp. phi_h(z))
 = D R D*.  So their spectra come from ``scipy.linalg.eigh_tridiagonal`` on
 R: W_h(z) = D e^{i pi R} D* with R depending on |z| only, and the ground
 state of H is D times a real vector.  The exponentials satisfy
-<e_0, W_h(z) e_0> = e^{-(pi^2 hbar/2)|z|^2} and
+<e_0, W_h(z) e_0> = e^{-(pi^2 hbar/2)|z|^2}, checked on every one, and
 W_h(z) W_h(w) = W_h(z+w) e^{-i pi^2 hbar Im(conj(z) w)} on the trusted
-(lower) half of the truncated space, where their unitarity is checked.
+(lower) half of the truncated space.
 Truncation is honest: every mode must satisfy
 N >= 4|j|^2/(hbar omega^2) + 20 so the displaced ground state lives far
 from the cutoff edge.
@@ -86,8 +86,8 @@ _PI2 = math.pi**2
 #: Extra Fock levels beyond the displaced occupancy scale.
 CUTOFF_MARGIN = 20
 
-#: Trusted-block unitarity defect ceiling for exponential matrices.
-_UNITARITY_TOL = 1e-9
+#: Vacuum-expectation defect ceiling for exponential matrices.
+_VACUUM_TOL = 1e-9
 
 #: garding_probe's symbol samples per side of the unit periodicity cell.
 _TORUS_POINTS = 100
@@ -144,39 +144,45 @@ def _gauge(theta: float, dim: int) -> np.ndarray:
     return np.exp(1j * theta * np.arange(dim))
 
 
-def _real_exponential(mode: FockMode, modulus: float) -> tuple[np.ndarray, float]:
-    """U = e^{i pi R} for the real tridiagonal R = phi_h(|z|) (zero diagonal,
-    off-diagonal sqrt(hbar) |z| sqrt(k)), and its trusted-block unitarity
-    defect max |(U*U - 1)[:half, :half]|.
-
-    Rejects displacements too large for the truncation
-    (pi^2 hbar |z|^2 > N/4) and defects above the unitarity ceiling.
-    """
+def _exponential_eigs(
+    hbar: float, cutoff: int, modulus: float
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Eigenpairs (lam, V) of pi R for the real tridiagonal R = phi_h(|z|) on
+    N + 1 levels (zero diagonal, off-diagonal sqrt(hbar) |z| sqrt(k)), so that
+    e^{i pi R} = V e^{i lam} V^T, and the vacuum defect of that exponential,
+    |sum_k V[0, k]^2 e^{i lam_k} - e^{-pi^2 hbar |z|^2 / 2}|.  Rejects
+    displacements with pi^2 hbar |z|^2 > N/4 and defects above the ceiling."""
     # imported on first use: the CLI imports this module for every command,
     # and with scipy >= 1.17 (where scipy.special no longer pulls it in)
     # loading scipy.linalg costs ~6 MB of resident memory and ~50 ms
     from scipy.linalg import eigh_tridiagonal
 
-    if _PI2 * mode.hbar * modulus**2 > mode.cutoff / 4.0:
+    if _PI2 * hbar * modulus**2 > cutoff / 4.0:
         raise ValueError(
             f"displacement |z|^2 = {modulus**2:.3g} exceeds the truncation "
-            f"adequacy pi^2 hbar |z|^2 <= N/4 for N = {mode.cutoff}"
+            f"adequacy pi^2 hbar |z|^2 <= N/4 for N = {cutoff}"
         )
-    off = _PI * math.sqrt(mode.hbar) * modulus * np.sqrt(np.arange(1.0, mode.dim))
-    evals, vecs = eigh_tridiagonal(np.zeros(mode.dim), off)
-    u = np.empty((mode.dim, mode.dim), dtype=np.complex128)
-    u.real = (vecs * np.cos(evals)) @ vecs.T
-    u.imag = (vecs * np.sin(evals)) @ vecs.T
-    trusted = u[:, : mode.cutoff // 2 + 1]
-    defect = trusted.conj().T @ trusted
-    defect[np.diag_indices_from(defect)] -= 1.0
-    worst = float(np.max(np.abs(defect)))
-    if worst > _UNITARITY_TOL:
+    off = _PI * math.sqrt(hbar) * modulus * np.sqrt(np.arange(1.0, cutoff + 1))
+    evals, vecs = eigh_tridiagonal(np.zeros(cutoff + 1), off)
+    vacuum = np.dot(vecs[0] * vecs[0], np.exp(1j * evals))
+    defect = abs(vacuum - math.exp(-0.5 * _PI2 * hbar * modulus**2))
+    if defect > _VACUUM_TOL:
         raise RuntimeError(
-            f"exponential matrix lost unitarity on the trusted block "
-            f"(defect {worst:.3e}); truncation inadequate"
+            f"exponential matrix misses its vacuum expectation "
+            f"(defect {defect:.3e}); truncation inadequate"
         )
-    return u, worst
+    return evals, vecs, defect
+
+
+def _dense_exponential(hbar: float, cutoff: int, modulus: float) -> tuple[np.ndarray, float]:
+    """U = e^{i pi R} = V cos(lam) V^T + i V sin(lam) V^T, and its vacuum defect."""
+    evals, vecs, defect = _exponential_eigs(hbar, cutoff, modulus)
+    u = np.empty((cutoff + 1, cutoff + 1), dtype=np.complex128)
+    scaled = vecs * np.cos(evals)
+    u.real = scaled @ vecs.T
+    np.multiply(vecs, np.sin(evals), out=scaled)  # reused: one real temporary, not two
+    u.imag = scaled @ vecs.T
+    return u, defect
 
 
 def _gauged(u: np.ndarray, z: complex) -> np.ndarray:
@@ -187,9 +193,17 @@ def _gauged(u: np.ndarray, z: complex) -> np.ndarray:
 
 def weyl_matrix(mode: FockMode, z: complex) -> np.ndarray:
     """W_h(z) = exp(i pi phi_h(z)), gauged from the real tridiagonal
-    exponential at |z| (see ``_real_exponential`` for the checks)."""
+    exponential at |z| (see ``_exponential_eigs`` for the checks)."""
     z = complex(z)
-    return _gauged(_real_exponential(mode, abs(z))[0], z)
+    return _gauged(_dense_exponential(mode.hbar, mode.cutoff, abs(z))[0], z)
+
+
+def _coherent_vector(mode: FockMode, z: complex) -> np.ndarray:
+    """W_h(z) e_0 = D V (e^{i lam} V[0]) from the eigenpairs alone: column 0 of
+    ``weyl_matrix(mode, z)`` without forming the matrix."""
+    evals, vecs, _ = _exponential_eigs(mode.hbar, mode.cutoff, abs(z))
+    column = vecs @ np.column_stack((np.cos(evals) * vecs[0], np.sin(evals) * vecs[0]))
+    return _gauge(cmath.phase(z), mode.dim) * (column[:, 0] + 1j * column[:, 1])
 
 
 @dataclass(frozen=True)
@@ -204,7 +218,7 @@ class GroundReport:
 def _lowest_pair(mode: FockMode) -> tuple[np.ndarray, np.ndarray]:
     """The two lowest eigenvalues of H and its ground vector D v, where v is
     the ground vector of the real gauged R = D* H D (D gauged by arg j)."""
-    from scipy.linalg import eigh_tridiagonal  # on first use, as in _real_exponential
+    from scipy.linalg import eigh_tridiagonal  # on first use, as in _exponential_eigs
 
     occ = np.arange(mode.dim, dtype=np.float64)
     j = complex(mode.coupling)
@@ -229,8 +243,7 @@ def ground_state_analysis(mode: FockMode) -> GroundReport:
     |j/omega|^2 (reported as ``photon_number``)."""
     evals, ground = _lowest_pair(mode)
     z_star = 1j * complex(mode.coupling) / (_PI * mode.hbar * mode.omega)
-    coherent_vec = weyl_matrix(mode, z_star)[:, 0]
-    overlap = np.vdot(coherent_vec, ground)
+    overlap = np.vdot(_coherent_vector(mode, z_star), ground)
     return GroundReport(
         energy=float(evals[0]),
         energy_closed_form=-abs(mode.coupling) * abs(mode.coupling) / mode.omega,
@@ -409,8 +422,8 @@ class GardingReport:
     fitted_constant: float
     fit_residual: float
     symbol_min: float
-    #: max trusted-block unitarity defect over the probe's exponentials
-    unitarity_defect: float
+    #: max vacuum-expectation defect over the probe's exponentials
+    vacuum_defect: float
 
     @property
     def bound_margin(self) -> float:
@@ -440,13 +453,8 @@ def _refine_torus_min(
         grad = 2.0 * _PI * np.array(
             [float(np.sum(1j * a * ph).real), float(np.sum(1j * b * ph).real)]
         )
-        quad = -((2.0 * _PI) ** 2)
-        hess = np.array(
-            [
-                [quad * float(np.sum(a * a * ph).real), quad * float(np.sum(a * b * ph).real)],
-                [quad * float(np.sum(a * b * ph).real), quad * float(np.sum(b * b * ph).real)],
-            ]
-        )
+        aa, ab, bb = (float(np.sum(u * ph).real) for u in (a * a, a * b, b * b))
+        hess = -((2.0 * _PI) ** 2) * np.array([[aa, ab], [ab, bb]])
         try:
             step = np.linalg.solve(hess, grad)
         except np.linalg.LinAlgError:
@@ -488,7 +496,7 @@ def garding_probe(
     from one real exponential per distinct |z_j|, compressed to the
     trusted lower half, and its lowest eigenvalue recorded together with
     the anti-Wick variant (positive by construction); the largest
-    trusted-block unitarity defect of those exponentials is reported.  The
+    vacuum-expectation defect of those exponentials is reported.  The
     rate constant C is fitted through the origin to lambda_min - min(symbol)
     over the smaller half of the hbar ladder, where the linear law has set
     in; the spectral bottom then obeys min(symbol) - C hbar <= lambda_min
@@ -528,31 +536,24 @@ def garding_probe(
     lams: list[float] = []
     lams_aw: list[float] = []
     cutoffs: list[int] = []
-    worst_unitarity = 0.0
-    zs = gens.tolist()
+    worst_vacuum = 0.0
     for h in hbars:
         n_h = garding_cutoff(float(h), cutoff)
         cutoffs.append(n_h)
         half = slice(0, n_h // 2 + 1)
-        mode = FockMode(omega=1.0, coupling=0.0, cutoff=n_h, hbar=float(h))
         # one real exponential per distinct |z|, gauged for each generator
-        exps = {r: _real_exponential(mode, r) for r in {abs(z) for z in zs}}
-        worst_unitarity = max([worst_unitarity, *(worst for _, worst in exps.values())])
-        q, q_aw = np.zeros((2, mode.dim, mode.dim), dtype=np.complex128)
+        exps = {r: _dense_exponential(float(h), n_h, r) for r in {abs(z) for z in gens.tolist()}}
+        worst_vacuum = max([worst_vacuum, *(worst for _, worst in exps.values())])
+        q, q_aw = np.zeros((2, n_h + 1, n_h + 1), dtype=np.complex128)
         for poly, acc in ((symbol, q), (antiwick(symbol, float(h)), q_aw)):
             for c, z in zip(poly.coeffs, poly.gens[:, 0].tolist()):
                 acc += c * _gauged(exps[abs(z)][0], z)
         exps = None  # free this cutoff's matrices before the eigensolves
-        for name, mat in (("plain", q), ("anti-Wick", q_aw)):
+        for name, mat, out in (("plain", q, lams), ("anti-Wick", q_aw, lams_aw)):
             defect = float(np.max(np.abs(mat - mat.conj().T)))
             if defect > 1e-10:
-                raise RuntimeError(
-                    f"{name} quantization is not Hermitian (defect {defect:.3e})"
-                )
-        lams.append(float(np.linalg.eigvalsh(0.5 * (q + q.conj().T)[half, half])[0]))
-        lams_aw.append(
-            float(np.linalg.eigvalsh(0.5 * (q_aw + q_aw.conj().T)[half, half])[0])
-        )
+                raise RuntimeError(f"{name} quantization is not Hermitian (defect {defect:.3e})")
+            out.append(float(np.linalg.eigvalsh(0.5 * (mat + mat.conj().T)[half, half])[0]))
 
     hs = np.asarray(hbars, dtype=np.float64)
     gaps = np.abs(np.asarray(lams) - sym_min)
@@ -561,11 +562,8 @@ def garding_probe(
     denom = float(np.sum(hs[tail] ** 2))
     constant = float(np.sum(gaps[tail] * hs[tail]) / denom) if denom > 0 else 0.0
     top = float(gaps[tail].max())
-    residual = (
-        float(np.max(np.abs(gaps[tail] - constant * hs[tail])) / top)
-        if top > 0.0
-        else 0.0
-    )
+    misfit = float(np.max(np.abs(gaps[tail] - constant * hs[tail])))
+    residual = misfit / top if top > 0.0 else 0.0
     return GardingReport(
         hbar_values=tuple(float(h) for h in hbars),
         lambda_min=tuple(lams),
@@ -574,5 +572,5 @@ def garding_probe(
         fitted_constant=constant,
         fit_residual=residual,
         symbol_min=sym_min,
-        unitarity_defect=worst_unitarity,
+        vacuum_defect=worst_vacuum,
     )

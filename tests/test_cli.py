@@ -480,12 +480,16 @@ def test_kms_at_large_beta_h_warns_nothing(tmp_path):
     assert json.loads(js)["failures"] == []
 
 
+@pytest.mark.filterwarnings("error")
 def test_kms_refuses_values_that_underflow(tmp_path, capsys):
-    # hbar = 1e300: every characteristic value underflows to 0 on both sides
-    code, _, js = _run(tmp_path, "kms", *_CHEAP["kms"], "hbar=1e300")
-    assert code == 1
-    assert json.loads(js)["failures"] == ["kms residual"]
-    assert "invariant failed: kms residual" in capsys.readouterr().err
+    # hbar = 1e300: every characteristic value underflows to 0 on both sides;
+    # there and at beta_h = 1e-300 the residual's exponent overflows, and the
+    # inf/nan residual fails by name without a numpy warning
+    for extreme in ("hbar=1e300", "beta_h=1e-300"):
+        code, _, js = _run(tmp_path, "kms", *_CHEAP["kms"], extreme)
+        assert code == 1
+        assert json.loads(js)["failures"] == ["kms residual"]
+        assert capsys.readouterr().err == "invariant failed: kms residual\n"
 
 
 def test_scattering_refuses_a_panel_too_small_to_show_a_round_trip(tmp_path, capsys):
@@ -606,7 +610,7 @@ def test_garding_command_reports_the_bound(tmp_path):
     payload = json.loads(js)
     assert payload["summary"]["bound_margin"] >= -1e-9
     assert payload["summary"]["symbol_min"] == pytest.approx(0.0, abs=1e-12)
-    assert 0.0 <= payload["summary"]["unitarity_defect"] <= 1e-9
+    assert 0.0 <= payload["summary"]["vacuum_defect"] <= 1e-9
 
 
 def test_config_file_feeds_a_command(tmp_path):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.special import eval_genlaguerre, gammaln
 
-from vanhove import make_grid, make_system, power_law_gaussian
+from vanhove import fock, make_grid, make_system, power_law_gaussian
 from vanhove.fock import (
     FockMode,
     adequate_cutoff,
@@ -88,6 +88,33 @@ def test_weyl_matrix_vacuum_expectation(mode):
     w = weyl_matrix(mode, z)
     expect = math.exp(-0.5 * _PI2 * mode.hbar * abs(z) ** 2)
     assert w[0, 0] == pytest.approx(expect, abs=1e-12)
+
+
+def test_exponential_refuses_a_truncated_vacuum_at_the_adequacy_edge():
+    # pi^2 hbar |z|^2 = N/4 = 1 (the float just below 1/pi, since 1/pi itself
+    # rounds one ulp over) passes the displacement guard, yet on 5 levels the
+    # vacuum entry is off by 2.6e-5, while the eigenvectors stay orthogonal to
+    # rounding (a trusted-block unitarity product reads 3.3e-16 here)
+    edge = math.nextafter(1.0 / math.pi, 0.0)
+    with pytest.raises(RuntimeError, match="vacuum"):
+        fock._exponential_eigs(1.0, 4, edge)
+    with pytest.raises(ValueError, match="displacement"):
+        fock._exponential_eigs(1.0, 4, 1.0 / math.pi)
+
+
+@pytest.mark.parametrize("coupling", [0.5, -0.35 + 0.6j])
+def test_coherent_column_is_the_weyl_matrix_column(coupling):
+    # ground_state_analysis forms W_h(z*) e_0 from the eigenpairs alone; the
+    # dense exponential stays its reference
+    h, omega = 0.25, 1.3
+    cutoff = adequate_cutoff(omega, coupling, h)
+    m = FockMode(omega=omega, coupling=coupling, cutoff=cutoff, hbar=h)
+    z_star = 1j * coupling / (math.pi * h * omega)
+    column = weyl_matrix(m, z_star)[:, 0]
+    assert np.max(np.abs(fock._coherent_vector(m, z_star) - column)) <= 1e-14
+    ground = fock._lowest_pair(m)[1]
+    overlap_sq = abs(np.vdot(column, ground)) ** 2
+    assert ground_state_analysis(m).overlap_sq == pytest.approx(overlap_sq, abs=1e-14)
 
 
 def test_weyl_matrix_composition_law(mode):
@@ -273,7 +300,7 @@ def test_garding_probe_shows_the_order_hbar_gap():
     assert report.fit_residual < 0.1
     assert report.bound_margin >= -1e-9
     assert all(lam >= -1e-10 for lam in report.lambda_min_antiwick)
-    assert 0.0 <= report.unitarity_defect <= 1e-9
+    assert 0.0 <= report.vacuum_defect <= 1e-9
     # truncations grow as hbar shrinks
     assert all(b >= a for a, b in zip(report.cutoffs, report.cutoffs[1:]))
 
