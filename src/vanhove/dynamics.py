@@ -36,8 +36,10 @@ share their Gaussian diagonal and centre phase, so only the cross terms
 differ, measured twice: the residual |lhs/rhs - 1| = |expm1(-pi^2 hbar/2
 (cross_lhs - cross_rhs))| does not vanish with the values when they
 underflow, and the defect max_t |cross_lhs - cross_rhs| / max_t |cross_rhs|
-does not fade with hbar.  A batch of (f, g) pairs, taken one pair at a time,
-shares the phase matrix and the per-node factors.
+does not fade with hbar.  The residual reads the rounding of its exponent, so
+the report also carries that exponent's size max_t |pi^2 hbar/2 cross_rhs|.
+A batch of (f, g) pairs, taken one pair at a time, shares the phase matrix and
+the per-node factors.
 
 ``ground_state_check`` probes the spectral measure of the dressed ground
 state omega^oo (the coherent state at -J/omega): the correlation
@@ -409,6 +411,7 @@ def _auto_t_max(window: KmsWindow) -> float:
 class KmsReport:
     residuals: np.ndarray  # (pairs, t_points)
     defects: np.ndarray  # (pairs,)
+    exponents: np.ndarray  # (pairs,) max_t |pi^2 hbar/2 cross_rhs|
 
     @property
     def max_residual(self) -> float:
@@ -423,8 +426,9 @@ def kms_check(
     t_grid,
 ) -> KmsReport:
     """The KMS condition of ``state`` at inverse temperature beta_h on each
-    (f, g) pair: a row of residuals |lhs/rhs - 1| over the times, and a defect
-    max_t |cross_lhs - cross_rhs| / max_t |cross_rhs| (0 when both vanish).
+    (f, g) pair: a row of residuals |lhs/rhs - 1| over the times, a defect
+    max_t |cross_lhs - cross_rhs| / max_t |cross_rhs| (0 when both vanish), and
+    the size max_t |pi^2 hbar/2 cross_rhs| of the residual's exponent.
 
     LHS: omega(W(f) tau_t[W(g)]) continued to t + i beta_h, from the
     expm1-stable continued Gibbs factors.  RHS: omega(tau_t[W(g)] W(f)) from
@@ -456,7 +460,7 @@ def kms_check(
     phases = 1j * np.multiply.outer(t, grid.omega)
     np.exp(phases, out=phases)  # in place: the largest array of the check
     scale = -0.5 * _PI2 * state.hbar
-    rows, defects = [], []
+    rows, defects, exponents = [], [], []
     for f, g in pairs:
         fv, gv = f.values, g.values
         base = np.conj(fv) * gv
@@ -471,9 +475,12 @@ def kms_check(
         worst = float(np.max(np.abs(gap), initial=0.0))
         size = float(np.max(np.abs(cross_rhs), initial=0.0))
         defects.append(worst / size if size else (math.inf if worst else 0.0))
+        exponents.append(abs(scale) * size)
     if not rows or not t.size:
         raise ValueError("kms_check needs at least one (f, g) pair and one time")
-    return KmsReport(residuals=np.array(rows), defects=np.array(defects))
+    return KmsReport(
+        residuals=np.array(rows), defects=np.array(defects), exponents=np.array(exponents)
+    )
 
 
 # --------------------------------------------------------------------------

@@ -153,8 +153,7 @@ def _exponential_eigs(
     |sum_k V[0, k]^2 e^{i lam_k} - e^{-pi^2 hbar |z|^2 / 2}|.  Rejects
     displacements with pi^2 hbar |z|^2 > N/4 and defects above the ceiling."""
     # imported on first use: the CLI imports this module for every command,
-    # and with scipy >= 1.17 (where scipy.special no longer pulls it in)
-    # loading scipy.linalg costs ~6 MB of resident memory and ~50 ms
+    # and scipy is loaded only by the Fock commands and `scattering`
     from scipy.linalg import eigh_tridiagonal
 
     if _PI2 * hbar * modulus**2 > cutoff / 4.0:

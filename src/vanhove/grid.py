@@ -23,10 +23,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma as _gamma_fn
 
 __all__ = [
     "WEIGHT_EXPONENTS",
+    "DIM_MAX",
     "MomentumGrid",
     "RadialFunction",
     "make_grid",
@@ -46,9 +46,37 @@ WEIGHT_EXPONENTS = (-2, -1, 0, 1)
 _CALIBRATION_RTOL = 1e-12
 
 
+#: Gamma(d/2) for d = 1..16, the floats scipy.special.gamma returns.  A table
+#: keeps scipy off the import path; math.gamma and the Gamma(x+1) = x Gamma(x)
+#: recurrence each miss some entry (d = 3 among them) by one ulp.
+_HALF_GAMMA = (
+    1.7724538509055159,
+    1.0,
+    0.8862269254527579,
+    1.0,
+    1.329340388179137,
+    2.0,
+    3.323350970447843,
+    6.0,
+    11.63172839656745,
+    24.0,
+    52.34277778455352,
+    120.0,
+    287.88527781504433,
+    720.0,
+    1871.2543057977884,
+    5040.0,
+)
+
+#: Largest dimension make_grid accepts: the last entry of _HALF_GAMMA.
+DIM_MAX = len(_HALF_GAMMA)
+
+
 def sphere_area(dim: int) -> float:
     """Area of the unit sphere S^{d-1} in R^d: 2 pi^{d/2} / Gamma(d/2)."""
-    return 2.0 * math.pi ** (dim / 2.0) / float(_gamma_fn(dim / 2.0))
+    if not 1 <= dim <= DIM_MAX:
+        raise ValueError(f"dim must be in 1..{DIM_MAX}, got {dim!r}")
+    return 2.0 * math.pi ** (dim / 2.0) / _HALF_GAMMA[dim - 1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,10 +131,10 @@ def make_grid(
     Panels are geometrically spaced (equal ratios), each carrying a
     ``points``-point Gauss-Legendre rule.  Construction self-tests the rule
     by integrating the constant 1, which must reproduce r_max - r_min to
-    relative 1e-12.
+    relative 1e-12.  ``dim`` runs over 1..DIM_MAX.
     """
-    if not isinstance(dim, int) or dim < 1:
-        raise ValueError(f"dim must be an integer >= 1, got {dim!r}")
+    if not isinstance(dim, int) or not 1 <= dim <= DIM_MAX:
+        raise ValueError(f"dim must be an integer in 1..{DIM_MAX}, got {dim!r}")
     if mass < 0.0:
         raise ValueError(f"mass must be >= 0, got {mass}")
     if not (0.0 < r_min < r_max):

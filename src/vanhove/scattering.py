@@ -33,7 +33,6 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.special import spherical_jn
 
 from .grid import MomentumGrid, RadialFunction, inner_product
 from .states import CharState, dirac
@@ -103,6 +102,10 @@ def _filon_fit(grid: MomentumGrid, amplitude: np.ndarray, t: np.ndarray) -> np.n
             f"every panel, but it is flat on panel {flat[0]} (r in [{lo:g}, {hi:g}], "
             f"mass {grid.mass:g})"
         )
+    # imported on first use, as fock does with scipy.linalg: every other
+    # command then starts without loading scipy
+    from scipy.special import spherical_jn
+
     r = grid.nodes.reshape(n_panels, pts)
     u = grid.omega.reshape(n_panels, pts)
     u_edges = np.hypot(grid.panel_edges, grid.mass)

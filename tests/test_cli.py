@@ -157,6 +157,42 @@ def test_every_key_keeps_the_exit_contract(case):
         assert all(math.isfinite(c["value"]) for c in payload["checks"].values())
 
 
+def _scipy_modules_after(tmp_path: Path, command: str) -> tuple[str, str]:
+    """The scipy modules a fresh interpreter has loaded after importing the
+    package and after then running ``command``, one comma-joined list each."""
+    script = (
+        "import sys\n"
+        "import vanhove, vanhove.cli\n"
+        "def scipy_modules():\n"
+        "    return ','.join(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+        "imported = scipy_modules()\n"
+        f"code = vanhove.cli.main([{command!r}, '--out', sys.argv[1], *{_CHEAP[command]!r}])\n"
+        "assert code == 0, code\n"
+        "print(imported)\n"
+        "print(scipy_modules())\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / command)], env=env, check=True,
+        capture_output=True, text=True, timeout=120,
+    )
+    imported, after = done.stdout.splitlines()[-2:]
+    return imported, after
+
+
+def test_importing_the_package_and_running_energy_load_no_scipy(tmp_path):
+    # scipy.special alone costs ~0.2-0.3 s of start-up; only the Fock
+    # commands and scattering need scipy, and they load it on first use
+    assert _scipy_modules_after(tmp_path, "energy") == ("", "")
+
+
+def test_scattering_loads_scipy_special_only_when_it_runs(tmp_path):
+    imported, after = _scipy_modules_after(tmp_path, "scattering")
+    assert imported == ""
+    assert "scipy.special" in after.split(",")
+
+
 def test_outputs_are_byte_identical_across_runs(tmp_path):
     _, csv1, js1 = _run(tmp_path, "energy", "gamma=0.3", *_SMALL)
     _, csv2, js2 = _run(tmp_path, "energy", "gamma=0.3", *_SMALL)
@@ -181,12 +217,14 @@ def test_kms_batch_rows_equal_one_pair_calls(tmp_path):
         for rng in map(np.random.default_rng, splitmix64(cfg["seed"], cfg["pairs"]))
     ]
     batch = kms_check(sys_, state, cfg["beta_h"], pairs, ts)
-    assert batch.residuals.shape == (6, 9) and batch.defects.shape == (6,)
+    assert batch.residuals.shape == (6, 9) and batch.defects.shape == batch.exponents.shape == (6,)
     written = [float(line.split(",")[1]) for line in csv.splitlines()[-6:]]
-    for row, defect, pair, max_written in zip(batch.residuals, batch.defects, pairs, written):
+    rows = zip(batch.residuals, batch.defects, batch.exponents, pairs, written)
+    for row, defect, exponent, pair, max_written in rows:
         one = kms_check(sys_, state, cfg["beta_h"], [pair], ts)
         assert row.tobytes() == one.residuals[0].tobytes()
         assert defect == one.defects[0]
+        assert exponent == one.exponents[0]
         assert max_written == one.residuals[0].max()
     with pytest.raises(ValueError, match="one time"):
         kms_check(sys_, state, cfg["beta_h"], [], ts)
@@ -463,6 +501,22 @@ def test_kms_cross_terms_see_a_corrupted_coth_as_hbar_vanishes(tmp_path, monkeyp
     assert payload["checks"]["kms cross terms"]["value"] == pytest.approx(1e-8, rel=0.1)
 
 
+@pytest.mark.parametrize("beta_h", ["1e-4", "1e-6"])
+def test_kms_at_small_beta_h_passes_and_still_sees_a_corrupted_coth(
+    tmp_path, monkeypatch, beta_h
+):
+    # coth(x) ~ 1/x puts the residual's exponent at ~3e6 (1e-4) and ~3e8 (1e-6),
+    # whose rounding alone reads 1e-9 and 7e-8; the tolerance scales with it
+    code, _, js = _run(tmp_path, "kms", f"beta_h={beta_h}")
+    assert code == 0
+    residual = json.loads(js)["checks"]["kms residual"]
+    assert 1e-10 < residual["value"] < residual["tol"] < math.inf
+    _corrupt_the_gibbs_covariance(monkeypatch)
+    code, _, js = _run(tmp_path, "kms", f"beta_h={beta_h}")
+    assert code == 1
+    assert json.loads(js)["failures"] == ["kms cross terms", "kms residual"]
+
+
 def test_kms_keeps_the_nodes_whose_measure_underflows(tmp_path):
     # r_min = 1e-300 in dim 4: m_0 ~ r^3 underflows to 0 at the smallest nodes,
     # so a covariance read as weight / m_0 would be nan there
@@ -483,12 +537,15 @@ def test_kms_at_large_beta_h_warns_nothing(tmp_path):
 @pytest.mark.filterwarnings("error")
 def test_kms_refuses_values_that_underflow(tmp_path, capsys):
     # hbar = 1e300: every characteristic value underflows to 0 on both sides;
-    # there and at beta_h = 1e-300 the residual's exponent overflows, and the
-    # inf/nan residual fails by name without a numpy warning
-    for extreme in ("hbar=1e300", "beta_h=1e-300"):
+    # there, at hbar = 1e308 and at beta_h = 1e-300 the residual's exponent
+    # overflows, and the inf/nan residual fails by name without a numpy
+    # warning against a tolerance that stays finite
+    for extreme in ("hbar=1e300", "hbar=1e308", "beta_h=1e-300"):
         code, _, js = _run(tmp_path, "kms", *_CHEAP["kms"], extreme)
         assert code == 1
-        assert json.loads(js)["failures"] == ["kms residual"]
+        payload = json.loads(js)
+        assert payload["failures"] == ["kms residual"]
+        assert payload["checks"]["kms residual"]["tol"] < math.inf
         assert capsys.readouterr().err == "invariant failed: kms residual\n"
 
 

@@ -17,7 +17,7 @@ from vanhove import (
     weighted_norm_sq,
     zero_function,
 )
-from vanhove.grid import WEIGHT_EXPONENTS, sphere_area
+from vanhove.grid import _HALF_GAMMA, DIM_MAX, WEIGHT_EXPONENTS, sphere_area
 
 # Closed forms for the Gaussian e^{-r^2} on the massless d=3 grid:
 # <f, f>_alpha = 4 pi int_0^oo r^{2+alpha} e^{-2r^2} dr.
@@ -38,6 +38,14 @@ def test_sphere_area_matches_low_dimensions():
     assert sphere_area(1) == pytest.approx(2.0)
     assert sphere_area(2) == pytest.approx(2.0 * math.pi)
     assert sphere_area(3) == pytest.approx(4.0 * math.pi)
+
+
+def test_half_gamma_table_is_scipys_gamma_bit_for_bit():
+    from scipy.special import gamma
+
+    assert len(_HALF_GAMMA) == DIM_MAX == 16
+    for d in range(1, DIM_MAX + 1):
+        assert _HALF_GAMMA[d - 1] == float(gamma(d / 2.0)), f"d={d}"
 
 
 def test_gaussian_norms_match_gamma_function_closed_forms(grid, gauss):
@@ -71,8 +79,14 @@ def test_mass_enters_the_dispersion():
 
 
 def test_grid_rejects_bad_parameters():
-    with pytest.raises(ValueError):
-        make_grid(dim=0)
+    # dim runs over the Gamma(d/2) table, 1..16, as the CLI's dim rule does
+    for dim in (0, 17):
+        with pytest.raises(ValueError, match="dim"):
+            make_grid(dim=dim)
+        with pytest.raises(ValueError, match="dim"):
+            sphere_area(dim)
+    with pytest.raises(ValueError, match="dim"):
+        make_grid(dim=3.0)
     with pytest.raises(ValueError):
         make_grid(mass=-1.0)
     with pytest.raises(ValueError):
