@@ -24,6 +24,7 @@ import hashlib
 import json
 import math
 import sys
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -38,7 +39,6 @@ from .grid import (
     geometric_edges,
     make_grid,
     sample,
-    sphere_area,
     weighted_norm_sq,
 )
 
@@ -549,39 +549,22 @@ _GRID_KEYS = {
     "r_max": (12.0, _POSITIVE), "panels": (16, _COUNT), "points": (32, _COUNT),
 }
 _SOURCE_KEYS = {"gamma": (0.0, _FINITE), "ir_cutoff": (0, (">= 0 (0: none)", lambda n: n >= 0))}
-_LOG_FLOAT_MAX = math.log(sys.float_info.max)
-
-
-def _log_omega(r: float, mass: float) -> float:
-    """log hypot(r, mass), without overflow."""
-    log_r = math.log(r)
-    log_mass = math.log(mass) if mass > 0.0 else -math.inf
-    return max(log_r, log_mass) + 0.5 * math.log1p(math.exp(-2.0 * abs(log_r - log_mass)))
 
 
 def _measures_finite(c: dict) -> bool:
-    """make_grid's measures sigma w r^(d-1) omega^a (a = -2..1), and the powers
-    r^(d-1) and omega^a it forms on the way, stay below the largest float.
-
-    Bounded in log space with w < r_max - r_min and each factor at its largest
-    over [r_min, r_max]: r^(d-1) omega^a peaks at an end of the range or, for
-    d = 2 and a = -2, at r = mass."""
-    d, mass, r_min, r_max = c["dim"], c["mass"], c["r_min"], c["r_max"]
-    log_sigma_w = math.log(sphere_area(d)) + math.log(r_max - r_min)
-    radii = (r_min, min(max(mass, r_min), r_max), r_max)
-    logs = [(d - 1) * math.log(r_max)]
-    for a in (-2, -1, 0, 1):
-        for r in radii:
-            log_omega = _log_omega(r, mass)
-            logs += [a * log_omega, log_sigma_w + (d - 1) * math.log(r) + a * log_omega]
-    return max(logs) < _LOG_FLOAT_MAX
+    """The grid make_grid builds has finite measures sigma w r^(d-1) omega^a
+    (a = -2..1); a range whose edges or nodes overflow has no grid at all."""
+    try:
+        return all(np.all(np.isfinite(m)) for m in _grid_from(c).measures)
+    except ValueError:
+        return False
 
 
 _GRID_RULES = [
     _at_most(_NODES_MAX, "panels", "points"),
     _ordered("r_min", "r_max"),
     (
-        "the grid measures sigma w r^(d-1) omega^a must be finite, got dim={dim}, "
+        "the grid's nodes and measures sigma w r^(d-1) omega^a must be finite, got dim={dim}, "
         "mass={mass}, r_min={r_min}, r_max={r_max}",
         _measures_finite,
     ),
@@ -623,16 +606,15 @@ _GARDING_CUTOFF_MAX = 1536
 
 
 def _fock_levels(c: dict) -> float:
-    """The truncation fock.adequate_cutoff derives, 4|j|^2/(hbar omega^2) plus
-    its margin, formed from |j|/omega like it (inf, not OverflowError, when huge)."""
-    ratio = math.hypot(c["coupling_re"], c["coupling_im"]) / c["omega"]
-    return 4.0 * ratio * ratio / c["hbar"] + fock.CUTOFF_MARGIN
+    """fock.displacement_levels of the configured mode."""
+    j = complex(c["coupling_re"], c["coupling_im"])
+    return fock.displacement_levels(c["omega"], j, c["hbar"])
 
 
 def _garding_adequate(c: dict) -> bool:
-    """The largest hbar keeps pi^2 hbar |z|^2 <= N/4 for every generator."""
+    """The largest hbar fits the exponentials of the symbol's reach."""
     hbar = 2.0 ** -c["k_min"]
-    return math.pi**2 * hbar * _GARDING_REACH <= fock.garding_cutoff(hbar, c["cutoff"]) / 4.0
+    return fock.exponential_fits(hbar, fock.garding_cutoff(hbar, c["cutoff"]), _GARDING_REACH)
 
 
 _COMMANDS: dict[str, tuple[Callable[[dict], CommandResult], dict, list[CrossRule]]] = {
@@ -736,12 +718,13 @@ _COMMANDS: dict[str, tuple[Callable[[dict], CommandResult], dict, list[CrossRule
                 f"the truncation must be <= {_FOCK_CUTOFF_MAX}, given or derived as "
                 f"4|j|^2/(hbar omega^2) + {fock.CUTOFF_MARGIN}; got cutoff={{cutoff}}, "
                 "omega={omega}, coupling_re={coupling_re}, coupling_im={coupling_im}, hbar={hbar}",
-                lambda c: max(c["cutoff"], _fock_levels(c)) <= _FOCK_CUTOFF_MAX,
+                lambda c: c["cutoff"] <= _FOCK_CUTOFF_MAX
+                and _fock_levels(c) <= _FOCK_CUTOFF_MAX - fock.CUTOFF_MARGIN,
             ),
             (
                 f"cutoff must be <= 0 (automatic) or >= 4|j|^2/(hbar omega^2) + "
                 f"{fock.CUTOFF_MARGIN}, got {{cutoff}}",
-                lambda c: c["cutoff"] <= 0 or _fock_levels(c) <= c["cutoff"],
+                lambda c: c["cutoff"] <= 0 or _fock_levels(c) <= c["cutoff"] - fock.CUTOFF_MARGIN,
             ),
         ],
     ),
@@ -795,8 +778,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     runner, keys, cross = _COMMANDS[args.command]
     try:
         cfg = resolve_config(_defaults(args.command), args.config, args.overrides)
-        _validate(cfg, keys, cross)
-        result = runner(cfg)
+        # overflows fail by name as non-finite checks; mass records a massive dispersion
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "massive dispersion", UserWarning)
+            _validate(cfg, keys, cross)
+            result = runner(cfg)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -61,7 +61,9 @@ from .weyl import TrigPolynomial, antiwick
 
 __all__ = [
     "FockMode",
+    "displacement_levels",
     "adequate_cutoff",
+    "exponential_fits",
     "build_ladder",
     "weyl_matrix",
     "GroundReport",
@@ -109,11 +111,11 @@ class FockMode:
             raise ValueError(f"hbar must be > 0, got {self.hbar}")
         if not isinstance(self.cutoff, int) or self.cutoff < 2:
             raise ValueError(f"cutoff must be an integer >= 2, got {self.cutoff!r}")
-        needed = adequate_cutoff(self.omega, self.coupling, self.hbar)
-        if self.cutoff < needed:
+        levels = displacement_levels(self.omega, self.coupling, self.hbar)
+        if not levels <= self.cutoff - CUTOFF_MARGIN:
             raise ValueError(
-                f"cutoff {self.cutoff} too small for the displacement: "
-                f"need >= {needed} (4|j|^2/(hbar omega^2) + {CUTOFF_MARGIN})"
+                f"cutoff {self.cutoff} too small for the displacement: need >= "
+                f"4|j|^2/(hbar omega^2) + {CUTOFF_MARGIN} = {levels:.17g} + {CUTOFF_MARGIN}"
             )
 
     @property
@@ -121,12 +123,21 @@ class FockMode:
         return self.cutoff + 1
 
 
-def adequate_cutoff(omega: float, coupling: complex, hbar: float) -> int:
-    """Smallest admissible truncation for a displaced mode,
-    4|j|^2/(hbar omega^2) + margin; formed from |j|/omega, because |j|^2 and
-    omega^2 overflow on their own past 1e154."""
+def displacement_levels(omega: float, coupling: complex, hbar: float) -> float:
+    """4|j|^2/(hbar omega^2), which a truncation N clears iff it is <= N - margin;
+    formed from |j|/omega (|j|^2, omega^2 overflow past 1e154), inf past 1e308."""
     ratio = abs(coupling) / omega
-    return math.ceil(4.0 * ratio * ratio / hbar) + CUTOFF_MARGIN
+    return 4.0 * ratio * ratio / hbar
+
+
+def adequate_cutoff(omega: float, coupling: complex, hbar: float) -> int:
+    """Smallest admissible truncation for a displaced mode."""
+    return math.ceil(displacement_levels(omega, coupling, hbar)) + CUTOFF_MARGIN
+
+
+def exponential_fits(hbar: float, cutoff: int, modulus_sq: float) -> bool:
+    """W_h(z) on N + 1 levels is adequate: pi^2 hbar |z|^2 <= N/4 (nan fails)."""
+    return _PI2 * hbar * modulus_sq <= cutoff / 4.0
 
 
 def build_ladder(mode: FockMode) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -156,7 +167,7 @@ def _exponential_eigs(
     # and scipy is loaded only by the Fock commands and `scattering`
     from scipy.linalg import eigh_tridiagonal
 
-    if _PI2 * hbar * modulus**2 > cutoff / 4.0:
+    if not exponential_fits(hbar, cutoff, modulus**2):
         raise ValueError(
             f"displacement |z|^2 = {modulus**2:.3g} exceeds the truncation "
             f"adequacy pi^2 hbar |z|^2 <= N/4 for N = {cutoff}"

@@ -131,22 +131,26 @@ def make_grid(
     Panels are geometrically spaced (equal ratios), each carrying a
     ``points``-point Gauss-Legendre rule.  Construction self-tests the rule
     by integrating the constant 1, which must reproduce r_max - r_min to
-    relative 1e-12.  ``dim`` runs over 1..DIM_MAX.
+    relative 1e-12.  ``dim`` runs over 1..DIM_MAX; ranges whose panel edges
+    or nodes overflow (r_max/r_min, or two edges' sum, past 1e308) are refused.
     """
     if not isinstance(dim, int) or not 1 <= dim <= DIM_MAX:
         raise ValueError(f"dim must be an integer in 1..{DIM_MAX}, got {dim!r}")
-    if mass < 0.0:
-        raise ValueError(f"mass must be >= 0, got {mass}")
+    if not 0.0 <= mass < math.inf:
+        raise ValueError(f"mass must be finite and >= 0, got {mass}")
     if not (0.0 < r_min < r_max):
         raise ValueError(f"need 0 < r_min < r_max, got [{r_min}, {r_max}]")
     if panels < 1 or points < 1:
         raise ValueError("panels and points must be >= 1")
 
-    edges = geometric_edges(r_min, r_max, panels)
     x, w = np.polynomial.legendre.leggauss(points)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
+    with np.errstate(all="ignore"):  # an overflow is refused by name just below
+        edges = geometric_edges(r_min, r_max, panels)
+        half = 0.5 * (edges[1:] - edges[:-1])
+        mid = 0.5 * (edges[1:] + edges[:-1])
+        nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
+    if not np.all(np.isfinite(nodes)):
+        raise ValueError(f"the panel edges or nodes of [{r_min}, {r_max}] overflow")
     weights = (half[:, None] * w[None, :]).ravel()
 
     total = float(weights.sum())

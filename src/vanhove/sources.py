@@ -152,8 +152,6 @@ def classify_analytic(spec: SourceSpec) -> InfraredClass:
         return InfraredClass.REGULAR
     if spec.ir_cutoff is not None:
         return InfraredClass.REGULAR
-    if gamma >= d / 2.0:
-        return InfraredClass.OUT_OF_SCOPE
     if gamma >= (d - 1) / 2.0:
         return InfraredClass.TYPE_II
     if gamma >= (d - 2) / 2.0:

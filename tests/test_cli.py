@@ -12,6 +12,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -142,12 +143,15 @@ def test_every_key_keeps_the_exit_contract(case):
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as scratch:
         out = Path(scratch) / "out"
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings(record=True) as escaped:
+            warnings.simplefilter("always")
             code = main([command, "--out", str(out), *_CHEAP[command], f"{key}={value}"])
         written = out.with_suffix(".json")
         payload = json.loads(written.read_text()) if written.exists() else None
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+    assert [str(w.message) for w in escaped] == []
     if code == 2:
         assert err.getvalue().startswith("configuration error: ")
         assert payload is None
@@ -296,6 +300,10 @@ def test_kms_batch_rows_equal_one_pair_calls(tmp_path):
         # grid measures that overflow to inf (nan photon numbers, nan windows)
         ("soft-photons", "r_max=1e300"),
         ("groundstate", "r_max=1e300"),
+        # r_max/r_min overflows the panel edges: make_grid refuses the range
+        ("energy", "dim=1 mass=1 r_min=1e-300 r_max=1e10"),
+        # 4|j|^2/(hbar omega^2) = 5.000000000000001 needs 26 levels, not 25
+        ("fock-spectrum", "coupling_re=1.118033988749895 hbar=1 omega=1 cutoff=25"),
         # omega = hypot(r, mass) flat on the first panels: no Filon fit exists
         ("scattering", "mass=1000"),
         ("scattering", "mass=1e300"),
@@ -391,6 +399,15 @@ def test_benchmark_configs_and_the_ceilings_themselves_pass_the_rules():
         cfg = resolve_config(cli._defaults(command), None, overrides)
         _, keys, cross = cli._COMMANDS[command]
         cli._validate(cfg, keys, cross)
+
+
+def test_energy_runs_a_grid_whose_measures_are_finite(tmp_path, capsys):
+    # sigma w omega reaches ~1e308 only if one node carried the whole weight
+    # r_max - r_min; the grid make_grid builds has every measure finite
+    code, _, js = _run(tmp_path, "energy", "dim=1", "mass=1e300", "r_max=1e8")
+    assert code == 0
+    assert json.loads(js)["failures"] == []
+    assert capsys.readouterr().err == ""
 
 
 def test_groundstate_flags_a_window_value_that_is_not_finite(tmp_path, capsys):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -93,6 +94,15 @@ def test_grid_rejects_bad_parameters():
         make_grid(r_min=2.0, r_max=1.0)
     with pytest.raises(ValueError):
         make_grid(panels=0)
+    with pytest.raises(ValueError, match="mass"):
+        make_grid(mass=float("nan"))
+    # r_max/r_min overflows the edges (nan nodes), or two edges' sum the nodes
+    # (inf nodes): refused by name, without a numpy warning
+    for r_min, r_max in ((1e-300, 1e10), (1e300, 1.7e308)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflow"):
+                make_grid(r_min=r_min, r_max=r_max)
 
 
 def test_weight_exponent_is_validated(grid, gauss):
