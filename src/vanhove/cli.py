@@ -596,12 +596,14 @@ _WINDOW_WIDTH_MAX = 8.0
 #: = 30 would derive N = 36,020 (10.4 GB for those eigenvectors).
 _FOCK_CUTOFF_MAX = 2048
 
-#: Largest garding truncation N (at the smallest hbar).  garding_probe holds
-#: one complex (N + 1)^2 exponential per |z|, the two quantizations and their
-#: gauged terms: at cutoff = 1536 (N = 1536 at every hbar) a run peaks at
-#: 343 MB traced (399 MB resident), nine 1537^2 * 16 B = 38 MB matrices; the
-#: default cutoff floor reaches N = 1436 at k_max = 10, while k_max = 13 needs
-#: 9265^2 * 16 B = 1.37 GB per matrix.
+#: Largest garding truncation N (at the smallest hbar).  garding_probe solves
+#: one real (N + 1)^2 eigenvector matrix at a time and holds complex trusted
+#: (N//2 + 1)^2 blocks: one exponential per |z|, the two quantizations and
+#: their gauged terms.  At cutoff = 1536 (N = 1536 at every hbar) a run peaks
+#: at 86 MB traced (162 MB resident), with 1537^2 * 8 B = 19 MB eigenvectors
+#: and 769^2 * 16 B = 9.5 MB blocks; the default cutoff floor reaches N = 1436
+#: at k_max = 10 (64 MB traced, 133 MB resident), while k_max = 13 needs
+#: N = 9264: 687 MB of eigenvectors and 4633^2 * 16 B = 343 MB per block.
 _GARDING_CUTOFF_MAX = 1536
 
 

@@ -41,8 +41,11 @@ the soft-photon catastrophe probed by ``soft_photon_sweep``.
 ||a Psi||^2 + hbar ||g||^2 ||Psi||^2 forces it, as the vacuum shows).
 
 ``garding_probe`` quantizes a nonnegative classical symbol over a single
-mode and tracks the lowest eigenvalue of the compressed matrix: plain
-quantization dips below zero only O(hbar), anti-Wick stays nonnegative.
+mode and tracks the lowest eigenvalue of its compression to the trusted
+lower half: plain quantization dips below zero only O(hbar), anti-Wick
+stays nonnegative.  Each exponential is solved on all N + 1 levels, but the
+quantization is assembled on the trusted (N//2 + 1)^2 block alone, the only
+part the eigensolve reads.
 """
 
 from __future__ import annotations
@@ -131,8 +134,14 @@ def displacement_levels(omega: float, coupling: complex, hbar: float) -> float:
 
 
 def adequate_cutoff(omega: float, coupling: complex, hbar: float) -> int:
-    """Smallest admissible truncation for a displaced mode."""
-    return math.ceil(displacement_levels(omega, coupling, hbar)) + CUTOFF_MARGIN
+    """Smallest admissible truncation for a displaced mode; a displacement
+    that is not finite has none."""
+    levels = displacement_levels(omega, coupling, hbar)
+    if not math.isfinite(levels):
+        raise ValueError(
+            f"displacement 4|j|^2/(hbar omega^2) = {levels} has no finite truncation"
+        )
+    return math.ceil(levels) + CUTOFF_MARGIN
 
 
 def exponential_fits(hbar: float, cutoff: int, modulus_sq: float) -> bool:
@@ -167,15 +176,16 @@ def _exponential_eigs(
     # and scipy is loaded only by the Fock commands and `scattering`
     from scipy.linalg import eigh_tridiagonal
 
-    if not exponential_fits(hbar, cutoff, modulus**2):
+    modulus_sq = modulus * modulus  # inf past 1.3e154, where ** raises OverflowError
+    if not exponential_fits(hbar, cutoff, modulus_sq):
         raise ValueError(
-            f"displacement |z|^2 = {modulus**2:.3g} exceeds the truncation "
+            f"displacement |z|^2 = {modulus_sq:.3g} exceeds the truncation "
             f"adequacy pi^2 hbar |z|^2 <= N/4 for N = {cutoff}"
         )
     off = _PI * math.sqrt(hbar) * modulus * np.sqrt(np.arange(1.0, cutoff + 1))
     evals, vecs = eigh_tridiagonal(np.zeros(cutoff + 1), off)
     vacuum = np.dot(vecs[0] * vecs[0], np.exp(1j * evals))
-    defect = abs(vacuum - math.exp(-0.5 * _PI2 * hbar * modulus**2))
+    defect = abs(vacuum - math.exp(-0.5 * _PI2 * hbar * modulus_sq))
     if defect > _VACUUM_TOL:
         raise RuntimeError(
             f"exponential matrix misses its vacuum expectation "
@@ -184,19 +194,25 @@ def _exponential_eigs(
     return evals, vecs, defect
 
 
-def _dense_exponential(hbar: float, cutoff: int, modulus: float) -> tuple[np.ndarray, float]:
-    """U = e^{i pi R} = V cos(lam) V^T + i V sin(lam) V^T, and its vacuum defect."""
+def _dense_exponential(
+    hbar: float, cutoff: int, modulus: float, size: int
+) -> tuple[np.ndarray, float]:
+    """The leading size x size block of U = e^{i pi R} on N + 1 levels, from the
+    leading rows of V: V[:size] cos(lam) V[:size]^T + i V[:size] sin(lam)
+    V[:size]^T (size = N + 1 is all of U), and the vacuum defect of U."""
     evals, vecs, defect = _exponential_eigs(hbar, cutoff, modulus)
-    u = np.empty((cutoff + 1, cutoff + 1), dtype=np.complex128)
-    scaled = vecs * np.cos(evals)
-    u.real = scaled @ vecs.T
-    np.multiply(vecs, np.sin(evals), out=scaled)  # reused: one real temporary, not two
-    u.imag = scaled @ vecs.T
+    rows = vecs[:size]
+    u = np.empty((size, size), dtype=np.complex128)
+    scaled = rows * np.cos(evals)
+    u.real = scaled @ rows.T
+    np.multiply(rows, np.sin(evals), out=scaled)  # reused: one real temporary, not two
+    u.imag = scaled @ rows.T
     return u, defect
 
 
 def _gauged(u: np.ndarray, z: complex) -> np.ndarray:
-    """W_h(z) = D U D* from the real exponential U at |z|, D gauged by arg z."""
+    """W_h(z) = D U D* from the real exponential U at |z|, D gauged by arg z
+    (D is diagonal, so a leading block of U gives the same block of W_h(z))."""
     p = _gauge(cmath.phase(z), len(u))
     return np.outer(p, p.conj()) * u
 
@@ -205,7 +221,7 @@ def weyl_matrix(mode: FockMode, z: complex) -> np.ndarray:
     """W_h(z) = exp(i pi phi_h(z)), gauged from the real tridiagonal
     exponential at |z| (see ``_exponential_eigs`` for the checks)."""
     z = complex(z)
-    return _gauged(_dense_exponential(mode.hbar, mode.cutoff, abs(z))[0], z)
+    return _gauged(_dense_exponential(mode.hbar, mode.cutoff, abs(z), mode.dim)[0], z)
 
 
 def _coherent_vector(mode: FockMode, z: complex) -> np.ndarray:
@@ -501,12 +517,14 @@ def garding_probe(
     with (near-)Gaussian-integer generators; nonnegativity is certified by
     sampling on a _TORUS_POINTS^2 grid of the unit periodicity cell and
     Newton-polishing the minimum.  Per hbar the plain quantization
-    sum_j c_j W_h(z_j) is assembled as a dense matrix on an adaptively
-    enlarged truncation (``cutoff`` is only a floor), each W_h(z_j) gauged
-    from one real exponential per distinct |z_j|, compressed to the
-    trusted lower half, and its lowest eigenvalue recorded together with
-    the anti-Wick variant (positive by construction); the largest
-    vacuum-expectation defect of those exponentials is reported.  The
+    sum_j c_j W_h(z_j) on an adaptively enlarged truncation N (``cutoff``
+    is only a floor) is assembled as a dense matrix on its trusted lower
+    half alone, the leading (N//2 + 1)^2 block: each W_h(z_j) there is
+    gauged from the leading block of one real exponential per distinct
+    |z_j| (solved on all N + 1 levels).  The block's lowest eigenvalue is
+    recorded together with that of the anti-Wick variant (positive by
+    construction); the largest vacuum-expectation defect of those
+    exponentials is reported.  The
     rate constant C is fitted through the origin to lambda_min - min(symbol)
     over the smaller half of the hbar ladder, where the linear law has set
     in; the spectral bottom then obeys min(symbol) - C hbar <= lambda_min
@@ -550,11 +568,15 @@ def garding_probe(
     for h in hbars:
         n_h = garding_cutoff(float(h), cutoff)
         cutoffs.append(n_h)
-        half = slice(0, n_h // 2 + 1)
-        # one real exponential per distinct |z|, gauged for each generator
-        exps = {r: _dense_exponential(float(h), n_h, r) for r in {abs(z) for z in gens.tolist()}}
+        trusted = n_h // 2 + 1
+        # one real exponential per distinct |z| (solved on all N + 1 levels,
+        # formed on the trusted block only), gauged for each generator
+        exps = {
+            r: _dense_exponential(float(h), n_h, r, trusted)
+            for r in {abs(z) for z in gens.tolist()}
+        }
         worst_vacuum = max([worst_vacuum, *(worst for _, worst in exps.values())])
-        q, q_aw = np.zeros((2, n_h + 1, n_h + 1), dtype=np.complex128)
+        q, q_aw = np.zeros((2, trusted, trusted), dtype=np.complex128)
         for poly, acc in ((symbol, q), (antiwick(symbol, float(h)), q_aw)):
             for c, z in zip(poly.coeffs, poly.gens[:, 0].tolist()):
                 acc += c * _gauged(exps[abs(z)][0], z)
@@ -563,7 +585,7 @@ def garding_probe(
             defect = float(np.max(np.abs(mat - mat.conj().T)))
             if defect > 1e-10:
                 raise RuntimeError(f"{name} quantization is not Hermitian (defect {defect:.3e})")
-            out.append(float(np.linalg.eigvalsh(0.5 * (mat + mat.conj().T)[half, half])[0]))
+            out.append(float(np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))[0]))
 
     hs = np.asarray(hbars, dtype=np.float64)
     gaps = np.abs(np.asarray(lams) - sym_min)

@@ -592,6 +592,22 @@ def test_evolve_holds_one_phase_table_chunk_at_a_time():
     assert peak <= 4_000_000
 
 
+def test_garding_assembles_only_the_trusted_block():
+    # at N = 486 the trusted 244^2 complex blocks keep the traced peak near
+    # 8 MB; forming the full 487^2 matrices would take it near 29 MB
+    import scipy.linalg  # noqa: F401  (loaded before tracing: not the probe's memory)
+
+    cfg = resolve_config(cli._defaults("garding"), None, [])
+    tracemalloc.start()
+    try:
+        result = cli.cmd_garding(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.failures == []
+    assert peak <= 12_000_000
+
+
 def test_evolve_command_conserves_energy(tmp_path):
     code, csv, js = _run(
         tmp_path, "evolve", "gamma=0.3", "steps=5", "t_max=10", *_SMALL

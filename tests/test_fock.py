@@ -54,6 +54,12 @@ def test_adequate_cutoff_scales_with_the_displacement():
     assert adequate_cutoff(1.0, 0.5, 0.025) > base
 
 
+def test_adequate_cutoff_refuses_an_infinite_displacement():
+    # |j|/omega = 1e300 squares to inf: no truncation clears it
+    with pytest.raises(ValueError, match="displacement"):
+        adequate_cutoff(1e-300, 1.0, 1.0)
+
+
 def test_ladder_commutator_away_from_the_corner(mode):
     a, adag, num = build_ladder(mode)
     comm = a @ adag - adag @ a
@@ -192,6 +198,9 @@ def test_importing_the_cli_adds_no_scipy_linalg_import():
 def test_weyl_matrix_rejects_oversized_displacements(mode):
     with pytest.raises(ValueError, match="displacement"):
         weyl_matrix(mode, 30.0)
+    # |z|^2 overflows to inf past 1.3e154: still the truncation refusal
+    with pytest.raises(ValueError, match="displacement"):
+        weyl_matrix(mode, 1e200)
 
 
 def test_mode_for_node_absorbs_the_measure(system_g03):
@@ -339,6 +348,26 @@ def test_garding_probe_validates_the_symbol():
         garding_probe(identity(big, 0.0), [0.1])
     with pytest.raises(ValueError, match="at least one"):
         garding_probe(symbol, [])
+
+
+def test_garding_probe_block_assembly_matches_the_compressed_full_quantization():
+    # the old route: sum c W_h(z) on the full (N + 1)^2 truncation, compress
+    # to the trusted leading block, solve
+    from vanhove.weyl import antiwick
+
+    symbol, _ = _harmonic_symbol()
+    for h in (2.0**-3, 2.0**-5):
+        report = garding_probe(symbol, [h])
+        n_h = report.cutoffs[0]
+        mode = FockMode(omega=1.0, coupling=0.0, cutoff=n_h, hbar=h)
+        block = slice(0, n_h // 2 + 1)
+        for poly, lam in (
+            (symbol, report.lambda_min[0]),
+            (antiwick(symbol, h), report.lambda_min_antiwick[0]),
+        ):
+            full = sum(c * weyl_matrix(mode, z) for c, z in zip(poly.coeffs, poly.gens[:, 0]))
+            oracle = np.linalg.eigvalsh(0.5 * (full + full.conj().T)[block, block])[0]
+            assert lam == pytest.approx(oracle, rel=1e-12)
 
 
 def test_antiwick_quantization_never_dips():
