@@ -5,6 +5,8 @@ Every command is one declaration in ``_COMMANDS``: its runner, its keys as
 ``key=value`` configuration (defaults, optionally a ``--config`` file, then
 positional overrides; unknown keys are an error), checks every rule before
 any compute, runs one workbench computation and returns ``Check`` records.
+A grid command's first step builds its one grid; ``make_grid``'s refusal of
+the grid keys (edges, nodes or measures that overflow) is a configuration error.
 It writes ``<out>.csv`` (rows of numbers, 17 significant digits,
 ``#``-prefixed header recording the full configuration and its hash) plus
 ``<out>.json`` (flat summary, each check as value, tolerance and margin, and
@@ -228,7 +230,12 @@ def _write_outputs(out_prefix: str, cfg: dict, result: CommandResult) -> None:
 
 
 def _grid_from(cfg: dict) -> MomentumGrid:
-    return make_grid(**{key: cfg[key] for key in _GRID_KEYS})
+    """The configured grid, built once per command and first: make_grid's
+    refusal of the grid keys is a configuration error."""
+    try:
+        return make_grid(**{key: cfg[key] for key in _GRID_KEYS})
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _source_from(cfg: dict, grid: MomentumGrid) -> sources.SourceSpec:
@@ -236,8 +243,7 @@ def _source_from(cfg: dict, grid: MomentumGrid) -> sources.SourceSpec:
     return sources.power_law_gaussian(grid, cfg["gamma"], ir_cutoff=cutoff)
 
 
-def _system_from(cfg: dict) -> dynamics.VanHoveSystem:
-    grid = _grid_from(cfg)
+def _system_from(cfg: dict, grid: MomentumGrid) -> dynamics.VanHoveSystem:
     return dynamics.make_system(_source_from(cfg, grid))
 
 
@@ -286,7 +292,7 @@ def cmd_classify(cfg: dict) -> CommandResult:
 
 
 def cmd_energy(cfg: dict) -> CommandResult:
-    sys_ = _system_from(cfg)
+    sys_ = _system_from(cfg, _grid_from(cfg))
     minimizer = -sys_.j_over_omega
     summary = {
         "classical_min_energy": dynamics.classical_energy(sys_, minimizer),
@@ -305,8 +311,8 @@ def cmd_energy(cfg: dict) -> CommandResult:
 
 
 def cmd_evolve(cfg: dict) -> CommandResult:
-    sys_ = _system_from(cfg)
-    grid = sys_.grid
+    grid = _grid_from(cfg)
+    sys_ = _system_from(cfg, grid)
     bump = cfg["perturbation"] * np.exp(-grid.nodes**2) * (1.0 + 0.5j)
     alpha0 = from_values(grid, -sys_.j_over_omega.values + bump)
     e0 = dynamics.classical_energy(sys_, alpha0)
@@ -337,7 +343,7 @@ def cmd_evolve(cfg: dict) -> CommandResult:
 
 
 def cmd_kms(cfg: dict) -> CommandResult:
-    sys_ = _system_from(cfg)
+    sys_ = _system_from(cfg, _grid_from(cfg))
     state = states.gibbs_quantum(sys_.source, cfg["beta_h"], cfg["hbar"])
     ts = np.linspace(cfg["t_min"], cfg["t_max"], cfg["t_points"])
     pairs = (
@@ -365,8 +371,8 @@ def cmd_kms(cfg: dict) -> CommandResult:
 
 
 def cmd_groundstate(cfg: dict) -> CommandResult:
-    sys_ = _system_from(cfg)
-    grid = sys_.grid
+    grid = _grid_from(cfg)
+    sys_ = _system_from(cfg, grid)
     window = dynamics.kms_window(cfg["s_minus"], cfg["s_plus"])
     f = sample(grid, lambda r: np.exp(-(r**2)))
     g = sample(grid, lambda r: np.exp(-2.0 * r**2))
@@ -389,8 +395,8 @@ def _hbar_ladder(cfg: dict) -> tuple[float, ...]:
 
 
 def cmd_egorov(cfg: dict) -> CommandResult:
-    sys_ = _system_from(cfg)
-    grid = sys_.grid
+    grid = _grid_from(cfg)
+    sys_ = _system_from(cfg, grid)
     center = sample(grid, lambda r: cfg["center_scale"] * (1.0 + 0.5j) * np.exp(-(r**2)))
     report = semiclassics.egorov_sweep(
         sys_, center, cfg["t"], semiclassics.default_panel(grid), _hbar_ladder(cfg)
@@ -413,7 +419,7 @@ _REGIMES: dict[str, Callable[[dict], semiclassics.Regime]] = {
 
 
 def cmd_equilibrium(cfg: dict) -> CommandResult:
-    sys_ = _system_from(cfg)
+    sys_ = _system_from(cfg, _grid_from(cfg))
     report = semiclassics.equilibrium_sweep(
         sys_, _REGIMES[cfg["regime"]](cfg), semiclassics.default_panel(sys_.grid),
         _hbar_ladder(cfg),
@@ -427,8 +433,8 @@ def cmd_equilibrium(cfg: dict) -> CommandResult:
 
 
 def cmd_scattering(cfg: dict) -> CommandResult:
-    sys_ = _system_from(cfg)
-    grid = sys_.grid
+    grid = _grid_from(cfg)
+    sys_ = _system_from(cfg, grid)
     f = sample(grid, lambda r: np.exp(-(r**2)))
     ts = np.geomspace(cfg["t_min"], cfg["t_max"], cfg["t_points"])
     probe = scattering.convergence_probe(sys_, f, ts)
@@ -486,9 +492,9 @@ def cmd_fock_spectrum(cfg: dict) -> CommandResult:
 
 
 def cmd_soft_photons(cfg: dict) -> CommandResult:
-    sys_ = _system_from(cfg)
+    sys_ = _system_from(cfg, _grid_from(cfg))
     ns = [2**k for k in range(cfg["n_min_log2"], cfg["n_max_log2"] + 1)]
-    report = fock.soft_photon_sweep(sys_, cfg["hbar"], ns)
+    report = fock.soft_photon_sweep(sys_, ns)
     mode = fock.FockMode(omega=1.0, coupling=0.5, cutoff=64, hbar=cfg["hbar"])
     cross = fock.mode_number_expectation(mode)
     return CommandResult(
@@ -551,24 +557,11 @@ _GRID_KEYS = {
 _SOURCE_KEYS = {"gamma": (0.0, _FINITE), "ir_cutoff": (0, (">= 0 (0: none)", lambda n: n >= 0))}
 
 
-def _measures_finite(c: dict) -> bool:
-    """The grid make_grid builds has finite measures sigma w r^(d-1) omega^a
-    (a = -2..1); a range whose edges or nodes overflow has no grid at all."""
-    try:
-        return all(np.all(np.isfinite(m)) for m in _grid_from(c).measures)
-    except ValueError:
-        return False
-
-
-_GRID_RULES = [
-    _at_most(_NODES_MAX, "panels", "points"),
-    _ordered("r_min", "r_max"),
-    (
-        "the grid's nodes and measures sigma w r^(d-1) omega^a must be finite, got dim={dim}, "
-        "mass={mass}, r_min={r_min}, r_max={r_max}",
-        _measures_finite,
-    ),
-]
+#: The rest of the grid domain (edges, nodes and measures that overflow) is
+#: make_grid's to refuse, when _grid_from builds the grid.  The node count goes
+#: first, before anything allocates; scattering's Filon rule reads edges from
+#: the ordered range.
+_GRID_RULES = [_at_most(_NODES_MAX, "panels", "points"), _ordered("r_min", "r_max")]
 _LADDER_KEYS = {"k_min": (3, _EXPONENT), "k_max": (14, _EXPONENT)}
 
 

@@ -341,9 +341,7 @@ class SoftPhotonReport:
     diverging: bool
 
 
-def soft_photon_sweep(
-    sys: VanHoveSystem, hbar: float, cutoffs: Sequence[int]
-) -> SoftPhotonReport:
+def soft_photon_sweep(sys: VanHoveSystem, cutoffs: Sequence[int]) -> SoftPhotonReport:
     """Total photon number ||J_n||_{-2}^2 of the dressed ground state per
     infrared cutoff n (grid norms of the masked source; hbar drops out of
     the closed form).  The slope is fitted on log increments between

@@ -131,8 +131,11 @@ def make_grid(
     Panels are geometrically spaced (equal ratios), each carrying a
     ``points``-point Gauss-Legendre rule.  Construction self-tests the rule
     by integrating the constant 1, which must reproduce r_max - r_min to
-    relative 1e-12.  ``dim`` runs over 1..DIM_MAX; ranges whose panel edges
-    or nodes overflow (r_max/r_min, or two edges' sum, past 1e308) are refused.
+    relative 1e-12.  ``dim`` runs over 1..DIM_MAX.  A range whose panel edges
+    or nodes overflow (r_max/r_min, or two edges' sum, past 1e308) is refused,
+    and so is one whose measures sigma w r^(d-1) omega^a (a = -2..1) overflow,
+    each by a ValueError and without a numpy warning; the CLI checks its
+    grid keys by building the grid.
     """
     if not isinstance(dim, int) or not 1 <= dim <= DIM_MAX:
         raise ValueError(f"dim must be an integer in 1..{DIM_MAX}, got {dim!r}")
@@ -161,9 +164,15 @@ def make_grid(
         )
 
     angular = sphere_area(dim)
-    omega = np.hypot(nodes, mass)
-    base = angular * weights * nodes ** (dim - 1)
-    measures = tuple(base * omega ** a for a in WEIGHT_EXPONENTS)
+    with np.errstate(all="ignore"):  # refused by name just below
+        omega = np.hypot(nodes, mass)
+        base = angular * weights * nodes ** (dim - 1)
+        measures = tuple(base * omega ** a for a in WEIGHT_EXPONENTS)
+    if not all(np.all(np.isfinite(m)) for m in measures):
+        raise ValueError(
+            f"the measures sigma w r^(d-1) omega^a of dim={dim}, mass={mass} on "
+            f"[{r_min}, {r_max}] overflow"
+        )
     for arr in (nodes, weights, edges, omega, *measures):
         arr.setflags(write=False)
     return MomentumGrid(

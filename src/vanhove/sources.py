@@ -173,7 +173,6 @@ class NumericClassification:
 
     infrared_class: InfraredClass
     divergence_slopes: dict[int, float | None]
-    shell_edges: np.ndarray
     clearly_divergent: dict[int, bool]
 
 
@@ -201,10 +200,8 @@ def numeric_classification(spec: SourceSpec) -> NumericClassification:
         )
     slopes: dict[int, float | None] = {}
     divergent: dict[int, bool] = {}
-    edges = None
     for alpha in (0, 1, 2):
         mids, masses = _shell_masses(spec, alpha)
-        edges = mids
         if np.any(masses <= 0.0):
             # The source vanishes somewhere below the fit ceiling (an active
             # cutoff): every infrared mass is finite.
@@ -226,7 +223,6 @@ def numeric_classification(spec: SourceSpec) -> NumericClassification:
     return NumericClassification(
         infrared_class=cls,
         divergence_slopes=slopes,
-        shell_edges=edges,
         clearly_divergent=clearly,
     )
 

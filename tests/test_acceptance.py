@@ -238,7 +238,7 @@ def test_infrared_classes_separate_by_dressing_energy_and_photon_number(
     mids = np.sqrt(np.array(ns[:-1], float) * np.array(ns[1:], float))
 
     sys08 = make_system(power_law_gaussian(dg, 0.8))
-    sweep = fock.soft_photon_sweep(sys08, 0.1, ns)
+    sweep = fock.soft_photon_sweep(sys08, ns)
     assert sweep.diverging
     assert sweep.increment_slope == pytest.approx(0.6, abs=0.05)
     energies08 = [

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vanhove import cli, gibbs_quantum, kms_check
+from vanhove import cli, gibbs_quantum, kms_check, make_grid
 from vanhove.cli import ConfigError, config_hash, main, resolve_config, splitmix64
 
 # a fast shared configuration for commands that take grid keys
@@ -212,7 +212,7 @@ def test_kms_batch_rows_equal_one_pair_calls(tmp_path):
     code, csv, _ = _run(tmp_path, "kms", *overrides)
     assert code == 0
     cfg = resolve_config(cli._defaults("kms"), None, overrides)
-    sys_ = cli._system_from(cfg)
+    sys_ = cli._system_from(cfg, cli._grid_from(cfg))
     state = gibbs_quantum(sys_.source, cfg["beta_h"], cfg["hbar"])
     ts = np.linspace(cfg["t_min"], cfg["t_max"], cfg["t_points"])
     member = cli._random_panel_member
@@ -399,6 +399,23 @@ def test_benchmark_configs_and_the_ceilings_themselves_pass_the_rules():
         cfg = resolve_config(cli._defaults(command), None, overrides)
         _, keys, cross = cli._COMMANDS[command]
         cli._validate(cfg, keys, cross)
+
+
+@pytest.mark.parametrize(
+    "command", [name for name in _CHEAP if "r_max" in cli._defaults(name)]
+)
+def test_each_grid_command_builds_its_grid_once(tmp_path, monkeypatch, command):
+    built = []
+
+    def counted(**keys):
+        built.append(keys)
+        return make_grid(**keys)
+
+    monkeypatch.setattr(cli, "make_grid", counted)
+    # egorov and equilibrium flag their convergence on these coarse grids (exit 1)
+    code, csv, _ = _run(tmp_path, command, *_CHEAP[command])
+    assert code in (0, 1) and csv
+    assert len(built) == 1
 
 
 def test_energy_runs_a_grid_whose_measures_are_finite(tmp_path, capsys):

@@ -228,7 +228,7 @@ def test_soft_photon_number_diverges_for_type_i():
     g = make_grid(r_min=2.0**-10, r_max=16.0, panels=14, points=32)
     sys_t1 = make_system(power_law_gaussian(g, 0.8))
     ns = [2**k for k in range(2, 9)]
-    report = soft_photon_sweep(sys_t1, 0.1, ns)
+    report = soft_photon_sweep(sys_t1, ns)
     assert report.diverging
     # increments of ||J_n||_{-2}^2 grow like n^{2 gamma - 1}
     assert report.increment_slope == pytest.approx(0.6, abs=0.05)
@@ -238,7 +238,7 @@ def test_soft_photon_number_diverges_for_type_i():
 def test_soft_photon_number_converges_for_regular_sources():
     g = make_grid(r_min=2.0**-10, r_max=16.0, panels=14, points=32)
     sys_reg = make_system(power_law_gaussian(g, 0.3))
-    report = soft_photon_sweep(sys_reg, 0.1, [2**k for k in range(2, 9)])
+    report = soft_photon_sweep(sys_reg, [2**k for k in range(2, 9)])
     assert not report.diverging
     assert report.increment_slope == pytest.approx(-0.4, abs=0.05)
 
@@ -247,11 +247,11 @@ def test_soft_photon_sweep_validation(system_g03, grid):
     from vanhove import free_system
 
     with pytest.raises(ValueError, match="sourced"):
-        soft_photon_sweep(free_system(grid), 0.1, [2, 4, 8])
+        soft_photon_sweep(free_system(grid), [2, 4, 8])
     with pytest.raises(ValueError, match="increasing"):
-        soft_photon_sweep(system_g03, 0.1, [8, 4, 2])
+        soft_photon_sweep(system_g03, [8, 4, 2])
     with pytest.raises(ValueError, match="at least 3"):
-        soft_photon_sweep(system_g03, 0.1, [2, 4])
+        soft_photon_sweep(system_g03, [2, 4])
 
 
 def test_annihilation_bound_saturates_for_a_single_mode(mode):

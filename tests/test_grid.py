@@ -96,13 +96,19 @@ def test_grid_rejects_bad_parameters():
         make_grid(panels=0)
     with pytest.raises(ValueError, match="mass"):
         make_grid(mass=float("nan"))
-    # r_max/r_min overflows the edges (nan nodes), or two edges' sum the nodes
-    # (inf nodes): refused by name, without a numpy warning
-    for r_min, r_max in ((1e-300, 1e10), (1e300, 1.7e308)):
+    # r_max/r_min overflows the edges (nan nodes), two edges' sum the nodes (inf
+    # nodes), or sigma w r^(d-1) omega^a the measures on the last panel: refused
+    # by name, without a numpy warning
+    for keys, name in (
+        ({"r_min": 1e-300, "r_max": 1e10}, "edges"),
+        ({"r_min": 1e300, "r_max": 1.7e308}, "edges"),
+        ({"r_max": 1e300}, "measures"),
+        ({"dim": 16, "r_max": 1e30}, "measures"),
+    ):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="overflow"):
-                make_grid(r_min=r_min, r_max=r_max)
+            with pytest.raises(ValueError, match=f"{name} .*overflow"):
+                make_grid(**keys)
 
 
 def test_weight_exponent_is_validated(grid, gauss):
