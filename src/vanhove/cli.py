@@ -247,11 +247,18 @@ def _system_from(cfg: dict, grid: MomentumGrid) -> dynamics.VanHoveSystem:
     return dynamics.make_system(_source_from(cfg, grid))
 
 
-def _random_panel_member(grid: MomentumGrid, rng: np.random.Generator):
-    coeffs = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+def _panel_gaussians(grid: MomentumGrid) -> list[np.ndarray]:
+    """The Gaussians exp(-s r^2), s = 0.5, 1, 2, 4, on the grid's nodes: the
+    basis every random panel member draws its four coefficients for."""
     r = grid.nodes
-    vals = sum(c * np.exp(-s * r**2) for c, s in zip(coeffs, (0.5, 1.0, 2.0, 4.0)))
-    return from_values(grid, vals)
+    return [np.exp(-s * r**2) for s in (0.5, 1.0, 2.0, 4.0)]
+
+
+def _random_panel_member(
+    grid: MomentumGrid, gaussians: list[np.ndarray], rng: np.random.Generator
+):
+    coeffs = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    return from_values(grid, sum(c * g for c, g in zip(coeffs, gaussians)))
 
 
 def _verdict(holds: bool) -> float:
@@ -346,8 +353,9 @@ def cmd_kms(cfg: dict) -> CommandResult:
     sys_ = _system_from(cfg, _grid_from(cfg))
     state = states.gibbs_quantum(sys_.source, cfg["beta_h"], cfg["hbar"])
     ts = np.linspace(cfg["t_min"], cfg["t_max"], cfg["t_points"])
+    grid, gaussians = sys_.grid, _panel_gaussians(sys_.grid)
     pairs = (
-        (_random_panel_member(sys_.grid, rng), _random_panel_member(sys_.grid, rng))
+        (_random_panel_member(grid, gaussians, rng), _random_panel_member(grid, gaussians, rng))
         for rng in map(np.random.default_rng, splitmix64(cfg["seed"], cfg["pairs"]))
     )
     report = dynamics.kms_check(sys_, state, cfg["beta_h"], pairs, ts)
@@ -591,12 +599,13 @@ _FOCK_CUTOFF_MAX = 2048
 
 #: Largest garding truncation N (at the smallest hbar).  garding_probe solves
 #: one real (N + 1)^2 eigenvector matrix at a time and holds complex trusted
-#: (N//2 + 1)^2 blocks: one exponential per |z|, the two quantizations and
-#: their gauged terms.  At cutoff = 1536 (N = 1536 at every hbar) a run peaks
-#: at 86 MB traced (162 MB resident), with 1537^2 * 8 B = 19 MB eigenvectors
-#: and 769^2 * 16 B = 9.5 MB blocks; the default cutoff floor reaches N = 1436
-#: at k_max = 10 (64 MB traced, 133 MB resident), while k_max = 13 needs
-#: N = 9264: 687 MB of eigenvectors and 4633^2 * 16 B = 343 MB per block.
+#: (N//2 + 1)^2 blocks: one exponential per nonzero |z| (W_h(0) is a real
+#: identity, with no solve), the two quantizations and their gauged terms.
+#: At cutoff = 1536 (N = 1536 at every hbar) a run peaks at 81 MB traced
+#: (161 MB resident), with 1537^2 * 8 B = 19 MB eigenvectors and 769^2 * 16 B
+#: = 9.5 MB blocks; the default cutoff floor reaches N = 1436 at k_max = 10
+#: (59 MB traced, 136 MB resident), while k_max = 13 needs N = 9264: 687 MB
+#: of eigenvectors and 4633^2 * 16 B = 343 MB per block.
 _GARDING_CUTOFF_MAX = 1536
 
 

@@ -16,9 +16,12 @@ The field and exponential operators use
 Both H and phi_h(z) are tridiagonal, and the diagonal gauge
 D = diag(e^{i k theta}) (theta = arg j, resp. arg z) turns each into a real
 symmetric tridiagonal R with nonnegative off-diagonal: H (resp. phi_h(z))
-= D R D*.  So their spectra come from ``scipy.linalg.eigh_tridiagonal`` on
-R: W_h(z) = D e^{i pi R} D* with R depending on |z| only, and the ground
-state of H is D times a real vector.  The exponentials satisfy
+= D R D*.  So their spectra come from LAPACK's tridiagonal solvers on R
+(``_tridiagonal_eigh``: dstevd for all eigenpairs, dstebz + dstein for the
+lowest two, bitwise what ``scipy.linalg.eigh_tridiagonal`` returns under its
+``auto`` driver): W_h(z) = D e^{i pi R} D* with R depending on |z| only
+(W_h(0) is the identity, needing no solve), and the ground state of H is D
+times a real vector.  The exponentials satisfy
 <e_0, W_h(z) e_0> = e^{-(pi^2 hbar/2)|z|^2}, checked on every one, and
 W_h(z) W_h(w) = W_h(z+w) e^{-i pi^2 hbar Im(conj(z) w)} on the trusted
 (lower) half of the truncated space.
@@ -164,6 +167,37 @@ def _gauge(theta: float, dim: int) -> np.ndarray:
     return np.exp(1j * theta * np.arange(dim))
 
 
+def _tridiagonal_eigh(
+    diag: np.ndarray, off: np.ndarray, lowest: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenpairs (evals, vecs in columns) of the real symmetric
+    tridiagonal with diagonal ``diag`` and off-diagonal ``off``: all of them
+    from LAPACK dstevd, or the ``lowest`` few from dstebz (by index, block
+    order, vl/vu = 0/1, tol 0) then dstein, sorted by eigenvalue.  These are
+    the calls, arguments and ordering of ``scipy.linalg.eigh_tridiagonal``
+    under its ``auto`` driver (scipy 1.17), so the results are bitwise its
+    results, without its argument handling.  Its two refusals stay: a
+    non-finite entry raises ValueError, a nonzero LAPACK info LinAlgError."""
+    # imported on first use: the CLI imports this module for every command,
+    # and scipy is loaded only by the Fock commands and `scattering`
+    from scipy.linalg.lapack import dstebz, dstein, dstevd
+
+    if not (np.isfinite(diag).all() and np.isfinite(off).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    if lowest is None:
+        evals, vecs, info = dstevd(diag, off)
+    else:
+        count, evals, block, split, info = dstebz(diag, off, 2, 0.0, 1.0, 1, lowest, 0.0, "B")
+        if info == 0:
+            evals = evals[:count]
+            vecs, info = dstein(diag, off, evals, block, split)
+            order = np.argsort(evals)
+            evals, vecs = evals[order], vecs[:, order]
+    if info != 0:
+        raise np.linalg.LinAlgError(f"tridiagonal eigensolve failed: LAPACK info {info}")
+    return evals, vecs
+
+
 def _exponential_eigs(
     hbar: float, cutoff: int, modulus: float
 ) -> tuple[np.ndarray, np.ndarray, float]:
@@ -172,10 +206,6 @@ def _exponential_eigs(
     e^{i pi R} = V e^{i lam} V^T, and the vacuum defect of that exponential,
     |sum_k V[0, k]^2 e^{i lam_k} - e^{-pi^2 hbar |z|^2 / 2}|.  Rejects
     displacements with pi^2 hbar |z|^2 > N/4 and defects above the ceiling."""
-    # imported on first use: the CLI imports this module for every command,
-    # and scipy is loaded only by the Fock commands and `scattering`
-    from scipy.linalg import eigh_tridiagonal
-
     modulus_sq = modulus * modulus  # inf past 1.3e154, where ** raises OverflowError
     if not exponential_fits(hbar, cutoff, modulus_sq):
         raise ValueError(
@@ -183,7 +213,7 @@ def _exponential_eigs(
             f"adequacy pi^2 hbar |z|^2 <= N/4 for N = {cutoff}"
         )
     off = _PI * math.sqrt(hbar) * modulus * np.sqrt(np.arange(1.0, cutoff + 1))
-    evals, vecs = eigh_tridiagonal(np.zeros(cutoff + 1), off)
+    evals, vecs = _tridiagonal_eigh(np.zeros(cutoff + 1), off)
     vacuum = np.dot(vecs[0] * vecs[0], np.exp(1j * evals))
     defect = abs(vacuum - math.exp(-0.5 * _PI2 * hbar * modulus_sq))
     if defect > _VACUUM_TOL:
@@ -199,7 +229,11 @@ def _dense_exponential(
 ) -> tuple[np.ndarray, float]:
     """The leading size x size block of U = e^{i pi R} on N + 1 levels, from the
     leading rows of V: V[:size] cos(lam) V[:size]^T + i V[:size] sin(lam)
-    V[:size]^T (size = N + 1 is all of U), and the vacuum defect of U."""
+    V[:size]^T (size = N + 1 is all of U), and the vacuum defect of U.  At
+    |z| = 0, R = 0 and U = W_h(0) is the identity with defect 0 (dstevd gives
+    V = I there, so the product would be the same identity bit for bit)."""
+    if modulus == 0.0:
+        return np.eye(size), 0.0
     evals, vecs, defect = _exponential_eigs(hbar, cutoff, modulus)
     rows = vecs[:size]
     u = np.empty((size, size), dtype=np.complex128)
@@ -244,15 +278,12 @@ class GroundReport:
 def _lowest_pair(mode: FockMode) -> tuple[np.ndarray, np.ndarray]:
     """The two lowest eigenvalues of H and its ground vector D v, where v is
     the ground vector of the real gauged R = D* H D (D gauged by arg j)."""
-    from scipy.linalg import eigh_tridiagonal  # on first use, as in _exponential_eigs
-
     occ = np.arange(mode.dim, dtype=np.float64)
     j = complex(mode.coupling)
-    evals, vecs = eigh_tridiagonal(
+    evals, vecs = _tridiagonal_eigh(
         mode.hbar * mode.omega * occ,
         math.sqrt(mode.hbar) * abs(j) * np.sqrt(occ[1:]),
-        select="i",
-        select_range=(0, 1),
+        lowest=2,
     )
     return evals, _gauge(cmath.phase(j), mode.dim) * vecs[:, 0]
 
@@ -519,11 +550,11 @@ def garding_probe(
     is only a floor) is assembled as a dense matrix on its trusted lower
     half alone, the leading (N//2 + 1)^2 block: each W_h(z_j) there is
     gauged from the leading block of one real exponential per distinct
-    |z_j| (solved on all N + 1 levels).  The block's lowest eigenvalue is
-    recorded together with that of the anti-Wick variant (positive by
-    construction); the largest vacuum-expectation defect of those
-    exponentials is reported.  The
-    rate constant C is fitted through the origin to lambda_min - min(symbol)
+    nonzero |z_j| (solved on all N + 1 levels; W_h(0) is the identity).  The
+    block's lowest eigenvalue is recorded together with that of the
+    anti-Wick variant (positive by construction); the largest
+    vacuum-expectation defect of those exponentials is reported.  The rate
+    constant C is fitted through the origin to lambda_min - min(symbol)
     over the smaller half of the hbar ladder, where the linear law has set
     in; the spectral bottom then obeys min(symbol) - C hbar <= lambda_min
     <= min(symbol) + C hbar (residual reported) and nothing converges
@@ -568,7 +599,8 @@ def garding_probe(
         cutoffs.append(n_h)
         trusted = n_h // 2 + 1
         # one real exponential per distinct |z| (solved on all N + 1 levels,
-        # formed on the trusted block only), gauged for each generator
+        # formed on the trusted block only; |z| = 0 is the identity, with no
+        # solve), gauged for each generator
         exps = {
             r: _dense_exponential(float(h), n_h, r, trusted)
             for r in {abs(z) for z in gens.tolist()}

@@ -215,9 +215,9 @@ def test_kms_batch_rows_equal_one_pair_calls(tmp_path):
     sys_ = cli._system_from(cfg, cli._grid_from(cfg))
     state = gibbs_quantum(sys_.source, cfg["beta_h"], cfg["hbar"])
     ts = np.linspace(cfg["t_min"], cfg["t_max"], cfg["t_points"])
-    member = cli._random_panel_member
+    member, gaussians = cli._random_panel_member, cli._panel_gaussians(sys_.grid)
     pairs = [
-        (member(sys_.grid, rng), member(sys_.grid, rng))  # f drawn before g
+        (member(sys_.grid, gaussians, rng), member(sys_.grid, gaussians, rng))  # f drawn before g
         for rng in map(np.random.default_rng, splitmix64(cfg["seed"], cfg["pairs"]))
     ]
     batch = kms_check(sys_, state, cfg["beta_h"], pairs, ts)
@@ -581,6 +581,15 @@ def test_kms_refuses_values_that_underflow(tmp_path, capsys):
         assert payload["failures"] == ["kms residual"]
         assert payload["checks"]["kms residual"]["tol"] < math.inf
         assert capsys.readouterr().err == "invariant failed: kms residual\n"
+
+
+def test_fock_spectrum_refuses_a_non_finite_mode_matrix(tmp_path, capsys):
+    # hbar omega = 1e400 puts inf on the diagonal of H: the eigensolve refuses
+    # it by name, as scipy's eigh_tridiagonal does, rather than reporting a
+    # LAPACK failure code
+    code, _, _ = _run(tmp_path, "fock-spectrum", "omega=1e200", "hbar=1e200")
+    assert code == 1
+    assert capsys.readouterr().err == "invariant failed: array must not contain infs or NaNs\n"
 
 
 def test_scattering_refuses_a_panel_too_small_to_show_a_round_trip(tmp_path, capsys):

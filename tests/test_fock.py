@@ -203,6 +203,60 @@ def test_weyl_matrix_rejects_oversized_displacements(mode):
         weyl_matrix(mode, 1e200)
 
 
+def test_tridiagonal_eigh_is_bitwise_scipy_eigh_tridiagonal(system_g03):
+    # the helper makes eigh_tridiagonal's LAPACK calls under its auto driver
+    # (scipy 1.17): dstevd for the whole spectrum, dstebz + dstein for the
+    # lowest pair.  Checked on H of every node mode at hbar = 0.1 and on
+    # garding's exponent R at N = 88, 204, 486 (k = 3, 6, 8)
+    from scipy.linalg import eigh_tridiagonal
+
+    tridiagonals = []
+    for i in range(system_g03.grid.size):
+        m = mode_for_node(system_g03, i, 0.1)
+        occ = np.arange(m.dim, dtype=np.float64)
+        tridiagonals.append(
+            (m.hbar * m.omega * occ, math.sqrt(m.hbar) * abs(m.coupling) * np.sqrt(occ[1:]))
+        )
+    for k in (3, 6, 8):
+        h = 2.0**-k
+        n = fock.garding_cutoff(h, 64)
+        for r in (1.0, abs(1 - 1j)):
+            off = math.pi * math.sqrt(h) * r * np.sqrt(np.arange(1.0, n + 1))
+            tridiagonals.append((np.zeros(n + 1), off))
+    assert sorted({len(d) for d, _ in tridiagonals[-6:]}) == [89, 205, 487]
+    for diag, off in tridiagonals:
+        full = eigh_tridiagonal(diag, off, lapack_driver="stevd")
+        pair = eigh_tridiagonal(diag, off, select="i", select_range=(0, 1))
+        ours = (fock._tridiagonal_eigh(diag, off), fock._tridiagonal_eigh(diag, off, lowest=2))
+        for got, want in zip(ours, (full, pair)):
+            for a, b in zip(got, want):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_tridiagonal_eigh_keeps_the_refusals_of_eigh_tridiagonal():
+    # a non-finite entry, on the diagonal or off it, is refused by name
+    # before LAPACK sees it, by both branches
+    for bad in (np.inf, np.nan):
+        bad_diag = (np.array([0.0, 1.0, bad, 3.0, 4.0]), np.ones(4))
+        bad_off = (np.arange(5.0), np.array([1.0, bad, 1.0, 1.0]))
+        for entries in (bad_diag, bad_off):
+            for lowest in (None, 2):
+                with pytest.raises(ValueError, match="^array must not contain infs or NaNs$"):
+                    fock._tridiagonal_eigh(*entries, lowest)
+
+
+def test_the_exponential_at_zero_is_the_identity():
+    # W_h(0) = I: returned without a solve, and bit for bit what the solve
+    # gives (dstevd on the zero tridiagonal returns V = I, lam = 0)
+    for h, n in ((2.0**-3, 88), (2.0**-8, 486)):
+        for size in (n // 2 + 1, n + 1):
+            u, defect = fock._dense_exponential(h, n, 0.0, size)
+            assert u.tobytes() == np.eye(size).tobytes() and defect == 0.0
+        evals, vecs, defect = fock._exponential_eigs(h, n, 0.0)
+        assert vecs.tobytes() == np.eye(n + 1).tobytes()
+        assert not evals.any() and defect == 0.0
+
+
 def test_mode_for_node_absorbs_the_measure(system_g03):
     h = 0.2
     m0 = mode_for_node(system_g03, 100, h)
