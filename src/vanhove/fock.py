@@ -19,7 +19,8 @@ symmetric tridiagonal R with nonnegative off-diagonal: H (resp. phi_h(z))
 = D R D*.  So their spectra come from LAPACK's tridiagonal solvers on R
 (``_tridiagonal_eigh``: dstevd for all eigenpairs, dstebz + dstein for the
 lowest two, bitwise what ``scipy.linalg.eigh_tridiagonal`` returns under its
-``auto`` driver): W_h(z) = D e^{i pi R} D* with R depending on |z| only
+``auto`` driver, which it calls itself for a full spectrum on scipy releases
+without dstevd): W_h(z) = D e^{i pi R} D* with R depending on |z| only
 (W_h(0) is the identity, needing no solve), and the ground state of H is D
 times a real vector.  The exponentials satisfy
 <e_0, W_h(z) e_0> = e^{-(pi^2 hbar/2)|z|^2}, checked on every one, and
@@ -176,21 +177,28 @@ def _tridiagonal_eigh(
     order, vl/vu = 0/1, tol 0) then dstein, sorted by eigenvalue.  These are
     the calls, arguments and ordering of ``scipy.linalg.eigh_tridiagonal``
     under its ``auto`` driver (scipy 1.17), so the results are bitwise its
-    results, without its argument handling.  Its two refusals stay: a
-    non-finite entry raises ValueError, a nonzero LAPACK info LinAlgError."""
+    results, without its argument handling.  On scipy releases without a
+    dstevd wrapper (older ones, whose ``auto`` driver for a full spectrum is
+    stemr) the full spectrum comes from ``eigh_tridiagonal`` itself.  Its
+    two refusals stay: a non-finite entry raises ValueError, a nonzero LAPACK
+    info LinAlgError."""
     # imported on first use: the CLI imports this module for every command,
     # and scipy is loaded only by the Fock commands and `scattering`
-    from scipy.linalg.lapack import dstebz, dstein, dstevd
+    from scipy.linalg import eigh_tridiagonal, lapack
 
     if not (np.isfinite(diag).all() and np.isfinite(off).all()):
         raise ValueError("array must not contain infs or NaNs")
     if lowest is None:
-        evals, vecs, info = dstevd(diag, off)
+        if not hasattr(lapack, "dstevd"):
+            return eigh_tridiagonal(diag, off)
+        evals, vecs, info = lapack.dstevd(diag, off)
     else:
-        count, evals, block, split, info = dstebz(diag, off, 2, 0.0, 1.0, 1, lowest, 0.0, "B")
+        count, evals, block, split, info = lapack.dstebz(
+            diag, off, 2, 0.0, 1.0, 1, lowest, 0.0, "B"
+        )
         if info == 0:
             evals = evals[:count]
-            vecs, info = dstein(diag, off, evals, block, split)
+            vecs, info = lapack.dstein(diag, off, evals, block, split)
             order = np.argsort(evals)
             evals, vecs = evals[order], vecs[:, order]
     if info != 0:
@@ -230,8 +238,9 @@ def _dense_exponential(
     """The leading size x size block of U = e^{i pi R} on N + 1 levels, from the
     leading rows of V: V[:size] cos(lam) V[:size]^T + i V[:size] sin(lam)
     V[:size]^T (size = N + 1 is all of U), and the vacuum defect of U.  At
-    |z| = 0, R = 0 and U = W_h(0) is the identity with defect 0 (dstevd gives
-    V = I there, so the product would be the same identity bit for bit)."""
+    |z| = 0, R = 0 and U = W_h(0) is the identity with defect 0 (the solve
+    gives V = I there, so the product would be the same identity bit for
+    bit)."""
     if modulus == 0.0:
         return np.eye(size), 0.0
     evals, vecs, defect = _exponential_eigs(hbar, cutoff, modulus)

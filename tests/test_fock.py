@@ -204,10 +204,12 @@ def test_weyl_matrix_rejects_oversized_displacements(mode):
 
 
 def test_tridiagonal_eigh_is_bitwise_scipy_eigh_tridiagonal(system_g03):
-    # the helper makes eigh_tridiagonal's LAPACK calls under its auto driver
-    # (scipy 1.17): dstevd for the whole spectrum, dstebz + dstein for the
-    # lowest pair.  Checked on H of every node mode at hbar = 0.1 and on
-    # garding's exponent R at N = 88, 204, 486 (k = 3, 6, 8)
+    # the helper makes eigh_tridiagonal's LAPACK calls under its auto driver:
+    # dstevd for the whole spectrum (eigh_tridiagonal itself on scipy
+    # releases without it), dstebz + dstein for the lowest pair.  So it
+    # returns the bytes of the default call.  Checked on H of every node mode
+    # at hbar = 0.1 and on garding's exponent R at N = 88, 204, 486
+    # (k = 3, 6, 8)
     from scipy.linalg import eigh_tridiagonal
 
     tridiagonals = []
@@ -225,12 +227,26 @@ def test_tridiagonal_eigh_is_bitwise_scipy_eigh_tridiagonal(system_g03):
             tridiagonals.append((np.zeros(n + 1), off))
     assert sorted({len(d) for d, _ in tridiagonals[-6:]}) == [89, 205, 487]
     for diag, off in tridiagonals:
-        full = eigh_tridiagonal(diag, off, lapack_driver="stevd")
+        full = eigh_tridiagonal(diag, off)
         pair = eigh_tridiagonal(diag, off, select="i", select_range=(0, 1))
         ours = (fock._tridiagonal_eigh(diag, off), fock._tridiagonal_eigh(diag, off, lowest=2))
         for got, want in zip(ours, (full, pair)):
             for a, b in zip(got, want):
                 assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_tridiagonal_eigh_without_dstevd_is_the_default_call(monkeypatch):
+    # a scipy without the dstevd wrapper: the whole spectrum comes from
+    # eigh_tridiagonal itself, after the same finiteness refusal
+    from scipy.linalg import eigh_tridiagonal, lapack
+
+    monkeypatch.delattr(lapack, "dstevd")
+    off = math.pi * math.sqrt(2.0**-3) * np.sqrt(np.arange(1.0, 89))
+    for diag in (np.zeros(89), np.arange(89.0)):
+        got, want = fock._tridiagonal_eigh(diag, off), eigh_tridiagonal(diag, off)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+    with pytest.raises(ValueError, match="^array must not contain infs or NaNs$"):
+        fock._tridiagonal_eigh(np.full(89, np.nan), off)
 
 
 def test_tridiagonal_eigh_keeps_the_refusals_of_eigh_tridiagonal():
@@ -247,7 +263,7 @@ def test_tridiagonal_eigh_keeps_the_refusals_of_eigh_tridiagonal():
 
 def test_the_exponential_at_zero_is_the_identity():
     # W_h(0) = I: returned without a solve, and bit for bit what the solve
-    # gives (dstevd on the zero tridiagonal returns V = I, lam = 0)
+    # gives (the zero tridiagonal's eigenvectors are V = I, lam = 0)
     for h, n in ((2.0**-3, 88), (2.0**-8, 486)):
         for size in (n // 2 + 1, n + 1):
             u, defect = fock._dense_exponential(h, n, 0.0, size)
