@@ -5,9 +5,12 @@ Every command is one declaration in ``_COMMANDS``: its runner, its keys as
 ``key=value`` configuration (defaults, optionally a ``--config`` file, then
 positional overrides; unknown keys are an error), checks every rule before
 any compute, runs one workbench computation and returns ``Check`` records.
-A grid command's first step builds its one grid; ``make_grid``'s refusal of
-the grid keys (edges, nodes or measures that overflow) is a configuration error.
-It writes ``<out>.csv`` (rows of numbers, 17 significant digits,
+The rules hold only what belongs to the command line (spans, ``t_min <=
+t_max``, Fock truncations and memory ceilings).  The rest is refused by the
+objects that take the parameters, built first: the grid (``make_grid``), then
+the spectral window (``kms_window``), the Filon rule's grid
+(``check_filon_grid``) or the regime; their ``ValueError`` is a configuration
+error.  It writes ``<out>.csv`` (rows of numbers, 17 significant digits,
 ``#``-prefixed header recording the full configuration and its hash) plus
 ``<out>.json`` (flat summary, each check as value, tolerance and margin, and
 the names of the failed checks), and prints a one-line summary.  Identical
@@ -34,15 +37,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import dynamics, fock, scattering, semiclassics, sources, states, weyl
-from .grid import (
-    DIM_MAX,
-    MomentumGrid,
-    from_values,
-    geometric_edges,
-    make_grid,
-    sample,
-    weighted_norm_sq,
-)
+from .grid import DIM_MAX, MomentumGrid, from_values, make_grid, sample, weighted_norm_sq
 
 __all__ = ["main"]
 
@@ -229,13 +224,18 @@ def _write_outputs(out_prefix: str, cfg: dict, result: CommandResult) -> None:
     Path(out_prefix + ".json").write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _grid_from(cfg: dict) -> MomentumGrid:
-    """The configured grid, built once per command and first: make_grid's
-    refusal of the grid keys is a configuration error."""
+def _configured(build: Callable, *args, **kwargs):
+    """build(*args, **kwargs), whose every ValueError refuses a parameter: a
+    configuration error."""
     try:
-        return make_grid(**{key: cfg[key] for key in _GRID_KEYS})
+        return build(*args, **kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def _grid_from(cfg: dict) -> MomentumGrid:
+    """The configured grid, built once per command and first."""
+    return _configured(make_grid, **{key: cfg[key] for key in _GRID_KEYS})
 
 
 def _source_from(cfg: dict, grid: MomentumGrid) -> sources.SourceSpec:
@@ -380,8 +380,8 @@ def cmd_kms(cfg: dict) -> CommandResult:
 
 def cmd_groundstate(cfg: dict) -> CommandResult:
     grid = _grid_from(cfg)
+    window = _configured(dynamics.kms_window, cfg["s_minus"], cfg["s_plus"])
     sys_ = _system_from(cfg, grid)
-    window = dynamics.kms_window(cfg["s_minus"], cfg["s_plus"])
     f = sample(grid, lambda r: np.exp(-(r**2)))
     g = sample(grid, lambda r: np.exp(-2.0 * r**2))
     report = dynamics.ground_state_check(sys_, f, g, window, hbar=cfg["hbar"])
@@ -427,10 +427,11 @@ _REGIMES: dict[str, Callable[[dict], semiclassics.Regime]] = {
 
 
 def cmd_equilibrium(cfg: dict) -> CommandResult:
-    sys_ = _system_from(cfg, _grid_from(cfg))
+    grid = _grid_from(cfg)
+    regime = _configured(_REGIMES[cfg["regime"]], cfg)
+    sys_ = _system_from(cfg, grid)
     report = semiclassics.equilibrium_sweep(
-        sys_, _REGIMES[cfg["regime"]](cfg), semiclassics.default_panel(sys_.grid),
-        _hbar_ladder(cfg),
+        sys_, regime, semiclassics.default_panel(grid), _hbar_ladder(cfg)
     )
     return CommandResult(
         ["hbar", "deviation"],
@@ -442,6 +443,8 @@ def cmd_equilibrium(cfg: dict) -> CommandResult:
 
 def cmd_scattering(cfg: dict) -> CommandResult:
     grid = _grid_from(cfg)
+    if cfg["t_max"] > scattering.FILON_THRESHOLD:
+        _configured(scattering.check_filon_grid, grid)
     sys_ = _system_from(cfg, grid)
     f = sample(grid, lambda r: np.exp(-(r**2)))
     ts = np.geomspace(cfg["t_min"], cfg["t_max"], cfg["t_points"])
@@ -543,21 +546,6 @@ def cmd_garding(cfg: dict) -> CommandResult:
 # keys and rules
 
 
-def _ordered(low: str, high: str, op: str = "<") -> CrossRule:
-    test = (lambda x, y: x < y) if op == "<" else (lambda x, y: x <= y)
-    return (
-        f"{low} must be {op} {high}, got {{{low}}}, {{{high}}}", lambda c: test(c[low], c[high])
-    )
-
-
-def _in_regime(regime: str, key: str, rule: Rule) -> CrossRule:
-    text, holds = rule
-    return (
-        f"{key} must be {text} in the {regime} regime, got {{{key}}}",
-        lambda c: c["regime"] != regime or holds(c[key]),
-    )
-
-
 _GRID_KEYS = {
     "dim": (3, _DIM), "mass": (0.0, _NONNEGATIVE), "r_min": (1e-6, _POSITIVE),
     "r_max": (12.0, _POSITIVE), "panels": (16, _COUNT), "points": (32, _COUNT),
@@ -565,11 +553,10 @@ _GRID_KEYS = {
 _SOURCE_KEYS = {"gamma": (0.0, _FINITE), "ir_cutoff": (0, (">= 0 (0: none)", lambda n: n >= 0))}
 
 
-#: The rest of the grid domain (edges, nodes and measures that overflow) is
-#: make_grid's to refuse, when _grid_from builds the grid.  The node count goes
-#: first, before anything allocates; scattering's Filon rule reads edges from
-#: the ordered range.
-_GRID_RULES = [_at_most(_NODES_MAX, "panels", "points"), _ordered("r_min", "r_max")]
+#: The node count goes first, before anything allocates.  The rest of the grid
+#: domain (the range's order, edges, nodes and measures that overflow) is
+#: make_grid's to refuse, when _grid_from builds the grid.
+_GRID_RULES = [_at_most(_NODES_MAX, "panels", "points")]
 _LADDER_KEYS = {"k_min": (3, _EXPONENT), "k_max": (14, _EXPONENT)}
 
 
@@ -654,7 +641,6 @@ _COMMANDS: dict[str, tuple[Callable[[dict], CommandResult], dict, list[CrossRule
         },
         [
             *_GRID_RULES,
-            _ordered("s_minus", "s_plus"),
             (
                 f"s_plus - s_minus must be <= {_WINDOW_WIDTH_MAX:g}, got {{s_minus}}, {{s_plus}}",
                 lambda c: c["s_plus"] - c["s_minus"] <= _WINDOW_WIDTH_MAX,
@@ -674,13 +660,7 @@ _COMMANDS: dict[str, tuple[Callable[[dict], CommandResult], dict, list[CrossRule
             "beta": (1.0, _FINITE), "coefficient": (1.0, _POSITIVE), "epsilon": (0.5, _FINITE),
             **_LADDER_KEYS,
         },
-        [
-            *_GRID_RULES,
-            _in_regime("linear", "beta", ("> 0", lambda x: x > 0.0)),
-            _in_regime("sublinear", "epsilon", ("in (0, 1]", lambda x: 0.0 < x <= 1.0)),
-            _in_regime("superlinear", "epsilon", ("> 0", lambda x: x > 0.0)),
-            _span("k_min", "k_max", 2),
-        ],
+        [*_GRID_RULES, _span("k_min", "k_max", 2)],
     ),
     "scattering": (
         cmd_scattering,
@@ -692,22 +672,7 @@ _COMMANDS: dict[str, tuple[Callable[[dict], CommandResult], dict, list[CrossRule
             *_GRID_RULES,
             _at_most(_TABLE_MAX, "t_points", "panels", "points"),
             _span("k_min", "k_max", 2),
-            _ordered("t_min", "t_max", "<="),
-            (
-                f"points must be > {scattering.FILON_DEGREE} when t_max > "
-                f"{scattering.FILON_THRESHOLD:g} (Filon quadrature), got {{points}}",
-                lambda c: c["t_max"] <= scattering.FILON_THRESHOLD
-                or c["points"] > scattering.FILON_DEGREE,
-            ),
-            (
-                f"omega = hypot(r, mass) must grow across every panel when t_max > "
-                f"{scattering.FILON_THRESHOLD:g} (Filon quadrature), got mass={{mass}}, "
-                "r_min={r_min}, r_max={r_max}, panels={panels}",
-                lambda c: c["t_max"] <= scattering.FILON_THRESHOLD
-                or not scattering.flat_panels(
-                    geometric_edges(c["r_min"], c["r_max"], c["panels"]), c["mass"]
-                ).size,
-            ),
+            ("t_min must be <= t_max, got {t_min}, {t_max}", lambda c: c["t_min"] <= c["t_max"]),
         ],
     ),
     "fock-spectrum": (

@@ -30,7 +30,6 @@ __all__ = [
     "MomentumGrid",
     "RadialFunction",
     "make_grid",
-    "geometric_edges",
     "sample",
     "from_values",
     "zero_function",
@@ -148,7 +147,8 @@ def make_grid(
 
     x, w = np.polynomial.legendre.leggauss(points)
     with np.errstate(all="ignore"):  # an overflow is refused by name just below
-        edges = geometric_edges(r_min, r_max, panels)
+        edges = r_min * (r_max / r_min) ** (np.arange(panels + 1) / panels)
+        edges[0], edges[-1] = r_min, r_max  # kill endpoint roundoff
         half = 0.5 * (edges[1:] - edges[:-1])
         mid = 0.5 * (edges[1:] + edges[:-1])
         nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
@@ -186,13 +186,6 @@ def make_grid(
         omega=omega,
         measures=measures,  # type: ignore[arg-type]
     )
-
-
-def geometric_edges(r_min: float, r_max: float, panels: int) -> np.ndarray:
-    """The panel edges of make_grid: ``panels`` equal ratios from r_min to r_max."""
-    edges = r_min * (r_max / r_min) ** (np.arange(panels + 1) / panels)
-    edges[0], edges[-1] = r_min, r_max  # kill endpoint roundoff
-    return edges
 
 
 @dataclass(frozen=True, eq=False)

@@ -42,6 +42,7 @@ __all__ = [
     "FILON_THRESHOLD",
     "FILON_DEGREE",
     "asymptotic_character",
+    "check_filon_grid",
     "dressing_coefficient",
     "flat_panels",
     "free_overlap",
@@ -84,15 +85,13 @@ def flat_panels(edges: np.ndarray, mass: float) -> np.ndarray:
     return np.flatnonzero(u_edges[1:] <= u_edges[:-1])
 
 
-def _filon_fit(grid: MomentumGrid, amplitude: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Fit sigma r^{d-1} amp(r) dr = A(u) du per panel, A in Legendre form
-    (t-free), then sum the fit's exact oscillatory moments at every t."""
-    n_panels = grid.panel_edges.size - 1
-    pts = grid.points_per_panel
-    if pts <= FILON_DEGREE:
+def check_filon_grid(grid: MomentumGrid) -> None:
+    """Refuse, by a ValueError, a grid the Filon rule cannot fit: at most
+    FILON_DEGREE points per panel, or a panel on which omega is flat."""
+    if grid.points_per_panel <= FILON_DEGREE:
         raise ValueError(
             f"oscillatory quadrature needs more than {FILON_DEGREE} points "
-            f"per panel, grid has {pts}"
+            f"per panel, grid has {grid.points_per_panel}"
         )
     flat = flat_panels(grid.panel_edges, grid.mass)
     if flat.size:
@@ -102,6 +101,14 @@ def _filon_fit(grid: MomentumGrid, amplitude: np.ndarray, t: np.ndarray) -> np.n
             f"every panel, but it is flat on panel {flat[0]} (r in [{lo:g}, {hi:g}], "
             f"mass {grid.mass:g})"
         )
+
+
+def _filon_fit(grid: MomentumGrid, amplitude: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Fit sigma r^{d-1} amp(r) dr = A(u) du per panel, A in Legendre form
+    (t-free), then sum the fit's exact oscillatory moments at every t."""
+    check_filon_grid(grid)
+    n_panels = grid.panel_edges.size - 1
+    pts = grid.points_per_panel
     # imported on first use, as fock does with scipy.linalg: every other
     # command then starts without loading scipy
     from scipy.special import spherical_jn

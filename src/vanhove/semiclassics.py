@@ -70,6 +70,10 @@ class Linear:
 
     beta: float
 
+    def __post_init__(self) -> None:
+        if not 0.0 < self.beta < math.inf:
+            raise ValueError(f"linear regime needs 0 < beta < inf, got {self.beta}")
+
 
 @dataclass(frozen=True)
 class SubLinear:
@@ -78,6 +82,10 @@ class SubLinear:
     coefficient: float = 1.0
     epsilon: float = 0.5
 
+    def __post_init__(self) -> None:
+        if not 0.0 < self.epsilon <= 1.0:
+            raise ValueError(f"sub-linear regime needs 0 < epsilon <= 1, got {self.epsilon}")
+
 
 @dataclass(frozen=True)
 class SuperLinear:
@@ -85,6 +93,10 @@ class SuperLinear:
 
     coefficient: float = 1.0
     epsilon: float = 0.5
+
+    def __post_init__(self) -> None:
+        if not self.epsilon > 0.0:
+            raise ValueError(f"super-linear regime needs epsilon > 0, got {self.epsilon}")
 
 
 Regime = GroundState | Linear | SubLinear | SuperLinear
@@ -168,10 +180,14 @@ def egorov_sweep(
     panel: Sequence[RadialFunction],
     hbars: Sequence[float] = DEFAULT_HBAR_LADDER,
 ) -> SweepReport:
-    """Evolve coherent(center, hbar) and its limit dirac(center) to t, compare."""
+    """Evolve coherent(center, hbar) and its limit dirac(center) to t, compare.
+
+    The flow moves only the centre and does not depend on hbar, so it runs
+    once: each rung is coherent(flowed centre, hbar)."""
     hs = _check_ladder(hbars)
-    limit = evolve_state(sys, dirac(center), t).chars(panel)
-    devs = [_sup_deviation(evolve_state(sys, coherent(center, h), t), limit, panel) for h in hs]
+    moved = evolve_state(sys, dirac(center), t)
+    limit = moved.chars(panel)
+    devs = [_sup_deviation(coherent(moved.center, h), limit, panel) for h in hs]
     return _report(hs, devs)
 
 
@@ -181,12 +197,8 @@ def _beta_hbar(regime: Regime, hbar: float) -> float:
     if isinstance(regime, Linear):
         return regime.beta * hbar
     if isinstance(regime, SubLinear):
-        if not 0.0 < regime.epsilon <= 1.0:
-            raise ValueError("sub-linear regime needs 0 < epsilon <= 1")
         return regime.coefficient * hbar ** (1.0 - regime.epsilon)
     if isinstance(regime, SuperLinear):
-        if regime.epsilon <= 0.0:
-            raise ValueError("super-linear regime needs epsilon > 0")
         return regime.coefficient * hbar ** (1.0 + regime.epsilon)
     raise TypeError(f"unknown regime {regime!r}")
 

@@ -176,32 +176,25 @@ class NumericClassification:
     clearly_divergent: dict[int, bool]
 
 
-def _shell_masses(spec: SourceSpec, alpha_weight: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-panel masses of |J|^2 with weight omega^{-alpha_weight} on the
-    infrared fit shells; returns (shell geometric midpoints, masses)."""
+def numeric_classification(spec: SourceSpec) -> NumericClassification:
+    """Estimate the trichotomy from shell masses on the grid itself: per-panel
+    masses of |J|^2 with weight omega^{-alpha} on the infrared fit shells."""
     grid = spec.grid
-    j = realize(spec).values
-    dens = grid.measure(-alpha_weight) * (j.real**2 + j.imag**2)
-    per_panel = dens.reshape(-1, grid.points_per_panel).sum(axis=1)
     lo, hi = grid.panel_edges[:-1], grid.panel_edges[1:]
     keep = (lo >= 10.0 * grid.r_min) & (hi <= _SHELL_CEILING)
-    return np.sqrt(lo[keep] * hi[keep]), per_panel[keep]
-
-
-def numeric_classification(spec: SourceSpec) -> NumericClassification:
-    """Estimate the trichotomy from shell masses on the grid itself."""
-    grid = spec.grid
-    lo = grid.panel_edges[:-1]
-    usable = np.count_nonzero((lo >= 10.0 * grid.r_min) & (grid.panel_edges[1:] <= _SHELL_CEILING))
-    if usable < _MIN_SHELLS:
+    if np.count_nonzero(keep) < _MIN_SHELLS:
         raise ValueError(
             "grid resolves too few infrared shells for a slope fit; "
             "use a grid with more (or deeper) panels"
         )
+    mids = np.sqrt(lo[keep] * hi[keep])
+    j = realize(spec).values
+    j_sq = j.real**2 + j.imag**2
     slopes: dict[int, float | None] = {}
     divergent: dict[int, bool] = {}
     for alpha in (0, 1, 2):
-        mids, masses = _shell_masses(spec, alpha)
+        per_panel = (grid.measure(-alpha) * j_sq).reshape(-1, grid.points_per_panel).sum(axis=1)
+        masses = per_panel[keep]
         if np.any(masses <= 0.0):
             # The source vanishes somewhere below the fit ceiling (an active
             # cutoff): every infrared mass is finite.

@@ -21,6 +21,7 @@ from vanhove.semiclassics import default_panel
 from vanhove.scattering import (
     FILON_THRESHOLD,
     asymptotic_character,
+    check_filon_grid,
     convergence_probe,
     dressing_coefficient,
     flat_panels,
@@ -168,6 +169,9 @@ def test_transport_checks_the_grid(system_g03):
 
 def test_filon_needs_enough_points_per_panel(f_gauss):
     thin = make_grid(points=16)
+    with pytest.raises(ValueError, match="points"):
+        check_filon_grid(thin)
+    check_filon_grid(make_grid(points=17))
     sys_thin = make_system(power_law_gaussian(thin, 0.3))
     f = sample(thin, lambda r: np.exp(-(r**2)))
     with pytest.raises(ValueError, match="points"):
@@ -184,5 +188,8 @@ def test_filon_names_a_panel_where_omega_is_flat():
         sys_heavy = make_system(power_law_gaussian(heavy, 0.3))
     f = sample(heavy, lambda r: np.exp(-(r**2)))
     assert np.isfinite(free_overlap(sys_heavy, f, FILON_THRESHOLD))
+    with pytest.raises(ValueError, match="flat on panel 0"):
+        check_filon_grid(heavy)
+    check_filon_grid(make_grid(mass=10.0))
     with pytest.raises(ValueError, match="flat on panel 0"):
         free_overlap(sys_heavy, f, 100.0)

@@ -129,11 +129,14 @@ def test_superlinear_regime_has_no_limit_state(system_g03, panel):
     assert rep.converged
 
 
-def test_regime_parameter_validation(system_g03, panel):
-    with pytest.raises(ValueError, match="epsilon"):
-        equilibrium_sweep(system_g03, SubLinear(1.0, 1.5), panel)
-    with pytest.raises(ValueError, match="epsilon"):
-        equilibrium_sweep(system_g03, SuperLinear(1.0, -0.5), panel)
+def test_regime_parameter_validation():
+    # each regime refuses its parameters when constructed, before any sweep
+    for regime, args, key in [
+        (SubLinear, (1.0, 1.5), "epsilon"), (SuperLinear, (1.0, -0.5), "epsilon"),
+        (Linear, (0.0,), "beta"), (Linear, (math.inf,), "beta"),
+    ]:
+        with pytest.raises(ValueError, match=key):
+            regime(*args)
 
 
 def test_equilibrium_sweep_needs_a_source(grid, panel):
