@@ -579,15 +579,17 @@ def _grid_keys(**defaults) -> dict:
 _WINDOW_WIDTH_MAX = 8.0
 
 #: Largest fock-spectrum truncation N.  The one (N + 1)^2 array is the real
-#: eigenvector matrix of the coherent exponential, 2049^2 * 8 B = 34 MB at
+#: eigenvector matrix of the number ladder that gives the coherent
+#: exponential, 2049^2 * 8 B = 34 MB at
 #: N = 2048, where a run peaks at 70 MB traced (132 MB resident); coupling_re
 #: = 30 would derive N = 36,020 (10.4 GB for those eigenvectors).
 _FOCK_CUTOFF_MAX = 2048
 
 #: Largest garding truncation N (at the smallest hbar).  garding_probe solves
-#: one real (N + 1)^2 eigenvector matrix at a time and holds complex trusted
-#: (N//2 + 1)^2 blocks: one exponential per nonzero |z| (W_h(0) is a real
-#: identity, with no solve), the two quantizations and their gauged terms.
+#: one real (N + 1)^2 eigenvector matrix per hbar, the number ladder, frees it
+#: once the exponentials are formed, and holds complex trusted (N//2 + 1)^2
+#: blocks: one exponential per nonzero |z| (W_h(0) is a real identity, with no
+#: solve), the two quantizations and their gauged terms.
 #: At cutoff = 1536 (N = 1536 at every hbar) a run peaks at 81 MB traced
 #: (161 MB resident), with 1537^2 * 8 B = 19 MB eigenvectors and 769^2 * 16 B
 #: = 9.5 MB blocks; the default cutoff floor reaches N = 1436 at k_max = 10
@@ -657,7 +659,7 @@ _COMMANDS: dict[str, tuple[Callable[[dict], CommandResult], dict, list[CrossRule
         {
             **_grid_keys(gamma=0.3),
             "regime": ("linear", (f"one of {', '.join(_REGIMES)}", lambda r: r in _REGIMES)),
-            "beta": (1.0, _FINITE), "coefficient": (1.0, _POSITIVE), "epsilon": (0.5, _FINITE),
+            "beta": (1.0, _FINITE), "coefficient": (1.0, _FINITE), "epsilon": (0.5, _FINITE),
             **_LADDER_KEYS,
         },
         [*_GRID_RULES, _span("k_min", "k_max", 2)],

@@ -20,9 +20,13 @@ symmetric tridiagonal R with nonnegative off-diagonal: H (resp. phi_h(z))
 (``_tridiagonal_eigh``: dstevd for all eigenpairs, dstebz + dstein for the
 lowest two, bitwise what ``scipy.linalg.eigh_tridiagonal`` returns under its
 ``auto`` driver, which it calls itself for a full spectrum on scipy releases
-without dstevd): W_h(z) = D e^{i pi R} D* with R depending on |z| only
-(W_h(0) is the identity, needing no solve), and the ground state of H is D
-times a real vector.  The exponentials satisfy
+without dstevd): W_h(z) = D e^{i pi R} D*, and the ground state of H is D
+times a real vector.  The field's R is sqrt(hbar) |z| T_N, where the number
+ladder T_N (zero diagonal, off-diagonal sqrt(k)) depends on the truncation
+alone: one full solve of T_N per truncation (``_Ladder``, held by the
+caller for one call) gives every W_h(z) on those levels, its eigenvalues
+scaled by pi sqrt(hbar) |z| (W_h(0) is the identity, needing no solve).
+The exponentials satisfy
 <e_0, W_h(z) e_0> = e^{-(pi^2 hbar/2)|z|^2}, checked on every one, and
 W_h(z) W_h(w) = W_h(z+w) e^{-i pi^2 hbar Im(conj(z) w)} on the trusted
 (lower) half of the truncated space.
@@ -47,9 +51,9 @@ the soft-photon catastrophe probed by ``soft_photon_sweep``.
 ``garding_probe`` quantizes a nonnegative classical symbol over a single
 mode and tracks the lowest eigenvalue of its compression to the trusted
 lower half: plain quantization dips below zero only O(hbar), anti-Wick
-stays nonnegative.  Each exponential is solved on all N + 1 levels, but the
-quantization is assembled on the trusted (N//2 + 1)^2 block alone, the only
-part the eigensolve reads.
+stays nonnegative.  Each exponential comes from the number ladder on all
+N + 1 levels, but the quantization is assembled on the trusted
+(N//2 + 1)^2 block alone, the only part the eigensolve reads.
 """
 
 from __future__ import annotations
@@ -162,10 +166,10 @@ def build_ladder(mode: FockMode) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return a, a.conj().T, np.diag(np.arange(n, dtype=np.float64)).astype(np.complex128)
 
 
-def _gauge(theta: float, dim: int) -> np.ndarray:
-    """The diagonal p_k = e^{i k theta} of D: D R D* multiplies the k-th
-    sub-diagonal entry of R by e^{i theta}."""
-    return np.exp(1j * theta * np.arange(dim))
+def _gauge(theta: float, occ: np.ndarray) -> np.ndarray:
+    """The diagonal p_k = e^{i k theta} of D over the occupations ``occ``:
+    D R D* multiplies the k-th sub-diagonal entry of R by e^{i theta}."""
+    return np.exp(1j * theta * occ)
 
 
 def _tridiagonal_eigh(
@@ -206,22 +210,49 @@ def _tridiagonal_eigh(
     return evals, vecs
 
 
+class _Ladder:
+    """The part of every Fock matrix on N + 1 levels that depends on N alone:
+    the occupations k = 0..N, their roots sqrt(k) (k = 1..N) and, solved on
+    first use, the eigenpairs (mu, V) of the number ladder T_N, the real
+    tridiagonal with zero diagonal and off-diagonal sqrt(k).  The gauged
+    field phi_h(|z|) is sqrt(hbar) |z| T_N, so every exponential on these
+    levels shares V and scales mu by pi sqrt(hbar) |z|.  A caller holds one
+    per truncation for the length of one call; nothing keeps it past that."""
+
+    def __init__(self, cutoff: int) -> None:
+        self.cutoff = cutoff
+        self.occ = np.arange(cutoff + 1, dtype=np.float64)
+        self.roots = np.sqrt(self.occ[1:])
+        self._eigs: tuple[np.ndarray, np.ndarray] | None = None
+
+    def eigs(self) -> tuple[np.ndarray, np.ndarray]:
+        """(mu, V) of T_N: one full-spectrum solve per ladder."""
+        if self._eigs is None:
+            self._eigs = _tridiagonal_eigh(np.zeros(self.cutoff + 1), self.roots)
+        return self._eigs
+
+
 def _exponential_eigs(
-    hbar: float, cutoff: int, modulus: float
+    hbar: float, cutoff: int, modulus: float, ladder: _Ladder | None = None
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """Eigenpairs (lam, V) of pi R for the real tridiagonal R = phi_h(|z|) on
-    N + 1 levels (zero diagonal, off-diagonal sqrt(hbar) |z| sqrt(k)), so that
-    e^{i pi R} = V e^{i lam} V^T, and the vacuum defect of that exponential,
-    |sum_k V[0, k]^2 e^{i lam_k} - e^{-pi^2 hbar |z|^2 / 2}|.  Rejects
-    displacements with pi^2 hbar |z|^2 > N/4 and defects above the ceiling."""
+    """Eigenpairs (lam, V) of pi R for the real tridiagonal R = phi_h(|z|) =
+    sqrt(hbar) |z| T_N on N + 1 levels, so that e^{i pi R} = V e^{i lam} V^T:
+    V and mu are the number ladder's (``ladder``, or one solved here), lam =
+    pi sqrt(hbar) |z| mu.  Also returns the vacuum defect of that
+    exponential, |sum_k V[0, k]^2 e^{i lam_k} - e^{-pi^2 hbar |z|^2 / 2}|.
+    Rejects displacements with pi^2 hbar |z|^2 > N/4, before any solve, and
+    defects above the ceiling.  At |z| = 0, R = 0: lam = 0 and V = I, with no
+    solve."""
     modulus_sq = modulus * modulus  # inf past 1.3e154, where ** raises OverflowError
     if not exponential_fits(hbar, cutoff, modulus_sq):
         raise ValueError(
             f"displacement |z|^2 = {modulus_sq:.3g} exceeds the truncation "
             f"adequacy pi^2 hbar |z|^2 <= N/4 for N = {cutoff}"
         )
-    off = _PI * math.sqrt(hbar) * modulus * np.sqrt(np.arange(1.0, cutoff + 1))
-    evals, vecs = _tridiagonal_eigh(np.zeros(cutoff + 1), off)
+    if modulus == 0.0:
+        return np.zeros(cutoff + 1), np.eye(cutoff + 1), 0.0
+    mu, vecs = (ladder if ladder is not None else _Ladder(cutoff)).eigs()
+    evals = (_PI * math.sqrt(hbar) * modulus) * mu
     vacuum = np.dot(vecs[0] * vecs[0], np.exp(1j * evals))
     defect = abs(vacuum - math.exp(-0.5 * _PI2 * hbar * modulus_sq))
     if defect > _VACUUM_TOL:
@@ -233,17 +264,15 @@ def _exponential_eigs(
 
 
 def _dense_exponential(
-    hbar: float, cutoff: int, modulus: float, size: int
+    hbar: float, cutoff: int, modulus: float, size: int, ladder: _Ladder | None = None
 ) -> tuple[np.ndarray, float]:
     """The leading size x size block of U = e^{i pi R} on N + 1 levels, from the
     leading rows of V: V[:size] cos(lam) V[:size]^T + i V[:size] sin(lam)
     V[:size]^T (size = N + 1 is all of U), and the vacuum defect of U.  At
-    |z| = 0, R = 0 and U = W_h(0) is the identity with defect 0 (the solve
-    gives V = I there, so the product would be the same identity bit for
-    bit)."""
+    |z| = 0, U = W_h(0) is the real identity with defect 0."""
     if modulus == 0.0:
         return np.eye(size), 0.0
-    evals, vecs, defect = _exponential_eigs(hbar, cutoff, modulus)
+    evals, vecs, defect = _exponential_eigs(hbar, cutoff, modulus, ladder)
     rows = vecs[:size]
     u = np.empty((size, size), dtype=np.complex128)
     scaled = rows * np.cos(evals)
@@ -253,10 +282,11 @@ def _dense_exponential(
     return u, defect
 
 
-def _gauged(u: np.ndarray, z: complex) -> np.ndarray:
+def _gauged(u: np.ndarray, z: complex, occ: np.ndarray) -> np.ndarray:
     """W_h(z) = D U D* from the real exponential U at |z|, D gauged by arg z
-    (D is diagonal, so a leading block of U gives the same block of W_h(z))."""
-    p = _gauge(cmath.phase(z), len(u))
+    over the occupations ``occ`` of U's rows (D is diagonal, so a leading
+    block of U gives the same block of W_h(z))."""
+    p = _gauge(cmath.phase(z), occ)
     return np.outer(p, p.conj()) * u
 
 
@@ -264,15 +294,18 @@ def weyl_matrix(mode: FockMode, z: complex) -> np.ndarray:
     """W_h(z) = exp(i pi phi_h(z)), gauged from the real tridiagonal
     exponential at |z| (see ``_exponential_eigs`` for the checks)."""
     z = complex(z)
-    return _gauged(_dense_exponential(mode.hbar, mode.cutoff, abs(z), mode.dim)[0], z)
+    ladder = _Ladder(mode.cutoff)
+    u = _dense_exponential(mode.hbar, mode.cutoff, abs(z), mode.dim, ladder)[0]
+    return _gauged(u, z, ladder.occ)
 
 
-def _coherent_vector(mode: FockMode, z: complex) -> np.ndarray:
+def _coherent_vector(mode: FockMode, z: complex, ladder: _Ladder) -> np.ndarray:
     """W_h(z) e_0 = D V (e^{i lam} V[0]) from the eigenpairs alone: column 0 of
     ``weyl_matrix(mode, z)`` without forming the matrix."""
-    evals, vecs, _ = _exponential_eigs(mode.hbar, mode.cutoff, abs(z))
-    column = vecs @ np.column_stack((np.cos(evals) * vecs[0], np.sin(evals) * vecs[0]))
-    return _gauge(cmath.phase(z), mode.dim) * (column[:, 0] + 1j * column[:, 1])
+    evals, vecs, _ = _exponential_eigs(mode.hbar, mode.cutoff, abs(z), ladder)
+    head = vecs[0]
+    column = vecs @ (np.cos(evals) * head) + 1j * (vecs @ (np.sin(evals) * head))
+    return _gauge(cmath.phase(z), ladder.occ) * column
 
 
 @dataclass(frozen=True)
@@ -284,45 +317,49 @@ class GroundReport:
     photon_number: float
 
 
-def _lowest_pair(mode: FockMode) -> tuple[np.ndarray, np.ndarray]:
+def _lowest_pair(mode: FockMode, ladder: _Ladder) -> tuple[np.ndarray, np.ndarray]:
     """The two lowest eigenvalues of H and its ground vector D v, where v is
     the ground vector of the real gauged R = D* H D (D gauged by arg j)."""
-    occ = np.arange(mode.dim, dtype=np.float64)
     j = complex(mode.coupling)
     evals, vecs = _tridiagonal_eigh(
-        mode.hbar * mode.omega * occ,
-        math.sqrt(mode.hbar) * abs(j) * np.sqrt(occ[1:]),
+        mode.hbar * mode.omega * ladder.occ,
+        math.sqrt(mode.hbar) * abs(j) * ladder.roots,
         lowest=2,
     )
-    return evals, _gauge(cmath.phase(j), mode.dim) * vecs[:, 0]
+    return evals, _gauge(cmath.phase(j), ladder.occ) * vecs[:, 0]
 
 
-def _photon_number(mode: FockMode, ground: np.ndarray) -> float:
-    occ = np.arange(mode.dim, dtype=np.float64)
-    return float(mode.hbar * np.sum(occ * np.abs(ground) ** 2))
+def _photon_number(mode: FockMode, ground: np.ndarray, ladder: _Ladder) -> float:
+    return float(mode.hbar * (ladder.occ * np.abs(ground) ** 2).sum())
 
 
-def ground_state_analysis(mode: FockMode) -> GroundReport:
+def ground_state_analysis(mode: FockMode, *, ladder: _Ladder | None = None) -> GroundReport:
     """Diagonalize H once and compare against the displaced-oscillator closed
     forms: E_0 = -|j|^2/omega, gap = hbar omega, ground vector = coherent
     vector W_h(z*) e_0 with z* = i j/(pi hbar omega), and hbar <n> =
-    |j/omega|^2 (reported as ``photon_number``)."""
-    evals, ground = _lowest_pair(mode)
+    |j/omega|^2 (reported as ``photon_number``).  ``ladder`` shares one
+    number-ladder solve across modes of the same truncation."""
+    if ladder is None:
+        ladder = _Ladder(mode.cutoff)
+    elif ladder.cutoff != mode.cutoff:
+        raise ValueError(f"ladder has cutoff {ladder.cutoff}, mode {mode.cutoff}")
+    evals, ground = _lowest_pair(mode, ladder)
     z_star = 1j * complex(mode.coupling) / (_PI * mode.hbar * mode.omega)
-    overlap = np.vdot(_coherent_vector(mode, z_star), ground)
+    overlap = np.vdot(_coherent_vector(mode, z_star, ladder), ground)
     return GroundReport(
         energy=float(evals[0]),
         energy_closed_form=-abs(mode.coupling) * abs(mode.coupling) / mode.omega,
         gap=float(evals[1] - evals[0]),
         overlap_sq=float(abs(overlap) ** 2),
-        photon_number=_photon_number(mode, ground),
+        photon_number=_photon_number(mode, ground, ladder),
     )
 
 
 def mode_number_expectation(mode: FockMode) -> float:
     """<dGamma_h(1)> = hbar <n> in the true (diagonalized) ground state;
     closed form |j/omega|^2."""
-    return _photon_number(mode, _lowest_pair(mode)[1])
+    ladder = _Ladder(mode.cutoff)
+    return _photon_number(mode, _lowest_pair(mode, ladder)[1], ladder)
 
 
 # --------------------------------------------------------------------------
@@ -359,8 +396,13 @@ def multimode_ground_scan(sys: VanHoveSystem, hbar: float) -> MultimodeReport:
     grid = sys.grid
     total = 0.0
     fidelity = 1.0
+    ladders: dict[int, _Ladder] = {}  # one number-ladder solve per distinct truncation
     for i in range(grid.size):
-        report = ground_state_analysis(mode_for_node(sys, i, hbar))
+        mode = mode_for_node(sys, i, hbar)
+        ladder = ladders.get(mode.cutoff)
+        if ladder is None:
+            ladder = ladders[mode.cutoff] = _Ladder(mode.cutoff)
+        report = ground_state_analysis(mode, ladder=ladder)
         total += report.energy
         fidelity *= report.overlap_sq
     return MultimodeReport(
@@ -559,7 +601,8 @@ def garding_probe(
     is only a floor) is assembled as a dense matrix on its trusted lower
     half alone, the leading (N//2 + 1)^2 block: each W_h(z_j) there is
     gauged from the leading block of one real exponential per distinct
-    nonzero |z_j| (solved on all N + 1 levels; W_h(0) is the identity).  The
+    nonzero |z_j|, all of them scaled from the one number-ladder solve of
+    that N (on all N + 1 levels; W_h(0) is the identity).  The
     block's lowest eigenvalue is recorded together with that of the
     anti-Wick variant (positive by construction); the largest
     vacuum-expectation defect of those exponentials is reported.  The rate
@@ -607,18 +650,21 @@ def garding_probe(
         n_h = garding_cutoff(float(h), cutoff)
         cutoffs.append(n_h)
         trusted = n_h // 2 + 1
-        # one real exponential per distinct |z| (solved on all N + 1 levels,
-        # formed on the trusted block only; |z| = 0 is the identity, with no
-        # solve), gauged for each generator
+        # one real exponential per distinct |z|, formed on the trusted block
+        # only from the one number-ladder solve of this truncation (|z| = 0
+        # is the identity, with no solve), gauged for each generator
+        ladder = _Ladder(n_h)
         exps = {
-            r: _dense_exponential(float(h), n_h, r, trusted)
+            r: _dense_exponential(float(h), n_h, r, trusted, ladder)
             for r in {abs(z) for z in gens.tolist()}
         }
         worst_vacuum = max([worst_vacuum, *(worst for _, worst in exps.values())])
+        occ = ladder.occ[:trusted]
+        del ladder  # free its (N + 1)^2 eigenvectors before assembling
         q, q_aw = np.zeros((2, trusted, trusted), dtype=np.complex128)
         for poly, acc in ((symbol, q), (antiwick(symbol, float(h)), q_aw)):
             for c, z in zip(poly.coeffs, poly.gens[:, 0].tolist()):
-                acc += c * _gauged(exps[abs(z)][0], z)
+                acc += c * _gauged(exps[abs(z)][0], z, occ)
         exps = None  # free this cutoff's matrices before the eigensolves
         for name, mat, out in (("plain", q, lams), ("anti-Wick", q_aw, lams_aw)):
             defect = float(np.max(np.abs(mat - mat.conj().T)))

@@ -83,6 +83,10 @@ class SubLinear:
     epsilon: float = 0.5
 
     def __post_init__(self) -> None:
+        if not 0.0 < self.coefficient < math.inf:
+            raise ValueError(
+                f"sub-linear regime needs 0 < coefficient < inf, got {self.coefficient}"
+            )
         if not 0.0 < self.epsilon <= 1.0:
             raise ValueError(f"sub-linear regime needs 0 < epsilon <= 1, got {self.epsilon}")
 
@@ -95,8 +99,12 @@ class SuperLinear:
     epsilon: float = 0.5
 
     def __post_init__(self) -> None:
-        if not self.epsilon > 0.0:
-            raise ValueError(f"super-linear regime needs epsilon > 0, got {self.epsilon}")
+        if not 0.0 < self.coefficient < math.inf:
+            raise ValueError(
+                f"super-linear regime needs 0 < coefficient < inf, got {self.coefficient}"
+            )
+        if not 0.0 < self.epsilon < math.inf:
+            raise ValueError(f"super-linear regime needs 0 < epsilon < inf, got {self.epsilon}")
 
 
 Regime = GroundState | Linear | SubLinear | SuperLinear

@@ -291,6 +291,8 @@ def test_kms_batch_rows_equal_one_pair_calls(tmp_path):
         ("evolve", "perturbation=nan"),
         ("egorov", "center_scale=inf"),
         ("equilibrium", "regime=sublinear epsilon=2"),
+        ("equilibrium", "regime=sublinear coefficient=-1"),
+        ("equilibrium", "regime=superlinear coefficient=0"),
         ("scattering", "points=16"),
         ("garding", "k_min=0"),
         ("fock-spectrum", "cutoff=5"),
@@ -660,6 +662,25 @@ def test_equilibrium_command_validates_the_regime(tmp_path, capsys):
     code, _, _ = _run(tmp_path, "equilibrium", "regime=warp")
     assert code == 2
     assert "regime" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        # the key rule: coefficient finite
+        (["regime=sublinear", "coefficient=inf"], "coefficient must be finite, got inf"),
+        # the regime: 0 < coefficient < inf
+        (["regime=sublinear", "coefficient=-1"],
+         "sub-linear regime needs 0 < coefficient < inf, got -1.0"),
+        (["regime=superlinear", "coefficient=0"],
+         "super-linear regime needs 0 < coefficient < inf, got 0.0"),
+    ],
+)
+def test_equilibrium_command_refuses_a_coefficient_by_name(tmp_path, capsys, overrides, message):
+    code, csv, js = _run(tmp_path, "equilibrium", *overrides)
+    assert code == 2
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+    assert csv == js == ""
 
 
 def test_equilibrium_command_linear_regime(tmp_path):

@@ -117,8 +117,9 @@ def test_coherent_column_is_the_weyl_matrix_column(coupling):
     m = FockMode(omega=omega, coupling=coupling, cutoff=cutoff, hbar=h)
     z_star = 1j * coupling / (math.pi * h * omega)
     column = weyl_matrix(m, z_star)[:, 0]
-    assert np.max(np.abs(fock._coherent_vector(m, z_star) - column)) <= 1e-14
-    ground = fock._lowest_pair(m)[1]
+    ladder = fock._Ladder(cutoff)
+    assert np.max(np.abs(fock._coherent_vector(m, z_star, ladder) - column)) <= 1e-14
+    ground = fock._lowest_pair(m, ladder)[1]
     overlap_sq = abs(np.vdot(column, ground)) ** 2
     assert ground_state_analysis(m).overlap_sq == pytest.approx(overlap_sq, abs=1e-14)
 
@@ -271,6 +272,78 @@ def test_the_exponential_at_zero_is_the_identity():
         evals, vecs, defect = fock._exponential_eigs(h, n, 0.0)
         assert vecs.tobytes() == np.eye(n + 1).tobytes()
         assert not evals.any() and defect == 0.0
+
+
+@pytest.mark.parametrize("k", [3, 6])
+def test_shared_ladder_exponentials_match_expm(k):
+    # one solve of the number ladder T_N serves every |z| on N + 1 levels:
+    # e^{i pi R} with R = sqrt(h) |z| T_N, against scipy's expm of the dense R
+    # (N = 88 at h = 2^-3, N = 204 at h = 2^-6) on the trusted block
+    from scipy.linalg import expm
+
+    h = 2.0**-k
+    n = fock.garding_cutoff(h, 64)
+    assert n == {3: 88, 6: 204}[k]
+    trusted = n // 2 + 1
+    ladder = fock._Ladder(n)
+    for r in (1.0, math.sqrt(2.0)):
+        off = math.sqrt(h) * r * np.sqrt(np.arange(1.0, n + 1))
+        exact = expm(1j * math.pi * (np.diag(off, 1) + np.diag(off, -1)))
+        u, defect = fock._dense_exponential(h, n, r, trusted, ladder)
+        assert np.max(np.abs(u - exact[:trusted, :trusted])) <= 1e-12
+        assert defect <= 1e-12
+
+
+def _full_solves(monkeypatch) -> list[int]:
+    """The sizes of the full-spectrum tridiagonal solves made from now on."""
+    sizes: list[int] = []
+    solve = fock._tridiagonal_eigh
+
+    def counted(diag, off, lowest=None):
+        if lowest is None:
+            sizes.append(len(diag))
+        return solve(diag, off, lowest)
+
+    monkeypatch.setattr(fock, "_tridiagonal_eigh", counted)
+    return sizes
+
+
+def test_garding_probe_solves_one_ladder_per_truncation(monkeypatch):
+    # |z| = 1 and |z| = sqrt 2 share the one number-ladder solve of each hbar
+    # (two solves each before); W_h(0) needs none
+    sizes = _full_solves(monkeypatch)
+    symbol, _ = _harmonic_symbol()
+    assert sorted({abs(z) for z in symbol.gens[:, 0]}) == [0.0, 1.0, math.sqrt(2.0)]
+    report = garding_probe(symbol, [2.0**-k for k in range(3, 9)])
+    assert sizes == [n + 1 for n in report.cutoffs] and len(sizes) == 6
+
+
+def test_multimode_scan_solves_one_ladder_per_distinct_truncation(monkeypatch):
+    g = make_grid(panels=6, points=12)
+    sys_small = make_system(power_law_gaussian(g, 0.3))
+    cutoffs = {mode_for_node(sys_small, i, 0.4).cutoff for i in range(g.size)}
+    assert 1 < len(cutoffs) < g.size
+    analysed = []
+    analyse = fock.ground_state_analysis
+
+    def counted(mode, **kwargs):
+        analysed.append(mode.cutoff)
+        return analyse(mode, **kwargs)
+
+    # one analysis per mode, looked up on the module (the benchmark's tracer
+    # counts them there), and one ladder solve per distinct truncation
+    monkeypatch.setattr(fock, "ground_state_analysis", counted)
+    sizes = _full_solves(monkeypatch)
+    multimode_ground_scan(sys_small, 0.4)
+    assert len(analysed) == g.size
+    assert sorted(sizes) == sorted(n + 1 for n in cutoffs)
+
+
+def test_ground_state_analysis_refuses_a_ladder_of_another_truncation(mode):
+    with pytest.raises(ValueError, match="cutoff"):
+        ground_state_analysis(mode, ladder=fock._Ladder(mode.cutoff + 1))
+    report = ground_state_analysis(mode, ladder=fock._Ladder(mode.cutoff))
+    assert report == ground_state_analysis(mode)
 
 
 def test_mode_for_node_absorbs_the_measure(system_g03):

@@ -133,7 +133,15 @@ def test_regime_parameter_validation():
     # each regime refuses its parameters when constructed, before any sweep
     for regime, args, key in [
         (SubLinear, (1.0, 1.5), "epsilon"), (SuperLinear, (1.0, -0.5), "epsilon"),
+        (SuperLinear, (1.0, math.inf), "epsilon"),
         (Linear, (0.0,), "beta"), (Linear, (math.inf,), "beta"),
+        # SubLinear(inf, .) would sweep the ground state and read "converged";
+        # a coefficient <= 0 would reach gibbs_quantum as a beta_h <= 0
+        *(
+            (regime, (c, 0.5), "coefficient")
+            for regime in (SubLinear, SuperLinear)
+            for c in (-1.0, 0.0, math.inf, math.nan)
+        ),
     ]:
         with pytest.raises(ValueError, match=key):
             regime(*args)
