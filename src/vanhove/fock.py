@@ -16,16 +16,16 @@ The field and exponential operators use
 Both H and phi_h(z) are tridiagonal, and the diagonal gauge
 D = diag(e^{i k theta}) (theta = arg j, resp. arg z) turns each into a real
 symmetric tridiagonal R with nonnegative off-diagonal: H (resp. phi_h(z))
-= D R D*.  So their spectra come from LAPACK's tridiagonal solvers on R
-(``_tridiagonal_eigh``: dstevd for all eigenpairs, dstebz + dstein for the
-lowest two, bitwise what ``scipy.linalg.eigh_tridiagonal`` returns under its
-``auto`` driver, which it calls itself for a full spectrum on scipy releases
-without dstevd): W_h(z) = D e^{i pi R} D*, and the ground state of H is D
-times a real vector.  The field's R is sqrt(hbar) |z| T_N, where the number
-ladder T_N (zero diagonal, off-diagonal sqrt(k)) depends on the truncation
-alone: one full solve of T_N per truncation (``_Ladder``, held by the
-caller for one call) gives every W_h(z) on those levels, its eigenvalues
-scaled by pi sqrt(hbar) |z| (W_h(0) is the identity, needing no solve).
+= D R D*.  So their spectra come from tridiagonal solvers on R: W_h(z) =
+D e^{i pi R} D*, and the ground state of H is D times a real vector.  The
+field's R is sqrt(hbar) |z| T_N, where the number ladder T_N (zero
+diagonal, off-diagonal sqrt(k)) depends on the truncation alone: one full
+solve of T_N per truncation by ``scipy.linalg.eigh_tridiagonal``
+(``_Ladder``, held by the caller for one call) gives every W_h(z) on those
+levels, its eigenvalues scaled by pi sqrt(hbar) |z| (W_h(0) is the
+identity, needing no solve).  The two lowest eigenpairs of H come from
+LAPACK's dstebz + dstein called directly (``_lowest_two_eigh``), bitwise
+what ``eigh_tridiagonal`` returns for them.
 The exponentials satisfy
 <e_0, W_h(z) e_0> = e^{-(pi^2 hbar/2)|z|^2}, checked on every one, and
 W_h(z) W_h(w) = W_h(z+w) e^{-i pi^2 hbar Im(conj(z) w)} on the trusted
@@ -116,10 +116,10 @@ class FockMode:
     hbar: float
 
     def __post_init__(self) -> None:
-        if self.omega <= 0.0:
-            raise ValueError(f"omega must be > 0, got {self.omega}")
-        if self.hbar <= 0.0:
-            raise ValueError(f"hbar must be > 0, got {self.hbar}")
+        if not 0.0 < self.omega < math.inf:
+            raise ValueError(f"omega must be finite and > 0, got {self.omega}")
+        if not 0.0 < self.hbar < math.inf:
+            raise ValueError(f"hbar must be finite and > 0, got {self.hbar}")
         if not isinstance(self.cutoff, int) or self.cutoff < 2:
             raise ValueError(f"cutoff must be an integer >= 2, got {self.cutoff!r}")
         levels = displacement_levels(self.omega, self.coupling, self.hbar)
@@ -172,39 +172,29 @@ def _gauge(theta: float, occ: np.ndarray) -> np.ndarray:
     return np.exp(1j * theta * occ)
 
 
-def _tridiagonal_eigh(
-    diag: np.ndarray, off: np.ndarray, lowest: int | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenpairs (evals, vecs in columns) of the real symmetric
-    tridiagonal with diagonal ``diag`` and off-diagonal ``off``: all of them
-    from LAPACK dstevd, or the ``lowest`` few from dstebz (by index, block
-    order, vl/vu = 0/1, tol 0) then dstein, sorted by eigenvalue.  These are
-    the calls, arguments and ordering of ``scipy.linalg.eigh_tridiagonal``
-    under its ``auto`` driver (scipy 1.17), so the results are bitwise its
-    results, without its argument handling.  On scipy releases without a
-    dstevd wrapper (older ones, whose ``auto`` driver for a full spectrum is
-    stemr) the full spectrum comes from ``eigh_tridiagonal`` itself.  Its
-    two refusals stay: a non-finite entry raises ValueError, a nonzero LAPACK
+def _lowest_two_eigh(diag: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The two lowest eigenpairs (evals ascending, vecs in columns) of the
+    real symmetric tridiagonal with diagonal ``diag`` and off-diagonal
+    ``off``, from LAPACK dstebz (indices 1..2, block order, vl/vu = 0/1, tol
+    0) then dstein, sorted by eigenvalue.  These are the calls, arguments and
+    ordering of ``scipy.linalg.eigh_tridiagonal(diag, off, select="i",
+    select_range=(0, 1))`` under its ``auto`` driver, so the results are
+    bitwise its results, without its argument handling, which nearly doubles
+    the cost of these small solves (512 per multimode scan).  Its two
+    refusals stay: a non-finite entry raises ValueError, a nonzero LAPACK
     info LinAlgError."""
     # imported on first use: the CLI imports this module for every command,
     # and scipy is loaded only by the Fock commands and `scattering`
-    from scipy.linalg import eigh_tridiagonal, lapack
+    from scipy.linalg import lapack
 
     if not (np.isfinite(diag).all() and np.isfinite(off).all()):
         raise ValueError("array must not contain infs or NaNs")
-    if lowest is None:
-        if not hasattr(lapack, "dstevd"):
-            return eigh_tridiagonal(diag, off)
-        evals, vecs, info = lapack.dstevd(diag, off)
-    else:
-        count, evals, block, split, info = lapack.dstebz(
-            diag, off, 2, 0.0, 1.0, 1, lowest, 0.0, "B"
-        )
-        if info == 0:
-            evals = evals[:count]
-            vecs, info = lapack.dstein(diag, off, evals, block, split)
-            order = np.argsort(evals)
-            evals, vecs = evals[order], vecs[:, order]
+    count, evals, block, split, info = lapack.dstebz(diag, off, 2, 0.0, 1.0, 1, 2, 0.0, "B")
+    if info == 0:
+        evals = evals[:count]
+        vecs, info = lapack.dstein(diag, off, evals, block, split)
+        order = np.argsort(evals)
+        evals, vecs = evals[order], vecs[:, order]
     if info != 0:
         raise np.linalg.LinAlgError(f"tridiagonal eigensolve failed: LAPACK info {info}")
     return evals, vecs
@@ -226,32 +216,36 @@ class _Ladder:
         self._eigs: tuple[np.ndarray, np.ndarray] | None = None
 
     def eigs(self) -> tuple[np.ndarray, np.ndarray]:
-        """(mu, V) of T_N: one full-spectrum solve per ladder."""
+        """(mu, V) of T_N: one full-spectrum solve per ladder, by
+        ``scipy.linalg.eigh_tridiagonal`` under its ``auto`` driver."""
         if self._eigs is None:
-            self._eigs = _tridiagonal_eigh(np.zeros(self.cutoff + 1), self.roots)
+            # imported on first use, as in _lowest_two_eigh
+            from scipy.linalg import eigh_tridiagonal
+
+            self._eigs = eigh_tridiagonal(np.zeros(self.cutoff + 1), self.roots)
         return self._eigs
 
 
 def _exponential_eigs(
-    hbar: float, cutoff: int, modulus: float, ladder: _Ladder | None = None
+    hbar: float, ladder: _Ladder, modulus: float
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Eigenpairs (lam, V) of pi R for the real tridiagonal R = phi_h(|z|) =
-    sqrt(hbar) |z| T_N on N + 1 levels, so that e^{i pi R} = V e^{i lam} V^T:
-    V and mu are the number ladder's (``ladder``, or one solved here), lam =
-    pi sqrt(hbar) |z| mu.  Also returns the vacuum defect of that
-    exponential, |sum_k V[0, k]^2 e^{i lam_k} - e^{-pi^2 hbar |z|^2 / 2}|.
-    Rejects displacements with pi^2 hbar |z|^2 > N/4, before any solve, and
-    defects above the ceiling.  At |z| = 0, R = 0: lam = 0 and V = I, with no
+    sqrt(hbar) |z| T_N on the ladder's N + 1 levels, so that e^{i pi R} =
+    V e^{i lam} V^T: V and mu are the number ladder's, lam = pi sqrt(hbar)
+    |z| mu.  Also returns the vacuum defect of that exponential,
+    |sum_k V[0, k]^2 e^{i lam_k} - e^{-pi^2 hbar |z|^2 / 2}|.  Rejects
+    displacements with pi^2 hbar |z|^2 > N/4, before any solve, and defects
+    above the ceiling.  At |z| = 0, R = 0: lam = 0 and V = I, with no
     solve."""
     modulus_sq = modulus * modulus  # inf past 1.3e154, where ** raises OverflowError
-    if not exponential_fits(hbar, cutoff, modulus_sq):
+    if not exponential_fits(hbar, ladder.cutoff, modulus_sq):
         raise ValueError(
             f"displacement |z|^2 = {modulus_sq:.3g} exceeds the truncation "
-            f"adequacy pi^2 hbar |z|^2 <= N/4 for N = {cutoff}"
+            f"adequacy pi^2 hbar |z|^2 <= N/4 for N = {ladder.cutoff}"
         )
     if modulus == 0.0:
-        return np.zeros(cutoff + 1), np.eye(cutoff + 1), 0.0
-    mu, vecs = (ladder if ladder is not None else _Ladder(cutoff)).eigs()
+        return np.zeros(ladder.cutoff + 1), np.eye(ladder.cutoff + 1), 0.0
+    mu, vecs = ladder.eigs()
     evals = (_PI * math.sqrt(hbar) * modulus) * mu
     vacuum = np.dot(vecs[0] * vecs[0], np.exp(1j * evals))
     defect = abs(vacuum - math.exp(-0.5 * _PI2 * hbar * modulus_sq))
@@ -264,15 +258,15 @@ def _exponential_eigs(
 
 
 def _dense_exponential(
-    hbar: float, cutoff: int, modulus: float, size: int, ladder: _Ladder | None = None
+    hbar: float, ladder: _Ladder, modulus: float, size: int
 ) -> tuple[np.ndarray, float]:
-    """The leading size x size block of U = e^{i pi R} on N + 1 levels, from the
-    leading rows of V: V[:size] cos(lam) V[:size]^T + i V[:size] sin(lam)
-    V[:size]^T (size = N + 1 is all of U), and the vacuum defect of U.  At
-    |z| = 0, U = W_h(0) is the real identity with defect 0."""
+    """The leading size x size block of U = e^{i pi R} on the ladder's N + 1
+    levels, from the leading rows of V: V[:size] cos(lam) V[:size]^T +
+    i V[:size] sin(lam) V[:size]^T (size = N + 1 is all of U), and the vacuum
+    defect of U.  At |z| = 0, U = W_h(0) is the real identity with defect 0."""
     if modulus == 0.0:
         return np.eye(size), 0.0
-    evals, vecs, defect = _exponential_eigs(hbar, cutoff, modulus, ladder)
+    evals, vecs, defect = _exponential_eigs(hbar, ladder, modulus)
     rows = vecs[:size]
     u = np.empty((size, size), dtype=np.complex128)
     scaled = rows * np.cos(evals)
@@ -295,14 +289,14 @@ def weyl_matrix(mode: FockMode, z: complex) -> np.ndarray:
     exponential at |z| (see ``_exponential_eigs`` for the checks)."""
     z = complex(z)
     ladder = _Ladder(mode.cutoff)
-    u = _dense_exponential(mode.hbar, mode.cutoff, abs(z), mode.dim, ladder)[0]
+    u = _dense_exponential(mode.hbar, ladder, abs(z), mode.dim)[0]
     return _gauged(u, z, ladder.occ)
 
 
 def _coherent_vector(mode: FockMode, z: complex, ladder: _Ladder) -> np.ndarray:
     """W_h(z) e_0 = D V (e^{i lam} V[0]) from the eigenpairs alone: column 0 of
     ``weyl_matrix(mode, z)`` without forming the matrix."""
-    evals, vecs, _ = _exponential_eigs(mode.hbar, mode.cutoff, abs(z), ladder)
+    evals, vecs, _ = _exponential_eigs(mode.hbar, ladder, abs(z))
     head = vecs[0]
     column = vecs @ (np.cos(evals) * head) + 1j * (vecs @ (np.sin(evals) * head))
     return _gauge(cmath.phase(z), ladder.occ) * column
@@ -321,10 +315,8 @@ def _lowest_pair(mode: FockMode, ladder: _Ladder) -> tuple[np.ndarray, np.ndarra
     """The two lowest eigenvalues of H and its ground vector D v, where v is
     the ground vector of the real gauged R = D* H D (D gauged by arg j)."""
     j = complex(mode.coupling)
-    evals, vecs = _tridiagonal_eigh(
-        mode.hbar * mode.omega * ladder.occ,
-        math.sqrt(mode.hbar) * abs(j) * ladder.roots,
-        lowest=2,
+    evals, vecs = _lowest_two_eigh(
+        mode.hbar * mode.omega * ladder.occ, math.sqrt(mode.hbar) * abs(j) * ladder.roots
     )
     return evals, _gauge(cmath.phase(j), ladder.occ) * vecs[:, 0]
 
@@ -655,7 +647,7 @@ def garding_probe(
         # is the identity, with no solve), gauged for each generator
         ladder = _Ladder(n_h)
         exps = {
-            r: _dense_exponential(float(h), n_h, r, trusted, ladder)
+            r: _dense_exponential(float(h), ladder, r, trusted)
             for r in {abs(z) for z in gens.tolist()}
         }
         worst_vacuum = max([worst_vacuum, *(worst for _, worst in exps.values())])

@@ -335,7 +335,7 @@ def test_bad_kms_and_evolve_parameters_exit_2_before_compute(
 
     monkeypatch.setattr(cli, "_system_from", computed)
     monkeypatch.setattr(cli.fock, "adequate_cutoff", computed)
-    monkeypatch.setattr(cli.fock, "FockMode", computed)
+    monkeypatch.setattr(cli.fock, "ground_state_analysis", computed)
     monkeypatch.setattr(cli.fock, "garding_probe", computed)
     code, csv, js = _run(tmp_path, command, *override.split())
     assert code == 2
@@ -735,6 +735,19 @@ def test_fock_spectrum_command_matches_closed_forms(tmp_path):
     payload = json.loads(js)
     assert payload["summary"]["ground_energy"] == pytest.approx(-0.25, abs=1e-10)
     assert payload["summary"]["overlap_sq"] == pytest.approx(1.0, abs=1e-8)
+
+
+def test_fock_spectrum_refuses_an_overlap_above_one(tmp_path, capsys, monkeypatch):
+    # only a wrong coherent vector gives |<W e_0, ground>|^2 > 1: scaled by 1.2
+    # it reads 1.44, as far above 1 as 0.56 is below, and must fail the same way
+    coherent = cli.fock._coherent_vector
+    monkeypatch.setattr(cli.fock, "_coherent_vector", lambda *args: 1.2 * coherent(*args))
+    code, _, js = _run(tmp_path, "fock-spectrum")
+    assert code == 1
+    payload = json.loads(js)
+    assert payload["summary"]["overlap_sq"] == pytest.approx(1.44, abs=1e-8)
+    assert payload["failures"] == ["coherent ground overlap"]
+    assert capsys.readouterr().err == "invariant failed: coherent ground overlap\n"
 
 
 def test_soft_photons_command_flags_divergence(tmp_path):

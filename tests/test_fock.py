@@ -41,6 +41,12 @@ def test_mode_validation():
         FockMode(omega=0.0, coupling=0.1, cutoff=32, hbar=0.1)
     with pytest.raises(ValueError, match="hbar"):
         FockMode(omega=1.0, coupling=0.1, cutoff=32, hbar=0.0)
+    # refused by name, not by a nan adequacy or a non-finite matrix later on
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="^omega must be finite and > 0"):
+            FockMode(omega=bad, coupling=0.1, cutoff=64, hbar=0.1)
+        with pytest.raises(ValueError, match="^hbar must be finite and > 0"):
+            FockMode(omega=1.0, coupling=0.1, cutoff=64, hbar=bad)
     with pytest.raises(ValueError, match="cutoff"):
         FockMode(omega=1.0, coupling=0.1, cutoff=1, hbar=0.1)
     # displacement scale 4|j|^2/(h w^2) = 1000 >> 32
@@ -103,9 +109,9 @@ def test_exponential_refuses_a_truncated_vacuum_at_the_adequacy_edge():
     # rounding (a trusted-block unitarity product reads 3.3e-16 here)
     edge = math.nextafter(1.0 / math.pi, 0.0)
     with pytest.raises(RuntimeError, match="vacuum"):
-        fock._exponential_eigs(1.0, 4, edge)
+        fock._exponential_eigs(1.0, fock._Ladder(4), edge)
     with pytest.raises(ValueError, match="displacement"):
-        fock._exponential_eigs(1.0, 4, 1.0 / math.pi)
+        fock._exponential_eigs(1.0, fock._Ladder(4), 1.0 / math.pi)
 
 
 @pytest.mark.parametrize("coupling", [0.5, -0.35 + 0.6j])
@@ -205,12 +211,10 @@ def test_weyl_matrix_rejects_oversized_displacements(mode):
 
 
 def test_tridiagonal_eigh_is_bitwise_scipy_eigh_tridiagonal(system_g03):
-    # the helper makes eigh_tridiagonal's LAPACK calls under its auto driver:
-    # dstevd for the whole spectrum (eigh_tridiagonal itself on scipy
-    # releases without it), dstebz + dstein for the lowest pair.  So it
-    # returns the bytes of the default call.  Checked on H of every node mode
-    # at hbar = 0.1 and on garding's exponent R at N = 88, 204, 486
-    # (k = 3, 6, 8)
+    # the lowest-pair helper makes eigh_tridiagonal's LAPACK calls for
+    # select="i", select_range=(0, 1) under its auto driver (dstebz + dstein),
+    # so it returns the bytes of that call.  Checked on H of every node mode at
+    # hbar = 0.1 and on garding's exponent R at N = 88, 204, 486 (k = 3, 6, 8)
     from scipy.linalg import eigh_tridiagonal
 
     tridiagonals = []
@@ -228,50 +232,35 @@ def test_tridiagonal_eigh_is_bitwise_scipy_eigh_tridiagonal(system_g03):
             tridiagonals.append((np.zeros(n + 1), off))
     assert sorted({len(d) for d, _ in tridiagonals[-6:]}) == [89, 205, 487]
     for diag, off in tridiagonals:
-        full = eigh_tridiagonal(diag, off)
-        pair = eigh_tridiagonal(diag, off, select="i", select_range=(0, 1))
-        ours = (fock._tridiagonal_eigh(diag, off), fock._tridiagonal_eigh(diag, off, lowest=2))
-        for got, want in zip(ours, (full, pair)):
-            for a, b in zip(got, want):
-                assert a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
-def test_tridiagonal_eigh_without_dstevd_is_the_default_call(monkeypatch):
-    # a scipy without the dstevd wrapper: the whole spectrum comes from
-    # eigh_tridiagonal itself, after the same finiteness refusal
-    from scipy.linalg import eigh_tridiagonal, lapack
-
-    monkeypatch.delattr(lapack, "dstevd")
-    off = math.pi * math.sqrt(2.0**-3) * np.sqrt(np.arange(1.0, 89))
-    for diag in (np.zeros(89), np.arange(89.0)):
-        got, want = fock._tridiagonal_eigh(diag, off), eigh_tridiagonal(diag, off)
-        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
-    with pytest.raises(ValueError, match="^array must not contain infs or NaNs$"):
-        fock._tridiagonal_eigh(np.full(89, np.nan), off)
+        got = fock._lowest_two_eigh(diag, off)
+        want = eigh_tridiagonal(diag, off, select="i", select_range=(0, 1))
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def test_tridiagonal_eigh_keeps_the_refusals_of_eigh_tridiagonal():
     # a non-finite entry, on the diagonal or off it, is refused by name
-    # before LAPACK sees it, by both branches
+    # before LAPACK sees it
     for bad in (np.inf, np.nan):
         bad_diag = (np.array([0.0, 1.0, bad, 3.0, 4.0]), np.ones(4))
         bad_off = (np.arange(5.0), np.array([1.0, bad, 1.0, 1.0]))
         for entries in (bad_diag, bad_off):
-            for lowest in (None, 2):
-                with pytest.raises(ValueError, match="^array must not contain infs or NaNs$"):
-                    fock._tridiagonal_eigh(*entries, lowest)
+            with pytest.raises(ValueError, match="^array must not contain infs or NaNs$"):
+                fock._lowest_two_eigh(*entries)
 
 
 def test_the_exponential_at_zero_is_the_identity():
     # W_h(0) = I: returned without a solve, and bit for bit what the solve
     # gives (the zero tridiagonal's eigenvectors are V = I, lam = 0)
     for h, n in ((2.0**-3, 88), (2.0**-8, 486)):
+        ladder = fock._Ladder(n)
         for size in (n // 2 + 1, n + 1):
-            u, defect = fock._dense_exponential(h, n, 0.0, size)
+            u, defect = fock._dense_exponential(h, ladder, 0.0, size)
             assert u.tobytes() == np.eye(size).tobytes() and defect == 0.0
-        evals, vecs, defect = fock._exponential_eigs(h, n, 0.0)
+        evals, vecs, defect = fock._exponential_eigs(h, ladder, 0.0)
         assert vecs.tobytes() == np.eye(n + 1).tobytes()
         assert not evals.any() and defect == 0.0
+        assert ladder._eigs is None
 
 
 @pytest.mark.parametrize("k", [3, 6])
@@ -289,22 +278,23 @@ def test_shared_ladder_exponentials_match_expm(k):
     for r in (1.0, math.sqrt(2.0)):
         off = math.sqrt(h) * r * np.sqrt(np.arange(1.0, n + 1))
         exact = expm(1j * math.pi * (np.diag(off, 1) + np.diag(off, -1)))
-        u, defect = fock._dense_exponential(h, n, r, trusted, ladder)
+        u, defect = fock._dense_exponential(h, ladder, r, trusted)
         assert np.max(np.abs(u - exact[:trusted, :trusted])) <= 1e-12
         assert defect <= 1e-12
 
 
 def _full_solves(monkeypatch) -> list[int]:
     """The sizes of the full-spectrum tridiagonal solves made from now on."""
+    import scipy.linalg
+
     sizes: list[int] = []
-    solve = fock._tridiagonal_eigh
+    solve = scipy.linalg.eigh_tridiagonal
 
-    def counted(diag, off, lowest=None):
-        if lowest is None:
-            sizes.append(len(diag))
-        return solve(diag, off, lowest)
+    def counted(diag, off):
+        sizes.append(len(diag))
+        return solve(diag, off)
 
-    monkeypatch.setattr(fock, "_tridiagonal_eigh", counted)
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", counted)
     return sizes
 
 
