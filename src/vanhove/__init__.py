@@ -14,7 +14,6 @@ from .dynamics import (
     classical_flow,
     evolve_state,
     evolve_weyl,
-    free_system,
     ground_energy,
     ground_state_check,
     kms_check,
@@ -35,9 +34,7 @@ from .grid import (
 from .sources import (
     InfraredClass,
     SourceSpec,
-    classify,
     classify_analytic,
-    custom_source,
     power_law_gaussian,
     realize,
 )
@@ -45,7 +42,6 @@ from .states import (
     CharState,
     bochner_gram,
     coherent,
-    deformed,
     dirac,
     evaluate,
     gibbs_classical,
@@ -60,8 +56,6 @@ from .weyl import (
     antiwick,
     compose,
     identity,
-    norm_bound,
-    quantize,
     scale,
     symplectic_form,
 )
@@ -84,17 +78,13 @@ __all__ = [
     "bochner_gram",
     "classical_energy",
     "classical_flow",
-    "classify",
     "classify_analytic",
     "coherent",
     "compose",
-    "custom_source",
-    "deformed",
     "dirac",
     "evaluate",
     "evolve_state",
     "evolve_weyl",
-    "free_system",
     "from_values",
     "gibbs_classical",
     "gibbs_quantum",
@@ -107,9 +97,7 @@ __all__ = [
     "kms_window",
     "make_grid",
     "make_system",
-    "norm_bound",
     "power_law_gaussian",
-    "quantize",
     "realize",
     "sample",
     "scale",

@@ -77,16 +77,14 @@ from .grid import (
     from_values,
     inner_product,
     weighted_norm_sq,
-    zero_function,
 )
-from .sources import InfraredClass, SourceSpec, classify, realize
+from .sources import InfraredClass, SourceSpec, classify_analytic, realize
 from .states import CharState
 from .weyl import TrigPolynomial, trig_polynomial, weyl
 
 __all__ = [
     "VanHoveSystem",
     "make_system",
-    "free_system",
     "classical_flow",
     "classical_energy",
     "ground_energy",
@@ -122,7 +120,7 @@ class VanHoveSystem:
     """A grid, a realized source, and the cached dressing profile J/omega."""
 
     grid: MomentumGrid
-    source: SourceSpec | None
+    source: SourceSpec
     j: RadialFunction
     j_over_omega: RadialFunction
 
@@ -131,7 +129,7 @@ def make_system(source: SourceSpec) -> VanHoveSystem:
     """Build the dressed system; the source must be regular or type I
     (otherwise -J/omega leaves the one-particle space and there is no
     dressing)."""
-    cls = classify(source)
+    cls = classify_analytic(source)
     if cls not in (InfraredClass.REGULAR, InfraredClass.TYPE_I):
         raise ValueError(
             f"source classifies as {cls.value}; dressed dynamics needs a "
@@ -140,12 +138,6 @@ def make_system(source: SourceSpec) -> VanHoveSystem:
     j = realize(source)
     jw = from_values(source.grid, j.values / source.grid.omega)
     return VanHoveSystem(grid=source.grid, source=source, j=j, j_over_omega=jw)
-
-
-def free_system(grid: MomentumGrid) -> VanHoveSystem:
-    """J = 0: plain free evolution."""
-    z = zero_function(grid)
-    return VanHoveSystem(grid=grid, source=None, j=z, j_over_omega=z)
 
 
 # --------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 r"""Single-mode Fock machinery on tridiagonal matrices: spectra, coherent
-dressing, bounds.
+dressing, the Garding probe.
 
 One radial quadrature node (omega_m, weight) of a sourced system defines a
 displaced harmonic mode: with ladder matrices a, a* on the (N+1)-dimensional
@@ -40,14 +40,6 @@ mode couplings absorb the quadrature measure), the total photon number is
 ||J/omega||_0^2 = ||J||_{-2}^2, and its divergence for type I sources is
 the soft-photon catastrophe probed by ``soft_photon_sweep``.
 
-``ladder_bound_check`` verifies the relative bounds
-
-    ||a_h(g) Psi||  <= ||S^{-1/2} g|| ||dGamma_h(S)^{1/2} Psi||,
-    ||a*_h(g) Psi|| <= ||S^{-1/2} g|| ||dGamma_h(S)^{1/2} Psi|| + sqrt(hbar) ||g|| ||Psi||
-
-(the second term carries sqrt(hbar): the exact identity ||a* Psi||^2 =
-||a Psi||^2 + hbar ||g||^2 ||Psi||^2 forces it, as the vacuum shows).
-
 ``garding_probe`` quantizes a nonnegative classical symbol over a single
 mode and tracks the lowest eigenvalue of its compression to the trusted
 lower half: plain quantization dips below zero only O(hbar), anti-Wick
@@ -67,7 +59,7 @@ import numpy as np
 
 from .dynamics import VanHoveSystem
 from .grid import MomentumGrid, make_grid
-from .sources import SourceSpec, realize
+from .sources import realize
 from .weyl import TrigPolynomial, antiwick
 
 __all__ = [
@@ -75,7 +67,6 @@ __all__ = [
     "displacement_levels",
     "adequate_cutoff",
     "exponential_fits",
-    "build_ladder",
     "weyl_matrix",
     "GroundReport",
     "ground_state_analysis",
@@ -85,8 +76,6 @@ __all__ = [
     "multimode_ground_scan",
     "SoftPhotonReport",
     "soft_photon_sweep",
-    "LadderBoundReport",
-    "ladder_bound_check",
     "single_mode_grid",
     "GardingReport",
     "garding_cutoff",
@@ -155,15 +144,6 @@ def adequate_cutoff(omega: float, coupling: complex, hbar: float) -> int:
 def exponential_fits(hbar: float, cutoff: int, modulus_sq: float) -> bool:
     """W_h(z) on N + 1 levels is adequate: pi^2 hbar |z|^2 <= N/4 (nan fails)."""
     return _PI2 * hbar * modulus_sq <= cutoff / 4.0
-
-
-def build_ladder(mode: FockMode) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(a, a*, n) as dense matrices; [a, a*] = 1 except the (N, N) corner."""
-    n = mode.dim
-    a = np.zeros((n, n), dtype=np.complex128)
-    idx = np.arange(1, n)
-    a[idx - 1, idx] = np.sqrt(idx)
-    return a, a.conj().T, np.diag(np.arange(n, dtype=np.float64)).astype(np.complex128)
 
 
 def _gauge(theta: float, occ: np.ndarray) -> np.ndarray:
@@ -421,8 +401,6 @@ def soft_photon_sweep(sys: VanHoveSystem, cutoffs: Sequence[int]) -> SoftPhotonR
     the closed form).  The slope is fitted on log increments between
     consecutive cutoffs, skipping the first increment (ultraviolet bias);
     a nonnegative slope within 0.1 flags soft-photon divergence."""
-    if sys.source is None:
-        raise ValueError("soft-photon sweeps need a sourced system")
     ns = tuple(int(n) for n in cutoffs)
     if len(ns) < 3 or any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError("cutoffs must be strictly increasing, at least 3 of them")
@@ -446,57 +424,6 @@ def soft_photon_sweep(sys: VanHoveSystem, cutoffs: Sequence[int]) -> SoftPhotonR
         numbers=tuple(numbers),
         increment_slope=slope,
         diverging=diverging,
-    )
-
-
-# --------------------------------------------------------------------------
-# relative bounds for the scaled ladder operators
-
-
-@dataclass(frozen=True)
-class LadderBoundReport:
-    trials: int
-    max_annihilation_ratio: float
-    max_creation_ratio: float
-
-
-def ladder_bound_check(
-    mode: FockMode, s_diag: float, trials: int = 200, seed: int = 0
-) -> LadderBoundReport:
-    """Ratios LHS/RHS of the relative bounds over random truncated vectors.
-
-    Vectors have their top two components zeroed so that creation does not
-    leak past the cutoff; for a single mode the annihilation bound is an
-    identity (ratio 1) and the creation bound is strict except at edge
-    cases, so all ratios must be <= 1 up to arithmetic (1 + 1e-12).
-    """
-    if s_diag <= 0.0:
-        raise ValueError(f"s_diag must be > 0, got {s_diag}")
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    a, adag, _ = build_ladder(mode)
-    occ = np.arange(mode.dim, dtype=np.float64)
-    sqrt_h = math.sqrt(mode.hbar)
-    # test function g = 1: ||S^{-1/2} g|| = s^{-1/2}, ||g|| = 1.
-    s_inv_half = 1.0 / math.sqrt(s_diag)
-    rng = np.random.default_rng(seed)
-    worst_a = 0.0
-    worst_c = 0.0
-    for _ in range(trials):
-        psi = rng.standard_normal(mode.dim) + 1j * rng.standard_normal(mode.dim)
-        psi[-2:] = 0.0
-        psi /= np.linalg.norm(psi)
-        dgamma_half = math.sqrt(mode.hbar * s_diag) * np.sqrt(occ) * psi
-        bound_core = s_inv_half * np.linalg.norm(dgamma_half)
-        lhs_a = sqrt_h * np.linalg.norm(a @ psi)
-        lhs_c = sqrt_h * np.linalg.norm(adag @ psi)
-        if bound_core > 0.0:
-            worst_a = max(worst_a, lhs_a / bound_core)
-        worst_c = max(worst_c, lhs_c / (bound_core + sqrt_h * np.linalg.norm(psi)))
-    return LadderBoundReport(
-        trials=trials,
-        max_annihilation_ratio=worst_a,
-        max_creation_ratio=worst_c,
     )
 
 

@@ -36,12 +36,10 @@ import numpy as np
 
 from .grid import MomentumGrid, RadialFunction, inner_product
 from .states import CharState, dirac
-from .weyl import TrigPolynomial, weyl
 
 __all__ = [
     "FILON_THRESHOLD",
     "FILON_DEGREE",
-    "asymptotic_character",
     "check_filon_grid",
     "dressing_coefficient",
     "flat_panels",
@@ -66,11 +64,6 @@ def dressing_coefficient(sys, f: RadialFunction) -> complex:
     """exp(2 pi i Re <f, J/omega>_0), the asymptotic dressing phase: the
     characteristic value of the point mass at J/omega."""
     return dirac(sys.j_over_omega).char(f)
-
-
-def asymptotic_character(sys, f: RadialFunction, hbar: float) -> TrigPolynomial:
-    """The dressed element W_h(f) e^{2 pi i Re <f, J/omega>} (same for +-oo)."""
-    return weyl(f, hbar, dressing_coefficient(sys, f))
 
 
 # --------------------------------------------------------------------------

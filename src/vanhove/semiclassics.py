@@ -218,8 +218,6 @@ def equilibrium_sweep(
     hbars: Sequence[float] = DEFAULT_HBAR_LADDER,
 ) -> SweepReport:
     """Quantum Gibbs states along beta_hbar(regime) against their limit."""
-    if sys.source is None:
-        raise ValueError("equilibrium sweeps need a sourced system")
     hs = _check_ladder(hbars)
     if isinstance(regime, SuperLinear):
         limit = 0.0  # no limit state: the values themselves must vanish

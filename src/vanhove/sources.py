@@ -1,6 +1,6 @@
 r"""Source profiles and their infrared classification.
 
-The model is driven by a radial source J(r).  The built-in family is
+The model is driven by a radial source J(r), from the one family
 
     J_gamma(r) = r^{-gamma} e^{-r^2},
 
@@ -18,8 +18,7 @@ Equivalently: regular means ||J||_{-2} < oo, type I means ||J||_{-1} < oo
 but ||J||_{-2} = oo, type II means ||J||_{-1} = oo but ||J||_0 < oo.
 
 ``numeric_classification`` estimates the same trichotomy from grid data
-alone by fitting log-log slopes of per-panel infrared shell masses (its
-``infrared_class`` is what ``classify`` returns for custom samples); on
+alone by fitting log-log slopes of per-panel infrared shell masses; on
 geometric panels Gauss-Legendre integrates the power family essentially
 exactly, so the fitted slope of the shell mass against the shell position is
 d - alpha - 2 gamma, and the mass diverges iff that slope is <= 0.
@@ -28,6 +27,7 @@ d - alpha - 2 gamma, and the mass diverges iff that slope is <= 0.
 from __future__ import annotations
 
 import enum
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -40,14 +40,10 @@ __all__ = [
     "SourceSpec",
     "NumericClassification",
     "power_law_gaussian",
-    "custom_source",
     "realize",
     "classify_analytic",
     "numeric_classification",
 ]
-
-POWER_LAW_GAUSSIAN = "power_law_gaussian"
-CUSTOM_SAMPLES = "custom_samples"
 
 #: A fitted shell slope above this margin counts as convergent; at the exact
 #: threshold the shell mass is flat (slope 0, logarithmic divergence), which
@@ -74,57 +70,38 @@ class InfraredClass(enum.Enum):
 
 @dataclass(frozen=True, eq=False)
 class SourceSpec:
-    """Declarative description of a source; realize() turns it into samples.
+    """The power-family source r^{-gamma} e^{-r^2} on a grid; realize() turns
+    it into samples.
 
     ``ir_cutoff`` n (if set) zeroes the profile below r = 1/n.
     """
 
     grid: MomentumGrid
-    family: str
     gamma: float = 0.0
     ir_cutoff: int | None = None
-    samples: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if self.family not in (POWER_LAW_GAUSSIAN, CUSTOM_SAMPLES):
-            raise ValueError(f"unknown source family {self.family!r}")
+        if not math.isfinite(self.gamma):
+            raise ValueError(f"gamma must be finite, got {self.gamma}")
         if self.ir_cutoff is not None:
             if not isinstance(self.ir_cutoff, int) or self.ir_cutoff < 1:
                 raise ValueError(f"ir_cutoff must be a positive integer, got {self.ir_cutoff!r}")
-        if self.family == CUSTOM_SAMPLES:
-            if self.samples is None:
-                raise ValueError("custom sources need explicit samples")
-            vals = np.asarray(self.samples, dtype=np.complex128)
-            if vals.shape != self.grid.nodes.shape:
-                raise ValueError("custom sample count does not match the grid")
-            vals = vals.copy()
-            vals.setflags(write=False)
-            object.__setattr__(self, "samples", vals)
-        elif self.samples is not None:
-            raise ValueError("samples are only meaningful for custom sources")
 
 
 def power_law_gaussian(grid: MomentumGrid, gamma: float, ir_cutoff: int | None = None) -> SourceSpec:
     """r^{-gamma} e^{-r^2}, the workhorse family of the trichotomy."""
-    return SourceSpec(grid=grid, family=POWER_LAW_GAUSSIAN, gamma=float(gamma), ir_cutoff=ir_cutoff)
-
-
-def custom_source(grid: MomentumGrid, values, ir_cutoff: int | None = None) -> SourceSpec:
-    return SourceSpec(grid=grid, family=CUSTOM_SAMPLES, ir_cutoff=ir_cutoff, samples=np.asarray(values))
+    return SourceSpec(grid=grid, gamma=float(gamma), ir_cutoff=ir_cutoff)
 
 
 def realize(spec: SourceSpec) -> RadialFunction:
     """Evaluate the source on its grid (cutoff applied as a sharp mask)."""
     r = spec.grid.nodes
-    if spec.family == CUSTOM_SAMPLES:
-        vals = np.array(spec.samples, dtype=np.complex128)
-    else:
-        if spec.gamma >= spec.grid.dim / 2.0 and spec.ir_cutoff is None:
-            raise ValueError(
-                f"gamma = {spec.gamma} >= d/2 = {spec.grid.dim / 2.0} is not "
-                "square-integrable without an infrared cutoff"
-            )
-        vals = r ** (-spec.gamma) * np.exp(-(r**2)) + 0j
+    if spec.gamma >= spec.grid.dim / 2.0 and spec.ir_cutoff is None:
+        raise ValueError(
+            f"gamma = {spec.gamma} >= d/2 = {spec.grid.dim / 2.0} is not "
+            "square-integrable without an infrared cutoff"
+        )
+    vals = r ** (-spec.gamma) * np.exp(-(r**2)) + 0j
     if spec.ir_cutoff is not None:
         vals = np.where(r < 1.0 / spec.ir_cutoff, 0.0, vals)
     return from_values(spec.grid, vals)
@@ -137,8 +114,6 @@ def classify_analytic(spec: SourceSpec) -> InfraredClass:
     square-integrable member is regular (a warning notes the collapse).  An
     active cutoff likewise puts the realized source in every weighted space.
     """
-    if spec.family == CUSTOM_SAMPLES:
-        raise ValueError("analytic classification is defined for the power-law family only")
     d = spec.grid.dim
     gamma = spec.gamma
     if gamma >= d / 2.0 and spec.ir_cutoff is None:
@@ -218,10 +193,3 @@ def numeric_classification(spec: SourceSpec) -> NumericClassification:
         divergence_slopes=slopes,
         clearly_divergent=clearly,
     )
-
-
-def classify(spec: SourceSpec) -> InfraredClass:
-    """Analytic classification when available, numeric otherwise."""
-    if spec.family == CUSTOM_SAMPLES:
-        return numeric_classification(spec).infrared_class
-    return classify_analytic(spec)

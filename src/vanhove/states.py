@@ -15,16 +15,13 @@ quadrature measure of <.,.>_alpha, coth taken at beta_h omega / 2):
     dirac(T)           0                m_0                             T
     gibbs_quantum      -pi^2 h / 2      m_0 coth  (finite beta_h)       -J/omega
     gibbs_classical    -pi^2 / beta     m_{-1}                          -J/omega
-    deformed(base, h)  -pi^2 h / 2      m_0 + (base.scale/scale) base.weight
-                                                                        base.center
 
 The record is ``(hbar, grid, center, scale, weight)`` and nothing else.
 ``scale`` stays outside the sum, so each constructor reproduces its closed
 form factor by factor.  This module is the one place the Gibbs covariance
 coth(beta_h omega / 2) is formed; the KMS check reads it back from
 ``weight``.  The quantum Gibbs state at beta_h = oo is the coherent state
-centred at -J/omega (the dressed ground state); deforming a Dirac state
-reproduces the coherent state bit for bit.
+centred at -J/omega (the dressed ground state).
 Gibbs states exist only for sources whose infrared class keeps -J/omega
 square-integrable (regular or type I); type II sources have no dressed state
 and are rejected.
@@ -45,13 +42,13 @@ eigenvalue against the tolerance 1e-10 * size.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .grid import MomentumGrid, RadialFunction, from_values
-from .sources import InfraredClass, SourceSpec, classify, realize
+from .sources import InfraredClass, SourceSpec, classify_analytic, realize
 from .weyl import TrigPolynomial
 
 __all__ = [
@@ -60,14 +57,12 @@ __all__ = [
     "dirac",
     "gibbs_quantum",
     "gibbs_classical",
-    "deformed",
     "evaluate",
     "gram_matrix",
     "bochner_gram",
     "GramReport",
     "PSD_TOL_PER_SIZE",
     "stable_coth",
-    "gibbs_regularization_deviations",
 ]
 
 _PI2 = math.pi**2
@@ -136,7 +131,7 @@ def dirac(center: RadialFunction) -> CharState:
 
 
 def _dressed_center(source: SourceSpec) -> RadialFunction:
-    cls = classify(source)
+    cls = classify_analytic(source)
     if cls not in (InfraredClass.REGULAR, InfraredClass.TYPE_I):
         raise ValueError(
             f"source classifies as {cls.value}: the dressing energy "
@@ -167,20 +162,6 @@ def gibbs_classical(source: SourceSpec, beta: float) -> CharState:
         raise ValueError(f"beta must be finite and > 0, got {beta}")
     center = _dressed_center(source)
     return CharState(0.0, source.grid, center, -_PI2 / float(beta), source.grid.measure(-1))
-
-
-def deformed(base: CharState, hbar: float) -> CharState:
-    """Convolve a classical state with the vacuum Gaussian of width hbar:
-    the weights add once the base's scale is moved onto them."""
-    if base.hbar != 0.0:
-        raise ValueError("deformation starts from a classical (hbar = 0) state")
-    if hbar <= 0.0:
-        raise ValueError(f"hbar must be > 0, got {hbar}")
-    hbar = float(hbar)
-    scale = -0.5 * _PI2 * hbar
-    weight = base.grid.measure(0) + (base.scale / scale) * base.weight
-    weight.setflags(write=False)
-    return CharState(hbar, base.grid, base.center, scale, weight)
 
 
 def stable_coth(x: np.ndarray) -> np.ndarray:
@@ -257,25 +238,3 @@ def bochner_gram(state: CharState, panel: Sequence[RadialFunction]) -> GramRepor
         hermitian_defect=defect,
         psd_tol=PSD_TOL_PER_SIZE * len(panel),
     )
-
-
-def gibbs_regularization_deviations(
-    source: SourceSpec,
-    beta_h: float,
-    hbar: float,
-    f: RadialFunction,
-    cutoffs: Sequence[int],
-) -> list[float]:
-    """Relative deviation of the cutoff-dressed Gibbs characteristic
-    function from the full one per cutoff n (the thermal Gaussian factor is
-    cutoff-independent, so this isolates the center phase).  For sources
-    with a dressed state it decays once 1/n is below the infrared scale of
-    f."""
-    full = gibbs_quantum(source, beta_h, hbar)
-    target = full.char(f)
-    scale = max(abs(target), np.finfo(np.float64).tiny)
-    out = []
-    for n in cutoffs:
-        regulated = gibbs_quantum(replace(source, ir_cutoff=int(n)), beta_h, hbar)
-        out.append(abs(regulated.char(f) - target) / scale)
-    return out

@@ -13,19 +13,17 @@ polynomials") held as two read-only arrays: ``coeffs`` (k,) with the c_j and
 ``gens`` (k, N) with the samples of f_j on the N grid nodes, one row per
 term.  They are kept in canonical form: rows with bit-identical samples
 merged (coefficients summed in input order; -0.0 counts as +0.0), zero
-coefficients dropped, rows ordered by their bytes.  The l^1 coefficient norm
-is an upper bound for the C*-norm (each W is unitary), which is all the norm
-control the workbench needs.
+coefficients dropped, rows ordered by their bytes.
 
-Quantization maps a classical polynomial to the same coefficients at h > 0;
-the anti-Wick variant additionally damps each coefficient by
-exp(-(pi^2 h / 2) ||f_j||_0^2) and is positivity-preserving.
+Anti-Wick quantization carries a classical polynomial to h > 0, damping
+each coefficient by exp(-(pi^2 h / 2) ||f_j||_0^2); it is
+positivity-preserving.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -42,9 +40,7 @@ __all__ = [
     "adjoint",
     "scale",
     "add",
-    "quantize",
     "antiwick",
-    "norm_bound",
 ]
 
 _PI2 = math.pi**2
@@ -152,15 +148,6 @@ def scale(a: TrigPolynomial, c: complex) -> TrigPolynomial:
     return trig_polynomial(a.grid, a.hbar, complex(c) * a.coeffs, a.gens)
 
 
-def quantize(a: TrigPolynomial, hbar: float) -> TrigPolynomial:
-    """Retag a classical polynomial at h > 0, coefficients unchanged."""
-    if a.hbar != 0.0:
-        raise ValueError("quantization starts from a classical (hbar = 0) polynomial")
-    if hbar <= 0.0:
-        raise ValueError(f"target hbar must be > 0, got {hbar}")
-    return replace(a, hbar=float(hbar))
-
-
 def antiwick(a: TrigPolynomial, hbar: float) -> TrigPolynomial:
     """Positivity-preserving quantization: coefficients damped by the
     vacuum Gaussian exp(-(pi^2 hbar / 2) ||f||_0^2)."""
@@ -171,8 +158,3 @@ def antiwick(a: TrigPolynomial, hbar: float) -> TrigPolynomial:
     g = a.gens
     norms = np.sum(a.grid.measure(0) * (g.real**2 + g.imag**2), axis=1)
     return trig_polynomial(a.grid, hbar, a.coeffs * np.exp(-0.5 * _PI2 * hbar * norms), g)
-
-
-def norm_bound(a: TrigPolynomial) -> float:
-    """l^1 coefficient norm; an upper bound for the C*-norm."""
-    return float(np.abs(a.coeffs).sum())

@@ -20,7 +20,6 @@ from hypothesis import settings
 from vanhove import (
     CharState,
     coherent,
-    deformed,
     dirac,
     gibbs_classical,
     gibbs_quantum,
@@ -71,15 +70,8 @@ def random_member(grid: MomentumGrid, rng: np.random.Generator) -> RadialFunctio
     return from_values(grid, vals)
 
 
-#: One state per constructor, the two deformations included.
-STATE_KINDS = (
-    "coherent",
-    "dirac",
-    "gibbs_quantum",
-    "gibbs_classical",
-    "deformed_dirac",
-    "deformed_gibbs_classical",
-)
+#: One state per constructor.
+STATE_KINDS = ("coherent", "dirac", "gibbs_quantum", "gibbs_classical")
 
 
 def every_state(center: RadialFunction, source) -> dict[str, CharState]:
@@ -90,6 +82,4 @@ def every_state(center: RadialFunction, source) -> dict[str, CharState]:
         "dirac": dirac(center),
         "gibbs_quantum": gibbs_quantum(source, 1.5, 0.4),
         "gibbs_classical": gibbs_classical(source, 1.5),
-        "deformed_dirac": deformed(dirac(center), 0.4),
-        "deformed_gibbs_classical": deformed(gibbs_classical(source, 1.5), 0.4),
     }

@@ -21,7 +21,6 @@ from vanhove import (
     classical_energy,
     classical_flow,
     coherent,
-    deformed,
     dirac,
     from_values,
     gibbs_quantum,
@@ -113,7 +112,7 @@ def test_weyl_composition_identities_hold_on_five_hundred_random_triples(grid):
 def test_characteristic_grams_are_positive_and_detect_phase_corruption(
     grid, system_g03, panel
 ):
-    """Twisted Gram matrices of all four state kinds on a twelve-member
+    """Twisted Gram matrices of three state kinds on a twelve-member
     panel stay positive to -1.2e-9; conjugating the worst off-diagonal
     pair (a symplectic-phase sign flip) must break positivity."""
     panel12 = panel + [
@@ -127,7 +126,6 @@ def test_characteristic_grams_are_positive_and_detect_phase_corruption(
         coherent(center, 0.5),
         gibbs_quantum(system_g03.source, 2.0, 0.5),
         dirac(center),
-        deformed(dirac(center), 0.5),
     )
     t0 = time.monotonic()
     for st in kinds:
@@ -266,8 +264,7 @@ def test_infrared_classes_separate_by_dressing_energy_and_photon_number(
 def test_truncated_mode_matrices_reproduce_weyl_algebra_and_bounds():
     """Finite displacement matrices reproduce the vacuum characteristic
     value to 1e-9 and the twisted composition law to 1e-8 on the trusted
-    block; the photon number matches |j/omega|^2; relative ladder bounds
-    hold with ratio <= 1 over two hundred random vectors."""
+    block; the photon number matches |j/omega|^2."""
     h = 0.25
     t0 = time.monotonic()
     mode = fock.FockMode(
@@ -293,13 +290,9 @@ def test_truncated_mode_matrices_reproduce_weyl_algebra_and_bounds():
         phase = np.exp(-1j * _PI2 * h * (np.conj(z1) * z2).imag)
         gap = np.max(np.abs((w1 @ w2 - w12 * phase)[:half, :half]))
         worst_comp = max(worst_comp, gap)
+    _under(t0, 30.0)
     assert worst_vac <= 1e-9
     assert worst_comp <= 1e-8
-
-    bounds = fock.ladder_bound_check(mode, s_diag=1.7, trials=200, seed=3)
-    _under(t0, 30.0)
-    assert bounds.max_annihilation_ratio <= 1.0 + 1e-12
-    assert bounds.max_creation_ratio <= 1.0 + 1e-12
 
 
 def test_nonnegative_symbols_quantize_with_an_order_hbar_lower_bound():

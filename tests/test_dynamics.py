@@ -14,7 +14,6 @@ from vanhove import (
     evaluate,
     evolve_state,
     evolve_weyl,
-    free_system,
     gibbs_quantum,
     ground_energy,
     ground_state_check,
@@ -71,13 +70,6 @@ def test_energy_is_conserved_along_the_flow(system_g03, alpha0):
     for t in (0.1, 12.0, -250.0, 1e3):
         e_t = classical_energy(system_g03, classical_flow(system_g03, alpha0, t))
         assert abs(e_t - e0) <= 1e-12 * max(abs(e0), 1.0)
-
-
-def test_free_system_reduces_to_the_free_phase(grid, alpha0):
-    free = free_system(grid)
-    assert ground_energy(free) == 0.0
-    moved = classical_flow(free, alpha0, 2.0)
-    assert np.allclose(moved.values, alpha0.values * np.exp(-2j * grid.omega))
 
 
 # --------------------------------------------------------------------------
@@ -428,15 +420,6 @@ def test_ground_state_check_validation(system_g03, f_gauss, negative_window):
         ground_state_check(
             system_g03, f_gauss, zero_function(other), negative_window
         )
-
-
-def test_dressing_angle_vanishes_for_the_free_system(grid, f_gauss):
-    free = free_system(grid)
-    from vanhove.weyl import weyl
-
-    a = weyl(f_gauss, 0.2)
-    moved = evolve_weyl(free, a, 4.2)
-    assert moved.coeffs[0] == pytest.approx(1.0 + 0.0j, abs=1e-15)
 
 
 def test_inner_product_convention_matches_the_phase(system_g03, f_gauss):

@@ -20,7 +20,6 @@ from vanhove import (
 from vanhove.semiclassics import default_panel
 from vanhove.scattering import (
     FILON_THRESHOLD,
-    asymptotic_character,
     check_filon_grid,
     convergence_probe,
     dressing_coefficient,
@@ -87,17 +86,6 @@ def test_dressing_coefficient_is_a_phase(system_g03, f_gauss):
     assert abs(c) == pytest.approx(1.0, abs=1e-15)
     angle = 2.0 * math.pi * inner_product(f_gauss, system_g03.j_over_omega, 0).real
     assert c == pytest.approx(np.exp(1j * angle), abs=1e-15)
-
-
-def test_asymptotic_character_carries_the_dressing(system_g03, f_gauss):
-    a = asymptotic_character(system_g03, f_gauss, 0.3)
-    assert len(a.coeffs) == 1
-    assert a.coeffs[0] == pytest.approx(
-        dressing_coefficient(system_g03, f_gauss), abs=1e-15
-    )
-    other = make_grid(panels=4, points=8)
-    with pytest.raises(ValueError, match="different grid"):
-        asymptotic_character(system_g03, zero_function(other), 0.3)
 
 
 def test_convergence_probe_obeys_the_overlap_bound(system_g03, f_gauss):

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from vanhove import (
-    free_system,
     gibbs_classical,
     gibbs_quantum,
     sample,
@@ -145,11 +144,6 @@ def test_regime_parameter_validation():
     ]:
         with pytest.raises(ValueError, match=key):
             regime(*args)
-
-
-def test_equilibrium_sweep_needs_a_source(grid, panel):
-    with pytest.raises(ValueError, match="sourced"):
-        equilibrium_sweep(free_system(grid), GroundState(), panel)
 
 
 def test_scattering_sweep_matches_the_static_comparison(

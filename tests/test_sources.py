@@ -7,9 +7,8 @@ import pytest
 
 from vanhove import (
     InfraredClass,
-    classify,
+    SourceSpec,
     classify_analytic,
-    custom_source,
     make_grid,
     power_law_gaussian,
     realize,
@@ -88,22 +87,21 @@ def test_out_of_scope_source_has_no_realization(grid):
     realize(power_law_gaussian(grid, 1.6, ir_cutoff=4))
 
 
-def test_custom_sources_are_classified_from_grid_data(grid):
-    vals = grid.nodes**-0.8 * np.exp(-grid.nodes**2)
-    spec = custom_source(grid, vals)
-    assert classify(spec) is InfraredClass.TYPE_I
-    with pytest.raises(ValueError, match="power-law family"):
-        classify_analytic(spec)
-
-
 def test_spec_validation():
     g = make_grid(panels=4, points=8)
     with pytest.raises(ValueError, match="ir_cutoff"):
         power_law_gaussian(g, 0.3, ir_cutoff=0)
-    with pytest.raises(ValueError, match="sample count"):
-        custom_source(g, None)
-    with pytest.raises(ValueError, match="does not match"):
-        custom_source(g, np.zeros(3))
+
+
+@pytest.mark.parametrize("gamma", [np.nan, np.inf, -np.inf])
+def test_spec_refuses_a_non_finite_gamma(gamma):
+    # every threshold comparison is False at nan, so classify_analytic would
+    # call such a source regular; the spec refuses it by name instead
+    g = make_grid(panels=4, points=8)
+    with pytest.raises(ValueError, match="gamma must be finite"):
+        power_law_gaussian(g, gamma)
+    with pytest.raises(ValueError, match="gamma must be finite"):
+        SourceSpec(g, gamma, ir_cutoff=4)
 
 
 def test_slope_fit_needs_enough_infrared_shells():

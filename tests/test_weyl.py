@@ -1,4 +1,4 @@
-"""Exponential algebra: composition law, canonical form, quantization."""
+"""Exponential algebra: composition law, canonical form, anti-Wick quantization."""
 
 from __future__ import annotations
 
@@ -16,8 +16,6 @@ from vanhove.weyl import (
     antiwick,
     compose,
     identity,
-    norm_bound,
-    quantize,
     scale,
     symplectic_form,
     trig_polynomial,
@@ -135,7 +133,6 @@ def test_canonical_form_merges_and_drops(grid, f_gauss, g_gauss):
     cancelled = add(weyl(g_gauss, h, 1.0), weyl(g_gauss, h, -1.0))
     assert cancelled.coeffs.shape == (0,)
     assert cancelled.gens.shape == (0, grid.size)
-    assert norm_bound(cancelled) == 0.0
 
 
 def test_terms_are_ordered_canonically(grid, f_gauss, g_gauss):
@@ -177,18 +174,6 @@ def test_mixing_grids_or_hbars_is_an_error(grid, f_gauss):
         weyl(f_gauss, -0.1)
 
 
-def test_quantize_retags_coefficients_unchanged(grid, f_gauss, g_gauss):
-    classical = add(weyl(f_gauss, 0.0, 1.0 + 1.0j), weyl(g_gauss, 0.0, -2.0))
-    q = quantize(classical, 0.3)
-    assert q.hbar == 0.3
-    assert q.coeffs.tobytes() == classical.coeffs.tobytes()
-    assert q.gens.tobytes() == classical.gens.tobytes()
-    with pytest.raises(ValueError, match="classical"):
-        quantize(q, 0.5)
-    with pytest.raises(ValueError, match="target hbar"):
-        quantize(classical, 0.0)
-
-
 def test_antiwick_damps_by_the_vacuum_gaussian(grid, f_gauss):
     h = 0.3
     a = weyl(f_gauss, 0.0, coefficient=2.0)
@@ -196,11 +181,6 @@ def test_antiwick_damps_by_the_vacuum_gaussian(grid, f_gauss):
     expect = 2.0 * math.exp(-0.5 * _PI2 * h * weighted_norm_sq(f_gauss, 0))
     assert damped.coeffs[0] == pytest.approx(expect, rel=1e-15)
     assert damped.hbar == h
-
-
-def test_norm_bound_is_the_coefficient_l1_norm(grid, f_gauss, g_gauss):
-    a = add(weyl(f_gauss, 0.2, 3.0 - 4.0j), weyl(g_gauss, 0.2, 1.0j))
-    assert norm_bound(a) == pytest.approx(6.0)
 
 
 def test_scale_multiplies_every_coefficient(grid, f_gauss, g_gauss):
@@ -250,4 +230,6 @@ def test_norm_bound_is_submultiplicative(grid, f_gauss, g_gauss, pair):
     h = 0.15
     a = add(weyl(pair[0] * f_gauss, h, pair[1]), weyl(g_gauss, h, 1.0))
     b = add(weyl(g_gauss, h, 0.5), identity(grid, h))
-    assert norm_bound(compose(a, b)) <= norm_bound(a) * norm_bound(b) + 1e-12
+    # the l^1 coefficient norm, an upper bound for the C*-norm (each W is unitary)
+    ab_norm, a_norm, b_norm = (np.abs(p.coeffs).sum() for p in (compose(a, b), a, b))
+    assert ab_norm <= a_norm * b_norm + 1e-12
