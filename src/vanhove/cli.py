@@ -451,25 +451,19 @@ def cmd_scattering(cfg: dict) -> CommandResult:
     probe = scattering.convergence_probe(sys_, f, ts)
     overlaps = np.abs(probe.overlap)
     center = sample(grid, lambda r: (0.3 - 0.2j) * np.exp(-(r**2)))
-    state = states.coherent(center, cfg["hbar"])
-    moved = scattering.transport_state(sys_, state)
-    back = scattering.transport_state(sys_, moved, inverse=True)
-    panel = semiclassics.default_panel(grid)
-    chars = state.chars(panel)
-    round_trip = float(np.max(np.abs(back.chars(panel) - chars)))
-    round_tol = scattering.round_trip_tolerance(sys_, state, panel)
-    sweep = semiclassics.scattering_sweep(sys_, center, panel, _hbar_ladder(cfg))
+    # the routes meet at round-off up to FILON_THRESHOLD, so later times are
+    # checked there; the tolerance is relative to the size of their angles,
+    # A = 2 pi sum m_0 |f| (|center| + |J/omega|), capped as kms residual's is
+    clipped = np.unique(np.minimum(ts, scattering.FILON_THRESHOLD))
+    gap = scattering.transport_gap(sys_, center, f, clipped)
+    weights = np.abs(center.values) + np.abs(sys_.j_over_omega.values)
+    angle = 2.0 * math.pi * float(np.sum(grid.measure(0) * np.abs(f.values) * weights))
     return CommandResult(
         ["t", "overlap", "bound", "probe_deviation"],
         list(zip(ts, overlaps, probe.bound, probe.deviation)),
-        {"round_trip": round_trip, "transport_mismatch": sweep.transport_mismatch,
-         "final_overlap": float(overlaps[-1]), "verdict": sweep.verdict},
-        [Check("dressing bound", float(np.max(probe.deviation - probe.bound)), 1e-12),
-         Check("overlap decay", float(overlaps[-1]), 1e-2),
-         Check("transport round trip", round_trip, round_tol),
-         # a round-trip error shows only if the panel's values exceed its
-         # tolerance; they underflow to 0 as hbar grows (every one at 1e300)
-         Check("transport round trip resolution", round_tol, float(np.max(np.abs(chars))))],
+        {"final_overlap": float(overlaps[-1])},
+        [Check("overlap decay", float(overlaps[-1]), 1e-2),
+         Check("transport vs dynamics", gap, 1e-14 * min(max(1.0, angle), 1e8))],
     )
 
 
@@ -669,13 +663,12 @@ _COMMANDS: dict[str, tuple[Callable[[dict], CommandResult], dict, list[CrossRule
     "scattering": (
         cmd_scattering,
         {
-            **_grid_keys(), "hbar": (0.5, _NONNEGATIVE), "t_min": (1.0, _POSITIVE),
-            "t_max": (1000.0, _POSITIVE), "t_points": (7, _ROWS), **_LADDER_KEYS,
+            **_grid_keys(), "t_min": (1.0, _POSITIVE), "t_max": (1000.0, _POSITIVE),
+            "t_points": (7, _ROWS),
         },
         [
             *_GRID_RULES,
             _at_most(_TABLE_MAX, "t_points", "panels", "points"),
-            _span("k_min", "k_max", 2),
             ("t_min must be <= t_max, got {t_min}, {t_max}", lambda c: c["t_min"] <= c["t_max"]),
         ],
     ),

@@ -507,8 +507,8 @@ def ground_state_check(
     range pick up the one-excitation line.  ``resolution`` doubles the time
     quadrature for oracle/agreement runs.
     """
-    if hbar <= 0.0:
-        raise ValueError(f"hbar must be > 0, got {hbar}")
+    if not 0.0 < hbar < math.inf:
+        raise ValueError(f"hbar must be finite and > 0, got {hbar}")
     grid = sys.grid
     for func in (f, g):
         if func.grid is not grid:

@@ -15,6 +15,12 @@ of convergence is controlled by the free-evolution overlap
 which decays as t -> oo by stationary phase; the deviation of the evolved
 element from its asymptote is |e^{-2 pi i Re ov(t)} - 1| <= 2 pi |ov(t)|.
 
+``transport_gap`` holds the transport against the dynamics: tau_t turns
+e^{-i t omega} f back into f with the angle 2 pi Re (<f, J/omega>_0 - ov(t)),
+so a point mass on tau_t[W_0(e^{-i t omega} f)] (Heisenberg route,
+``dynamics.evolve_weyl``) equals the transported point mass on W_0(f) times
+e^{-2 pi i Re ov(t)} (transport route) at every t.
+
 Plain node sums alias once t exceeds the panel resolution, so for |t| above
 a small threshold the overlap integral is evaluated by a Filon-type rule:
 per quadrature panel the non-oscillatory amplitude is fitted in the
@@ -30,12 +36,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 import numpy as np
 
-from .grid import MomentumGrid, RadialFunction, inner_product
-from .states import CharState, dirac
+from .dynamics import evolve_weyl
+from .grid import MomentumGrid, RadialFunction, apply_free_phase, inner_product
+from .states import CharState, dirac, evaluate
+from .weyl import weyl
 
 __all__ = [
     "FILON_THRESHOLD",
@@ -47,7 +54,7 @@ __all__ = [
     "ConvergenceReport",
     "convergence_probe",
     "transport_state",
-    "round_trip_tolerance",
+    "transport_gap",
 ]
 
 #: Above this |t| the overlap switches from the plain node sum to Filon.
@@ -55,9 +62,6 @@ FILON_THRESHOLD = 32.0
 
 #: Degree of the per-panel Legendre fit; Filon needs more points per panel.
 FILON_DEGREE = 16
-
-#: Unit round-off of float64.
-_UNIT_ROUNDOFF = 2.0**-53
 
 
 def dressing_coefficient(sys, f: RadialFunction) -> complex:
@@ -183,42 +187,26 @@ def convergence_probe(sys, f: RadialFunction, ts) -> ConvergenceReport:
     )
 
 
-def transport_state(sys, state: CharState, inverse: bool = False) -> CharState:
-    """Shift a state by the dressing profile: centre -> centre +- J/omega, so
-    char -> char * e^{+-2 pi i Re <f, J/omega>}.
+def transport_state(sys, state: CharState) -> CharState:
+    """Shift a state by the dressing profile: centre -> centre + J/omega, so
+    char -> char * e^{2 pi i Re <f, J/omega>}.
 
-    The forward map is the common value of both Moller transports (they
-    coincide), so transport followed by inverse transport is the identity
-    and the scattering map on states is trivial.  The Gaussian is untouched.
+    This is the common value of both Moller transports (they coincide), so
+    the scattering map on states is trivial.  The Gaussian is untouched.
     """
     if state.grid is not sys.grid:
         raise ValueError("state lives on a different grid than the system")
-    jw = sys.j_over_omega
-    center = state.center - jw if inverse else state.center + jw
-    return replace(state, center=center)
+    return replace(state, center=state.center + sys.j_over_omega)
 
 
-def round_trip_tolerance(sys, state: CharState, panel: Sequence[RadialFunction]) -> float:
-    """Round-off bound on |char(p) after transport and back - char(p)|, the
-    smallest over ``panel``; first order in the unit round-off u.
-
-    Every state here has scale <= 0 and weight >= 0, so both values are a
-    common Gaussian factor in (0, 1] times cis(A) with A = 2 pi Re <p, c>_0,
-    and the gap is at most |A - A'| plus 4u for cos, sin and the factor.
-    With d = J/omega, c' = fl(fl(c + d) - d) misses c by at most
-    u (|c + d|_1 + |c|_1) per node (|z|_1 = |Re z| + |Im z|), which moves A
-    by at most 2 pi sum_i m_i |p_i|_1 that much.  Each A is 2 pi times the
-    real part of numpy's pairwise sum of the products m conj(p) c: a product
-    carries at most 4u m |p|_1 |c|_1 per component, each term meets fewer
-    than L = ceil(log2 N) + 12 additions (at most 16 terms per accumulator in
-    a block, blocks halved pairwise), and the product with 2 pi adds u |A|,
-    so each A is off by at most 2 pi (L + 5) u sum_i m_i |p_i|_1 |c_i|_1.
-    """
-    c = state.center.values
-    moved = c + sys.j_over_omega.values
-    depth = math.ceil(math.log2(c.size)) + 12
-    per_node = np.abs(moved.real) + np.abs(moved.imag)
-    per_node += (2 * depth + 11) * (np.abs(c.real) + np.abs(c.imag))
-    p = np.array([f.values for f in panel])
-    sums = np.sum(state.grid.measure(0) * (np.abs(p.real) + np.abs(p.imag)) * per_node, axis=1)
-    return float(2.0 * math.pi * _UNIT_ROUNDOFF * np.min(sums) + 4.0 * _UNIT_ROUNDOFF)
+def transport_gap(sys, center: RadialFunction, f: RadialFunction, ts) -> float:
+    """max over ts of |Heisenberg - transport| for the point mass at ``center``
+    (module docstring): round-off for |t| <= FILON_THRESHOLD, where
+    ``free_overlap`` takes the node sums ``evolve_weyl`` does; beyond, the
+    Filon value differs from them by the aliasing error."""
+    point, t = dirac(center), np.atleast_1d(np.asarray(ts, dtype=np.float64))
+    ov = free_overlap(sys, f, t)
+    moved = transport_state(sys, point).char(f) * np.exp(-2j * math.pi * ov.real)
+    incoming = (weyl(apply_free_phase(f, -s), 0.0) for s in t)
+    heisenberg = [evaluate(point, evolve_weyl(sys, w, s)) for w, s in zip(incoming, t)]
+    return float(np.max(np.abs(np.subtract(heisenberg, moved))))

@@ -1,6 +1,6 @@
 r"""Semiclassical sweeps: hbar -> 0 along a ladder, with fitted rates.
 
-Three families of checks, all phrased as sup-deviations of characteristic
+Two families of checks, both phrased as sup-deviations of characteristic
 values over a fixed panel of test functions:
 
 * Egorov: evolving a coherent family and its classical limit commutes with
@@ -12,8 +12,6 @@ values over a fixed panel of test functions:
   point mass (beta_hbar/hbar -> oo: ground-state and sub-linear regimes), to
   the classical Gibbs state at beta (beta_hbar = beta hbar, rate 2), or to
   nothing (super-linear: characteristic values vanish, no state survives).
-* scattering: dressing transport commutes with the limit; transported and
-  untransported deviations agree to arithmetic precision.
 
 Rates are least-squares slopes of log(deviation) against log(hbar), using
 only deviations inside [1e-12, 0.1] (below is arithmetic noise, above is
@@ -31,7 +29,6 @@ import numpy as np
 
 from .dynamics import VanHoveSystem, evolve_state
 from .grid import MomentumGrid, RadialFunction, sample
-from .scattering import transport_state
 from .states import CharState, coherent, dirac, gibbs_classical, gibbs_quantum
 
 __all__ = [
@@ -45,7 +42,6 @@ __all__ = [
     "fit_rate",
     "egorov_sweep",
     "equilibrium_sweep",
-    "scattering_sweep",
 ]
 
 #: hbar = 2^{-3} .. 2^{-14}, decreasing.
@@ -116,7 +112,6 @@ class SweepReport:
     deviations: tuple[float, ...]
     fitted_order: float | None
     verdict: str
-    transport_mismatch: float | None = None
 
     @property
     def converged(self) -> bool:
@@ -149,8 +144,8 @@ def fit_rate(hbars: Sequence[float], deviations: Sequence[float]) -> float:
 
 def _check_ladder(hbars: Sequence[float]) -> tuple[float, ...]:
     hs = tuple(float(h) for h in hbars)
-    if len(hs) < 2 or any(b >= a for a, b in zip(hs, hs[1:])) or hs[-1] <= 0.0:
-        raise ValueError("hbar ladder must be strictly decreasing and positive")
+    if len(hs) < 2 or not all(0.0 < b < a < math.inf for a, b in zip(hs, hs[1:])):
+        raise ValueError("hbar ladder must be strictly decreasing, finite and positive")
     return hs
 
 
@@ -161,11 +156,7 @@ def _sup_deviation(
     return float(np.max(np.abs(state.chars(panel) - limit)))
 
 
-def _report(
-    hbars: tuple[float, ...],
-    devs: list[float],
-    transport_mismatch: float | None = None,
-) -> SweepReport:
+def _report(hbars: tuple[float, ...], devs: list[float]) -> SweepReport:
     try:
         order = fit_rate(hbars, devs)
     except ValueError:
@@ -177,7 +168,6 @@ def _report(
         deviations=tuple(devs),
         fitted_order=order,
         verdict="converged" if converged else "diverged",
-        transport_mismatch=transport_mismatch,
     )
 
 
@@ -227,28 +217,3 @@ def equilibrium_sweep(
         limit = dirac(-sys.j_over_omega).chars(panel)
     states = (gibbs_quantum(sys.source, _beta_hbar(regime, h), h) for h in hs)
     return _report(hs, [_sup_deviation(state, limit, panel) for state in states])
-
-
-def scattering_sweep(
-    sys: VanHoveSystem,
-    center: RadialFunction,
-    panel: Sequence[RadialFunction],
-    hbars: Sequence[float] = DEFAULT_HBAR_LADDER,
-) -> SweepReport:
-    """Dressing transport commutes with hbar -> 0: for coherent(center, hbar)
-    against dirac(center), transported and untransported sup-deviations agree
-    to 1e-15 pointwise on the ladder."""
-    hs = _check_ladder(hbars)
-    classical = dirac(center)
-    states = [coherent(center, h) for h in hs]
-    plain_limit, moved_limit = classical.chars(panel), transport_state(sys, classical).chars(panel)
-    plain = [_sup_deviation(state, plain_limit, panel) for state in states]
-    devs = [_sup_deviation(transport_state(sys, state), moved_limit, panel) for state in states]
-    gaps = np.abs(np.subtract(devs, plain))
-    k = int(np.argmax(gaps))
-    if gaps[k] > 1e-15:
-        raise RuntimeError(
-            "transport does not commute with the semiclassical limit: "
-            f"deviation gap {gaps[k]:.3e} at hbar = {hs[k]}"
-        )
-    return _report(hs, devs, transport_mismatch=float(gaps[k]))

@@ -28,7 +28,7 @@ and are rejected.
 
 The dynamics and the dressing transport leave the Gaussian alone
 (|e^{i t omega} f| = |f|) and move only the centre: along the classical flow
-(``dynamics.evolve_state``) or by +-J/omega (``scattering.transport_state``).
+(``dynamics.evolve_state``) or by J/omega (``scattering.transport_state``).
 
 Positive-definiteness is observable: for any finite panel {f_j} the matrix
 
@@ -119,8 +119,8 @@ MappedState = CharState  # alias only: perfbench/tracer.py traces MappedState.ch
 
 
 def coherent(center: RadialFunction, hbar: float) -> CharState:
-    if hbar < 0.0:
-        raise ValueError(f"hbar must be >= 0, got {hbar}")
+    if not 0.0 <= hbar < math.inf:
+        raise ValueError(f"hbar must be finite and >= 0, got {hbar}")
     hbar = float(hbar)
     return CharState(hbar, center.grid, center, -0.5 * _PI2 * hbar, center.grid.measure(0))
 
@@ -143,8 +143,8 @@ def _dressed_center(source: SourceSpec) -> RadialFunction:
 
 def gibbs_quantum(source: SourceSpec, beta_h: float, hbar: float) -> CharState:
     """Dressed thermal state; beta_h = oo gives the dressed ground state."""
-    if hbar <= 0.0:
-        raise ValueError(f"quantum Gibbs states need hbar > 0, got {hbar}")
+    if not 0.0 < hbar < math.inf:
+        raise ValueError(f"quantum Gibbs states need a finite hbar > 0, got {hbar}")
     if not beta_h > 0.0:
         raise ValueError(f"beta_h must be > 0, got {beta_h}")
     center = _dressed_center(source)

@@ -57,8 +57,8 @@ class TrigPolynomial:
     gens: np.ndarray  # (k, N) complex, read-only, one generator per row
 
     def __post_init__(self) -> None:
-        if self.hbar < 0.0:
-            raise ValueError(f"hbar must be >= 0, got {self.hbar}")
+        if not 0.0 <= self.hbar < math.inf:
+            raise ValueError(f"hbar must be finite and >= 0, got {self.hbar}")
 
     @property
     def terms(self) -> np.ndarray:
@@ -153,8 +153,8 @@ def antiwick(a: TrigPolynomial, hbar: float) -> TrigPolynomial:
     vacuum Gaussian exp(-(pi^2 hbar / 2) ||f||_0^2)."""
     if a.hbar != 0.0:
         raise ValueError("anti-Wick quantization starts from hbar = 0")
-    if hbar <= 0.0:
-        raise ValueError(f"target hbar must be > 0, got {hbar}")
+    if not 0.0 < hbar < math.inf:
+        raise ValueError(f"target hbar must be finite and > 0, got {hbar}")
     g = a.gens
     norms = np.sum(a.grid.measure(0) * (g.real**2 + g.imag**2), axis=1)
     return trig_polynomial(a.grid, hbar, a.coeffs * np.exp(-0.5 * _PI2 * hbar * norms), g)

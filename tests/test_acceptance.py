@@ -36,10 +36,8 @@ from vanhove import fock, scattering
 from vanhove.dynamics import ground_state_check, kms_check, kms_window
 from vanhove.semiclassics import (
     Linear,
-    default_panel,
     egorov_sweep,
     equilibrium_sweep,
-    scattering_sweep,
 )
 from vanhove.states import bochner_gram, gram_matrix
 from vanhove.weyl import add, adjoint, compose, identity, symplectic_form, weyl
@@ -316,12 +314,12 @@ def test_nonnegative_symbols_quantize_with_an_order_hbar_lower_bound():
 
 
 def test_dressing_overlaps_decay_and_wave_transport_is_exact(
-    grid, system_g03, f_gauss, panel
+    grid, system_g03, f_gauss, monkeypatch
 ):
     """The dressing overlap falls below 1e-2 by t = 10^3 (agreeing with a
     doubled-resolution oracle), every probe deviation respects the
-    2 pi |overlap| bound, transport round-trips to 1e-15, and the
-    transported semiclassical sweep equals the instantaneous one."""
+    2 pi |overlap| bound, and the transported point mass matches the
+    Heisenberg dynamics to round-off, while a transport by 3 J/omega does not."""
     t0 = time.monotonic()
     probe = scattering.convergence_probe(system_g03, f_gauss, (0.0, 1.0, 10.0, 100.0, 1000.0))
     assert np.all(probe.deviation <= probe.bound + 1e-12)
@@ -335,17 +333,13 @@ def test_dressing_overlaps_decay_and_wave_transport_is_exact(
     assert final == pytest.approx(final2, rel=1e-3)
 
     center = sample(grid, lambda r: (0.3 - 0.2j) * np.exp(-(r**2)))
-    state = coherent(center, 0.5)
-    moved = scattering.transport_state(system_g03, state)
-    back = scattering.transport_state(system_g03, moved, inverse=True)
-    round_trip = max(abs(back.char(f) - state.char(f)) for f in panel)
-    assert round_trip <= 1e-15
+    ts = (0.0, 1.0, 10.0, scattering.FILON_THRESHOLD)
+    assert scattering.transport_gap(system_g03, center, f_gauss, ts) <= 1e-13
 
-    center2 = sample(grid, lambda r: (1.0 + 0.5j) * np.exp(-(r**2)))
-    hbars = tuple(2.0**-k for k in range(3, 15))
-    e0rep = egorov_sweep(system_g03, center2, 0.0, panel, hbars)
-    srep = scattering_sweep(system_g03, center2, panel, hbars)
-    gap = max(abs(a - b) for a, b in zip(e0rep.deviations, srep.deviations))
+    real = scattering.transport_state
+    monkeypatch.setattr(
+        scattering, "transport_state", lambda sys_, st: real(sys_, real(sys_, real(sys_, st)))
+    )
+    wrong = scattering.transport_gap(system_g03, center, f_gauss, ts)
     _under(t0, 60.0)
-    assert gap <= 1e-15
-    assert srep.transport_mismatch <= 1e-15
+    assert wrong > 0.1

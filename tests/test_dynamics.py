@@ -412,10 +412,11 @@ def test_window_outside_the_dispersion_range_sees_nothing(
 
 def test_ground_state_check_validation(system_g03, f_gauss, negative_window):
     other = make_grid(panels=4, points=8)
-    with pytest.raises(ValueError, match="hbar"):
-        ground_state_check(
-            system_g03, f_gauss, f_gauss, negative_window, hbar=0.0
-        )
+    for hbar in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="hbar"):
+            ground_state_check(
+                system_g03, f_gauss, f_gauss, negative_window, hbar=hbar
+            )
     with pytest.raises(ValueError, match="different grid"):
         ground_state_check(
             system_g03, f_gauss, zero_function(other), negative_window

@@ -23,7 +23,6 @@ from vanhove.semiclassics import (
     egorov_sweep,
     equilibrium_sweep,
     fit_rate,
-    scattering_sweep,
 )
 
 _PI2 = math.pi**2
@@ -54,9 +53,9 @@ def test_fit_rate_needs_points_inside_the_window():
 
 
 def test_ladder_must_decrease():
-    panel_err = [0.1, 0.2]
-    with pytest.raises(ValueError, match="strictly decreasing"):
-        fit_ladder_probe(panel_err)
+    for ladder in ([0.1, 0.2], [math.inf, 0.1], [0.1, math.nan], [math.nan, 0.1], [0.1, 0.0]):
+        with pytest.raises(ValueError, match="strictly decreasing"):
+            fit_ladder_probe(ladder)
 
 
 def fit_ladder_probe(hbars):
@@ -144,19 +143,6 @@ def test_regime_parameter_validation():
     ]:
         with pytest.raises(ValueError, match=key):
             regime(*args)
-
-
-def test_scattering_sweep_matches_the_static_comparison(
-    system_g03, center, panel
-):
-    # dressing transport cancels in the sup-deviation, so the sweep equals
-    # the egorov sweep at t = 0 pointwise
-    plain = egorov_sweep(system_g03, center, 0.0, panel)
-    moved = scattering_sweep(system_g03, center, panel)
-    assert moved.transport_mismatch <= 1e-15
-    for a, b in zip(plain.deviations, moved.deviations):
-        assert abs(a - b) <= 1e-15
-    assert moved.converged
 
 
 def test_report_fields_are_consistent(system_g03, center, panel):

@@ -104,10 +104,12 @@ def test_type_ii_sources_have_no_dressed_state(grid):
 
 
 def test_state_constructor_validation(grid, center, system_g03):
-    with pytest.raises(ValueError, match="hbar"):
-        coherent(center, -0.1)
-    with pytest.raises(ValueError, match="hbar"):
-        gibbs_quantum(system_g03.source, 1.0, 0.0)
+    for hbar in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="hbar"):
+            coherent(center, hbar)
+    for hbar in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="hbar"):
+            gibbs_quantum(system_g03.source, 1.0, hbar)
     with pytest.raises(ValueError, match="beta_h"):
         gibbs_quantum(system_g03.source, -1.0, 0.1)
     with pytest.raises(ValueError, match="beta"):

@@ -170,8 +170,12 @@ def test_mixing_grids_or_hbars_is_an_error(grid, f_gauss):
         compose(weyl(f_gauss, 0.1), weyl(f_gauss, 0.2))
     with pytest.raises(ValueError, match="hbar mismatch"):
         add(weyl(f_gauss, 0.1), weyl(f_gauss, 0.2))
-    with pytest.raises(ValueError):
-        weyl(f_gauss, -0.1)
+    for hbar in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="hbar"):
+            weyl(f_gauss, hbar)
+    for hbar in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="hbar"):
+            antiwick(weyl(f_gauss, 0.0), hbar)
 
 
 def test_antiwick_damps_by_the_vacuum_gaussian(grid, f_gauss):
