@@ -70,7 +70,6 @@ __all__ = [
     "weyl_matrix",
     "GroundReport",
     "ground_state_analysis",
-    "mode_number_expectation",
     "mode_for_node",
     "MultimodeReport",
     "multimode_ground_scan",
@@ -301,10 +300,6 @@ def _lowest_pair(mode: FockMode, ladder: _Ladder) -> tuple[np.ndarray, np.ndarra
     return evals, _gauge(cmath.phase(j), ladder.occ) * vecs[:, 0]
 
 
-def _photon_number(mode: FockMode, ground: np.ndarray, ladder: _Ladder) -> float:
-    return float(mode.hbar * (ladder.occ * np.abs(ground) ** 2).sum())
-
-
 def ground_state_analysis(mode: FockMode, *, ladder: _Ladder | None = None) -> GroundReport:
     """Diagonalize H once and compare against the displaced-oscillator closed
     forms: E_0 = -|j|^2/omega, gap = hbar omega, ground vector = coherent
@@ -323,15 +318,8 @@ def ground_state_analysis(mode: FockMode, *, ladder: _Ladder | None = None) -> G
         energy_closed_form=-abs(mode.coupling) * abs(mode.coupling) / mode.omega,
         gap=float(evals[1] - evals[0]),
         overlap_sq=float(abs(overlap) ** 2),
-        photon_number=_photon_number(mode, ground, ladder),
+        photon_number=float(mode.hbar * (ladder.occ * np.abs(ground) ** 2).sum()),
     )
-
-
-def mode_number_expectation(mode: FockMode) -> float:
-    """<dGamma_h(1)> = hbar <n> in the true (diagonalized) ground state;
-    closed form |j/omega|^2."""
-    ladder = _Ladder(mode.cutoff)
-    return _photon_number(mode, _lowest_pair(mode, ladder)[1], ladder)
 
 
 # --------------------------------------------------------------------------

@@ -12,8 +12,9 @@ of convergence is controlled by the free-evolution overlap
 
     ov(t) = <f, e^{i t omega} J/omega>_0,
 
-which decays as t -> oo by stationary phase; the deviation of the evolved
-element from its asymptote is |e^{-2 pi i Re ov(t)} - 1| <= 2 pi |ov(t)|.
+which decays as t -> oo by stationary phase: tau_t[W_h(e^{-i t omega} f)]
+is the asymptotic element times e^{-2 pi i Re ov(t)}, at every hbar, so its
+distance from the asymptote is 2 |sin(pi Re ov(t))| <= 2 pi |ov(t)|.
 
 ``transport_gap`` holds the transport against the dynamics: tau_t turns
 e^{-i t omega} f back into f with the angle 2 pi Re (<f, J/omega>_0 - ov(t)),
@@ -28,19 +29,19 @@ dispersion variable u = omega(r) by a Legendre series (least squares on the
 panel samples), and int P_k(x) e^{i theta x} dx = 2 i^k j_k(theta) supplies
 the oscillatory moments exactly (spherical Bessel j_k); see Iserles and
 Norsett, Proc. R. Soc. A 461 (2005).  The fit is t-free, so a whole ladder of
-times costs one fit plus trivial per-t sums: ``convergence_probe`` takes the
-ladder and makes one ``free_overlap`` call; |ov(t)| on it is the decay curve.
+times costs one fit plus trivial per-t sums in one ``free_overlap`` call;
+|ov(t)| on it is the decay curve.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
 from .dynamics import evolve_weyl
-from .grid import MomentumGrid, RadialFunction, apply_free_phase, inner_product
+from .grid import MomentumGrid, RadialFunction, apply_free_phase
 from .states import CharState, dirac, evaluate
 from .weyl import weyl
 
@@ -48,11 +49,8 @@ __all__ = [
     "FILON_THRESHOLD",
     "FILON_DEGREE",
     "check_filon_grid",
-    "dressing_coefficient",
     "flat_panels",
     "free_overlap",
-    "ConvergenceReport",
-    "convergence_probe",
     "transport_state",
     "transport_gap",
 ]
@@ -62,12 +60,6 @@ FILON_THRESHOLD = 32.0
 
 #: Degree of the per-panel Legendre fit; Filon needs more points per panel.
 FILON_DEGREE = 16
-
-
-def dressing_coefficient(sys, f: RadialFunction) -> complex:
-    """exp(2 pi i Re <f, J/omega>_0), the asymptotic dressing phase: the
-    characteristic value of the point mass at J/omega."""
-    return dirac(sys.j_over_omega).char(f)
 
 
 # --------------------------------------------------------------------------
@@ -150,41 +142,6 @@ def free_overlap(sys, f: RadialFunction, t) -> np.ndarray | complex:
         amplitude = grid.angular_factor * grid.nodes ** (grid.dim - 1) * np.conj(f.values)
         out[~small] = _filon_fit(grid, amplitude * sys.j_over_omega.values, tt[~small])
     return complex(out[0]) if scalar else out
-
-
-@dataclass(frozen=True, eq=False)
-class ConvergenceReport:
-    """Per time t of the ladder: the overlap ov(t), the coefficient, its distance
-    from the dressing coefficient ``target`` and the bound 2 pi |ov(t)|."""
-
-    t: np.ndarray
-    overlap: np.ndarray
-    coefficient: np.ndarray
-    target: complex
-    deviation: np.ndarray
-    bound: np.ndarray
-
-
-def convergence_probe(sys, f: RadialFunction, ts) -> ConvergenceReport:
-    """Coefficient of tau_t[W_h(e^{-i t omega} f)] against its asymptote on a
-    ladder of times, from one ``free_overlap`` call (one Filon fit).
-
-    The exact coefficient is exp(2 pi i (Re <f, J/omega> - Re ov(t))), at
-    every hbar; its distance from the dressing coefficient is <= 2 pi |ov(t)|.
-    """
-    t = np.atleast_1d(np.asarray(ts, dtype=np.float64))
-    target = dressing_coefficient(sys, f)
-    ov = free_overlap(sys, f, t)
-    base_angle = 2.0 * math.pi * inner_product(f, sys.j_over_omega, 0).real
-    coeff = np.exp(1j * (base_angle - 2.0 * math.pi * ov.real))
-    return ConvergenceReport(
-        t=t,
-        overlap=ov,
-        coefficient=coeff,
-        target=target,
-        deviation=np.abs(coeff - target),
-        bound=2.0 * math.pi * np.abs(ov),
-    )
 
 
 def transport_state(sys, state: CharState) -> CharState:

@@ -6,7 +6,8 @@ values over a fixed panel of test functions:
 * Egorov: evolving a coherent family and its classical limit commutes with
   the dynamics; for coherent states the deviation is exactly
   |e^{-(pi^2 hbar/2)||f||^2} - 1| at every time, so the sweep converges at
-  rate 1 and t-independently.
+  rate 1 and t-independently, whatever the flow does.  ``flow_gap`` sees the
+  flow: on the point mass, Heisenberg route and flow agree to round-off.
 * equilibrium: the quantum Gibbs state at inverse temperature beta_hbar
   converges, depending on how beta_hbar scales against hbar, to the dressed
   point mass (beta_hbar/hbar -> oo: ground-state and sub-linear regimes), to
@@ -27,9 +28,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .dynamics import VanHoveSystem, evolve_state
+from .dynamics import VanHoveSystem, evolve_state, evolve_weyl
 from .grid import MomentumGrid, RadialFunction, sample
-from .states import CharState, coherent, dirac, gibbs_classical, gibbs_quantum
+from .states import CharState, coherent, dirac, evaluate, gibbs_classical, gibbs_quantum
+from .weyl import weyl
 
 __all__ = [
     "DEFAULT_HBAR_LADDER",
@@ -41,6 +43,7 @@ __all__ = [
     "default_panel",
     "fit_rate",
     "egorov_sweep",
+    "flow_gap",
     "equilibrium_sweep",
 ]
 
@@ -187,6 +190,17 @@ def egorov_sweep(
     limit = moved.chars(panel)
     devs = [_sup_deviation(coherent(moved.center, h), limit, panel) for h in hs]
     return _report(hs, devs)
+
+
+def flow_gap(
+    sys: VanHoveSystem, center: RadialFunction, panel: Sequence[RadialFunction], t: float
+) -> float:
+    """max over the panel of |evaluate(dirac(c), evolve_weyl(sys, weyl(f, 0), t))
+    - evolve_state(sys, dirac(c), t).char(f)|: the Heisenberg route against the
+    flow, which share only the phase e^{i t omega}, for c = ``center``."""
+    point = dirac(center)
+    heisenberg = np.array([evaluate(point, evolve_weyl(sys, weyl(f, 0.0), t)) for f in panel])
+    return _sup_deviation(evolve_state(sys, point, t), heisenberg, panel)
 
 
 def _beta_hbar(regime: Regime, hbar: float) -> float:

@@ -18,10 +18,13 @@ import pytest
 
 from conftest import random_member
 from vanhove import (
+    apply_free_phase,
     classical_energy,
     classical_flow,
     coherent,
     dirac,
+    evaluate,
+    evolve_weyl,
     from_values,
     gibbs_quantum,
     ground_energy,
@@ -31,6 +34,7 @@ from vanhove import (
     realize,
     sample,
     weighted_norm_sq,
+    zero_function,
 )
 from vanhove import fock, scattering
 from vanhove.dynamics import ground_state_check, kms_check, kms_window
@@ -268,7 +272,7 @@ def test_truncated_mode_matrices_reproduce_weyl_algebra_and_bounds():
     mode = fock.FockMode(
         omega=1.0, coupling=0.5, cutoff=fock.adequate_cutoff(1.0, 0.5, h), hbar=h
     )
-    number = fock.mode_number_expectation(mode)
+    number = fock.ground_state_analysis(mode).photon_number
     assert abs(number - 0.25) <= 1e-8
 
     wide = fock.FockMode(omega=1.0, coupling=0.5, cutoff=96, hbar=h)
@@ -317,12 +321,23 @@ def test_dressing_overlaps_decay_and_wave_transport_is_exact(
     grid, system_g03, f_gauss, monkeypatch
 ):
     """The dressing overlap falls below 1e-2 by t = 10^3 (agreeing with a
-    doubled-resolution oracle), every probe deviation respects the
-    2 pi |overlap| bound, and the transported point mass matches the
-    Heisenberg dynamics to round-off, while a transport by 3 J/omega does not."""
+    doubled-resolution oracle), the probe deviation 2 |sin(pi Re ov(t))| is
+    the Heisenberg element's distance from its asymptote, and the transported
+    point mass matches the Heisenberg dynamics to round-off, while a transport
+    by 3 J/omega does not."""
     t0 = time.monotonic()
-    probe = scattering.convergence_probe(system_g03, f_gauss, (0.0, 1.0, 10.0, 100.0, 1000.0))
-    assert np.all(probe.deviation <= probe.bound + 1e-12)
+    ts = (0.0, 1.0, 10.0, scattering.FILON_THRESHOLD)
+    ov = scattering.free_overlap(system_g03, f_gauss, ts)
+    deviation = 2.0 * np.abs(np.sin(math.pi * ov.real))
+    # on the point mass at 0, tau_t[W_0(e^{-i t omega} f)] and its asymptote
+    # W_0(f) e^{2 pi i Re <f, J/omega>} read through evolve_weyl
+    origin = dirac(zero_function(grid))
+    asymptote = dirac(system_g03.j_over_omega).char(f_gauss)
+    heisenberg = [
+        evaluate(origin, evolve_weyl(system_g03, weyl(apply_free_phase(f_gauss, -t), 0.0), t))
+        for t in ts
+    ]
+    assert np.max(np.abs(deviation - np.abs(np.subtract(heisenberg, asymptote)))) <= 1e-13
 
     final = abs(scattering.free_overlap(system_g03, f_gauss, 1000.0))
     assert final < 1e-2
@@ -333,7 +348,6 @@ def test_dressing_overlaps_decay_and_wave_transport_is_exact(
     assert final == pytest.approx(final2, rel=1e-3)
 
     center = sample(grid, lambda r: (0.3 - 0.2j) * np.exp(-(r**2)))
-    ts = (0.0, 1.0, 10.0, scattering.FILON_THRESHOLD)
     assert scattering.transport_gap(system_g03, center, f_gauss, ts) <= 1e-13
 
     real = scattering.transport_state

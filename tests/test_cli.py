@@ -187,9 +187,14 @@ def _scipy_modules_after(tmp_path: Path, command: str) -> tuple[str, str]:
 
 
 def test_importing_the_package_and_running_energy_load_no_scipy(tmp_path):
-    # scipy.special alone costs ~0.2-0.3 s of start-up; only the Fock
-    # commands and scattering need scipy, and they load it on first use
+    # scipy.special alone costs ~0.2-0.3 s of start-up; only fock-spectrum,
+    # garding and scattering need scipy, and they load it on first use
     assert _scipy_modules_after(tmp_path, "energy") == ("", "")
+
+
+def test_soft_photons_loads_no_scipy(tmp_path):
+    # its photon numbers are grid norms of the masked source: no Fock solve
+    assert _scipy_modules_after(tmp_path, "soft-photons") == ("", "")
 
 
 def test_scattering_loads_scipy_special_only_when_it_runs(tmp_path):
@@ -258,7 +263,6 @@ def test_kms_batch_rows_equal_one_pair_calls(tmp_path):
         ("equilibrium", "beta=0"),
         ("scattering", "t_min=5 t_max=1"),
         ("kms", "t_min=nan"),
-        ("soft-photons", "hbar=0"),
         ("soft-photons", "n_min_log2=5 n_max_log2=3"),
         ("garding", "k_min=8 k_max=3"),
         ("fock-spectrum", "coupling_re=nan"),
@@ -271,6 +275,8 @@ def test_kms_batch_rows_equal_one_pair_calls(tmp_path):
         ("scattering", "hbar=inf"),
         ("scattering", "hbar=0.5"),
         ("scattering", "k_min=5 k_max=5"),
+        # soft-photons reads no Fock mode, so it takes no hbar
+        ("soft-photons", "hbar=0"),
         ("fock-spectrum", "coupling_im=inf"),
         ("soft-photons", "n_min_log2=-1"),
         ("energy", "dim=0"),
@@ -502,17 +508,36 @@ def test_type_ii_source_is_an_invariant_failure(tmp_path, capsys):
     assert "invariant failed" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("hbar", ["1", "100"])
-def test_evolve_refuses_a_probe_too_small_to_show_a_drift(tmp_path, capsys, hbar):
-    # the probe's Gibbs value is 9.6e-15 at hbar = 1 and 0.0 at hbar = 100,
-    # under the 1e-13 drift tolerance, so invariance alone would pass vacuously
+@pytest.mark.parametrize("hbar, failures", [("1", []), ("100", ["equilibrium invariance"])],
+                         ids=["1", "100"])
+def test_evolve_refuses_a_probe_too_small_to_show_a_drift(tmp_path, capsys, hbar, failures):
+    # the drift is relative to the probe's Gibbs value: 9.6e-15 at hbar = 1 is
+    # resolved, while at hbar = 100 it underflows to 0 and the nan drift fails
     code, _, js = _run(tmp_path, "evolve", *_CHEAP["evolve"], f"hbar={hbar}")
-    assert code == 1
+    assert code == (1 if failures else 0)
     payload = json.loads(js)
-    assert payload["failures"] == ["equilibrium probe resolution"]
-    check = payload["checks"]["equilibrium probe resolution"]
-    assert check["value"] == 1e-13 and check["tol"] < 1e-13
-    assert "invariant failed: equilibrium probe resolution" in capsys.readouterr().err
+    assert payload["failures"] == failures
+    check = payload["checks"]["equilibrium invariance"]
+    if failures:
+        assert math.isnan(check["value"]) and check["tol"] < math.inf
+        assert capsys.readouterr().err == "invariant failed: equilibrium invariance\n"
+    else:
+        assert 0.0 < check["value"] <= check["tol"] / 10
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [[], ["dim=8"], ["dim=9"], ["dim=16"], ["hbar=20"], ["gamma=0.45"],
+     ["steps=2001", "t_max=1000"]],
+    ids=["defaults", "dim=8", "dim=9", "dim=16", "hbar=20", "gamma=0.45", "t_max=1000"],
+)
+def test_equilibrium_invariance_stays_under_a_tenth_of_its_tolerance(tmp_path, overrides):
+    # the drift reads the rounding of the value's exponent: 7.4e-15 against
+    # 7.5e-13 at the defaults; dim >= 9 exited 1 under the absolute 1e-13
+    code, _, js = _run(tmp_path, "evolve", *overrides)
+    assert code == 0
+    check = json.loads(js)["checks"]["equilibrium invariance"]
+    assert 0.0 < check["value"] <= check["tol"] / 10
 
 
 def _corrupt_the_gibbs_covariance(monkeypatch):
@@ -692,6 +717,23 @@ def test_egorov_command_converges(tmp_path):
     assert payload["summary"]["fitted_order"] == pytest.approx(1.0, abs=0.05)
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [[], ["dim=2"], ["dim=7"], ["dim=16"], ["t=37.5"], ["t=1e4"], ["center_scale=100"],
+     ["mass=1"], ["gamma=0.45"]],
+    ids=["defaults", "dim=2", "dim=7", "dim=16", "t=37.5", "t=1e4", "center_scale=100",
+         "mass=1", "gamma=0.45"],
+)
+def test_flow_vs_dynamics_stays_under_a_tenth_of_its_tolerance(tmp_path, overrides):
+    # 4.5e-15 against 7.4e-13 at the defaults; dim = 7 and 16 still fail
+    # egorov convergence, whose 1%-of-peak rule the source norm defeats
+    code, _, js = _run(tmp_path, "egorov", *overrides)
+    payload = json.loads(js)
+    assert payload["failures"] == ([] if code == 0 else ["egorov convergence"])
+    check = payload["checks"]["flow vs dynamics"]
+    assert 0.0 < check["value"] <= check["tol"] / 10
+
+
 def test_scattering_command_checks_transport_against_dynamics(tmp_path):
     # keep the default points=32: the long-time overlap rule needs deep nodes
     code, _, js = _run(tmp_path, "scattering", "t_points=5", "panels=8", "r_min=1e-4")
@@ -752,6 +794,30 @@ _LEDGER = {
                  lambda real: lambda sys_, a, t: real(sys_, a, 1.001 * t)),
         "transport vs dynamics",
     ),
+    "evolve_values_times_1+1e-7": (
+        "evolve",
+        _wrapped(cli.dynamics, "evolve_rows",
+                 lambda real: lambda *args: (lambda e, c: (e, c * (1.0 + 1e-7)))(*real(*args))),
+        "equilibrium invariance",
+    ),
+    "no_flow": (
+        "egorov",
+        _wrapped(cli.semiclassics, "evolve_state", lambda real: lambda sys_, st, t: st),
+        "flow vs dynamics",
+    ),
+    "flow_by_minus_j_over_omega": (
+        "egorov",
+        _wrapped(cli.semiclassics, "evolve_state",
+                 lambda real: lambda sys_, st, t: real(
+                     replace(sys_, j_over_omega=-sys_.j_over_omega), st, t)),
+        "flow vs dynamics",
+    ),
+    "flow_to_1.001_t": (
+        "egorov",
+        _wrapped(cli.semiclassics, "evolve_state",
+                 lambda real: lambda sys_, st, t: real(sys_, st, 1.001 * t)),
+        "flow vs dynamics",
+    ),
 }
 
 
@@ -772,6 +838,17 @@ def test_fock_spectrum_command_matches_closed_forms(tmp_path):
     payload = json.loads(js)
     assert payload["summary"]["ground_energy"] == pytest.approx(-0.25, abs=1e-10)
     assert payload["summary"]["overlap_sq"] == pytest.approx(1.0, abs=1e-8)
+
+
+def test_fock_spectrum_scales_its_eigenvalue_tolerances_with_hbar_omega(tmp_path):
+    # H's diagonal steps by hbar omega = 1e9: the eigenvalues' rounding is
+    # ~1e-15 of that, far above an absolute 1e-8
+    code, _, js = _run(tmp_path, "fock-spectrum", "omega=1e10")
+    assert code == 0
+    checks = json.loads(js)["checks"]
+    for name in ("ground energy", "spectral gap"):
+        assert checks[name]["tol"] == pytest.approx(1e-8 * 1e9)
+    assert all(c["value"] <= c["tol"] / 10 for c in checks.values())
 
 
 def test_fock_spectrum_refuses_an_overlap_above_one(tmp_path, capsys, monkeypatch):

@@ -17,7 +17,6 @@ from vanhove.fock import (
     garding_probe,
     ground_state_analysis,
     mode_for_node,
-    mode_number_expectation,
     multimode_ground_scan,
     single_mode_grid,
     soft_photon_sweep,
@@ -73,7 +72,7 @@ def test_displaced_mode_closed_forms(mode):
 
 
 def test_number_expectation_closed_form(mode):
-    got = mode_number_expectation(mode)
+    got = ground_state_analysis(mode).photon_number
     assert got == pytest.approx(abs(mode.coupling / mode.omega) ** 2, abs=1e-10)
 
 
@@ -175,7 +174,6 @@ def test_complex_coupling_matches_the_closed_forms():
     assert report.overlap_sq == pytest.approx(1.0, abs=1e-10)
     closed = abs(j / 1.3) ** 2
     assert report.photon_number == pytest.approx(closed, abs=1e-10)
-    assert mode_number_expectation(cplx) == pytest.approx(closed, abs=1e-10)
 
 
 def test_importing_the_cli_adds_no_scipy_linalg_import():

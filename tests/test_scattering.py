@@ -1,4 +1,4 @@
-"""Scattering: resolved overlaps, dressing bound, transport against dynamics."""
+"""Scattering: resolved overlaps, the dressing probe, transport against dynamics."""
 
 from __future__ import annotations
 
@@ -19,8 +19,6 @@ from vanhove import (
 from vanhove.scattering import (
     FILON_THRESHOLD,
     check_filon_grid,
-    convergence_probe,
-    dressing_coefficient,
     flat_panels,
     free_overlap,
     transport_gap,
@@ -79,24 +77,13 @@ def test_long_time_overlap_is_grid_converged(f_gauss, system_g03):
     assert coarse == pytest.approx(fine, rel=1e-3)
 
 
-def test_dressing_coefficient_is_a_phase(system_g03, f_gauss):
-    c = dressing_coefficient(system_g03, f_gauss)
-    assert abs(c) == pytest.approx(1.0, abs=1e-15)
-    angle = 2.0 * math.pi * inner_product(f_gauss, system_g03.j_over_omega, 0).real
-    assert c == pytest.approx(np.exp(1j * angle), abs=1e-15)
-
-
-def test_convergence_probe_obeys_the_overlap_bound(system_g03, f_gauss):
-    rep = convergence_probe(system_g03, f_gauss, (0.0, 1.0, 10.0, 100.0, 1000.0))
-    for t, dev, bound, coeff in zip(rep.t, rep.deviation, rep.bound, rep.coefficient):
-        assert dev <= bound + 1e-12, f"t={t}"
-        assert abs(coeff) == pytest.approx(1.0, abs=1e-14)
-
-
-def test_convergence_probe_deviation_vanishes_in_the_limit(system_g03, f_gauss):
-    rep = convergence_probe(system_g03, f_gauss, 1000.0)
-    assert rep.deviation[0] < 1e-3
-    assert rep.target == pytest.approx(dressing_coefficient(system_g03, f_gauss))
+def test_probe_deviation_vanishes_in_the_limit(system_g03, f_gauss):
+    # 2 |sin(pi Re ov)| is the distance |e^{-2 pi i Re ov} - 1| of the evolved
+    # element from its asymptote
+    ov = free_overlap(system_g03, f_gauss, 1000.0)
+    deviation = 2.0 * abs(math.sin(math.pi * ov.real))
+    assert deviation == pytest.approx(abs(np.exp(-2j * math.pi * ov.real) - 1.0), rel=1e-12)
+    assert deviation < 1e-3
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from vanhove import (
     sample,
     weighted_norm_sq,
 )
+from vanhove import semiclassics
 from vanhove.semiclassics import (
     DEFAULT_HBAR_LADDER,
     GroundState,
@@ -23,6 +25,7 @@ from vanhove.semiclassics import (
     egorov_sweep,
     equilibrium_sweep,
     fit_rate,
+    flow_gap,
 )
 
 _PI2 = math.pi**2
@@ -143,6 +146,20 @@ def test_regime_parameter_validation():
     ]:
         with pytest.raises(ValueError, match=key):
             regime(*args)
+
+
+def test_flow_gap_is_round_off_and_sees_a_wrong_flow(system_g03, center, panel, monkeypatch):
+    # the Heisenberg route and the flow meet at the rounding of their angles
+    # (size A = 84 here; the gap reads <= 0.005 A 1e-14) at any t; a flow with
+    # the source's sign flipped does not
+    for t in (0.0, 1.0, 37.5, 1e4):
+        assert flow_gap(system_g03, center, panel, t) <= 1e-14 * 84.0, f"t={t}"
+    real = semiclassics.evolve_state
+    monkeypatch.setattr(
+        semiclassics, "evolve_state",
+        lambda sys_, st, t: real(replace(sys_, j_over_omega=-sys_.j_over_omega), st, t),
+    )
+    assert flow_gap(system_g03, center, panel, 1.0) > 0.1
 
 
 def test_report_fields_are_consistent(system_g03, center, panel):

@@ -26,7 +26,7 @@ from vanhove import (
     zero_function,
 )
 from vanhove.dynamics import evolve_state
-from vanhove.scattering import dressing_coefficient, transport_state
+from vanhove.scattering import transport_state
 from vanhove.states import stable_coth
 from vanhove.weyl import add, weyl
 from conftest import STATE_KINDS, every_state, random_member
@@ -250,7 +250,7 @@ def test_transport_multiplies_in_the_dressing_coefficient(
     moved = transport_state(system_g03, st)
     assert moved.weight is st.weight and moved.scale == st.scale
     for f in panel:
-        expect = st.char(f) * dressing_coefficient(system_g03, f)
+        expect = st.char(f) * dirac(system_g03.j_over_omega).char(f)
         assert abs(moved.char(f) - expect) <= 1e-14
 
 
