@@ -582,11 +582,11 @@ def _grid_keys(**defaults) -> dict:
 #: ~160 MB peak, s_plus = 1000 for ~1.3 GB.
 _WINDOW_WIDTH_MAX = 8.0
 
-#: Largest fock-spectrum truncation N.  The one (N + 1)^2 array is the real
-#: eigenvector matrix of the number ladder that gives the coherent
-#: exponential, 2049^2 * 8 B = 34 MB at
-#: N = 2048, where a run peaks at 70 MB traced (132 MB resident); coupling_re
-#: = 30 would derive N = 36,020 (10.4 GB for those eigenvectors).
+#: Largest fock-spectrum truncation N.  A run holds only length-(N + 1)
+#: vectors: at N = 2048 it takes ~2 ms in process and peaks at 0.2 MB traced
+#: (one BLAS thread).  The ceiling could rise to N ~ 5600, where the coherent
+#: amplitudes leave the float range (fock._coherent_vector); coupling_re = 30
+#: would derive N = 36,020, past that.
 _FOCK_CUTOFF_MAX = 2048
 
 #: Largest garding truncation N (at the smallest hbar).  garding_probe solves

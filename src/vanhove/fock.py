@@ -23,9 +23,10 @@ diagonal, off-diagonal sqrt(k)) depends on the truncation alone: one full
 solve of T_N per truncation by ``scipy.linalg.eigh_tridiagonal``
 (``_Ladder``, held by the caller for one call) gives every W_h(z) on those
 levels, its eigenvalues scaled by pi sqrt(hbar) |z| (W_h(0) is the
-identity, needing no solve).  The two lowest eigenpairs of H come from
-LAPACK's dstebz + dstein called directly (``_lowest_two_eigh``), bitwise
-what ``eigh_tridiagonal`` returns for them.
+identity, needing no solve); only the exponentials use it.  The two lowest
+eigenpairs of H come from LAPACK's dstebz + dstein called directly
+(``_lowest_two_eigh``), its ground vector checked against the closed-form
+coherent amplitudes e^{-|b|^2/2} b^k/sqrt(k!), b = i pi sqrt(hbar) z*.
 The exponentials satisfy
 <e_0, W_h(z) e_0> = e^{-(pi^2 hbar/2)|z|^2}, checked on every one, and
 W_h(z) W_h(w) = W_h(z+w) e^{-i pi^2 hbar Im(conj(z) w)} on the trusted
@@ -108,6 +109,8 @@ class FockMode:
             raise ValueError(f"omega must be finite and > 0, got {self.omega}")
         if not 0.0 < self.hbar < math.inf:
             raise ValueError(f"hbar must be finite and > 0, got {self.hbar}")
+        if not math.isfinite(self.hbar * self.omega):
+            raise ValueError(f"hbar * omega must be finite, got {self.hbar} * {self.omega}")
         if not isinstance(self.cutoff, int) or self.cutoff < 2:
             raise ValueError(f"cutoff must be an integer >= 2, got {self.cutoff!r}")
         levels = displacement_levels(self.omega, self.coupling, self.hbar)
@@ -180,18 +183,16 @@ def _lowest_two_eigh(diag: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, np.
 
 
 class _Ladder:
-    """The part of every Fock matrix on N + 1 levels that depends on N alone:
-    the occupations k = 0..N, their roots sqrt(k) (k = 1..N) and, solved on
-    first use, the eigenpairs (mu, V) of the number ladder T_N, the real
-    tridiagonal with zero diagonal and off-diagonal sqrt(k).  The gauged
-    field phi_h(|z|) is sqrt(hbar) |z| T_N, so every exponential on these
-    levels shares V and scales mu by pi sqrt(hbar) |z|.  A caller holds one
-    per truncation for the length of one call; nothing keeps it past that."""
+    """The part of every Weyl exponential on N + 1 levels that depends on N
+    alone: the occupations k = 0..N and, solved on first use, the eigenpairs
+    (mu, V) of the number ladder T_N, the real tridiagonal with zero diagonal
+    and off-diagonal sqrt(k).  The gauged field phi_h(|z|) is sqrt(hbar) |z|
+    T_N, so every exponential on these levels shares V and scales mu by
+    pi sqrt(hbar) |z|.  A caller holds one per truncation for one call."""
 
     def __init__(self, cutoff: int) -> None:
         self.cutoff = cutoff
         self.occ = np.arange(cutoff + 1, dtype=np.float64)
-        self.roots = np.sqrt(self.occ[1:])
         self._eigs: tuple[np.ndarray, np.ndarray] | None = None
 
     def eigs(self) -> tuple[np.ndarray, np.ndarray]:
@@ -201,7 +202,7 @@ class _Ladder:
             # imported on first use, as in _lowest_two_eigh
             from scipy.linalg import eigh_tridiagonal
 
-            self._eigs = eigh_tridiagonal(np.zeros(self.cutoff + 1), self.roots)
+            self._eigs = eigh_tridiagonal(np.zeros(self.cutoff + 1), np.sqrt(self.occ[1:]))
         return self._eigs
 
 
@@ -272,13 +273,19 @@ def weyl_matrix(mode: FockMode, z: complex) -> np.ndarray:
     return _gauged(u, z, ladder.occ)
 
 
-def _coherent_vector(mode: FockMode, z: complex, ladder: _Ladder) -> np.ndarray:
-    """W_h(z) e_0 = D V (e^{i lam} V[0]) from the eigenpairs alone: column 0 of
-    ``weyl_matrix(mode, z)`` without forming the matrix."""
-    evals, vecs, _ = _exponential_eigs(mode.hbar, ladder, abs(z))
-    head = vecs[0]
-    column = vecs @ (np.cos(evals) * head) + 1j * (vecs @ (np.sin(evals) * head))
-    return _gauge(cmath.phase(z), ladder.occ) * column
+def _coherent_vector(mode: FockMode, z: complex) -> np.ndarray:
+    """W_h(z) e_0 on the mode's N + 1 levels in closed form, e^{-|b|^2/2}
+    b^k/sqrt(k!) with b = i pi sqrt(hbar) z, by the ratios b/sqrt(k): column 0
+    of ``weyl_matrix(mode, z)`` up to that matrix's truncation error.  Refuses
+    |b|^2 > 1400 (N ~ 5600 at z*), past which e^{-|b|^2/2} leaves the normal
+    floats and the partial products (peak ~e^{|b|^2/2}) near overflow."""
+    b = 1j * _PI * math.sqrt(mode.hbar) * complex(z)
+    modulus_sq = abs(b) * abs(b)
+    if not modulus_sq <= 1400.0:
+        raise ValueError(f"coherent amplitudes out of float range at |b|^2 = {modulus_sq:.6g}")
+    amps = np.ones(mode.dim, dtype=np.complex128)
+    np.cumprod(b / np.sqrt(np.arange(1.0, mode.dim)), out=amps[1:])
+    return math.exp(-0.5 * modulus_sq) * amps
 
 
 @dataclass(frozen=True)
@@ -290,35 +297,32 @@ class GroundReport:
     photon_number: float
 
 
-def _lowest_pair(mode: FockMode, ladder: _Ladder) -> tuple[np.ndarray, np.ndarray]:
+def _lowest_pair(mode: FockMode) -> tuple[np.ndarray, np.ndarray]:
     """The two lowest eigenvalues of H and its ground vector D v, where v is
-    the ground vector of the real gauged R = D* H D (D gauged by arg j)."""
+    the ground vector of the real gauged R = D* H D (D gauged by arg j), solved
+    as R/(hbar omega) (diagonal k; R's own reaches 2e300 at omega = 1e300,
+    where dstein fails) with the eigenvalues scaled back by hbar omega."""
+    occ = np.arange(mode.dim, dtype=np.float64)
     j = complex(mode.coupling)
-    evals, vecs = _lowest_two_eigh(
-        mode.hbar * mode.omega * ladder.occ, math.sqrt(mode.hbar) * abs(j) * ladder.roots
-    )
-    return evals, _gauge(cmath.phase(j), ladder.occ) * vecs[:, 0]
+    quantum = mode.hbar * mode.omega
+    evals, vecs = _lowest_two_eigh(occ, math.sqrt(mode.hbar) * abs(j) / quantum * np.sqrt(occ[1:]))
+    return quantum * evals, _gauge(cmath.phase(j), occ) * vecs[:, 0]
 
 
-def ground_state_analysis(mode: FockMode, *, ladder: _Ladder | None = None) -> GroundReport:
+def ground_state_analysis(mode: FockMode) -> GroundReport:
     """Diagonalize H once and compare against the displaced-oscillator closed
     forms: E_0 = -|j|^2/omega, gap = hbar omega, ground vector = coherent
     vector W_h(z*) e_0 with z* = i j/(pi hbar omega), and hbar <n> =
-    |j/omega|^2 (reported as ``photon_number``).  ``ladder`` shares one
-    number-ladder solve across modes of the same truncation."""
-    if ladder is None:
-        ladder = _Ladder(mode.cutoff)
-    elif ladder.cutoff != mode.cutoff:
-        raise ValueError(f"ladder has cutoff {ladder.cutoff}, mode {mode.cutoff}")
-    evals, ground = _lowest_pair(mode, ladder)
+    |j/omega|^2 (reported as ``photon_number``)."""
+    evals, ground = _lowest_pair(mode)
     z_star = 1j * complex(mode.coupling) / (_PI * mode.hbar * mode.omega)
-    overlap = np.vdot(_coherent_vector(mode, z_star, ladder), ground)
+    overlap = np.vdot(_coherent_vector(mode, z_star), ground)
     return GroundReport(
         energy=float(evals[0]),
         energy_closed_form=-abs(mode.coupling) * abs(mode.coupling) / mode.omega,
         gap=float(evals[1] - evals[0]),
         overlap_sq=float(abs(overlap) ** 2),
-        photon_number=float(mode.hbar * (ladder.occ * np.abs(ground) ** 2).sum()),
+        photon_number=float(mode.hbar * (np.arange(mode.dim) * np.abs(ground) ** 2).sum()),
     )
 
 
@@ -356,13 +360,8 @@ def multimode_ground_scan(sys: VanHoveSystem, hbar: float) -> MultimodeReport:
     grid = sys.grid
     total = 0.0
     fidelity = 1.0
-    ladders: dict[int, _Ladder] = {}  # one number-ladder solve per distinct truncation
     for i in range(grid.size):
-        mode = mode_for_node(sys, i, hbar)
-        ladder = ladders.get(mode.cutoff)
-        if ladder is None:
-            ladder = ladders[mode.cutoff] = _Ladder(mode.cutoff)
-        report = ground_state_analysis(mode, ladder=ladder)
+        report = ground_state_analysis(mode_for_node(sys, i, hbar))
         total += report.energy
         fidelity *= report.overlap_sq
     return MultimodeReport(

@@ -305,7 +305,8 @@ def test_kms_batch_rows_equal_one_pair_calls(tmp_path):
         ("scattering", "points=16"),
         ("garding", "k_min=0"),
         ("fock-spectrum", "cutoff=5"),
-        # size ceilings: these would allocate gigabytes
+        # size ceilings: garding and groundstate would allocate gigabytes past
+        # these, fock-spectrum would derive truncations past its measured one
         ("fock-spectrum", "coupling_re=30"),
         ("fock-spectrum", "coupling_im=1e300"),
         ("fock-spectrum", "omega=1e-300"),
@@ -364,8 +365,9 @@ def test_scattering_takes_a_mass_while_omega_grows_on_every_filon_panel(tmp_path
 def test_groundstate_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
     # the window and correlation sums are BLAS-3 matmuls, and the other
     # commands here batch their rows through matmuls and row sums (kms writes
-    # relative residuals at the rounding level); their bytes must not move with
-    # the thread count
+    # relative residuals at the rounding level), and fock-spectrum at N = 2048
+    # solves its lowest pair alone; their bytes must not move with the thread
+    # count
     runs = {
         "neg": ["groundstate", *_SMALL],
         "pos": ["groundstate", *_SMALL, "s_minus=1", "s_plus=3"],
@@ -373,6 +375,7 @@ def test_groundstate_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
            for command in ("egorov", "equilibrium", "scattering", "kms")},
         # 200 steps span four phase table chunks on the small grid
         "evolve": ["evolve", *_SMALL, "steps=200"],
+        "fock": ["fock-spectrum", "cutoff=2048"],
     }
     script = (
         "import sys\n"
@@ -618,12 +621,31 @@ def test_kms_refuses_values_that_underflow(tmp_path, capsys):
 
 
 def test_fock_spectrum_refuses_a_non_finite_mode_matrix(tmp_path, capsys):
-    # hbar omega = 1e400 puts inf on the diagonal of H: the eigensolve refuses
-    # it by name, as scipy's eigh_tridiagonal does, rather than reporting a
-    # LAPACK failure code
-    code, _, _ = _run(tmp_path, "fock-spectrum", "omega=1e200", "hbar=1e200")
-    assert code == 1
-    assert capsys.readouterr().err == "invariant failed: array must not contain infs or NaNs\n"
+    # hbar omega = 1e400 overflows: FockMode refuses the product by name,
+    # before any output (omega = 1e300 alone is solved, as H/(hbar omega))
+    code, csv, js = _run(tmp_path, "fock-spectrum", "omega=1e200", "hbar=1e200")
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "configuration error: hbar * omega must be finite, got 1e+200 * 1e+200\n"
+    )
+    assert csv == js == ""
+
+
+def test_fock_spectrum_holds_no_square_matrix():
+    # at N = 2048 the lowest pair of H and the closed-form coherent vector are
+    # 2049-vectors: the traced peak stays near 0.2 MB, where one real 2049^2
+    # matrix alone would take 34 MB
+    import scipy.linalg.lapack  # noqa: F401  (loaded before tracing: not the command's memory)
+
+    cfg = resolve_config(cli._defaults("fock-spectrum"), None, ["cutoff=2048"])
+    tracemalloc.start()
+    try:
+        result = cli.cmd_fock_spectrum(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.failures == []
+    assert peak <= 2_000_000
 
 
 def test_evolve_holds_one_phase_table_chunk_at_a_time():
@@ -763,6 +785,15 @@ def _wrapped(module, name, wrap):
     return lambda monkeypatch: monkeypatch.setattr(module, name, wrap(getattr(module, name)))
 
 
+def _ground_report_scaled(field, factor):
+    """A patch: one field of fock-spectrum's ground report times ``factor``."""
+    return _wrapped(
+        cli.fock, "ground_state_analysis",
+        lambda real: lambda mode: (
+            lambda r: replace(r, **{field: factor * getattr(r, field)}))(real(mode)),
+    )
+
+
 # committed bugs as (command, patch, expected check): each is a bug the check's
 # own statement rules out, run at the command's defaults
 _LEDGER = {
@@ -818,6 +849,21 @@ _LEDGER = {
                  lambda real: lambda sys_, st, t: real(sys_, st, 1.001 * t)),
         "flow vs dynamics",
     ),
+    "coherent_vector_at_1.01_hbar": (
+        "fock-spectrum",
+        _wrapped(cli.fock, "_coherent_vector",
+                 lambda real: lambda mode, z: real(replace(mode, hbar=1.01 * mode.hbar), z)),
+        "coherent ground overlap",
+    ),
+    "ground_energy_times_1+1e-7": (
+        "fock-spectrum", _ground_report_scaled("energy", 1.0 + 1e-7), "ground energy",
+    ),
+    "gap_times_1+1e-6": (
+        "fock-spectrum", _ground_report_scaled("gap", 1.0 + 1e-6), "spectral gap",
+    ),
+    "photon_number_times_1+1e-6": (
+        "fock-spectrum", _ground_report_scaled("photon_number", 1.0 + 1e-6), "photon number",
+    ),
 }
 
 
@@ -848,6 +894,27 @@ def test_fock_spectrum_scales_its_eigenvalue_tolerances_with_hbar_omega(tmp_path
     checks = json.loads(js)["checks"]
     for name in ("ground energy", "spectral gap"):
         assert checks[name]["tol"] == pytest.approx(1e-8 * 1e9)
+    assert all(c["value"] <= c["tol"] / 10 for c in checks.values())
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [[], ["coupling_re=10", "hbar=0.2"], ["cutoff=2048"], ["omega=1e10"], ["omega=1e300"],
+     ["omega=1e300", "hbar=1e8"], ["hbar=0.25", "cutoff=64"]],
+    ids=["defaults", "coupling_re=10", "cutoff=2048", "omega=1e10", "omega=1e300",
+         "omega=1e300-hbar=1e8", "hbar=0.25"],
+)
+def test_fock_spectrum_checks_stay_under_a_tenth_of_their_tolerance(
+    tmp_path, monkeypatch, overrides
+):
+    # H is solved as H/(hbar omega), whose diagonal is k at every scale (H's
+    # own reaches 2e300 at omega = 1e300); no full spectrum is solved
+    import scipy.linalg
+
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", None)
+    code, _, js = _run(tmp_path, "fock-spectrum", *overrides)
+    assert code == 0
+    checks = json.loads(js)["checks"]
     assert all(c["value"] <= c["tol"] / 10 for c in checks.values())
 
 
