@@ -672,7 +672,8 @@ _COMMANDS: dict[str, tuple[Callable[[dict], CommandResult], dict, list[CrossRule
         cmd_scattering,
         {
             **_grid_keys(), "t_min": (1.0, _POSITIVE), "t_max": (1000.0, _POSITIVE),
-            "t_points": (7, _ROWS),
+            # one point would be t_min alone, leaving t_max unchecked
+            "t_points": (7, (f"in 2..{_ROWS_MAX}", lambda n: 2 <= n <= _ROWS_MAX)),
         },
         [
             *_GRID_RULES,
@@ -710,7 +711,8 @@ _COMMANDS: dict[str, tuple[Callable[[dict], CommandResult], dict, list[CrossRule
         cmd_garding,
         {"k_min": (3, _EXPONENT), "k_max": (8, _EXPONENT), "cutoff": (64, _COUNT)},
         [
-            _span("k_min", "k_max", 1),
+            # one rung fits its own constant with residual 0: both checks vacuous
+            _span("k_min", "k_max", 2),
             (
                 f"the truncation at hbar = 2^-k_max must be <= {_GARDING_CUTOFF_MAX}, "
                 "got k_max={k_max}, cutoff={cutoff}",

@@ -20,8 +20,8 @@ symmetric tridiagonal R with nonnegative off-diagonal: H (resp. phi_h(z))
 D e^{i pi R} D*, and the ground state of H is D times a real vector.  The
 field's R is sqrt(hbar) |z| T_N, where the number ladder T_N (zero
 diagonal, off-diagonal sqrt(k)) depends on the truncation alone: one full
-solve of T_N per truncation by ``scipy.linalg.eigh_tridiagonal``
-(``_Ladder``, held by the caller for one call) gives every W_h(z) on those
+solve of T_N by ``scipy.linalg.eigh_tridiagonal`` per call of
+``_exponential_blocks`` gives the exponential at every requested |z| on those
 levels, its eigenvalues scaled by pi sqrt(hbar) |z| (W_h(0) is the
 identity, needing no solve); only the exponentials use it.  The two lowest
 eigenpairs of H come from LAPACK's dstebz + dstein called directly
@@ -54,7 +54,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Collection, Sequence
 
 import numpy as np
 
@@ -182,95 +182,71 @@ def _lowest_two_eigh(diag: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, np.
     return evals, vecs
 
 
-class _Ladder:
-    """The part of every Weyl exponential on N + 1 levels that depends on N
-    alone: the occupations k = 0..N and, solved on first use, the eigenpairs
-    (mu, V) of the number ladder T_N, the real tridiagonal with zero diagonal
-    and off-diagonal sqrt(k).  The gauged field phi_h(|z|) is sqrt(hbar) |z|
-    T_N, so every exponential on these levels shares V and scales mu by
-    pi sqrt(hbar) |z|.  A caller holds one per truncation for one call."""
+def _exponential_blocks(
+    hbar: float, cutoff: int, moduli: Collection[float], size: int
+) -> tuple[dict[float, np.ndarray], float]:
+    """The leading size x size block of U = e^{i pi R} on N + 1 levels for
+    each modulus |z|, where R = phi_h(|z|) = sqrt(hbar) |z| T_N is the gauged
+    field on the number ladder T_N (zero diagonal, off-diagonal sqrt(k)), and
+    the worst vacuum defect |<e_0, U e_0> - e^{-pi^2 hbar |z|^2 / 2}| of them.
+    Rejects any modulus with pi^2 hbar |z|^2 > N/4 before solving, then
+    solves T_N = V diag(mu) V^T once, by ``scipy.linalg.eigh_tridiagonal``
+    under its ``auto`` driver, if some modulus is nonzero: with lam = pi
+    sqrt(hbar) |z| mu, each block is V[:size] cos(lam) V[:size]^T + i
+    V[:size] sin(lam) V[:size]^T (size = N + 1 is all of U), refused if its
+    defect exceeds the ceiling.  At |z| = 0, U is the real identity, with
+    defect 0 and no solve."""
+    for modulus in moduli:
+        modulus_sq = modulus * modulus  # inf past 1.3e154, where ** raises OverflowError
+        if not exponential_fits(hbar, cutoff, modulus_sq):
+            raise ValueError(
+                f"displacement |z|^2 = {modulus_sq:.3g} exceeds the truncation "
+                f"adequacy pi^2 hbar |z|^2 <= N/4 for N = {cutoff}"
+            )
+    blocks = {modulus: np.eye(size) for modulus in moduli if modulus == 0.0}
+    nonzero = [modulus for modulus in moduli if modulus != 0.0]
+    if not nonzero:
+        return blocks, 0.0
+    # imported on first use, as in _lowest_two_eigh
+    from scipy.linalg import eigh_tridiagonal
 
-    def __init__(self, cutoff: int) -> None:
-        self.cutoff = cutoff
-        self.occ = np.arange(cutoff + 1, dtype=np.float64)
-        self._eigs: tuple[np.ndarray, np.ndarray] | None = None
-
-    def eigs(self) -> tuple[np.ndarray, np.ndarray]:
-        """(mu, V) of T_N: one full-spectrum solve per ladder, by
-        ``scipy.linalg.eigh_tridiagonal`` under its ``auto`` driver."""
-        if self._eigs is None:
-            # imported on first use, as in _lowest_two_eigh
-            from scipy.linalg import eigh_tridiagonal
-
-            self._eigs = eigh_tridiagonal(np.zeros(self.cutoff + 1), np.sqrt(self.occ[1:]))
-        return self._eigs
-
-
-def _exponential_eigs(
-    hbar: float, ladder: _Ladder, modulus: float
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Eigenpairs (lam, V) of pi R for the real tridiagonal R = phi_h(|z|) =
-    sqrt(hbar) |z| T_N on the ladder's N + 1 levels, so that e^{i pi R} =
-    V e^{i lam} V^T: V and mu are the number ladder's, lam = pi sqrt(hbar)
-    |z| mu.  Also returns the vacuum defect of that exponential,
-    |sum_k V[0, k]^2 e^{i lam_k} - e^{-pi^2 hbar |z|^2 / 2}|.  Rejects
-    displacements with pi^2 hbar |z|^2 > N/4, before any solve, and defects
-    above the ceiling.  At |z| = 0, R = 0: lam = 0 and V = I, with no
-    solve."""
-    modulus_sq = modulus * modulus  # inf past 1.3e154, where ** raises OverflowError
-    if not exponential_fits(hbar, ladder.cutoff, modulus_sq):
-        raise ValueError(
-            f"displacement |z|^2 = {modulus_sq:.3g} exceeds the truncation "
-            f"adequacy pi^2 hbar |z|^2 <= N/4 for N = {ladder.cutoff}"
-        )
-    if modulus == 0.0:
-        return np.zeros(ladder.cutoff + 1), np.eye(ladder.cutoff + 1), 0.0
-    mu, vecs = ladder.eigs()
-    evals = (_PI * math.sqrt(hbar) * modulus) * mu
-    vacuum = np.dot(vecs[0] * vecs[0], np.exp(1j * evals))
-    defect = abs(vacuum - math.exp(-0.5 * _PI2 * hbar * modulus_sq))
-    if defect > _VACUUM_TOL:
-        raise RuntimeError(
-            f"exponential matrix misses its vacuum expectation "
-            f"(defect {defect:.3e}); truncation inadequate"
-        )
-    return evals, vecs, defect
-
-
-def _dense_exponential(
-    hbar: float, ladder: _Ladder, modulus: float, size: int
-) -> tuple[np.ndarray, float]:
-    """The leading size x size block of U = e^{i pi R} on the ladder's N + 1
-    levels, from the leading rows of V: V[:size] cos(lam) V[:size]^T +
-    i V[:size] sin(lam) V[:size]^T (size = N + 1 is all of U), and the vacuum
-    defect of U.  At |z| = 0, U = W_h(0) is the real identity with defect 0."""
-    if modulus == 0.0:
-        return np.eye(size), 0.0
-    evals, vecs, defect = _exponential_eigs(hbar, ladder, modulus)
+    mu, vecs = eigh_tridiagonal(np.zeros(cutoff + 1), np.sqrt(np.arange(1.0, cutoff + 1)))
     rows = vecs[:size]
-    u = np.empty((size, size), dtype=np.complex128)
-    scaled = rows * np.cos(evals)
-    u.real = scaled @ rows.T
-    np.multiply(rows, np.sin(evals), out=scaled)  # reused: one real temporary, not two
-    u.imag = scaled @ rows.T
-    return u, defect
+    worst = 0.0
+    for modulus in nonzero:
+        evals = (_PI * math.sqrt(hbar) * modulus) * mu
+        vacuum = np.dot(vecs[0] * vecs[0], np.exp(1j * evals))
+        defect = abs(vacuum - math.exp(-0.5 * _PI2 * hbar * (modulus * modulus)))
+        if defect > _VACUUM_TOL:
+            raise RuntimeError(
+                f"exponential matrix misses its vacuum expectation "
+                f"(defect {defect:.3e}); truncation inadequate"
+            )
+        worst = max(worst, defect)
+        u = np.empty((size, size), dtype=np.complex128)
+        scaled = rows * np.cos(evals)
+        u.real = scaled @ rows.T
+        np.multiply(rows, np.sin(evals), out=scaled)  # reused: one real temporary, not two
+        u.imag = scaled @ rows.T
+        blocks[modulus] = u
+        del scaled  # freed before the next block allocates its own
+    return blocks, worst
 
 
-def _gauged(u: np.ndarray, z: complex, occ: np.ndarray) -> np.ndarray:
+def _gauged(u: np.ndarray, z: complex) -> np.ndarray:
     """W_h(z) = D U D* from the real exponential U at |z|, D gauged by arg z
-    over the occupations ``occ`` of U's rows (D is diagonal, so a leading
-    block of U gives the same block of W_h(z))."""
-    p = _gauge(cmath.phase(z), occ)
+    over the occupations of U's rows (D is diagonal, so a leading block of U
+    gives the same block of W_h(z))."""
+    p = _gauge(cmath.phase(z), np.arange(len(u), dtype=np.float64))
     return np.outer(p, p.conj()) * u
 
 
 def weyl_matrix(mode: FockMode, z: complex) -> np.ndarray:
     """W_h(z) = exp(i pi phi_h(z)), gauged from the real tridiagonal
-    exponential at |z| (see ``_exponential_eigs`` for the checks)."""
+    exponential at |z| (see ``_exponential_blocks`` for the checks)."""
     z = complex(z)
-    ladder = _Ladder(mode.cutoff)
-    u = _dense_exponential(mode.hbar, ladder, abs(z), mode.dim)[0]
-    return _gauged(u, z, ladder.occ)
+    blocks = _exponential_blocks(mode.hbar, mode.cutoff, [abs(z)], mode.dim)[0]
+    return _gauged(blocks[abs(z)], z)
 
 
 def _coherent_vector(mode: FockMode, z: complex) -> np.ndarray:
@@ -507,9 +483,9 @@ def garding_probe(
     is only a floor) is assembled as a dense matrix on its trusted lower
     half alone, the leading (N//2 + 1)^2 block: each W_h(z_j) there is
     gauged from the leading block of one real exponential per distinct
-    nonzero |z_j|, all of them scaled from the one number-ladder solve of
-    that N (on all N + 1 levels; W_h(0) is the identity).  The
-    block's lowest eigenvalue is recorded together with that of the
+    |z_j|, all of them from one ``_exponential_blocks`` call per N (one
+    number-ladder solve on all N + 1 levels, freed before the assembly;
+    W_h(0) is the identity).  The block's lowest eigenvalue is recorded together with that of the
     anti-Wick variant (positive by construction); the largest
     vacuum-expectation defect of those exponentials is reported.  The rate
     constant C is fitted through the origin to lambda_min - min(symbol)
@@ -552,25 +528,19 @@ def garding_probe(
     lams_aw: list[float] = []
     cutoffs: list[int] = []
     worst_vacuum = 0.0
+    moduli = {abs(z) for z in gens.tolist()}
     for h in hbars:
         n_h = garding_cutoff(float(h), cutoff)
         cutoffs.append(n_h)
         trusted = n_h // 2 + 1
-        # one real exponential per distinct |z|, formed on the trusted block
-        # only from the one number-ladder solve of this truncation (|z| = 0
-        # is the identity, with no solve), gauged for each generator
-        ladder = _Ladder(n_h)
-        exps = {
-            r: _dense_exponential(float(h), ladder, r, trusted)
-            for r in {abs(z) for z in gens.tolist()}
-        }
-        worst_vacuum = max([worst_vacuum, *(worst for _, worst in exps.values())])
-        occ = ladder.occ[:trusted]
-        del ladder  # free its (N + 1)^2 eigenvectors before assembling
+        # one real exponential per distinct |z| on the trusted block, gauged
+        # for each generator
+        exps, defect = _exponential_blocks(float(h), n_h, moduli, trusted)
+        worst_vacuum = max(worst_vacuum, defect)
         q, q_aw = np.zeros((2, trusted, trusted), dtype=np.complex128)
         for poly, acc in ((symbol, q), (antiwick(symbol, float(h)), q_aw)):
             for c, z in zip(poly.coeffs, poly.gens[:, 0].tolist()):
-                acc += c * _gauged(exps[abs(z)][0], z, occ)
+                acc += c * _gauged(exps[abs(z)], z)
         exps = None  # free this cutoff's matrices before the eigensolves
         for name, mat, out in (("plain", q, lams), ("anti-Wick", q_aw, lams_aw)):
             defect = float(np.max(np.abs(mat - mat.conj().T)))

@@ -269,6 +269,9 @@ def test_kms_batch_rows_equal_one_pair_calls(tmp_path):
         ("evolve", "hbar=inf"),
         ("egorov", "k_min=5 k_max=5"),
         ("equilibrium", "k_min=5 k_max=5"),
+        # one rung fits garding's constant exactly, and one time is t_min alone
+        ("garding", "k_min=5 k_max=5"),
+        ("scattering", "t_points=1"),
         # keys scattering does not take: unknown, whatever the value
         ("scattering", "hbar=-1"),
         ("scattering", "hbar=nan"),
@@ -664,7 +667,7 @@ def test_evolve_holds_one_phase_table_chunk_at_a_time():
 
 def test_garding_assembles_only_the_trusted_block():
     # at N = 486 the trusted 244^2 complex blocks keep the traced peak near
-    # 8 MB; forming the full 487^2 matrices would take it near 29 MB
+    # 7.3 MB; forming the full 487^2 matrices would take it near 29 MB
     import scipy.linalg  # noqa: F401  (loaded before tracing: not the probe's memory)
 
     cfg = resolve_config(cli._defaults("garding"), None, [])
@@ -675,7 +678,7 @@ def test_garding_assembles_only_the_trusted_block():
     finally:
         tracemalloc.stop()
     assert result.failures == []
-    assert peak <= 12_000_000
+    assert peak <= 8_000_000
 
 
 def test_evolve_command_conserves_energy(tmp_path):

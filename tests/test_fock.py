@@ -90,16 +90,19 @@ def test_weyl_matrix_vacuum_expectation(mode):
     assert w[0, 0] == pytest.approx(expect, abs=1e-12)
 
 
-def test_exponential_refuses_a_truncated_vacuum_at_the_adequacy_edge():
+def test_exponential_refuses_a_truncated_vacuum_at_the_adequacy_edge(monkeypatch):
     # pi^2 hbar |z|^2 = N/4 = 1 (the float just below 1/pi, since 1/pi itself
     # rounds one ulp over) passes the displacement guard, yet on 5 levels the
     # vacuum entry is off by 2.6e-5, while the eigenvectors stay orthogonal to
     # rounding (a trusted-block unitarity product reads 3.3e-16 here)
     edge = math.nextafter(1.0 / math.pi, 0.0)
     with pytest.raises(RuntimeError, match="vacuum"):
-        fock._exponential_eigs(1.0, fock._Ladder(4), edge)
+        fock._exponential_blocks(1.0, 4, [edge], 5)
+    # the displacement guard refuses before any solve, whatever else is asked
+    sizes = _full_solves(monkeypatch)
     with pytest.raises(ValueError, match="displacement"):
-        fock._exponential_eigs(1.0, fock._Ladder(4), 1.0 / math.pi)
+        fock._exponential_blocks(1.0, 4, [0.1, 1.0 / math.pi], 5)
+    assert sizes == []
 
 
 @pytest.mark.parametrize("coupling", [0.5, -0.35 + 0.6j])
@@ -253,22 +256,20 @@ def test_tridiagonal_eigh_keeps_the_refusals_of_eigh_tridiagonal():
                 fock._lowest_two_eigh(*entries)
 
 
-def test_the_exponential_at_zero_is_the_identity():
-    # W_h(0) = I: returned without a solve, and bit for bit what the solve
-    # gives (the zero tridiagonal's eigenvectors are V = I, lam = 0)
+def test_the_exponential_at_zero_is_the_identity(monkeypatch):
+    # W_h(0) = I: the real identity, bit for bit, with no solve (the zero
+    # tridiagonal's eigenvectors are V = I, lam = 0)
+    sizes = _full_solves(monkeypatch)
     for h, n in ((2.0**-3, 88), (2.0**-8, 486)):
-        ladder = fock._Ladder(n)
         for size in (n // 2 + 1, n + 1):
-            u, defect = fock._dense_exponential(h, ladder, 0.0, size)
-            assert u.tobytes() == np.eye(size).tobytes() and defect == 0.0
-        evals, vecs, defect = fock._exponential_eigs(h, ladder, 0.0)
-        assert vecs.tobytes() == np.eye(n + 1).tobytes()
-        assert not evals.any() and defect == 0.0
-        assert ladder._eigs is None
+            blocks, defect = fock._exponential_blocks(h, n, [0.0], size)
+            assert list(blocks) == [0.0] and defect == 0.0
+            assert blocks[0.0].tobytes() == np.eye(size).tobytes()
+    assert sizes == []
 
 
 @pytest.mark.parametrize("k", [3, 6])
-def test_shared_ladder_exponentials_match_expm(k):
+def test_shared_ladder_exponentials_match_expm(k, monkeypatch):
     # one solve of the number ladder T_N serves every |z| on N + 1 levels:
     # e^{i pi R} with R = sqrt(h) |z| T_N, against scipy's expm of the dense R
     # (N = 88 at h = 2^-3, N = 204 at h = 2^-6) on the trusted block
@@ -278,13 +279,14 @@ def test_shared_ladder_exponentials_match_expm(k):
     n = fock.garding_cutoff(h, 64)
     assert n == {3: 88, 6: 204}[k]
     trusted = n // 2 + 1
-    ladder = fock._Ladder(n)
-    for r in (1.0, math.sqrt(2.0)):
+    sizes = _full_solves(monkeypatch)
+    moduli = (1.0, math.sqrt(2.0))
+    blocks, defect = fock._exponential_blocks(h, n, moduli, trusted)
+    assert sizes == [n + 1] and defect <= 1e-12
+    for r in moduli:
         off = math.sqrt(h) * r * np.sqrt(np.arange(1.0, n + 1))
         exact = expm(1j * math.pi * (np.diag(off, 1) + np.diag(off, -1)))
-        u, defect = fock._dense_exponential(h, ladder, r, trusted)
-        assert np.max(np.abs(u - exact[:trusted, :trusted])) <= 1e-12
-        assert defect <= 1e-12
+        assert np.max(np.abs(blocks[r] - exact[:trusted, :trusted])) <= 1e-12
 
 
 def _full_solves(monkeypatch) -> list[int]:
