@@ -89,8 +89,7 @@ _DIM: Rule = (f"in 1..{DIM_MAX}", lambda d: 1 <= d <= DIM_MAX)
 #: - panels x points grid nodes cost ~120 B each (2^16 nodes: +8 MB);
 #: - a (t_points, N) phase table costs ~24 B an entry in kms (the complex table
 #:   beside its real factor; 20,000 x 512: +234 MB) and ~30 B in scattering
-#:   (+312 MB), the kms (pairs, t_points) residuals 16 B: 2^21 entries ~50,
-#:   ~63 and ~32 MB.
+#:   (+312 MB): 2^21 entries ~50 and ~63 MB.
 _ROWS_MAX, _NODES_MAX, _TABLE_MAX = 2**17, 2**16, 2**21
 _ROWS: Rule = (f"in 1..{_ROWS_MAX}", lambda n: 1 <= n <= _ROWS_MAX)
 
@@ -373,19 +372,13 @@ def cmd_kms(cfg: dict) -> CommandResult:
         (_random_panel_member(grid, gaussians, rng), _random_panel_member(grid, gaussians, rng))
         for rng in map(np.random.default_rng, splitmix64(cfg["seed"], cfg["pairs"]))
     )
-    report = dynamics.kms_check(sys_, state, cfg["beta_h"], pairs, ts)
-    residuals = report.residuals.max(axis=1)
-    worst = float(np.max(residuals))
-    # the residual |expm1(d)| reads the rounding of an exponent d of size up to
-    # E = max |pi^2 hbar/2 cross_rhs| (~3e6 at beta_h = 1e-4)
-    residual_tol = _roundoff_tol(1e-10, float(np.max(report.exponents)))
+    defects = dynamics.kms_check(sys_, state, cfg["beta_h"], pairs, ts)
+    worst = float(np.max(defects))
     return CommandResult(
-        ["pair", "max_residual"],
-        list(enumerate(residuals.tolist())),
-        {"max_residual": worst, "pairs": cfg["pairs"]},
-        # the residual carries hbar in its exponent, the cross-term defect none
-        [Check("kms cross terms", float(np.max(report.defects)), 1e-12),
-         Check("kms residual", worst, residual_tol)],
+        ["pair", "defect"],
+        list(enumerate(defects.tolist())),
+        {"max_defect": worst, "pairs": cfg["pairs"]},
+        [Check("kms cross terms", worst, 1e-12)],
     )
 
 
@@ -424,9 +417,8 @@ def cmd_egorov(cfg: dict) -> CommandResult:
     return CommandResult(
         ["hbar", "deviation"],
         list(zip(report.hbar_values, report.deviations)),
-        {"fitted_order": report.fitted_order, "verdict": report.verdict, "t": cfg["t"]},
-        [Check("egorov convergence", _verdict(report.converged), 0.0),
-         Check("flow vs dynamics", semiclassics.flow_gap(sys_, center, panel, cfg["t"]), tol)],
+        {"fitted_order": report.fitted_order, "t": cfg["t"]},
+        [Check("flow vs dynamics", semiclassics.flow_gap(sys_, center, panel, cfg["t"]), tol)],
     )
 
 
@@ -633,11 +625,7 @@ _COMMANDS: dict[str, tuple[Callable[[dict], CommandResult], dict, list[CrossRule
             "t_min": (-5.0, _FINITE), "t_max": (5.0, _FINITE), "t_points": (21, _ROWS),
             "pairs": (5, _ROWS), "seed": (0, _ANY),
         },
-        [
-            *_GRID_RULES,
-            _at_most(_TABLE_MAX, "t_points", "panels", "points"),
-            _at_most(_TABLE_MAX, "pairs", "t_points"),
-        ],
+        [*_GRID_RULES, _at_most(_TABLE_MAX, "t_points", "panels", "points")],
     ),
     "groundstate": (
         cmd_groundstate,

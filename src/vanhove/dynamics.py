@@ -33,13 +33,10 @@ state), and the left side by the continued Gibbs factors
 m_0 (coth(x) + 1) e^{-2x} = 2 m_0/(e^{2x}-1) and m_0 (coth(x) - 1) e^{+2x} =
 2 m_0/(1-e^{-2x}), taken through expm1 so nothing cancels at large x.  The sides
 share their Gaussian diagonal and centre phase, so only the cross terms
-differ, measured twice: the residual |lhs/rhs - 1| = |expm1(-pi^2 hbar/2
-(cross_lhs - cross_rhs))| does not vanish with the values when they
-underflow, and the defect max_t |cross_lhs - cross_rhs| / max_t |cross_rhs|
-does not fade with hbar.  The residual reads the rounding of its exponent, so
-the report also carries that exponent's size max_t |pi^2 hbar/2 cross_rhs|.
-A batch of (f, g) pairs, taken one pair at a time, shares the phase matrix and
-the per-node factors.
+differ, and the condition reads as the defect
+max_t |cross_lhs - cross_rhs| / max_t |cross_rhs|: relative, free of hbar, and
+so unmoved when the values themselves underflow.  A batch of (f, g) pairs,
+taken one pair at a time, shares the phase matrix and the per-node factors.
 
 ``ground_state_check`` probes the spectral measure of the dressed ground
 state omega^oo (the coherent state at -J/omega): the correlation
@@ -94,7 +91,6 @@ __all__ = [
     "KmsWindow",
     "kms_window",
     "window_transform",
-    "KmsReport",
     "kms_check",
     "GroundStateReport",
     "ground_state_check",
@@ -399,38 +395,26 @@ def _auto_t_max(window: KmsWindow) -> float:
     return float(int(np.argmax(ok)) * _SCAN_STEP + 25.0)
 
 
-@dataclass(frozen=True)
-class KmsReport:
-    residuals: np.ndarray  # (pairs, t_points)
-    defects: np.ndarray  # (pairs,)
-    exponents: np.ndarray  # (pairs,) max_t |pi^2 hbar/2 cross_rhs|
-
-    @property
-    def max_residual(self) -> float:
-        return float(self.residuals.max())
-
-
 def kms_check(
     sys: VanHoveSystem,
     state: CharState,
     beta_h: float,
     pairs: Iterable[tuple[RadialFunction, RadialFunction]],
     t_grid,
-) -> KmsReport:
-    """The KMS condition of ``state`` at inverse temperature beta_h on each
-    (f, g) pair: a row of residuals |lhs/rhs - 1| over the times, a defect
-    max_t |cross_lhs - cross_rhs| / max_t |cross_rhs| (0 when both vanish), and
-    the size max_t |pi^2 hbar/2 cross_rhs| of the residual's exponent.
+) -> np.ndarray:
+    """The KMS condition of ``state`` at inverse temperature beta_h: one defect
+    max_t |cross_lhs - cross_rhs| / max_t |cross_rhs| per (f, g) pair (0 when
+    both vanish).
 
     LHS: omega(W(f) tau_t[W(g)]) continued to t + i beta_h, from the
     expm1-stable continued Gibbs factors.  RHS: omega(tau_t[W(g)] W(f)) from
-    the state's own ``weight``.  Only the Gibbs state at beta_h passes both at
-    arithmetic level.  The residual is relative at any size of the values
-    (~1e-89 at the CLI defaults) but first order in hbar; the defect has no hbar.
+    the state's own ``weight``.  Only the Gibbs state at beta_h meets it at
+    arithmetic level, at any hbar and any size of the values (~1e-89 at the CLI
+    defaults).
 
-    Row k is bitwise that of ``kms_check(..., beta_h, [pairs[k]], t_grid)``, and
-    ``pairs`` is consumed one at a time, so an iterator may draw each pair only
-    when it is checked.
+    Entry k is bitwise that of ``kms_check(..., beta_h, [pairs[k]], t_grid)``,
+    and ``pairs`` is consumed one at a time, so an iterator may draw each pair
+    only when it is checked.
     """
     if not 0.0 < beta_h < math.inf:
         raise ValueError(f"beta_h must be finite and > 0, got {beta_h}")
@@ -451,28 +435,21 @@ def kms_check(
 
     phases = 1j * np.multiply.outer(t, grid.omega)
     np.exp(phases, out=phases)  # in place: the largest array of the check
-    scale = -0.5 * _PI2 * state.hbar
-    rows, defects, exponents = [], [], []
+    defects = []
     for f, g in pairs:
         fv, gv = f.values, g.values
         base = np.conj(fv) * gv
         rev = np.conj(gv) * fv
         cross_lhs = phases @ (a_lhs * base) + np.conj(phases @ np.conj(b_lhs * rev))
         cross_rhs = phases @ (a_rhs * base) + np.conj(phases @ np.conj(b_rhs * rev))
-        gap = cross_lhs - cross_rhs
         # the Gaussian diagonal and the centre phase are common factors of both
-        # sides, so only the cross terms enter the exponent (inf/nan, failing, on overflow)
-        with np.errstate(over="ignore", invalid="ignore"):
-            rows.append(np.abs(np.expm1(scale * gap)))
-        worst = float(np.max(np.abs(gap), initial=0.0))
+        # sides, so only the cross terms can differ
+        worst = float(np.max(np.abs(cross_lhs - cross_rhs), initial=0.0))
         size = float(np.max(np.abs(cross_rhs), initial=0.0))
         defects.append(worst / size if size else (math.inf if worst else 0.0))
-        exponents.append(abs(scale) * size)
-    if not rows or not t.size:
+    if not defects or not t.size:
         raise ValueError("kms_check needs at least one (f, g) pair and one time")
-    return KmsReport(
-        residuals=np.array(rows), defects=np.array(defects), exponents=np.array(exponents)
-    )
+    return np.array(defects)
 
 
 # --------------------------------------------------------------------------

@@ -58,8 +58,8 @@ from typing import Collection, Sequence
 
 import numpy as np
 
-from .dynamics import VanHoveSystem
-from .grid import MomentumGrid, make_grid
+from .dynamics import VanHoveSystem, ground_energy
+from .grid import MomentumGrid, make_grid, weighted_norm_sq
 from .sources import realize
 from .weyl import TrigPolynomial, antiwick
 
@@ -342,9 +342,7 @@ def multimode_ground_scan(sys: VanHoveSystem, hbar: float) -> MultimodeReport:
         fidelity *= report.overlap_sq
     return MultimodeReport(
         energy_matrix_sum=total,
-        energy_closed_form=-float(
-            np.sum(grid.measure(-1) * np.abs(sys.j.values) ** 2)
-        ),
+        energy_closed_form=ground_energy(sys),
         overlap_sq_product=fidelity,
         modes=grid.size,
     )
@@ -367,11 +365,7 @@ def soft_photon_sweep(sys: VanHoveSystem, cutoffs: Sequence[int]) -> SoftPhotonR
     ns = tuple(int(n) for n in cutoffs)
     if len(ns) < 3 or any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError("cutoffs must be strictly increasing, at least 3 of them")
-    grid = sys.grid
-    numbers = []
-    for n in ns:
-        j_n = realize(replace(sys.source, ir_cutoff=n)).values
-        numbers.append(float(np.sum(grid.measure(-2) * np.abs(j_n) ** 2)))
+    numbers = [weighted_norm_sq(realize(replace(sys.source, ir_cutoff=n)), -2) for n in ns]
     increments = np.diff(numbers)
     mids = np.sqrt(np.asarray(ns[:-1], dtype=float) * np.asarray(ns[1:], dtype=float))
     keep = increments > 0.0

@@ -196,9 +196,9 @@ def test_gibbs_detailed_balance_and_ground_window_annihilation(
     grid, system_g03, f_gauss, g_gauss
 ):
     """Two-point functions of the dressed Gibbs state satisfy the
-    beta-periodicity relation to 1e-10 across sixty random pairs, and a
-    strictly negative spectral window applied to the dressed ground pair
-    vanishes to 1e-6 while a positive window does not."""
+    beta-periodicity relation (cross-term defect) to 1e-13 across sixty
+    random pairs, and a strictly negative spectral window applied to the
+    dressed ground pair vanishes to 1e-6 while a positive window does not."""
     t0 = time.monotonic()
     ts = np.linspace(-5.0, 5.0, 21)
     rng = np.random.default_rng(42)
@@ -206,8 +206,8 @@ def test_gibbs_detailed_balance_and_ground_window_annihilation(
     for beta in (0.5, 1.0, 4.0):
         st = gibbs_quantum(system_g03.source, beta, 0.5)
         pairs = [(random_member(grid, rng), random_member(grid, rng)) for _ in range(20)]
-        worst = max(worst, kms_check(system_g03, st, beta, pairs, ts).max_residual)
-    assert worst <= 1e-10
+        worst = max(worst, kms_check(system_g03, st, beta, pairs, ts).max())
+    assert worst <= 1e-13
 
     wneg = kms_window(-3.0, -1.0)
     wpos = kms_window(1.0, 3.0)

@@ -212,8 +212,8 @@ def test_outputs_are_byte_identical_across_runs(tmp_path):
 
 def test_kms_batch_rows_equal_one_pair_calls(tmp_path):
     """The kms command checks all its pairs in one batched kms_check; each
-    batched row is bitwise equal to a one-pair call, and the command writes
-    the row maxima."""
+    batched defect is bitwise equal to a one-pair call, and the command
+    writes each one."""
     overrides = ["pairs=6", "t_points=9", "seed=11", *_SMALL]
     code, csv, _ = _run(tmp_path, "kms", *overrides)
     assert code == 0
@@ -227,15 +227,12 @@ def test_kms_batch_rows_equal_one_pair_calls(tmp_path):
         for rng in map(np.random.default_rng, splitmix64(cfg["seed"], cfg["pairs"]))
     ]
     batch = kms_check(sys_, state, cfg["beta_h"], pairs, ts)
-    assert batch.residuals.shape == (6, 9) and batch.defects.shape == batch.exponents.shape == (6,)
+    assert batch.shape == (6,)
     written = [float(line.split(",")[1]) for line in csv.splitlines()[-6:]]
-    rows = zip(batch.residuals, batch.defects, batch.exponents, pairs, written)
-    for row, defect, exponent, pair, max_written in rows:
+    for defect, pair, defect_written in zip(batch, pairs, written):
         one = kms_check(sys_, state, cfg["beta_h"], [pair], ts)
-        assert row.tobytes() == one.residuals[0].tobytes()
-        assert defect == one.defects[0]
-        assert exponent == one.exponents[0]
-        assert max_written == one.residuals[0].max()
+        assert defect.tobytes() == one[0].tobytes()
+        assert defect_written == defect
     with pytest.raises(ValueError, match="one time"):
         kms_check(sys_, state, cfg["beta_h"], [], ts)
     with pytest.raises(ValueError, match="one time"):
@@ -326,13 +323,12 @@ def test_kms_batch_rows_equal_one_pair_calls(tmp_path):
         # omega = hypot(r, mass) flat on the first panels: no Filon fit exists
         ("scattering", "mass=1000"),
         ("scattering", "mass=1e300"),
-        # count ceilings: rows, grid nodes and (time x node) or (pair x time) tables
+        # count ceilings: rows, grid nodes and (time x node) tables
         ("evolve", "steps=10000000000000"),
         ("evolve", "steps=131073"),
         ("kms", "pairs=10000000000000"),
         ("kms", "t_points=10000000000000"),
         ("kms", "t_points=4097"),
-        ("kms", "pairs=20000 t_points=201"),
         ("scattering", "t_points=10000000000000"),
         ("scattering", "t_points=4097"),
         ("energy", "panels=10000000000000"),
@@ -368,9 +364,9 @@ def test_scattering_takes_a_mass_while_omega_grows_on_every_filon_panel(tmp_path
 def test_groundstate_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
     # the window and correlation sums are BLAS-3 matmuls, and the other
     # commands here batch their rows through matmuls and row sums (kms writes
-    # relative residuals at the rounding level), and fock-spectrum at N = 2048
-    # solves its lowest pair alone; their bytes must not move with the thread
-    # count
+    # relative cross-term defects at the rounding level), and fock-spectrum at
+    # N = 2048 solves its lowest pair alone; their bytes must not move with the
+    # thread count
     runs = {
         "neg": ["groundstate", *_SMALL],
         "pos": ["groundstate", *_SMALL, "s_minus=1", "s_plus=3"],
@@ -415,6 +411,8 @@ def test_benchmark_configs_and_the_ceilings_themselves_pass_the_rules():
         ("evolve", [f"steps={cli._ROWS_MAX}"]),
         ("kms", ["t_points=4096"]),
         ("kms", ["pairs=10000", "t_points=209", "panels=4", "points=8"]),
+        # kms holds one pair's cross terms at a time: pairs meets only the row ceiling
+        ("kms", ["pairs=20000", "t_points=201"]),
         ("energy", ["panels=2048", "points=32"]),
     ]:
         cfg = resolve_config(cli._defaults(command), None, overrides)
@@ -433,7 +431,8 @@ def test_each_grid_command_builds_its_grid_once(tmp_path, monkeypatch, command):
         return make_grid(**keys)
 
     monkeypatch.setattr(cli, "make_grid", counted)
-    # egorov and equilibrium flag their convergence on these coarse grids (exit 1)
+    # equilibrium flags its convergence on this short ladder (exit 1); egorov,
+    # whose one check compares the flow with the dynamics, exits 0
     code, csv, _ = _run(tmp_path, command, *_CHEAP[command])
     assert code in (0, 1) and csv
     assert len(built) == 1
@@ -548,25 +547,24 @@ def test_equilibrium_invariance_stays_under_a_tenth_of_its_tolerance(tmp_path, o
 
 def _corrupt_the_gibbs_covariance(monkeypatch):
     # the covariance m_0 coth is formed in states; kms_check reads it back
-    coth = cli.states.stable_coth
-    monkeypatch.setattr(cli.states, "stable_coth", lambda x: coth(x) * (1.0 + 1e-8))
+    _coth_times(1.0 + 1e-8)(monkeypatch)
 
 
-def test_kms_residual_sees_a_corrupted_coth_at_the_defaults(tmp_path, monkeypatch):
-    # the characteristic values are ~1e-89 at the defaults: a residual taken as
+def test_kms_cross_terms_see_a_corrupted_coth_at_the_defaults(tmp_path, monkeypatch):
+    # the characteristic values are ~1e-89 at the defaults: a defect taken as
     # a difference of values reads ~1e-35 whatever the coth, a relative one not
     _corrupt_the_gibbs_covariance(monkeypatch)
     code, _, js = _run(tmp_path, "kms")
     assert code == 1
     payload = json.loads(js)
-    assert payload["failures"] == ["kms cross terms", "kms residual"]
-    assert payload["summary"]["max_residual"] > 1e-10
+    assert payload["failures"] == ["kms cross terms"]
+    assert payload["summary"]["max_defect"] == pytest.approx(1e-8, rel=0.1)
 
 
 @pytest.mark.parametrize("hbar", ["1e-8", "1e-300"])
 def test_kms_cross_terms_see_a_corrupted_coth_as_hbar_vanishes(tmp_path, monkeypatch, hbar):
-    # the residual's exponent carries hbar (7.1e-14 at hbar = 1e-8, 7.1e-306 at
-    # 1e-300, both under 1e-10); the cross-term defect reads the 1e-8 at any hbar
+    # the values' exponent carries hbar (7.1e-14 at hbar = 1e-8, 7.1e-306 at
+    # 1e-300); the cross-term defect has none and reads the 1e-8 at any hbar
     _corrupt_the_gibbs_covariance(monkeypatch)
     code, _, js = _run(tmp_path, "kms", f"hbar={hbar}")
     assert code == 1
@@ -575,20 +573,21 @@ def test_kms_cross_terms_see_a_corrupted_coth_as_hbar_vanishes(tmp_path, monkeyp
     assert payload["checks"]["kms cross terms"]["value"] == pytest.approx(1e-8, rel=0.1)
 
 
-@pytest.mark.parametrize("beta_h", ["1e-4", "1e-6"])
+@pytest.mark.parametrize("beta_h", ["1e-4", "1e-6", "1e-12", "1e-14"])
 def test_kms_at_small_beta_h_passes_and_still_sees_a_corrupted_coth(
     tmp_path, monkeypatch, beta_h
 ):
-    # coth(x) ~ 1/x puts the residual's exponent at ~3e6 (1e-4) and ~3e8 (1e-6),
-    # whose rounding alone reads 1e-9 and 7e-8; the tolerance scales with it
+    # coth(x) ~ 1/x puts the values' exponent at ~3e6 (1e-4) up to ~3e16
+    # (1e-14), whose rounding alone reads 1e-9 up to 139 as |lhs/rhs - 1|; the
+    # cross terms are relative to their own size, with no hbar
     code, _, js = _run(tmp_path, "kms", f"beta_h={beta_h}")
     assert code == 0
-    residual = json.loads(js)["checks"]["kms residual"]
-    assert 1e-10 < residual["value"] < residual["tol"] < math.inf
+    check = json.loads(js)["checks"]["kms cross terms"]
+    assert check["value"] <= check["tol"] / 10
     _corrupt_the_gibbs_covariance(monkeypatch)
     code, _, js = _run(tmp_path, "kms", f"beta_h={beta_h}")
     assert code == 1
-    assert json.loads(js)["failures"] == ["kms cross terms", "kms residual"]
+    assert json.loads(js)["failures"] == ["kms cross terms"]
 
 
 def test_kms_keeps_the_nodes_whose_measure_underflows(tmp_path):
@@ -609,18 +608,16 @@ def test_kms_at_large_beta_h_warns_nothing(tmp_path):
 
 
 @pytest.mark.filterwarnings("error")
-def test_kms_refuses_values_that_underflow(tmp_path, capsys):
-    # hbar = 1e300: every characteristic value underflows to 0 on both sides;
-    # there, at hbar = 1e308 and at beta_h = 1e-300 the residual's exponent
-    # overflows, and the inf/nan residual fails by name without a numpy
-    # warning against a tolerance that stays finite
+def test_kms_passes_where_the_values_underflow(tmp_path, capsys):
+    # hbar = 1e300: every characteristic value underflows to 0 on both sides,
+    # and at hbar = 1e308 and at beta_h = 1e-300 their exponent overflows; the
+    # cross terms carry no hbar and stay at the rounding level, with no numpy
+    # warning
     for extreme in ("hbar=1e300", "hbar=1e308", "beta_h=1e-300"):
         code, _, js = _run(tmp_path, "kms", *_CHEAP["kms"], extreme)
-        assert code == 1
-        payload = json.loads(js)
-        assert payload["failures"] == ["kms residual"]
-        assert payload["checks"]["kms residual"]["tol"] < math.inf
-        assert capsys.readouterr().err == "invariant failed: kms residual\n"
+        assert code == 0, extreme
+        assert json.loads(js)["checks"]["kms cross terms"]["value"] <= 1e-12
+        assert capsys.readouterr().err == ""
 
 
 def test_fock_spectrum_refuses_a_non_finite_mode_matrix(tmp_path, capsys):
@@ -734,11 +731,12 @@ def test_equilibrium_command_linear_regime(tmp_path):
 
 
 def test_egorov_command_converges(tmp_path):
-    # the full default ladder: convergence needs devs[-1] well under the peak
+    # the full default ladder: the coherent state meets its point mass at rate 1,
+    # a closed form reported as a table; the one check is the flow's
     code, _, js = _run(tmp_path, "egorov", *_SMALL)
     assert code == 0
     payload = json.loads(js)
-    assert payload["summary"]["verdict"] == "converged"
+    assert list(payload["checks"]) == ["flow vs dynamics"]
     assert payload["summary"]["fitted_order"] == pytest.approx(1.0, abs=0.05)
 
 
@@ -750,13 +748,44 @@ def test_egorov_command_converges(tmp_path):
          "mass=1", "gamma=0.45"],
 )
 def test_flow_vs_dynamics_stays_under_a_tenth_of_its_tolerance(tmp_path, overrides):
-    # 4.5e-15 against 7.4e-13 at the defaults; dim = 7 and 16 still fail
-    # egorov convergence, whose 1%-of-peak rule the source norm defeats
+    # 4.5e-15 against 7.4e-13 at the defaults
     code, _, js = _run(tmp_path, "egorov", *overrides)
+    assert code == 0
     payload = json.loads(js)
-    assert payload["failures"] == ([] if code == 0 else ["egorov convergence"])
+    assert payload["failures"] == []
     check = payload["checks"]["flow vs dynamics"]
     assert 0.0 < check["value"] <= check["tol"] / 10
+
+
+def test_kms_and_egorov_raise_no_false_alarm_across_their_sweep(tmp_path):
+    # each command has one check, of an identity correct code meets at round-off
+    # whatever the temperature, hbar, dim or ladder: kms at beta_h and hbar from
+    # 1e-300 to 1e300 (cheap grid), egorov at every dim and on every hbar ladder
+    # 2^-k_min .. 2^-k_max, 0 <= k_min < k_max <= 14 (small grid); only the type
+    # II source at dim = 1 is refused
+    extremes = ("1e-300", "1e-14", "1e-12", "1e-4", "1", "300")
+    hbars = ("1e-300", "1e-8", "1", "1e10", "1e100", "1e300")
+    sweep = [
+        *(["kms", *_CHEAP["kms"], f"beta_h={b}", f"hbar={h}"] for b in extremes for h in hbars),
+        *(["egorov", f"dim={dim}"] for dim in range(1, 17)),
+        *(["egorov", *_SMALL, f"k_min={lo}", f"k_max={hi}"]
+          for lo in range(15) for hi in range(lo + 1, 15)),
+    ]
+    refusal = (
+        "invariant failed: source classifies as type_ii; dressed dynamics needs a "
+        "regular or type I source\n"
+    )
+    alarms = []
+    for argv in sweep:
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings(record=True) as escaped:
+            warnings.simplefilter("always")
+            code = main([argv[0], "--out", str(tmp_path / "out"), *argv[1:]])
+        expected = (1, refusal) if argv == ["egorov", "dim=1"] else (0, "")
+        if (code, err.getvalue()) != expected or escaped:
+            alarms.append((" ".join(argv), code, err.getvalue()))
+    assert alarms == []
 
 
 def test_scattering_command_checks_transport_against_dynamics(tmp_path):
@@ -797,8 +826,14 @@ def _ground_report_scaled(field, factor):
     )
 
 
-# committed bugs as (command, patch, expected check): each is a bug the check's
-# own statement rules out, run at the command's defaults
+def _coth_times(factor):
+    """A patch: the Gibbs covariance's coth times ``factor``."""
+    return _wrapped(cli.states, "stable_coth", lambda real: lambda x: real(x) * factor)
+
+
+# committed bugs as (command and overrides, patch, expected check): each is a
+# bug the check's own statement rules out, run at the command's defaults unless
+# overrides follow the command
 _LEDGER = {
     "transport_by_3_j_over_omega": (
         "scattering",
@@ -867,15 +902,33 @@ _LEDGER = {
     "photon_number_times_1+1e-6": (
         "fock-spectrum", _ground_report_scaled("photon_number", 1.0 + 1e-6), "photon number",
     ),
+    "coth_times_1+1e-9": ("kms", _coth_times(1.0 + 1e-9), "kms cross terms"),
+    "coth_times_1+1e-9_at_beta_h=1e-12": (
+        "kms beta_h=1e-12", _coth_times(1.0 + 1e-9), "kms cross terms",
+    ),
+    "coth_times_1+1e-9_at_hbar=1e300": (
+        "kms hbar=1e300", _coth_times(1.0 + 1e-9), "kms cross terms",
+    ),
+    "ground_energy_times_1+1e-9": (
+        "energy",
+        _wrapped(cli.dynamics, "ground_energy", lambda real: lambda sys_: real(sys_) * (1.0 + 1e-9)),
+        "energy identity",
+    ),
+    "analytic_class_forced_regular": (
+        "classify",
+        _wrapped(cli.sources, "classify_analytic",
+                 lambda real: lambda spec: cli.sources.InfraredClass.REGULAR),
+        "classification agreement",
+    ),
 }
 
 
-@pytest.mark.parametrize("command, patch, check", _LEDGER.values(), ids=list(_LEDGER))
+@pytest.mark.parametrize("argv, patch, check", _LEDGER.values(), ids=list(_LEDGER))
 def test_a_committed_bug_fails_its_check_by_name(
-    tmp_path, capsys, monkeypatch, command, patch, check
+    tmp_path, capsys, monkeypatch, argv, patch, check
 ):
     patch(monkeypatch)
-    code, _, js = _run(tmp_path, command)
+    code, _, js = _run(tmp_path, *argv.split())
     assert code == 1
     assert json.loads(js)["failures"] == [check]
     assert capsys.readouterr().err == f"invariant failed: {check}\n"

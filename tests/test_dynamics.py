@@ -221,9 +221,8 @@ def test_kms_residual_is_at_arithmetic_level(system_g03, f_gauss, g_gauss):
     ts = np.linspace(-5.0, 5.0, 41)
     for beta in (0.5, 1.0, 4.0, 40.0):
         state = gibbs_quantum(system_g03.source, beta, 0.5)
-        report = kms_check(system_g03, state, beta, [(f_gauss, g_gauss)], ts)
-        assert report.max_residual <= 1e-12, f"beta_h={beta}"
-        assert report.defects.max() <= 1e-12, f"beta_h={beta}"
+        defects = kms_check(system_g03, state, beta, [(f_gauss, g_gauss)], ts)
+        assert defects.max() <= 1e-14, f"beta_h={beta}"
 
 
 def test_kms_residual_with_random_arguments(system_g03):
@@ -234,16 +233,14 @@ def test_kms_residual_with_random_arguments(system_g03):
         (random_member(system_g03.grid, rng), random_member(system_g03.grid, rng))
         for _ in range(5)
     ]
-    report = kms_check(system_g03, state, 2.0, pairs, ts)
-    assert report.max_residual <= 1e-12
-    assert report.defects.max() <= 1e-12
+    assert kms_check(system_g03, state, 2.0, pairs, ts).max() <= 1e-14
 
 
 def test_kms_check_needs_a_finite_temperature_gibbs_state(
     system_g03, f_gauss, g_gauss
 ):
     # the check reads the state's covariance, so a state that is not the Gibbs
-    # state at the beta_h it is checked at fails both measures
+    # state at the beta_h it is checked at fails it
     center = sample(system_g03.grid, lambda r: np.exp(-(r**2)))
     ts = np.linspace(-3.0, 3.0, 7)
     pair = [(f_gauss, g_gauss)]
@@ -253,9 +250,7 @@ def test_kms_check_needs_a_finite_temperature_gibbs_state(
         (gibbs_quantum(system_g03.source, 1.0, 0.5), 2.0),
         (gibbs_quantum(system_g03.source, 1.0, 0.5), 1.001),
     ):
-        report = kms_check(system_g03, state, beta_h, pair, ts)
-        assert report.max_residual > 1e-10, beta_h
-        assert report.defects.max() > 1e-12, beta_h
+        assert kms_check(system_g03, state, beta_h, pair, ts).max() > 1e-12, beta_h
     gibbs = gibbs_quantum(system_g03.source, 1.0, 0.5)
     for beta_h in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="beta_h"):
