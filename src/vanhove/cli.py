@@ -18,8 +18,8 @@ one-line summary.  Identical configurations produce byte-identical outputs.
 
 Exit codes: 0 success, 1 a named invariant failed, 2 configuration error.
 
-Randomness (where a command samples test functions) is driven by a
-``seed`` key expanded through a splitmix64 stream into per-use seeds.
+Randomness (where a command samples test functions) comes from one numpy
+Generator seeded by the ``seed`` key mod 2^64.
 """
 
 from __future__ import annotations
@@ -40,22 +40,6 @@ from . import dynamics, fock, scattering, semiclassics, sources, states, weyl
 from .grid import DIM_MAX, MomentumGrid, from_values, make_grid, sample, weighted_norm_sq
 
 __all__ = ["main"]
-
-_MASK64 = (1 << 64) - 1
-
-
-def splitmix64(seed: int, count: int) -> list[int]:
-    """Deterministic stream of 64-bit sub-seeds from one master seed."""
-    state = seed & _MASK64
-    out = []
-    for _ in range(count):
-        state = (state + 0x9E3779B97F4A7C15) & _MASK64
-        z = state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        out.append((z ^ (z >> 31)) & _MASK64)
-    return out
-
 
 def worker_count() -> int:
     """Threads a command runs on; perfbench's single-stack tracer checks it is one."""
@@ -246,18 +230,20 @@ def _system_from(cfg: dict, grid: MomentumGrid) -> dynamics.VanHoveSystem:
     return dynamics.make_system(_source_from(cfg, grid))
 
 
-def _panel_gaussians(grid: MomentumGrid) -> list[np.ndarray]:
-    """The Gaussians exp(-s r^2), s = 0.5, 1, 2, 4, on the grid's nodes: the
-    basis every random panel member draws its four coefficients for."""
-    r = grid.nodes
-    return [np.exp(-s * r**2) for s in (0.5, 1.0, 2.0, 4.0)]
+def _kms_pairs(grid: MomentumGrid, seed: int, count: int) -> Iterable[tuple]:
+    """``count`` random (f, g) pairs from one Generator seeded by ``seed`` mod
+    2^64, drawn lazily, f before g: each member sums exp(-s r^2), s = 0.5, 1,
+    2, 4, with standard complex normal coefficients, so pair k does not depend
+    on ``count``."""
+    rng = np.random.default_rng(seed % 2**64)
+    gaussians = [np.exp(-s * grid.nodes**2) for s in (0.5, 1.0, 2.0, 4.0)]
 
+    def member():
+        coeffs = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        return from_values(grid, sum(c * g for c, g in zip(coeffs, gaussians)))
 
-def _random_panel_member(
-    grid: MomentumGrid, gaussians: list[np.ndarray], rng: np.random.Generator
-):
-    coeffs = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    return from_values(grid, sum(c * g for c, g in zip(coeffs, gaussians)))
+    for _ in range(count):
+        yield member(), member()
 
 
 def _verdict(holds: bool) -> float:
@@ -367,11 +353,7 @@ def cmd_kms(cfg: dict) -> CommandResult:
     sys_ = _system_from(cfg, _grid_from(cfg))
     state = states.gibbs_quantum(sys_.source, cfg["beta_h"], cfg["hbar"])
     ts = np.linspace(cfg["t_min"], cfg["t_max"], cfg["t_points"])
-    grid, gaussians = sys_.grid, _panel_gaussians(sys_.grid)
-    pairs = (
-        (_random_panel_member(grid, gaussians, rng), _random_panel_member(grid, gaussians, rng))
-        for rng in map(np.random.default_rng, splitmix64(cfg["seed"], cfg["pairs"]))
-    )
+    pairs = _kms_pairs(sys_.grid, cfg["seed"], cfg["pairs"])
     defects = dynamics.kms_check(sys_, state, cfg["beta_h"], pairs, ts)
     worst = float(np.max(defects))
     return CommandResult(

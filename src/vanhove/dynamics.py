@@ -437,11 +437,9 @@ def kms_check(
     np.exp(phases, out=phases)  # in place: the largest array of the check
     defects = []
     for f, g in pairs:
-        fv, gv = f.values, g.values
-        base = np.conj(fv) * gv
-        rev = np.conj(gv) * fv
-        cross_lhs = phases @ (a_lhs * base) + np.conj(phases @ np.conj(b_lhs * rev))
-        cross_rhs = phases @ (a_rhs * base) + np.conj(phases @ np.conj(b_rhs * rev))
+        base = np.conj(f.values) * g.values  # the reversed product conj(g) f is its conjugate
+        cross_lhs = phases @ (a_lhs * base) + np.conj(phases @ (b_lhs * base))
+        cross_rhs = phases @ (a_rhs * base) + np.conj(phases @ (b_rhs * base))
         # the Gaussian diagonal and the centre phase are common factors of both
         # sides, so only the cross terms can differ
         worst = float(np.max(np.abs(cross_lhs - cross_rhs), initial=0.0))

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vanhove import cli, gibbs_quantum, kms_check, make_grid
-from vanhove.cli import ConfigError, config_hash, main, resolve_config, splitmix64
+from vanhove.cli import ConfigError, config_hash, main, resolve_config
 
 # a fast shared configuration for commands that take grid keys
 _SMALL = ["panels=8", "points=16", "r_min=1e-4"]
@@ -50,15 +50,6 @@ def _run(tmp_path: Path, command: str, *overrides: str) -> tuple[int, str, str]:
     csv = out.with_suffix(".csv").read_text() if out.with_suffix(".csv").exists() else ""
     js = out.with_suffix(".json").read_text() if out.with_suffix(".json").exists() else ""
     return code, csv, js
-
-
-def test_splitmix64_is_deterministic_and_spread():
-    a = splitmix64(12345, 8)
-    b = splitmix64(12345, 8)
-    assert a == b
-    assert len(set(a)) == 8
-    assert splitmix64(12346, 8) != a
-    assert all(0 <= x < 2**64 for x in a)
 
 
 def test_resolve_config_layers_file_then_overrides(tmp_path):
@@ -221,11 +212,7 @@ def test_kms_batch_rows_equal_one_pair_calls(tmp_path):
     sys_ = cli._system_from(cfg, cli._grid_from(cfg))
     state = gibbs_quantum(sys_.source, cfg["beta_h"], cfg["hbar"])
     ts = np.linspace(cfg["t_min"], cfg["t_max"], cfg["t_points"])
-    member, gaussians = cli._random_panel_member, cli._panel_gaussians(sys_.grid)
-    pairs = [
-        (member(sys_.grid, gaussians, rng), member(sys_.grid, gaussians, rng))  # f drawn before g
-        for rng in map(np.random.default_rng, splitmix64(cfg["seed"], cfg["pairs"]))
-    ]
+    pairs = list(cli._kms_pairs(sys_.grid, cfg["seed"], cfg["pairs"]))
     batch = kms_check(sys_, state, cfg["beta_h"], pairs, ts)
     assert batch.shape == (6,)
     written = [float(line.split(",")[1]) for line in csv.splitlines()[-6:]]
@@ -237,6 +224,29 @@ def test_kms_batch_rows_equal_one_pair_calls(tmp_path):
         kms_check(sys_, state, cfg["beta_h"], [], ts)
     with pytest.raises(ValueError, match="one time"):
         kms_check(sys_, state, cfg["beta_h"], pairs, [])
+
+
+def _kms_defects(tmp_path: Path, *overrides: str) -> list[str]:
+    code, csv, _ = _run(tmp_path, "kms", *_SMALL, "t_points=5", *overrides)
+    assert code == 0
+    return [line for line in csv.splitlines() if not line.startswith("#")][1:]
+
+
+def test_kms_pair_k_does_not_depend_on_the_pair_count(tmp_path):
+    # one Generator draws the pairs in order, so more pairs only append rows
+    three = _kms_defects(tmp_path, "pairs=3", "seed=5")
+    six = _kms_defects(tmp_path, "pairs=6", "seed=5")
+    assert len(three) == 3 and len(six) == 6
+    assert three == six[:3]
+    assert _kms_defects(tmp_path, "pairs=3", "seed=6") != three
+
+
+def test_kms_seed_is_taken_mod_2_64(tmp_path):
+    minus_one = _kms_defects(tmp_path, "pairs=3", "seed=-1")
+    assert minus_one == _kms_defects(tmp_path, "pairs=3", f"seed={2**64 - 1}")
+    assert _kms_defects(tmp_path, "pairs=3", f"seed={2**64 + 5}") == _kms_defects(
+        tmp_path, "pairs=3", "seed=5"
+    )
 
 
 @pytest.mark.parametrize(
@@ -920,6 +930,99 @@ _LEDGER = {
                  lambda real: lambda spec: cli.sources.InfraredClass.REGULAR),
         "classification agreement",
     ),
+    "coth_times_1+1e-3_at_equilibrium": (
+        "equilibrium", _coth_times(1.0 + 1e-3), "equilibrium convergence",
+    ),
+    "classical_limit_at_1.1_beta": (
+        "equilibrium",
+        _wrapped(cli.semiclassics, "gibbs_classical",
+                 lambda real: lambda source, beta: real(source, 1.1 * beta)),
+        "equilibrium convergence",
+    ),
+    "ground_limit_centred_at_1.01_c": (
+        "equilibrium regime=ground",
+        _wrapped(cli.semiclassics, "dirac", lambda real: lambda center: real(1.01 * center)),
+        "equilibrium convergence",
+    ),
+    "evolve_energies_times_1+1e-9": (
+        "evolve",
+        _wrapped(cli.dynamics, "evolve_rows",
+                 lambda real: lambda *args: (lambda e, c: (e * (1.0 + 1e-9), c))(*real(*args))),
+        "energy conservation",
+    ),
+    "window_mirrored_to_positive_frequencies": (
+        "groundstate",
+        _wrapped(cli.dynamics, "kms_window",
+                 lambda real: lambda s_minus, s_plus, *rest: real(-s_plus, -s_minus, *rest)),
+        "ground-state annihilation",
+    ),
+    "window_value_inf": (
+        "groundstate s_minus=1 s_plus=3",
+        _wrapped(cli.dynamics, "ground_state_check",
+                 lambda real: lambda *args, **kw: replace(real(*args, **kw), value=math.inf)),
+        "window value finite",
+    ),
+    "soft_photon_last_number_inf": (
+        "soft-photons",
+        _wrapped(cli.fock, "soft_photon_sweep",
+                 lambda real: lambda *args: (lambda r: replace(
+                     r, numbers=(*r.numbers[:-1], math.inf)))(real(*args))),
+        "soft-photon sweep finite",
+    ),
+    "antiwick_negated": (
+        "garding",
+        _wrapped(cli.fock, "antiwick",
+                 lambda real: lambda a, hbar: cli.weyl.scale(real(a, hbar), -1.0)),
+        "anti-Wick positivity",
+    ),
+}
+
+#: checks no committed bug fails yet, each with the item that gives it one
+_UNLEDGERED = {
+    "overlap decay": "item 16",
+    "garding linear fit": "item 5",
+    "garding lower bound": "item 5",
+}
+
+# bugs no check sees yet, as (command and overrides, patch, the item that will
+# refuse it): each exits 0 today; strict, so a row that starts to exit 1 must
+# move to _LEDGER with the check that fails it
+_BLIND = {
+    "superlinear_beta_h_times_10": (
+        "equilibrium regime=superlinear",
+        _wrapped(cli.semiclassics, "_beta_hbar",
+                 lambda real: lambda regime, hbar: 10.0 * real(regime, hbar)),
+        "item 2: the superlinear values vanish either way; a closed-form exponent sees it",
+    ),
+    "garding_exponentials_times_1+1e-3": (
+        "garding",
+        _wrapped(cli.fock, "_exponential_blocks",
+                 lambda real: lambda *args: (lambda blocks, defect: (
+                     {z: u * (1.0 + 1e-3) for z, u in blocks.items()}, defect))(*real(*args))),
+        "item 5: the Fock bottoms have no second route (Schrodinger-lattice fibres)",
+    ),
+    "garding_antiwick_at_1.5_hbar": (
+        "garding",
+        _wrapped(cli.fock, "antiwick", lambda real: lambda a, hbar: real(a, 1.5 * hbar)),
+        "item 5: the anti-Wick bottom has no second route (Schrodinger-lattice fibres)",
+    ),
+    "soft_photon_numbers_times_1.01": (
+        "soft-photons",
+        _wrapped(cli.fock, "soft_photon_sweep",
+                 lambda real: lambda *args: (lambda r: replace(
+                     r, numbers=tuple(1.01 * n for n in r.numbers)))(real(*args))),
+        "item 15: the photon numbers have no closed-form route",
+    ),
+    "soft_photon_source_times_1.01": (
+        "soft-photons",
+        _wrapped(cli.fock, "realize", lambda real: lambda spec: 1.01 * real(spec)),
+        "item 15: the photon numbers have no closed-form route",
+    ),
+    "filon_fit_times_10": (
+        "scattering",
+        _wrapped(cli.scattering, "_filon_fit", lambda real: lambda *args: 10.0 * real(*args)),
+        "item 16: no check reads the Filon rows past t = 32, and overlap decay is absolute",
+    ),
 }
 
 
@@ -932,6 +1035,27 @@ def test_a_committed_bug_fails_its_check_by_name(
     assert code == 1
     assert json.loads(js)["failures"] == [check]
     assert capsys.readouterr().err == f"invariant failed: {check}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, patch",
+    [pytest.param(argv, patch, marks=pytest.mark.xfail(strict=True, raises=AssertionError,
+                                                      reason=item))
+     for argv, patch, item in _BLIND.values()],
+    ids=list(_BLIND),
+)
+def test_a_blind_bug_is_refused(tmp_path, monkeypatch, argv, patch):
+    patch(monkeypatch)
+    code, _, _ = _run(tmp_path, *argv.split())
+    assert code == 1
+
+
+def test_every_check_at_the_defaults_has_a_ledger_row(tmp_path):
+    names = set()
+    for command in cli._COMMANDS:
+        _, _, js = _run(tmp_path, command)
+        names.update(json.loads(js)["checks"])
+    assert names - {check for _, _, check in _LEDGER.values()} == set(_UNLEDGERED)
 
 
 def test_fock_spectrum_command_matches_closed_forms(tmp_path):
