@@ -9,8 +9,9 @@ The rules hold only what belongs to the command line (spans, ``t_min <=
 t_max``, Fock truncations and memory ceilings).  The rest is refused by the
 objects that take the parameters, built first: the grid (``make_grid``), then
 the spectral window (``kms_window``), the Filon rule's grid
-(``check_filon_grid``), the regime or the Fock mode (``FockMode``); their
-``ValueError`` is a configuration error.  It writes ``<out>.csv`` (rows of
+(``check_filon_grid``), the regime or the Fock mode (``FockMode``), and
+``classify``'s shell fit (``numeric_classification``); their ``ValueError`` is
+a configuration error.  It writes ``<out>.csv`` (rows of
 numbers, 17 significant digits, ``#``-prefixed header recording the full
 configuration and its hash) plus ``<out>.json`` (flat summary, each check as
 value, tolerance and margin, and the names of the failed checks), and prints a
@@ -283,7 +284,7 @@ def cmd_classify(cfg: dict) -> CommandResult:
             {"analytic_class": analytic.value, "numeric_class": "not_applicable",
              "agreement": True},
         )
-    report = sources.numeric_classification(spec)
+    report = _configured(sources.numeric_classification, spec)
     rows = [
         (alpha, math.nan if slope is None else slope, report.clearly_divergent[alpha])
         for alpha, slope in report.divergence_slopes.items()

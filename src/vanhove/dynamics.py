@@ -71,12 +71,11 @@ from .grid import (
     MomentumGrid,
     RadialFunction,
     apply_free_phase,
-    from_values,
     inner_product,
     weighted_norm_sq,
 )
-from .sources import InfraredClass, SourceSpec, classify_analytic, realize
-from .states import CharState
+from .sources import SourceSpec, realize
+from .states import CharState, _dressed_center
 from .weyl import TrigPolynomial, trig_polynomial, weyl
 
 __all__ = [
@@ -122,18 +121,12 @@ class VanHoveSystem:
 
 
 def make_system(source: SourceSpec) -> VanHoveSystem:
-    """Build the dressed system; the source must be regular or type I
+    """Build the dressed system; J/omega is minus the dressed centre of
+    ``states``, which refuses a source that is not regular or type I
     (otherwise -J/omega leaves the one-particle space and there is no
     dressing)."""
-    cls = classify_analytic(source)
-    if cls not in (InfraredClass.REGULAR, InfraredClass.TYPE_I):
-        raise ValueError(
-            f"source classifies as {cls.value}; dressed dynamics needs a "
-            "regular or type I source"
-        )
-    j = realize(source)
-    jw = from_values(source.grid, j.values / source.grid.omega)
-    return VanHoveSystem(grid=source.grid, source=source, j=j, j_over_omega=jw)
+    jw = -_dressed_center(source)  # first, so its refusal precedes realize's
+    return VanHoveSystem(grid=source.grid, source=source, j=realize(source), j_over_omega=jw)
 
 
 # --------------------------------------------------------------------------

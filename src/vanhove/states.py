@@ -13,18 +13,19 @@ quadrature measure of <.,.>_alpha, coth taken at beta_h omega / 2):
     constructor        scale            weight                          center
     coherent(T, h)     -pi^2 h / 2      m_0                             T
     dirac(T)           0                m_0                             T
-    gibbs_quantum      -pi^2 h / 2      m_0 coth  (finite beta_h)       -J/omega
+    gibbs_quantum      -pi^2 h / 2      m_0 coth  (0 < beta_h <= oo)    -J/omega
     gibbs_classical    -pi^2 / beta     m_{-1}                          -J/omega
 
 The record is ``(hbar, grid, center, scale, weight)`` and nothing else.
 ``scale`` stays outside the sum, so each constructor reproduces its closed
 form factor by factor.  This module is the one place the Gibbs covariance
 coth(beta_h omega / 2) is formed; the KMS check reads it back from
-``weight``.  The quantum Gibbs state at beta_h = oo is the coherent state
-centred at -J/omega (the dressed ground state).
+``weight``.  At beta_h = oo coth is 1, so the same formula gives the coherent
+state centred at -J/omega (the dressed ground state).
 Gibbs states exist only for sources whose infrared class keeps -J/omega
 square-integrable (regular or type I); type II sources have no dressed state
-and are rejected.
+and are rejected.  ``_dressed_center`` is the one place that classification
+is made and -J/omega formed; ``dynamics.make_system`` takes J/omega from it.
 
 The dynamics and the dressing transport leave the Gaussian alone
 (|e^{i t omega} f| = |f|) and move only the centre: along the classical flow
@@ -131,6 +132,7 @@ def dirac(center: RadialFunction) -> CharState:
 
 
 def _dressed_center(source: SourceSpec) -> RadialFunction:
+    """-J/omega, refused unless the source is regular or type I."""
     cls = classify_analytic(source)
     if cls not in (InfraredClass.REGULAR, InfraredClass.TYPE_I):
         raise ValueError(
@@ -148,8 +150,6 @@ def gibbs_quantum(source: SourceSpec, beta_h: float, hbar: float) -> CharState:
     if not beta_h > 0.0:
         raise ValueError(f"beta_h must be > 0, got {beta_h}")
     center = _dressed_center(source)
-    if math.isinf(beta_h):
-        return coherent(center, hbar)
     grid = source.grid
     weight = grid.measure(0) * stable_coth(0.5 * beta_h * grid.omega)
     weight.setflags(write=False)
@@ -165,16 +165,10 @@ def gibbs_classical(source: SourceSpec, beta: float) -> CharState:
 
 
 def stable_coth(x: np.ndarray) -> np.ndarray:
-    """coth on (0, oo), stable at both ends (series below 1e-8, 1 above 40)."""
-    x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    small = x < 1e-8
-    big = x > 40.0
-    mid = ~(small | big)
-    out[small] = 1.0 / x[small] + x[small] / 3.0
-    out[big] = 1.0
-    out[mid] = 1.0 / np.tanh(x[mid])
-    return out
+    """coth on (0, oo] as 1/tanh, with no branch at either end: below ~1e-8
+    tanh(x) rounds to x, so 1/x (the series' x/3 is under half an ulp), and
+    from ~19 up to oo it rounds to 1."""
+    return 1.0 / np.tanh(np.asarray(x, dtype=np.float64))
 
 
 def evaluate(state: CharState, a: TrigPolynomial) -> complex:

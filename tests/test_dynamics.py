@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from vanhove import (
     make_grid,
     make_system,
     power_law_gaussian,
+    realize,
     sample,
     weighted_norm_sq,
     zero_function,
@@ -211,6 +213,32 @@ def test_the_flow_route_refuses_an_orbit_that_overflows(system_g03, f_gauss):
 def test_make_system_refuses_type_ii_sources(grid):
     with pytest.raises(ValueError, match="type_ii"):
         make_system(power_law_gaussian(grid, 1.2))
+    # one classification and one refusal text: the dressed states'
+    for gamma in (1.2, 1.6):
+        spec = power_law_gaussian(grid, gamma)
+        with pytest.raises(ValueError) as system_refusal:
+            make_system(spec)
+        with pytest.raises(ValueError) as state_refusal:
+            gibbs_quantum(spec, 1.0, 0.5)
+        assert str(system_refusal.value) == str(state_refusal.value)
+
+
+@pytest.mark.parametrize(
+    "gamma, ir_cutoff, mass", [(0.3, None, 0.0), (0.8, None, 0.0), (1.2, 5, 0.0), (0.3, None, 1.0)],
+    ids=["regular", "type_i", "cutoff", "massive"],
+)
+def test_make_system_takes_j_over_omega_from_the_dressed_center(gamma, ir_cutoff, mass):
+    # minus the dressed centre -J/omega equals the quotient J/omega at every
+    # node: bitwise in the real parts; the imaginary zeros are -0 here, +0 there
+    grid = make_grid(mass=mass)
+    spec = power_law_gaussian(grid, gamma, ir_cutoff=ir_cutoff)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "massive dispersion", UserWarning)
+        sys_ = make_system(spec)
+    direct = realize(spec).values / grid.omega
+    assert np.array_equal(sys_.j_over_omega.values, direct)
+    assert sys_.j_over_omega.values.real.tobytes() == direct.real.tobytes()
+    assert np.array_equal(sys_.j.values, realize(spec).values)
 
 
 # --------------------------------------------------------------------------

@@ -67,11 +67,14 @@ def test_char_at_zero_is_one(grid, center, system_g03):
 
 
 def test_gibbs_at_infinite_beta_is_the_dressed_coherent_state(grid, system_g03, panel):
+    # coth(oo) = 1, so the thermal formula itself gives the coherent state
     h = 0.2
     ground = gibbs_quantum(system_g03.source, math.inf, h)
     assert ground.scale == coherent(ground.center, h).scale
     assert np.array_equal(ground.weight, grid.measure(0))
     assert np.allclose(ground.center.values, -system_g03.j_over_omega.values)
+    dressed = coherent(-system_g03.j_over_omega, h)
+    assert ground.chars(panel).tobytes() == dressed.chars(panel).tobytes()
     # finite but huge beta converges to the same characteristic values
     cold = gibbs_quantum(system_g03.source, 1e6, h)
     for f in panel:
@@ -125,6 +128,14 @@ def test_stable_coth_branches():
     assert np.allclose(got[mid], 1.0 / np.tanh(xs[mid]), rtol=1e-14)
     assert got[-1] == 1.0
     assert np.all(got >= 1.0)
+    # the ends need no branch: below 1e-8 tanh(x) rounds to x, so coth is 1/x
+    # (the series' x/3 is under half an ulp; 1/x overflows to inf among the
+    # subnormals), and from 19.1 up to oo tanh(x) rounds to 1
+    small = np.logspace(-320, -8.01, 20001)
+    with np.errstate(over="ignore"):
+        assert stable_coth(small).tobytes() == (1.0 / small).tobytes()
+    large = np.append(np.logspace(math.log10(19.1), 308, 20001), math.inf)
+    assert np.all(stable_coth(large) == 1.0)
 
 
 def test_evaluate_is_linear_in_the_polynomial(grid, center, f_gauss, g_gauss):
