@@ -566,14 +566,16 @@ _FOCK_CUTOFF_MAX = 2048
 
 #: Largest garding truncation N (at the smallest hbar).  garding_probe solves
 #: one real (N + 1)^2 eigenvector matrix per hbar, the number ladder, frees it
-#: once the exponentials are formed, and holds complex trusted (N//2 + 1)^2
-#: blocks: one exponential per nonzero |z| (W_h(0) is a real identity, with no
-#: solve), the two quantizations and their gauged terms.
-#: At cutoff = 1536 (N = 1536 at every hbar) a run peaks at 81 MB traced
-#: (161 MB resident), with 1537^2 * 8 B = 19 MB eigenvectors and 769^2 * 16 B
-#: = 9.5 MB blocks; the default cutoff floor reaches N = 1436 at k_max = 10
-#: (59 MB traced, 136 MB resident), while k_max = 13 needs N = 9264: 687 MB
-#: of eigenvectors and 4633^2 * 16 B = 343 MB per block.
+#: once the exponentials are formed, and holds real cosine blocks of the
+#: trusted block's two parity sectors, ~(N//4 + 1)^2 each (two per nonzero
+#: |z|; W_h(0) is a real identity, with no solve), and the complex sector
+#: quantizations and their gauged terms.
+#: At cutoff = 1536 (N = 1536 at every hbar) a run peaks at 51 MB traced
+#: (129 MB resident; one BLAS thread), with 1537^2 * 8 B = 19 MB eigenvectors
+#: and 385^2 * 16 B = 2.4 MB sector blocks; the default cutoff floor reaches
+#: N = 1436 at k_max = 10 (39 MB traced, 105 MB resident), while k_max = 13
+#: needs N = 9264: 687 MB of eigenvectors and 2317^2 * 16 B = 86 MB per
+#: sector block.
 _GARDING_CUTOFF_MAX = 1536
 
 

@@ -74,8 +74,8 @@ from .grid import (
     inner_product,
     weighted_norm_sq,
 )
-from .sources import SourceSpec, realize
-from .states import CharState, _dressed_center
+from .sources import SourceSpec
+from .states import CharState, _dressed
 from .weyl import TrigPolynomial, trig_polynomial, weyl
 
 __all__ = [
@@ -121,12 +121,12 @@ class VanHoveSystem:
 
 
 def make_system(source: SourceSpec) -> VanHoveSystem:
-    """Build the dressed system; J/omega is minus the dressed centre of
-    ``states``, which refuses a source that is not regular or type I
-    (otherwise -J/omega leaves the one-particle space and there is no
-    dressing)."""
-    jw = -_dressed_center(source)  # first, so its refusal precedes realize's
-    return VanHoveSystem(grid=source.grid, source=source, j=realize(source), j_over_omega=jw)
+    """Build the dressed system: J and the dressed centre -J/omega come from
+    one realize in ``states``, and J/omega is the centre's negation.  A
+    source that is not regular or type I is refused there (otherwise
+    -J/omega leaves the one-particle space and there is no dressing)."""
+    j, center = _dressed(source)
+    return VanHoveSystem(grid=source.grid, source=source, j=j, j_over_omega=-center)
 
 
 # --------------------------------------------------------------------------

@@ -21,9 +21,14 @@ D e^{i pi R} D*, and the ground state of H is D times a real vector.  The
 field's R is sqrt(hbar) |z| T_N, where the number ladder T_N (zero
 diagonal, off-diagonal sqrt(k)) depends on the truncation alone: one full
 solve of T_N by ``scipy.linalg.eigh_tridiagonal`` per call of
-``_exponential_blocks`` gives the exponential at every requested |z| on those
+``_parity_blocks`` gives the exponential at every requested |z| on those
 levels, its eigenvalues scaled by pi sqrt(hbar) |z| (W_h(0) is the
-identity, needing no solve); only the exponentials use it.  The two lowest
+identity, needing no solve); only the exponentials use it.  T_N is
+bipartite (it moves the occupation by one), so cos(pi R) keeps the parity
+(-1)^k of the occupation and sin(pi R) flips it: the exponential is held as
+its real parity pieces, the cosine blocks on the even and on the odd
+occupations and the even-odd sine block, which ``weyl_matrix`` scatters
+into the full matrix.  The two lowest
 eigenpairs of H come from LAPACK's dstebz + dstein called directly
 (``_lowest_two_eigh``), its ground vector checked against the closed-form
 coherent amplitudes e^{-|b|^2/2} b^k/sqrt(k!), b = i pi sqrt(hbar) z*.
@@ -46,7 +51,12 @@ mode and tracks the lowest eigenvalue of its compression to the trusted
 lower half: plain quantization dips below zero only O(hbar), anti-Wick
 stays nonnegative.  Each exponential comes from the number ladder on all
 N + 1 levels, but the quantization is assembled on the trusted
-(N//2 + 1)^2 block alone, the only part the eigensolve reads.
+(N//2 + 1)^2 block alone, the only part the eigensolve reads.  The probe
+takes even symbols (c_{-z} = c_z, as every |p|^2 with real-coefficient p):
+W_h(z) and W_h(-z) differ only in the sign of their parity-flipping sine
+parts, which cancel, so the quantization splits into two Hermitian blocks,
+on the even and on the odd occupations, each assembled from cosine blocks
+and solved apart.
 """
 
 from __future__ import annotations
@@ -182,20 +192,24 @@ def _lowest_two_eigh(diag: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, np.
     return evals, vecs
 
 
-def _exponential_blocks(
-    hbar: float, cutoff: int, moduli: Collection[float], size: int
-) -> tuple[dict[float, np.ndarray], float]:
-    """The leading size x size block of U = e^{i pi R} on N + 1 levels for
-    each modulus |z|, where R = phi_h(|z|) = sqrt(hbar) |z| T_N is the gauged
-    field on the number ladder T_N (zero diagonal, off-diagonal sqrt(k)), and
-    the worst vacuum defect |<e_0, U e_0> - e^{-pi^2 hbar |z|^2 / 2}| of them.
+def _parity_blocks(
+    hbar: float, cutoff: int, moduli: Collection[float], size: int, sine: bool = False
+) -> tuple[dict[float, tuple[np.ndarray, ...]], float]:
+    """The parity pieces of the leading size x size block of U = e^{i pi R}
+    on N + 1 levels for each modulus |z|, where R = phi_h(|z|) = sqrt(hbar)
+    |z| T_N is the gauged field on the number ladder T_N (zero diagonal,
+    off-diagonal sqrt(k)), and the worst vacuum defect |<e_0, U e_0> -
+    e^{-pi^2 hbar |z|^2 / 2}| of them.  T_N is bipartite, so C = cos(pi R)
+    keeps the parity of the occupation and S = sin(pi R) flips it: U = C + iS
+    is held as (C_ee, C_oo), the real blocks of C on the even and on the odd
+    occupations below ``size``, with S_eo (even rows, odd columns; S is
+    symmetric, so S_oe = S_eo^T) appended when ``sine`` is set.
     Rejects any modulus with pi^2 hbar |z|^2 > N/4 before solving, then
     solves T_N = V diag(mu) V^T once, by ``scipy.linalg.eigh_tridiagonal``
     under its ``auto`` driver, if some modulus is nonzero: with lam = pi
-    sqrt(hbar) |z| mu, each block is V[:size] cos(lam) V[:size]^T + i
-    V[:size] sin(lam) V[:size]^T (size = N + 1 is all of U), refused if its
-    defect exceeds the ceiling.  At |z| = 0, U is the real identity, with
-    defect 0 and no solve."""
+    sqrt(hbar) |z| mu and V_p the rows of V of parity p, C_pp = V_p cos(lam)
+    V_p^T and S_eo = V_e sin(lam) V_o^T, refused if the defect exceeds the
+    ceiling.  At |z| = 0, U is the identity, with defect 0 and no solve."""
     for modulus in moduli:
         modulus_sq = modulus * modulus  # inf past 1.3e154, where ** raises OverflowError
         if not exponential_fits(hbar, cutoff, modulus_sq):
@@ -203,7 +217,9 @@ def _exponential_blocks(
                 f"displacement |z|^2 = {modulus_sq:.3g} exceeds the truncation "
                 f"adequacy pi^2 hbar |z|^2 <= N/4 for N = {cutoff}"
             )
-    blocks = {modulus: np.eye(size) for modulus in moduli if modulus == 0.0}
+    even, odd = (size + 1) // 2, size // 2
+    identity = (np.eye(even), np.eye(odd), np.zeros((even, odd)))
+    blocks = {modulus: identity if sine else identity[:2] for modulus in moduli if modulus == 0.0}
     nonzero = [modulus for modulus in moduli if modulus != 0.0]
     if not nonzero:
         return blocks, 0.0
@@ -211,7 +227,7 @@ def _exponential_blocks(
     from scipy.linalg import eigh_tridiagonal
 
     mu, vecs = eigh_tridiagonal(np.zeros(cutoff + 1), np.sqrt(np.arange(1.0, cutoff + 1)))
-    rows = vecs[:size]
+    rows_e, rows_o = vecs[0:size:2], vecs[1:size:2]
     worst = 0.0
     for modulus in nonzero:
         evals = (_PI * math.sqrt(hbar) * modulus) * mu
@@ -223,30 +239,47 @@ def _exponential_blocks(
                 f"(defect {defect:.3e}); truncation inadequate"
             )
         worst = max(worst, defect)
-        u = np.empty((size, size), dtype=np.complex128)
-        scaled = rows * np.cos(evals)
-        u.real = scaled @ rows.T
-        np.multiply(rows, np.sin(evals), out=scaled)  # reused: one real temporary, not two
-        u.imag = scaled @ rows.T
-        blocks[modulus] = u
-        del scaled  # freed before the next block allocates its own
+        cos = np.cos(evals)
+        pieces = [(rows_e * cos) @ rows_e.T, (rows_o * cos) @ rows_o.T]
+        if sine:
+            pieces.append((rows_e * np.sin(evals)) @ rows_o.T)
+        blocks[modulus] = tuple(pieces)
     return blocks, worst
 
 
-def _gauged(u: np.ndarray, z: complex) -> np.ndarray:
-    """W_h(z) = D U D* from the real exponential U at |z|, D gauged by arg z
-    over the occupations of U's rows (D is diagonal, so a leading block of U
-    gives the same block of W_h(z))."""
-    p = _gauge(cmath.phase(z), np.arange(len(u), dtype=np.float64))
+def _exponential_blocks(
+    hbar: float, cutoff: int, moduli: Collection[float], size: int
+) -> tuple[dict[float, np.ndarray], float]:
+    """The leading size x size block of U = e^{i pi R} for each modulus |z|,
+    complex, scattered from the three parity pieces of ``_parity_blocks``
+    (which makes the one solve and the checks), and the worst vacuum defect;
+    size = N + 1 is all of U."""
+    pieces, worst = _parity_blocks(hbar, cutoff, moduli, size, sine=True)
+    blocks = {}
+    for modulus, (c_ee, c_oo, s_eo) in pieces.items():
+        u = np.zeros((size, size), dtype=np.complex128)
+        u.real[0::2, 0::2] = c_ee
+        u.real[1::2, 1::2] = c_oo
+        u.imag[0::2, 1::2] = s_eo
+        u.imag[1::2, 0::2] = s_eo.T
+        blocks[modulus] = u
+    return blocks, worst
+
+
+def _gauged(u: np.ndarray, z: complex, occ: np.ndarray) -> np.ndarray:
+    """D U D* from a real exponential block U at |z| whose rows and columns
+    are the occupations ``occ``, D gauged by arg z over them (D is diagonal,
+    so any such block of U gives the same block of W_h(z))."""
+    p = _gauge(cmath.phase(z), occ)
     return np.outer(p, p.conj()) * u
 
 
 def weyl_matrix(mode: FockMode, z: complex) -> np.ndarray:
-    """W_h(z) = exp(i pi phi_h(z)), gauged from the real tridiagonal
-    exponential at |z| (see ``_exponential_blocks`` for the checks)."""
+    """W_h(z) = exp(i pi phi_h(z)), gauged from the tridiagonal exponential
+    at |z| (see ``_parity_blocks`` for the checks)."""
     z = complex(z)
     blocks = _exponential_blocks(mode.hbar, mode.cutoff, [abs(z)], mode.dim)[0]
-    return _gauged(blocks[abs(z)], z)
+    return _gauged(blocks[abs(z)], z, np.arange(mode.dim, dtype=np.float64))
 
 
 def _coherent_vector(mode: FockMode, z: complex) -> np.ndarray:
@@ -467,21 +500,25 @@ def garding_probe(
     hbars: Sequence[float],
     cutoff: int = 64,
 ) -> GardingReport:
-    """Lowest eigenvalue of the quantized nonnegative symbol versus hbar.
+    """Lowest eigenvalue of the quantized nonnegative even symbol versus hbar.
 
     The symbol must be a classical polynomial over the single-mode grid
-    with (near-)Gaussian-integer generators; nonnegativity is certified by
-    sampling on a _TORUS_POINTS^2 grid of the unit periodicity cell and
-    Newton-polishing the minimum.  Per hbar the plain quantization
-    sum_j c_j W_h(z_j) on an adaptively enlarged truncation N (``cutoff``
-    is only a floor) is assembled as a dense matrix on its trusted lower
-    half alone, the leading (N//2 + 1)^2 block: each W_h(z_j) there is
-    gauged from the leading block of one real exponential per distinct
-    |z_j|, all of them from one ``_exponential_blocks`` call per N (one
-    number-ladder solve on all N + 1 levels, freed before the assembly;
-    W_h(0) is the identity).  The block's lowest eigenvalue is recorded together with that of the
-    anti-Wick variant (positive by construction); the largest
-    vacuum-expectation defect of those exponentials is reported.  The rate
+    with (near-)Gaussian-integer generators; reality, evenness (a(-x, -y) =
+    a(x, y), to the same 1e-12) and nonnegativity are certified by sampling
+    on a _TORUS_POINTS^2 grid of the unit periodicity cell, the minimum
+    Newton-polished.  Per hbar the plain quantization sum_j c_j W_h(z_j) on
+    an adaptively enlarged truncation N (``cutoff`` is only a floor) is
+    assembled as dense matrices on its trusted lower half alone, the
+    leading (N//2 + 1)^2 block, split by the parity of the occupation: on
+    each sector W_h(z_j) is gauged from the cosine block of one real
+    exponential per distinct |z_j|, all of them from one ``_parity_blocks``
+    call per N (one number-ladder solve on all N + 1 levels, freed before
+    the assembly; W_h(0) is the identity), and no sine block is formed, the
+    sine parts of an even symbol cancelling.  The bottom is the smaller of
+    the two sectors' lowest eigenvalues, recorded together with that of the
+    anti-Wick variant (positive by construction); each sector block is
+    checked Hermitian, and the largest vacuum-expectation defect of the
+    exponentials is reported.  The rate
     constant C is fitted through the origin to lambda_min - min(symbol)
     over the smaller half of the hbar ladder, where the linear law has set
     in; the spectral bottom then obeys min(symbol) - C hbar <= lambda_min
@@ -507,6 +544,12 @@ def garding_probe(
         values += c * np.exp(2j * _PI * (z.real * x + z.imag * y))
     if float(np.max(np.abs(values.imag))) > 1e-12:
         raise ValueError("symbol is not a real phase-space function")
+    mirror = -np.arange(_TORUS_POINTS) % _TORUS_POINTS  # the samples at (-x, -y)
+    if float(np.max(np.abs(values - values[np.ix_(mirror, mirror)]))) > 1e-12:
+        raise ValueError(
+            "the probe quantizes even symbols only (c_{-z} = c_z, a(-x, -y) = a(x, y)), "
+            "whose quantizations keep the parity of the occupation"
+        )
     flat = int(np.argmin(values.real))
     sym_min = _refine_torus_min(
         coeffs, lattice, x.ravel()[flat], y.ravel()[flat]
@@ -527,20 +570,27 @@ def garding_probe(
         n_h = garding_cutoff(float(h), cutoff)
         cutoffs.append(n_h)
         trusted = n_h // 2 + 1
-        # one real exponential per distinct |z| on the trusted block, gauged
-        # for each generator
-        exps, defect = _exponential_blocks(float(h), n_h, moduli, trusted)
+        # the cosine blocks of one real exponential per distinct |z| on each
+        # parity sector of the trusted block, gauged for each generator
+        exps, defect = _parity_blocks(float(h), n_h, moduli, trusted)
         worst_vacuum = max(worst_vacuum, defect)
-        q, q_aw = np.zeros((2, trusted, trusted), dtype=np.complex128)
-        for poly, acc in ((symbol, q), (antiwick(symbol, float(h)), q_aw)):
-            for c, z in zip(poly.coeffs, poly.gens[:, 0].tolist()):
-                acc += c * _gauged(exps[abs(z)], z)
-        exps = None  # free this cutoff's matrices before the eigensolves
-        for name, mat, out in (("plain", q, lams), ("anti-Wick", q_aw, lams_aw)):
-            defect = float(np.max(np.abs(mat - mat.conj().T)))
-            if defect > 1e-10:
-                raise RuntimeError(f"{name} quantization is not Hermitian (defect {defect:.3e})")
-            out.append(float(np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))[0]))
+        bottoms = {"plain": math.inf, "anti-Wick": math.inf}
+        polys = (("plain", symbol), ("anti-Wick", antiwick(symbol, float(h))))
+        for parity in (0, 1):
+            occ = np.arange(parity, trusted, 2, dtype=np.float64)
+            for name, poly in polys:
+                mat = np.zeros((occ.size, occ.size), dtype=np.complex128)
+                for c, z in zip(poly.coeffs, poly.gens[:, 0].tolist()):
+                    mat += c * _gauged(exps[abs(z)][parity], z, occ)
+                defect = float(np.max(np.abs(mat - mat.conj().T)))
+                if defect > 1e-10:
+                    raise RuntimeError(
+                        f"{name} quantization is not Hermitian (defect {defect:.3e})"
+                    )
+                bottom = float(np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))[0])
+                bottoms[name] = min(bottoms[name], bottom)
+        lams.append(bottoms["plain"])
+        lams_aw.append(bottoms["anti-Wick"])
 
     hs = np.asarray(hbars, dtype=np.float64)
     gaps = np.abs(np.asarray(lams) - sym_min)

@@ -24,8 +24,9 @@ coth(beta_h omega / 2) is formed; the KMS check reads it back from
 state centred at -J/omega (the dressed ground state).
 Gibbs states exist only for sources whose infrared class keeps -J/omega
 square-integrable (regular or type I); type II sources have no dressed state
-and are rejected.  ``_dressed_center`` is the one place that classification
-is made and -J/omega formed; ``dynamics.make_system`` takes J/omega from it.
+and are rejected.  ``_dressed`` is the one place that classification is
+made and -J/omega formed; ``dynamics.make_system`` takes J and J/omega from
+it, so a system realizes its source once.
 
 The dynamics and the dressing transport leave the Gaussian alone
 (|e^{i t omega} f| = |f|) and move only the centre: along the classical flow
@@ -131,8 +132,9 @@ def dirac(center: RadialFunction) -> CharState:
     return CharState(0.0, center.grid, center, 0.0, center.grid.measure(0))
 
 
-def _dressed_center(source: SourceSpec) -> RadialFunction:
-    """-J/omega, refused unless the source is regular or type I."""
+def _dressed(source: SourceSpec) -> tuple[RadialFunction, RadialFunction]:
+    """The realized source J and the dressed centre -J/omega, refused
+    (before J is realized) unless the source is regular or type I."""
     cls = classify_analytic(source)
     if cls not in (InfraredClass.REGULAR, InfraredClass.TYPE_I):
         raise ValueError(
@@ -140,7 +142,7 @@ def _dressed_center(source: SourceSpec) -> RadialFunction:
             "||J||_{-1}^2 diverges, so no dressed state exists"
         )
     j = realize(source)
-    return from_values(source.grid, -j.values / source.grid.omega)
+    return j, from_values(source.grid, -j.values / source.grid.omega)
 
 
 def gibbs_quantum(source: SourceSpec, beta_h: float, hbar: float) -> CharState:
@@ -149,7 +151,7 @@ def gibbs_quantum(source: SourceSpec, beta_h: float, hbar: float) -> CharState:
         raise ValueError(f"quantum Gibbs states need a finite hbar > 0, got {hbar}")
     if not beta_h > 0.0:
         raise ValueError(f"beta_h must be > 0, got {beta_h}")
-    center = _dressed_center(source)
+    center = _dressed(source)[1]
     grid = source.grid
     weight = grid.measure(0) * stable_coth(0.5 * beta_h * grid.omega)
     weight.setflags(write=False)
@@ -160,7 +162,7 @@ def gibbs_quantum(source: SourceSpec, beta_h: float, hbar: float) -> CharState:
 def gibbs_classical(source: SourceSpec, beta: float) -> CharState:
     if not (beta > 0.0 and math.isfinite(beta)):
         raise ValueError(f"beta must be finite and > 0, got {beta}")
-    center = _dressed_center(source)
+    center = _dressed(source)[1]
     return CharState(0.0, source.grid, center, -_PI2 / float(beta), source.grid.measure(-1))
 
 

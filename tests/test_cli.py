@@ -679,8 +679,9 @@ def test_evolve_holds_one_phase_table_chunk_at_a_time():
 
 
 def test_garding_assembles_only_the_trusted_block():
-    # at N = 486 the trusted 244^2 complex blocks keep the traced peak near
-    # 7.3 MB; forming the full 487^2 matrices would take it near 29 MB
+    # at N = 486 the trusted block's two parity sectors (122^2 each) keep the
+    # traced peak near 4.9 MB; the whole trusted 244^2 complex blocks take it
+    # near 7.3 MB, the full 487^2 matrices near 29 MB
     import scipy.linalg  # noqa: F401  (loaded before tracing: not the probe's memory)
 
     cfg = resolve_config(cli._defaults("garding"), None, [])
@@ -829,8 +830,22 @@ def test_transport_vs_dynamics_stays_under_a_tenth_of_its_tolerance(tmp_path, ov
 
 
 def _wrapped(module, name, wrap):
-    """A patch: module.name replaced by wrap(the original) for one test."""
-    return lambda monkeypatch: monkeypatch.setattr(module, name, wrap(getattr(module, name)))
+    """A patch: module.name replaced by wrap(the original) for one test.
+    Applied, it returns the list that each call of the replacement appends
+    to, so a test can tell a patch that never ran from one no check sees."""
+
+    def patch(monkeypatch):
+        calls = []
+        replacement = wrap(getattr(module, name))
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return replacement(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+        return calls
+
+    return patch
 
 
 def _ground_report_scaled(field, factor):
@@ -1002,9 +1017,10 @@ _BLIND = {
     ),
     "garding_exponentials_times_1+1e-3": (
         "garding",
-        _wrapped(cli.fock, "_exponential_blocks",
-                 lambda real: lambda *args: (lambda blocks, defect: (
-                     {z: u * (1.0 + 1e-3) for z, u in blocks.items()}, defect))(*real(*args))),
+        _wrapped(cli.fock, "_parity_blocks",
+                 lambda real: lambda *args, **kwargs: (lambda blocks, defect: (
+                     {z: tuple(b * (1.0 + 1e-3) for b in pieces) for z, pieces in blocks.items()},
+                     defect))(*real(*args, **kwargs))),
         "item 5: the Fock bottoms have no second route (Schrodinger-lattice fibres)",
     ),
     "garding_antiwick_at_1.5_hbar": (
@@ -1051,8 +1067,12 @@ def test_a_committed_bug_fails_its_check_by_name(
     ids=list(_BLIND),
 )
 def test_a_blind_bug_is_refused(tmp_path, monkeypatch, argv, patch):
-    patch(monkeypatch)
+    calls = patch(monkeypatch)
     code, _, _ = _run(tmp_path, *argv.split())
+    if not calls:
+        # not an AssertionError: a patch the run never reaches fails the
+        # strict xfail instead of passing it vacuously
+        raise RuntimeError("the patched function was never called")
     assert code == 1
 
 

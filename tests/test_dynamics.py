@@ -241,6 +241,34 @@ def test_make_system_takes_j_over_omega_from_the_dressed_center(gamma, ir_cutoff
     assert np.array_equal(sys_.j.values, realize(spec).values)
 
 
+def test_make_system_realizes_its_source_once(grid, monkeypatch):
+    # J and -J/omega come from one realize, wherever a module imported it;
+    # a refused source is classified before it is realized
+    import sys
+
+    from vanhove import sources
+
+    calls = []
+    real = sources.realize
+
+    def counted(spec):
+        calls.append(spec)
+        return real(spec)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("vanhove") and getattr(module, "realize", None) is real:
+            monkeypatch.setattr(module, "realize", counted)
+    for gamma, ir_cutoff in ((0.3, None), (0.8, None), (1.2, 5)):
+        calls.clear()
+        spec = power_law_gaussian(grid, gamma, ir_cutoff=ir_cutoff)
+        make_system(spec)
+        assert calls == [spec]
+    calls.clear()
+    with pytest.raises(ValueError, match="type_ii"):
+        make_system(power_law_gaussian(grid, 1.2))
+    assert calls == []
+
+
 # --------------------------------------------------------------------------
 # KMS boundary condition
 

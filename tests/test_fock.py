@@ -23,7 +23,7 @@ from vanhove.fock import (
     weyl_matrix,
 )
 from vanhove.grid import from_values
-from vanhove.weyl import add, adjoint, compose, identity, trig_polynomial, weyl
+from vanhove.weyl import add, adjoint, compose, identity, scale, trig_polynomial, weyl
 
 _PI2 = math.pi**2
 
@@ -257,14 +257,21 @@ def test_tridiagonal_eigh_keeps_the_refusals_of_eigh_tridiagonal():
 
 
 def test_the_exponential_at_zero_is_the_identity(monkeypatch):
-    # W_h(0) = I: the real identity, bit for bit, with no solve (the zero
-    # tridiagonal's eigenvectors are V = I, lam = 0)
+    # W_h(0) = I, bit for bit, with no solve (the zero tridiagonal's
+    # eigenvectors are V = I, lam = 0): real identity cosine blocks on each
+    # parity sector, a zero sine block, and their scatter the complex identity
     sizes = _full_solves(monkeypatch)
     for h, n in ((2.0**-3, 88), (2.0**-8, 486)):
         for size in (n // 2 + 1, n + 1):
+            even, odd = (size + 1) // 2, size // 2
+            pieces, defect = fock._parity_blocks(h, n, [0.0], size, sine=True)
+            assert list(pieces) == [0.0] and defect == 0.0
+            want = (np.eye(even), np.eye(odd), np.zeros((even, odd)))
+            assert [p.tobytes() for p in pieces[0.0]] == [w.tobytes() for w in want]
+            assert len(fock._parity_blocks(h, n, [0.0], size)[0][0.0]) == 2
             blocks, defect = fock._exponential_blocks(h, n, [0.0], size)
             assert list(blocks) == [0.0] and defect == 0.0
-            assert blocks[0.0].tobytes() == np.eye(size).tobytes()
+            assert blocks[0.0].tobytes() == np.eye(size, dtype=np.complex128).tobytes()
     assert sizes == []
 
 
@@ -454,6 +461,36 @@ def test_garding_probe_validates_the_symbol():
         garding_probe(identity(big, 0.0), [0.1])
     with pytest.raises(ValueError, match="at least one"):
         garding_probe(symbol, [])
+
+
+def test_garding_probe_refuses_a_symbol_that_is_not_even():
+    # 3 + i W(1) - i W(-1) is the real, nonnegative 3 - 2 sin(2 pi x), but
+    # odd in x: its quantization couples the parity sectors, so it is
+    # refused by its scope rather than solved on half the couplings
+    g = single_mode_grid()
+    sine = add(
+        weyl(from_values(g, np.array([1.0 + 0.0j])), 0.0, 1j),
+        weyl(from_values(g, np.array([-1.0 + 0.0j])), 0.0, -1j),
+    )
+    with pytest.raises(ValueError, match="even symbols only"):
+        garding_probe(add(scale(identity(g, 0.0), 3.0), sine), [0.1])
+
+
+def test_even_symbols_quantize_without_parity_coupling():
+    # on the full oracle quantization sum c W_h(z), the entries between
+    # occupations of opposite parity cancel pairwise (z against -z): the
+    # probe may solve the two sectors apart
+    from vanhove.weyl import antiwick
+
+    symbol, _ = _harmonic_symbol()
+    for h in (2.0**-3, 2.0**-5):
+        n_h = fock.garding_cutoff(h, 64)
+        mode = FockMode(omega=1.0, coupling=0.0, cutoff=n_h, hbar=h)
+        odd = np.add.outer(np.arange(mode.dim), np.arange(mode.dim)) % 2 == 1
+        for poly in (symbol, antiwick(symbol, h)):
+            full = sum(c * weyl_matrix(mode, z) for c, z in zip(poly.coeffs, poly.gens[:, 0]))
+            assert np.max(np.abs(full[~odd])) > 1.0
+            assert np.max(np.abs(full[odd])) <= 1e-13
 
 
 def test_garding_probe_block_assembly_matches_the_compressed_full_quantization():
