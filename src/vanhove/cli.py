@@ -218,13 +218,15 @@ def _configured(build: Callable, *args, **kwargs):
 
 
 def _grid_from(cfg: dict) -> MomentumGrid:
-    """The configured grid, built once per command and first."""
-    return _configured(make_grid, **{key: cfg[key] for key in _GRID_KEYS})
+    """The configured grid, built once per command and first, for the configured source."""
+    grid = _configured(make_grid, **{key: cfg[key] for key in _GRID_KEYS})
+    _source_from(cfg, grid)  # refuses a source whose samples overflow on the grid
+    return grid
 
 
 def _source_from(cfg: dict, grid: MomentumGrid) -> sources.SourceSpec:
     cutoff = cfg["ir_cutoff"] if cfg["ir_cutoff"] > 0 else None
-    return sources.power_law_gaussian(grid, cfg["gamma"], ir_cutoff=cutoff)
+    return _configured(sources.power_law_gaussian, grid, cfg["gamma"], ir_cutoff=cutoff)
 
 
 def _system_from(cfg: dict, grid: MomentumGrid) -> dynamics.VanHoveSystem:
@@ -565,17 +567,17 @@ _WINDOW_WIDTH_MAX = 8.0
 _FOCK_CUTOFF_MAX = 2048
 
 #: Largest garding truncation N (at the smallest hbar).  garding_probe solves
-#: one real (N + 1)^2 eigenvector matrix per hbar, the number ladder, frees it
-#: once the exponentials are formed, and holds real cosine blocks of the
-#: trusted block's two parity sectors, ~(N//4 + 1)^2 each (two per nonzero
-#: |z|; W_h(0) is a real identity, with no solve), and the complex sector
-#: quantizations and their gauged terms.
-#: At cutoff = 1536 (N = 1536 at every hbar) a run peaks at 51 MB traced
-#: (129 MB resident; one BLAS thread), with 1537^2 * 8 B = 19 MB eigenvectors
-#: and 385^2 * 16 B = 2.4 MB sector blocks; the default cutoff floor reaches
-#: N = 1436 at k_max = 10 (39 MB traced, 105 MB resident), while k_max = 13
-#: needs N = 9264: 687 MB of eigenvectors and 2317^2 * 16 B = 86 MB per
-#: sector block.
+#: the number ladder's two parity sectors per hbar, real eigenvector matrices
+#: of ~(N//2 + 1)^2 each, frees them once the exponentials are formed, and
+#: holds real cosine blocks of the trusted block's two parity sectors,
+#: ~(N//4 + 1)^2 each (two per nonzero |z|; W_h(0) is a real identity, with
+#: no solve), and the complex sector quantizations and their gauged terms.
+#: At cutoff = 1536 (N = 1536 at every hbar) a run peaks at 29 MB traced
+#: (95 MB resident; one BLAS thread), with 769^2 * 8 B = 4.7 MB eigenvectors
+#: per sector and 385^2 * 16 B = 2.4 MB sector blocks; the default cutoff
+#: floor reaches N = 1436 at k_max = 10 (20 MB traced, 85 MB resident), while
+#: k_max = 13 needs N = 9264: 2 * 4633^2 * 8 B = 343 MB of eigenvectors and
+#: 2317^2 * 16 B = 86 MB per sector block.
 _GARDING_CUTOFF_MAX = 1536
 
 

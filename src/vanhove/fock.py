@@ -19,16 +19,14 @@ symmetric tridiagonal R with nonnegative off-diagonal: H (resp. phi_h(z))
 = D R D*.  So their spectra come from tridiagonal solvers on R: W_h(z) =
 D e^{i pi R} D*, and the ground state of H is D times a real vector.  The
 field's R is sqrt(hbar) |z| T_N, where the number ladder T_N (zero
-diagonal, off-diagonal sqrt(k)) depends on the truncation alone: one full
-solve of T_N by ``scipy.linalg.eigh_tridiagonal`` per call of
-``_parity_blocks`` gives the exponential at every requested |z| on those
-levels, its eigenvalues scaled by pi sqrt(hbar) |z| (W_h(0) is the
-identity, needing no solve); only the exponentials use it.  T_N is
-bipartite (it moves the occupation by one), so cos(pi R) keeps the parity
-(-1)^k of the occupation and sin(pi R) flips it: the exponential is held as
-its real parity pieces, the cosine blocks on the even and on the odd
-occupations and the even-odd sine block, which ``weyl_matrix`` scatters
-into the full matrix.  The two lowest
+diagonal, off-diagonal sqrt(k)) depends on the truncation alone.
+``weyl_matrix`` forms e^{i pi R} from one full solve of T_N by
+``scipy.linalg.eigh_tridiagonal``.  T_N is bipartite (it moves the
+occupation by one), so cos(pi R) keeps the parity (-1)^k of the
+occupation and sin(pi R) flips it, and T_N^2 splits into two half-size
+tridiagonals, on the even and on the odd occupations: ``_sector_blocks``
+solves each once per call and forms the cosine blocks at every requested
+|z| from them (W_h(0) is the identity, needing no solve).  The two lowest
 eigenpairs of H come from LAPACK's dstebz + dstein called directly
 (``_lowest_two_eigh``), its ground vector checked against the closed-form
 coherent amplitudes e^{-|b|^2/2} b^k/sqrt(k!), b = i pi sqrt(hbar) z*.
@@ -49,14 +47,13 @@ the soft-photon catastrophe probed by ``soft_photon_sweep``.
 ``garding_probe`` quantizes a nonnegative classical symbol over a single
 mode and tracks the lowest eigenvalue of its compression to the trusted
 lower half: plain quantization dips below zero only O(hbar), anti-Wick
-stays nonnegative.  Each exponential comes from the number ladder on all
-N + 1 levels, but the quantization is assembled on the trusted
-(N//2 + 1)^2 block alone, the only part the eigensolve reads.  The probe
-takes even symbols (c_{-z} = c_z, as every |p|^2 with real-coefficient p):
-W_h(z) and W_h(-z) differ only in the sign of their parity-flipping sine
-parts, which cancel, so the quantization splits into two Hermitian blocks,
-on the even and on the odd occupations, each assembled from cosine blocks
-and solved apart.
+stays nonnegative.  The probe takes even symbols (c_{-z} = c_z, as every
+|p|^2 with real-coefficient p): W_h(z) and W_h(-z) differ only in the sign
+of their parity-flipping sine parts, which cancel, so the quantization
+splits into two Hermitian blocks, on the even and on the odd occupations
+of the trusted (N//2 + 1)^2 block, the only part the eigensolve reads.
+Each is assembled from the cosine blocks of its own sector's solve and
+solved apart.
 """
 
 from __future__ import annotations
@@ -192,24 +189,8 @@ def _lowest_two_eigh(diag: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, np.
     return evals, vecs
 
 
-def _parity_blocks(
-    hbar: float, cutoff: int, moduli: Collection[float], size: int, sine: bool = False
-) -> tuple[dict[float, tuple[np.ndarray, ...]], float]:
-    """The parity pieces of the leading size x size block of U = e^{i pi R}
-    on N + 1 levels for each modulus |z|, where R = phi_h(|z|) = sqrt(hbar)
-    |z| T_N is the gauged field on the number ladder T_N (zero diagonal,
-    off-diagonal sqrt(k)), and the worst vacuum defect |<e_0, U e_0> -
-    e^{-pi^2 hbar |z|^2 / 2}| of them.  T_N is bipartite, so C = cos(pi R)
-    keeps the parity of the occupation and S = sin(pi R) flips it: U = C + iS
-    is held as (C_ee, C_oo), the real blocks of C on the even and on the odd
-    occupations below ``size``, with S_eo (even rows, odd columns; S is
-    symmetric, so S_oe = S_eo^T) appended when ``sine`` is set.
-    Rejects any modulus with pi^2 hbar |z|^2 > N/4 before solving, then
-    solves T_N = V diag(mu) V^T once, by ``scipy.linalg.eigh_tridiagonal``
-    under its ``auto`` driver, if some modulus is nonzero: with lam = pi
-    sqrt(hbar) |z| mu and V_p the rows of V of parity p, C_pp = V_p cos(lam)
-    V_p^T and S_eo = V_e sin(lam) V_o^T, refused if the defect exceeds the
-    ceiling.  At |z| = 0, U is the identity, with defect 0 and no solve."""
+def _refuse_displacements(hbar: float, cutoff: int, moduli: Collection[float]) -> None:
+    """Every exponential's displacement guard: refuses pi^2 hbar |z|^2 > N/4."""
     for modulus in moduli:
         modulus_sq = modulus * modulus  # inf past 1.3e154, where ** raises OverflowError
         if not exponential_fits(hbar, cutoff, modulus_sq):
@@ -217,57 +198,60 @@ def _parity_blocks(
                 f"displacement |z|^2 = {modulus_sq:.3g} exceeds the truncation "
                 f"adequacy pi^2 hbar |z|^2 <= N/4 for N = {cutoff}"
             )
-    even, odd = (size + 1) // 2, size // 2
-    identity = (np.eye(even), np.eye(odd), np.zeros((even, odd)))
-    blocks = {modulus: identity if sine else identity[:2] for modulus in moduli if modulus == 0.0}
+
+
+def _vacuum_defect(hbar: float, modulus: float, vacuum: complex) -> float:
+    """|<e_0, U e_0> - e^{-pi^2 hbar |z|^2 / 2}| for the vacuum entry of an
+    exponential at |z|, refused past the ceiling."""
+    defect = abs(vacuum - math.exp(-0.5 * _PI2 * hbar * (modulus * modulus)))
+    if defect > _VACUUM_TOL:
+        raise RuntimeError(
+            f"exponential matrix misses its vacuum expectation "
+            f"(defect {defect:.3e}); truncation inadequate"
+        )
+    return defect
+
+
+def _sector_blocks(
+    hbar: float, cutoff: int, moduli: Collection[float], size: int
+) -> tuple[dict[float, tuple[np.ndarray, np.ndarray]], float]:
+    """The cosine blocks (C_ee, C_oo) of U = e^{i pi R}, R = sqrt(hbar) |z| T_N,
+    on the even and on the odd occupations below ``size`` for each modulus
+    |z|, and the worst vacuum defect of them.  The displacement guard runs
+    first.  Then, if some modulus is nonzero, each parity sector of T_N^2 is
+    solved once, U_p diag(lam) U_p^T by ``scipy.linalg.eigh_tridiagonal``
+    under the ``stemr`` driver: on k = 2i the diagonal 4i + 1 and off-diagonal
+    sqrt((2i + 1)(2i + 2)), on k = 2j + 1 the diagonal 4j + 3 and off-diagonal
+    sqrt((2j + 2)(2j + 3)), and the diagonal N at the last level k = N, which
+    has no k + 1 term (the Laguerre L^{(-1/2)} and L^{(1/2)} Jacobi matrices,
+    DLMF 18.7.19-20).  C_pp = U_p cos(pi s sqrt(lam)) U_p^T with s =
+    sqrt(hbar) |z|, lam clipped at 0 (for even N the even sector's zero mode
+    can round below it).  The vacuum entry <e_0, U e_0> is C_ee's first, as
+    <e_0, S e_0> = 0 for the parity-flipping S = sin(pi R).  At |z| = 0, U is
+    the identity, with defect 0 and no solve."""
+    _refuse_displacements(hbar, cutoff, moduli)
+    blocks = {0.0: (np.eye((size + 1) // 2), np.eye(size // 2))} if 0.0 in moduli else {}
     nonzero = [modulus for modulus in moduli if modulus != 0.0]
     if not nonzero:
         return blocks, 0.0
     # imported on first use, as in _lowest_two_eigh
     from scipy.linalg import eigh_tridiagonal
 
-    mu, vecs = eigh_tridiagonal(np.zeros(cutoff + 1), np.sqrt(np.arange(1.0, cutoff + 1)))
-    rows_e, rows_o = vecs[0:size:2], vecs[1:size:2]
-    worst = 0.0
+    occ = np.arange(cutoff + 1.0)
+    diag = np.append(2.0 * occ[:-1] + 1.0, cutoff)  # (T_N^2)_kk = k + (k + 1), and N at k = N
+    off = np.sqrt(occ[1:-1] * occ[2:])  # (T_N^2)_{k-1,k+1} = sqrt(k (k + 1))
+    sectors = []
+    for parity in (0, 1):
+        lam, vecs = eigh_tridiagonal(diag[parity::2], off[parity::2], lapack_driver="stemr")
+        sectors.append((np.sqrt(np.maximum(lam, 0.0)), vecs[: (size + 1 - parity) // 2]))
     for modulus in nonzero:
-        evals = (_PI * math.sqrt(hbar) * modulus) * mu
-        vacuum = np.dot(vecs[0] * vecs[0], np.exp(1j * evals))
-        defect = abs(vacuum - math.exp(-0.5 * _PI2 * hbar * (modulus * modulus)))
-        if defect > _VACUUM_TOL:
-            raise RuntimeError(
-                f"exponential matrix misses its vacuum expectation "
-                f"(defect {defect:.3e}); truncation inadequate"
-            )
-        worst = max(worst, defect)
-        cos = np.cos(evals)
-        pieces = [(rows_e * cos) @ rows_e.T, (rows_o * cos) @ rows_o.T]
-        if sine:
-            pieces.append((rows_e * np.sin(evals)) @ rows_o.T)
-        blocks[modulus] = tuple(pieces)
-    return blocks, worst
-
-
-def _exponential_blocks(
-    hbar: float, cutoff: int, moduli: Collection[float], size: int
-) -> tuple[dict[float, np.ndarray], float]:
-    """The leading size x size block of U = e^{i pi R} for each modulus |z|,
-    complex, scattered from the three parity pieces of ``_parity_blocks``
-    (which makes the one solve and the checks), and the worst vacuum defect;
-    size = N + 1 is all of U."""
-    pieces, worst = _parity_blocks(hbar, cutoff, moduli, size, sine=True)
-    blocks = {}
-    for modulus, (c_ee, c_oo, s_eo) in pieces.items():
-        u = np.zeros((size, size), dtype=np.complex128)
-        u.real[0::2, 0::2] = c_ee
-        u.real[1::2, 1::2] = c_oo
-        u.imag[0::2, 1::2] = s_eo
-        u.imag[1::2, 0::2] = s_eo.T
-        blocks[modulus] = u
-    return blocks, worst
+        scale = _PI * math.sqrt(hbar) * modulus
+        blocks[modulus] = tuple((rows * np.cos(scale * root)) @ rows.T for root, rows in sectors)
+    return blocks, max(_vacuum_defect(hbar, m, blocks[m][0][0, 0]) for m in nonzero)
 
 
 def _gauged(u: np.ndarray, z: complex, occ: np.ndarray) -> np.ndarray:
-    """D U D* from a real exponential block U at |z| whose rows and columns
+    """D U D* from an exponential block U at |z| whose rows and columns
     are the occupations ``occ``, D gauged by arg z over them (D is diagonal,
     so any such block of U gives the same block of W_h(z))."""
     p = _gauge(cmath.phase(z), occ)
@@ -275,11 +259,21 @@ def _gauged(u: np.ndarray, z: complex, occ: np.ndarray) -> np.ndarray:
 
 
 def weyl_matrix(mode: FockMode, z: complex) -> np.ndarray:
-    """W_h(z) = exp(i pi phi_h(z)), gauged from the tridiagonal exponential
-    at |z| (see ``_parity_blocks`` for the checks)."""
+    """W_h(z) = exp(i pi phi_h(z)) on all N + 1 levels from a full solve of
+    its own, T_N = V diag(mu) V^T by ``scipy.linalg.eigh_tridiagonal``: D V
+    e^{i pi s mu} V^T D* with s = sqrt(hbar) |z|, as the real products V cos
+    V^T and V sin V^T.  It shares only the refusals with ``_sector_blocks``."""
     z = complex(z)
-    blocks = _exponential_blocks(mode.hbar, mode.cutoff, [abs(z)], mode.dim)[0]
-    return _gauged(blocks[abs(z)], z, np.arange(mode.dim, dtype=np.float64))
+    _refuse_displacements(mode.hbar, mode.cutoff, [abs(z)])
+    # imported on first use, as in _lowest_two_eigh
+    from scipy.linalg import eigh_tridiagonal
+
+    occ = np.arange(mode.dim, dtype=np.float64)
+    mu, vecs = eigh_tridiagonal(np.zeros(mode.dim), np.sqrt(occ[1:]))
+    lam = (_PI * math.sqrt(mode.hbar) * abs(z)) * mu
+    u = (vecs * np.cos(lam)) @ vecs.T + 1j * ((vecs * np.sin(lam)) @ vecs.T)
+    _vacuum_defect(mode.hbar, abs(z), u[0, 0])
+    return _gauged(u, z, occ)
 
 
 def _coherent_vector(mode: FockMode, z: complex) -> np.ndarray:
@@ -511,10 +505,11 @@ def garding_probe(
     assembled as dense matrices on its trusted lower half alone, the
     leading (N//2 + 1)^2 block, split by the parity of the occupation: on
     each sector W_h(z_j) is gauged from the cosine block of one real
-    exponential per distinct |z_j|, all of them from one ``_parity_blocks``
-    call per N (one number-ladder solve on all N + 1 levels, freed before
-    the assembly; W_h(0) is the identity), and no sine block is formed, the
-    sine parts of an even symbol cancelling.  The bottom is the smaller of
+    exponential per distinct |z_j|, all of them from one ``_sector_blocks``
+    call per N (two half-size solves, one per parity sector of T_N^2, freed
+    before the assembly; W_h(0) is the identity, and no full-spectrum solve
+    is made), and no sine block is formed, the sine parts of an even symbol
+    cancelling.  The bottom is the smaller of
     the two sectors' lowest eigenvalues, recorded together with that of the
     anti-Wick variant (positive by construction); each sector block is
     checked Hermitian, and the largest vacuum-expectation defect of the
@@ -551,13 +546,9 @@ def garding_probe(
             "whose quantizations keep the parity of the occupation"
         )
     flat = int(np.argmin(values.real))
-    sym_min = _refine_torus_min(
-        coeffs, lattice, x.ravel()[flat], y.ravel()[flat]
-    )
+    sym_min = _refine_torus_min(coeffs, lattice, x.ravel()[flat], y.ravel()[flat])
     if sym_min < -1e-9:
-        raise ValueError(
-            f"symbol is not a nonnegative phase-space function (min {sym_min:.3e})"
-        )
+        raise ValueError(f"symbol is not a nonnegative phase-space function (min {sym_min:.3e})")
 
     if len(hbars) == 0:
         raise ValueError("need at least one hbar value")
@@ -572,13 +563,13 @@ def garding_probe(
         trusted = n_h // 2 + 1
         # the cosine blocks of one real exponential per distinct |z| on each
         # parity sector of the trusted block, gauged for each generator
-        exps, defect = _parity_blocks(float(h), n_h, moduli, trusted)
+        exps, defect = _sector_blocks(float(h), n_h, moduli, trusted)
         worst_vacuum = max(worst_vacuum, defect)
-        bottoms = {"plain": math.inf, "anti-Wick": math.inf}
-        polys = (("plain", symbol), ("anti-Wick", antiwick(symbol, float(h))))
-        for parity in (0, 1):
-            occ = np.arange(parity, trusted, 2, dtype=np.float64)
-            for name, poly in polys:
+        sectors = [np.arange(parity, trusted, 2, dtype=np.float64) for parity in (0, 1)]
+        aw = antiwick(symbol, float(h))
+        for name, poly, bottoms in (("plain", symbol, lams), ("anti-Wick", aw, lams_aw)):
+            sector_bottoms = []
+            for parity, occ in enumerate(sectors):
                 mat = np.zeros((occ.size, occ.size), dtype=np.complex128)
                 for c, z in zip(poly.coeffs, poly.gens[:, 0].tolist()):
                     mat += c * _gauged(exps[abs(z)][parity], z, occ)
@@ -587,10 +578,8 @@ def garding_probe(
                     raise RuntimeError(
                         f"{name} quantization is not Hermitian (defect {defect:.3e})"
                     )
-                bottom = float(np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))[0])
-                bottoms[name] = min(bottoms[name], bottom)
-        lams.append(bottoms["plain"])
-        lams_aw.append(bottoms["anti-Wick"])
+                sector_bottoms.append(float(np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))[0]))
+            bottoms.append(min(sector_bottoms))
 
     hs = np.asarray(hbars, dtype=np.float64)
     gaps = np.abs(np.asarray(lams) - sym_min)

@@ -71,7 +71,7 @@ class InfraredClass(enum.Enum):
 @dataclass(frozen=True, eq=False)
 class SourceSpec:
     """The power-family source r^{-gamma} e^{-r^2} on a grid; realize() turns
-    it into samples.
+    it into samples, which must be finite (r^{-gamma} must not overflow).
 
     ``ir_cutoff`` n (if set) zeroes the profile below r = 1/n.
     """
@@ -86,6 +86,14 @@ class SourceSpec:
         if self.ir_cutoff is not None:
             if not isinstance(self.ir_cutoff, int) or self.ir_cutoff < 1:
                 raise ValueError(f"ir_cutoff must be a positive integer, got {self.ir_cutoff!r}")
+        r = self.grid.nodes
+        if self.ir_cutoff is not None:
+            r = r[r >= 1.0 / self.ir_cutoff]
+        elif self.gamma >= self.grid.dim / 2.0:
+            return  # out of scope: realize refuses it before any sample
+        with np.errstate(over="ignore"):
+            if not np.isfinite(r ** (-self.gamma)).all():
+                raise ValueError(f"r^-gamma overflows on the grid nodes at gamma = {self.gamma}")
 
 
 def power_law_gaussian(grid: MomentumGrid, gamma: float, ir_cutoff: int | None = None) -> SourceSpec:

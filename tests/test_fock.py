@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -94,14 +95,22 @@ def test_exponential_refuses_a_truncated_vacuum_at_the_adequacy_edge(monkeypatch
     # pi^2 hbar |z|^2 = N/4 = 1 (the float just below 1/pi, since 1/pi itself
     # rounds one ulp over) passes the displacement guard, yet on 5 levels the
     # vacuum entry is off by 2.6e-5, while the eigenvectors stay orthogonal to
-    # rounding (a trusted-block unitarity product reads 3.3e-16 here)
+    # rounding (a trusted-block unitarity product reads 3.3e-16 here): both
+    # routes, the sector blocks and weyl_matrix's full solve, refuse it.
+    # FockMode keeps N >= 20, where the edge passes (defect ~1e-15), so a
+    # stand-in carries weyl_matrix's mode here
     edge = math.nextafter(1.0 / math.pi, 0.0)
+    mode = SimpleNamespace(hbar=1.0, cutoff=4, dim=5)
     with pytest.raises(RuntimeError, match="vacuum"):
-        fock._exponential_blocks(1.0, 4, [edge], 5)
+        fock._sector_blocks(1.0, 4, [edge], 5)
+    with pytest.raises(RuntimeError, match="vacuum"):
+        weyl_matrix(mode, edge)
     # the displacement guard refuses before any solve, whatever else is asked
     sizes = _full_solves(monkeypatch)
     with pytest.raises(ValueError, match="displacement"):
-        fock._exponential_blocks(1.0, 4, [0.1, 1.0 / math.pi], 5)
+        fock._sector_blocks(1.0, 4, [0.1, 1.0 / math.pi], 5)
+    with pytest.raises(ValueError, match="displacement"):
+        weyl_matrix(mode, 1.0 / math.pi)
     assert sizes == []
 
 
@@ -259,66 +268,107 @@ def test_tridiagonal_eigh_keeps_the_refusals_of_eigh_tridiagonal():
 def test_the_exponential_at_zero_is_the_identity(monkeypatch):
     # W_h(0) = I, bit for bit, with no solve (the zero tridiagonal's
     # eigenvectors are V = I, lam = 0): real identity cosine blocks on each
-    # parity sector, a zero sine block, and their scatter the complex identity
+    # parity sector
     sizes = _full_solves(monkeypatch)
     for h, n in ((2.0**-3, 88), (2.0**-8, 486)):
         for size in (n // 2 + 1, n + 1):
             even, odd = (size + 1) // 2, size // 2
-            pieces, defect = fock._parity_blocks(h, n, [0.0], size, sine=True)
+            pieces, defect = fock._sector_blocks(h, n, [0.0], size)
             assert list(pieces) == [0.0] and defect == 0.0
-            want = (np.eye(even), np.eye(odd), np.zeros((even, odd)))
+            want = (np.eye(even), np.eye(odd))
             assert [p.tobytes() for p in pieces[0.0]] == [w.tobytes() for w in want]
-            assert len(fock._parity_blocks(h, n, [0.0], size)[0][0.0]) == 2
-            blocks, defect = fock._exponential_blocks(h, n, [0.0], size)
-            assert list(blocks) == [0.0] and defect == 0.0
-            assert blocks[0.0].tobytes() == np.eye(size, dtype=np.complex128).tobytes()
     assert sizes == []
 
 
-@pytest.mark.parametrize("k", [3, 6])
-def test_shared_ladder_exponentials_match_expm(k, monkeypatch):
-    # one solve of the number ladder T_N serves every |z| on N + 1 levels:
-    # e^{i pi R} with R = sqrt(h) |z| T_N, against scipy's expm of the dense R
-    # (N = 88 at h = 2^-3, N = 204 at h = 2^-6) on the trusted block
+def _expm_of_the_field(h: float, n: int, r: float) -> np.ndarray:
+    """e^{i pi R} for R = sqrt(h) r T_N on N + 1 levels, by scipy's expm of
+    the dense matrix."""
     from scipy.linalg import expm
 
+    off = math.sqrt(h) * r * np.sqrt(np.arange(1.0, n + 1))
+    return expm(1j * math.pi * (np.diag(off, 1) + np.diag(off, -1)))
+
+
+@pytest.mark.parametrize("k, odd", [(3, 0), (6, 0), (3, 1)], ids=["3", "6", "3-odd"])
+def test_shared_ladder_exponentials_match_expm(k, odd, monkeypatch):
+    # e^{i pi R} with R = sqrt(h) |z| T_N on N + 1 levels, against scipy's
+    # expm of the dense R (N = 88 at h = 2^-3, N = 204 at h = 2^-6) on the
+    # trusted block, by both routes: one pair of sector solves serves every
+    # |z| with the cosine blocks, and weyl_matrix makes one full solve per call.
+    # garding_cutoff makes only even N; N = 89 puts the truncation edge k = N
+    # in the odd sector
     h = 2.0**-k
-    n = fock.garding_cutoff(h, 64)
-    assert n == {3: 88, 6: 204}[k]
+    n = fock.garding_cutoff(h, 64) + odd
+    assert n == {3: 88, 6: 204}[k] + odd
     trusted = n // 2 + 1
     sizes = _full_solves(monkeypatch)
     moduli = (1.0, math.sqrt(2.0))
-    blocks, defect = fock._exponential_blocks(h, n, moduli, trusted)
-    assert sizes == [n + 1] and defect <= 1e-12
+    blocks, defect = fock._sector_blocks(h, n, moduli, trusted)
+    assert sizes == [(n // 2 + 1, "stemr"), ((n + 1) // 2, "stemr")] and defect <= 1e-12
+    mode = FockMode(omega=1.0, coupling=0.0, cutoff=n, hbar=h)
     for r in moduli:
-        off = math.sqrt(h) * r * np.sqrt(np.arange(1.0, n + 1))
-        exact = expm(1j * math.pi * (np.diag(off, 1) + np.diag(off, -1)))
-        assert np.max(np.abs(blocks[r] - exact[:trusted, :trusted])) <= 1e-12
+        exact = _expm_of_the_field(h, n, r)[:trusted, :trusted]
+        for parity in (0, 1):
+            sector = exact[parity::2, parity::2]
+            assert np.max(np.abs(blocks[r][parity] - sector)) <= 1e-12
+        assert np.max(np.abs(weyl_matrix(mode, r)[:trusted, :trusted] - exact)) <= 1e-12
+    assert sizes[2:] == [(n + 1, "auto")] * 2
 
 
-def _full_solves(monkeypatch) -> list[int]:
-    """The sizes of the full-spectrum tridiagonal solves made from now on."""
+@pytest.mark.parametrize("n", [88, 89])
+def test_each_sector_tridiagonal_is_the_parity_block_of_the_squared_ladder(n, monkeypatch):
+    # T_N^2 on the even and on the odd occupations, the truncation edge k = N
+    # (diagonal N, no k + 1 term) in the even sector at N = 88 and in the odd
+    # one at N = 89
     import scipy.linalg
 
-    sizes: list[int] = []
+    solved = []
     solve = scipy.linalg.eigh_tridiagonal
 
-    def counted(diag, off):
-        sizes.append(len(diag))
-        return solve(diag, off)
+    def kept(diag, off, **kwargs):
+        solved.append(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+        return solve(diag, off, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", kept)
+    fock._sector_blocks(2.0**-3, n, [1.0], n // 2 + 1)
+    ladder = np.diag(np.sqrt(np.arange(1.0, n + 1)), 1)
+    ladder += ladder.T
+    square = ladder @ ladder
+    assert len(solved) == 2
+    for parity, sector in enumerate(solved):
+        assert sector.shape == ((n + 2 - parity) // 2,) * 2
+        assert np.max(np.abs(sector - square[parity::2, parity::2])) <= 1e-12
+    assert solved[n % 2][-1, -1] == n
+
+
+def _full_solves(monkeypatch) -> list[tuple[int, str]]:
+    """The size and LAPACK driver of each full-spectrum tridiagonal solve
+    made from now on."""
+    import scipy.linalg
+
+    sizes: list[tuple[int, str]] = []
+    solve = scipy.linalg.eigh_tridiagonal
+
+    def counted(diag, off, lapack_driver="auto"):
+        sizes.append((len(diag), lapack_driver))
+        return solve(diag, off, lapack_driver=lapack_driver)
 
     monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", counted)
     return sizes
 
 
 def test_garding_probe_solves_one_ladder_per_truncation(monkeypatch):
-    # |z| = 1 and |z| = sqrt 2 share the one number-ladder solve of each hbar
-    # (two solves each before); W_h(0) needs none
+    # |z| = 1 and |z| = sqrt 2 share the two half-size sector solves of each
+    # hbar, of T_N^2 on the even and on the odd occupations, under stemr; T_N
+    # itself is not solved, and W_h(0) needs none
     sizes = _full_solves(monkeypatch)
     symbol, _ = _harmonic_symbol()
     assert sorted({abs(z) for z in symbol.gens[:, 0]}) == [0.0, 1.0, math.sqrt(2.0)]
     report = garding_probe(symbol, [2.0**-k for k in range(3, 9)])
-    assert sizes == [n + 1 for n in report.cutoffs] and len(sizes) == 6
+    assert sizes == [
+        (size, "stemr") for n in report.cutoffs for size in (n // 2 + 1, (n + 1) // 2)
+    ]
+    assert len(sizes) == 12
 
 
 def test_multimode_scan_makes_no_full_spectrum_solve(monkeypatch):
