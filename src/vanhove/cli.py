@@ -7,15 +7,15 @@ positional overrides; unknown keys are an error), checks every rule before
 any compute, runs one workbench computation and returns ``Check`` records.
 The rules hold only what belongs to the command line (spans, ``t_min <=
 t_max``, Fock truncations and memory ceilings).  The rest is refused by the
-objects that take the parameters, built first: the grid (``make_grid``), then
-the spectral window (``kms_window``), the Filon rule's grid
-(``check_filon_grid``), the regime or the Fock mode (``FockMode``), and
-``classify``'s shell fit (``numeric_classification``); their ``ValueError`` is
-a configuration error.  It writes ``<out>.csv`` (rows of
-numbers, 17 significant digits, ``#``-prefixed header recording the full
-configuration and its hash) plus ``<out>.json`` (flat summary, each check as
-value, tolerance and margin, and the names of the failed checks), and prints a
-one-line summary.  Identical configurations produce byte-identical outputs.
+objects that take the parameters, built first: the grid (``make_grid``) and
+the source on it, then the spectral window (``kms_window``), the Filon rule's
+grid (``check_filon_grid``), the regime and its beta_hbar on the hbar ladder,
+or the Fock mode (``FockMode``), and ``classify``'s shell fit
+(``numeric_classification``); their ``ValueError`` is a configuration error.
+It writes ``<out>.csv`` (rows of numbers, 17 significant digits, ``#``-prefixed
+header recording the full configuration and its hash) plus ``<out>.json`` (flat
+summary, each check as value, tolerance and margin, and the names of the failed
+checks), and prints a one-line summary.  Identical configurations produce byte-identical outputs.
 
 Exit codes: 0 success, 1 a named invariant failed, 2 configuration error.
 
@@ -217,20 +217,13 @@ def _configured(build: Callable, *args, **kwargs):
         raise ConfigError(str(exc)) from exc
 
 
-def _grid_from(cfg: dict) -> MomentumGrid:
-    """The configured grid, built once per command and first, for the configured source."""
+def _source_from(cfg: dict) -> sources.SourceSpec:
+    """The configured source on the configured grid (its ``grid``), each built
+    once per command and first: make_grid refuses the grid, then the spec a
+    source whose samples overflow on it."""
     grid = _configured(make_grid, **{key: cfg[key] for key in _GRID_KEYS})
-    _source_from(cfg, grid)  # refuses a source whose samples overflow on the grid
-    return grid
-
-
-def _source_from(cfg: dict, grid: MomentumGrid) -> sources.SourceSpec:
     cutoff = cfg["ir_cutoff"] if cfg["ir_cutoff"] > 0 else None
     return _configured(sources.power_law_gaussian, grid, cfg["gamma"], ir_cutoff=cutoff)
-
-
-def _system_from(cfg: dict, grid: MomentumGrid) -> dynamics.VanHoveSystem:
-    return dynamics.make_system(_source_from(cfg, grid))
 
 
 def _kms_pairs(grid: MomentumGrid, seed: int, count: int) -> Iterable[tuple]:
@@ -274,8 +267,7 @@ def _angle_size(sys_: dynamics.VanHoveSystem, f, center, shift: float) -> float:
 
 
 def cmd_classify(cfg: dict) -> CommandResult:
-    grid = _grid_from(cfg)
-    spec = _source_from(cfg, grid)
+    spec = _source_from(cfg)
     analytic = sources.classify_analytic(spec)
     header = ["alpha", "divergence_slope", "clearly_divergent"]
     if analytic is sources.InfraredClass.OUT_OF_SCOPE:
@@ -302,7 +294,7 @@ def cmd_classify(cfg: dict) -> CommandResult:
 
 
 def cmd_energy(cfg: dict) -> CommandResult:
-    sys_ = _system_from(cfg, _grid_from(cfg))
+    sys_ = dynamics.make_system(_source_from(cfg))
     minimizer = -sys_.j_over_omega
     summary = {
         "classical_min_energy": dynamics.classical_energy(sys_, minimizer),
@@ -321,8 +313,8 @@ def cmd_energy(cfg: dict) -> CommandResult:
 
 
 def cmd_evolve(cfg: dict) -> CommandResult:
-    grid = _grid_from(cfg)
-    sys_ = _system_from(cfg, grid)
+    sys_ = dynamics.make_system(_source_from(cfg))
+    grid = sys_.grid
     bump = cfg["perturbation"] * np.exp(-grid.nodes**2) * (1.0 + 0.5j)
     alpha0 = from_values(grid, -sys_.j_over_omega.values + bump)
     e0 = dynamics.classical_energy(sys_, alpha0)
@@ -353,7 +345,7 @@ def cmd_evolve(cfg: dict) -> CommandResult:
 
 
 def cmd_kms(cfg: dict) -> CommandResult:
-    sys_ = _system_from(cfg, _grid_from(cfg))
+    sys_ = dynamics.make_system(_source_from(cfg))
     state = states.gibbs_quantum(sys_.source, cfg["beta_h"], cfg["hbar"])
     ts = np.linspace(cfg["t_min"], cfg["t_max"], cfg["t_points"])
     pairs = _kms_pairs(sys_.grid, cfg["seed"], cfg["pairs"])
@@ -368,9 +360,10 @@ def cmd_kms(cfg: dict) -> CommandResult:
 
 
 def cmd_groundstate(cfg: dict) -> CommandResult:
-    grid = _grid_from(cfg)
+    spec = _source_from(cfg)
     window = _configured(dynamics.kms_window, cfg["s_minus"], cfg["s_plus"])
-    sys_ = _system_from(cfg, grid)
+    sys_ = dynamics.make_system(spec)
+    grid = sys_.grid
     f = sample(grid, lambda r: np.exp(-(r**2)))
     g = sample(grid, lambda r: np.exp(-2.0 * r**2))
     report = dynamics.ground_state_check(sys_, f, g, window, hbar=cfg["hbar"])
@@ -392,8 +385,8 @@ def _hbar_ladder(cfg: dict) -> tuple[float, ...]:
 
 
 def cmd_egorov(cfg: dict) -> CommandResult:
-    grid = _grid_from(cfg)
-    sys_ = _system_from(cfg, grid)
+    sys_ = dynamics.make_system(_source_from(cfg))
+    grid = sys_.grid
     center = sample(grid, lambda r: cfg["center_scale"] * (1.0 + 0.5j) * np.exp(-(r**2)))
     panel = semiclassics.default_panel(grid)
     report = semiclassics.egorov_sweep(sys_, center, cfg["t"], panel, _hbar_ladder(cfg))
@@ -417,12 +410,14 @@ _REGIMES: dict[str, Callable[[dict], semiclassics.Regime]] = {
 
 
 def cmd_equilibrium(cfg: dict) -> CommandResult:
-    grid = _grid_from(cfg)
+    spec = _source_from(cfg)
     regime = _configured(_REGIMES[cfg["regime"]], cfg)
-    sys_ = _system_from(cfg, grid)
-    report = semiclassics.equilibrium_sweep(
-        sys_, regime, semiclassics.default_panel(grid), _hbar_ladder(cfg)
-    )
+    hbars = _hbar_ladder(cfg)
+    for hbar in hbars:  # refuses a beta_hbar that underflows on the ladder
+        _configured(regime.beta_hbar, hbar)
+    sys_ = dynamics.make_system(spec)
+    panel = semiclassics.default_panel(sys_.grid)
+    report = semiclassics.equilibrium_sweep(sys_, regime, panel, hbars)
     return CommandResult(
         ["hbar", "deviation"],
         list(zip(report.hbar_values, report.deviations)),
@@ -432,10 +427,11 @@ def cmd_equilibrium(cfg: dict) -> CommandResult:
 
 
 def cmd_scattering(cfg: dict) -> CommandResult:
-    grid = _grid_from(cfg)
+    spec = _source_from(cfg)
+    grid = spec.grid
     if cfg["t_max"] > scattering.FILON_THRESHOLD:
         _configured(scattering.check_filon_grid, grid)
-    sys_ = _system_from(cfg, grid)
+    sys_ = dynamics.make_system(spec)
     f = sample(grid, lambda r: np.exp(-(r**2)))
     ts = np.geomspace(cfg["t_min"], cfg["t_max"], cfg["t_points"])
     # probe_deviation 2 |sin(pi Re ov)| = |e^{-2 pi i Re ov} - 1|, the distance from the asymptote
@@ -488,7 +484,7 @@ def cmd_fock_spectrum(cfg: dict) -> CommandResult:
 
 
 def cmd_soft_photons(cfg: dict) -> CommandResult:
-    sys_ = _system_from(cfg, _grid_from(cfg))
+    sys_ = dynamics.make_system(_source_from(cfg))
     ns = [2**k for k in range(cfg["n_min_log2"], cfg["n_max_log2"] + 1)]
     report = fock.soft_photon_sweep(sys_, ns)
     return CommandResult(
@@ -536,7 +532,7 @@ _SOURCE_KEYS = {"gamma": (0.0, _FINITE), "ir_cutoff": (0, (">= 0 (0: none)", lam
 
 #: The node count goes first, before anything allocates.  The rest of the grid
 #: domain (the range's order, edges, nodes and measures that overflow) is
-#: make_grid's to refuse, when _grid_from builds the grid.
+#: make_grid's to refuse, when _source_from builds the grid.
 _GRID_RULES = [_at_most(_NODES_MAX, "panels", "points")]
 _LADDER_KEYS = {"k_min": (3, _EXPONENT), "k_max": (14, _EXPONENT)}
 

@@ -13,6 +13,9 @@ values over a fixed panel of test functions:
   point mass (beta_hbar/hbar -> oo: ground-state and sub-linear regimes), to
   the classical Gibbs state at beta (beta_hbar = beta hbar, rate 2), or to
   nothing (super-linear: characteristic values vanish, no state survives).
+  A regime is one record: beta_hbar = coefficient * hbar^power and the limit
+  it tends to; ``GroundState``, ``Linear``, ``SubLinear`` and ``SuperLinear``
+  build it and refuse their parameters.
 
 Rates are least-squares slopes of log(deviation) against log(hbar), using
 only deviations inside [1e-12, 0.1] (below is arithmetic noise, above is
@@ -37,6 +40,7 @@ __all__ = [
     "DEFAULT_HBAR_LADDER",
     "GroundState",
     "Linear",
+    "Regime",
     "SubLinear",
     "SuperLinear",
     "SweepReport",
@@ -59,54 +63,60 @@ _NOISE_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
-class GroundState:
+class Regime:
+    """beta_hbar = coefficient * hbar^power, whose Gibbs states tend to
+    ``limit``: "point" (the dressed point mass), "classical" (the classical
+    Gibbs state at beta = coefficient) or "none" (no state).  The limit is
+    named, not read off the power: 1 +- epsilon rounds to 1 for epsilon below
+    the float spacing."""
+
+    coefficient: float
+    power: float
+    limit: str
+
+    def __post_init__(self) -> None:
+        if self.limit not in ("point", "classical", "none"):
+            raise ValueError(f"a regime's limit is point, classical or none, got {self.limit!r}")
+
+    def beta_hbar(self, hbar: float) -> float:
+        """beta_hbar at ``hbar``, refused where it is not > 0 (it underflows)."""
+        beta_h = self.coefficient * hbar**self.power
+        if not beta_h > 0.0:
+            raise ValueError(
+                f"beta_hbar = {self.coefficient!r} * hbar^{self.power!r} must be > 0, "
+                f"got {beta_h!r} at hbar = {hbar!r}"
+            )
+        return beta_h
+
+
+def GroundState() -> Regime:
     """beta_hbar = oo: the dressed ground state at each hbar."""
+    return Regime(math.inf, 0.0, "point")
 
 
-@dataclass(frozen=True)
-class Linear:
+def Linear(beta: float) -> Regime:
     """beta_hbar = beta * hbar: classical Gibbs limit at beta."""
-
-    beta: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.beta < math.inf:
-            raise ValueError(f"linear regime needs 0 < beta < inf, got {self.beta}")
+    if not 0.0 < beta < math.inf:
+        raise ValueError(f"linear regime needs 0 < beta < inf, got {beta}")
+    return Regime(beta, 1.0, "classical")
 
 
-@dataclass(frozen=True)
-class SubLinear:
+def SubLinear(coefficient: float = 1.0, epsilon: float = 0.5) -> Regime:
     """beta_hbar = c * hbar^{1-epsilon}, 0 < epsilon <= 1: dressed point mass."""
-
-    coefficient: float = 1.0
-    epsilon: float = 0.5
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.coefficient < math.inf:
-            raise ValueError(
-                f"sub-linear regime needs 0 < coefficient < inf, got {self.coefficient}"
-            )
-        if not 0.0 < self.epsilon <= 1.0:
-            raise ValueError(f"sub-linear regime needs 0 < epsilon <= 1, got {self.epsilon}")
+    if not 0.0 < coefficient < math.inf:
+        raise ValueError(f"sub-linear regime needs 0 < coefficient < inf, got {coefficient}")
+    if not 0.0 < epsilon <= 1.0:
+        raise ValueError(f"sub-linear regime needs 0 < epsilon <= 1, got {epsilon}")
+    return Regime(coefficient, 1.0 - epsilon, "point")
 
 
-@dataclass(frozen=True)
-class SuperLinear:
+def SuperLinear(coefficient: float = 1.0, epsilon: float = 0.5) -> Regime:
     """beta_hbar = c * hbar^{1+epsilon}: no limiting state (chars vanish)."""
-
-    coefficient: float = 1.0
-    epsilon: float = 0.5
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.coefficient < math.inf:
-            raise ValueError(
-                f"super-linear regime needs 0 < coefficient < inf, got {self.coefficient}"
-            )
-        if not 0.0 < self.epsilon < math.inf:
-            raise ValueError(f"super-linear regime needs 0 < epsilon < inf, got {self.epsilon}")
-
-
-Regime = GroundState | Linear | SubLinear | SuperLinear
+    if not 0.0 < coefficient < math.inf:
+        raise ValueError(f"super-linear regime needs 0 < coefficient < inf, got {coefficient}")
+    if not 0.0 < epsilon < math.inf:
+        raise ValueError(f"super-linear regime needs 0 < epsilon < inf, got {epsilon}")
+    return Regime(coefficient, 1.0 + epsilon, "none")
 
 
 @dataclass(frozen=True)
@@ -203,31 +213,19 @@ def flow_gap(
     return _sup_deviation(evolve_state(sys, point, t), heisenberg, panel)
 
 
-def _beta_hbar(regime: Regime, hbar: float) -> float:
-    if isinstance(regime, GroundState):
-        return math.inf
-    if isinstance(regime, Linear):
-        return regime.beta * hbar
-    if isinstance(regime, SubLinear):
-        return regime.coefficient * hbar ** (1.0 - regime.epsilon)
-    if isinstance(regime, SuperLinear):
-        return regime.coefficient * hbar ** (1.0 + regime.epsilon)
-    raise TypeError(f"unknown regime {regime!r}")
-
-
 def equilibrium_sweep(
     sys: VanHoveSystem,
     regime: Regime,
     panel: Sequence[RadialFunction],
     hbars: Sequence[float] = DEFAULT_HBAR_LADDER,
 ) -> SweepReport:
-    """Quantum Gibbs states along beta_hbar(regime) against their limit."""
+    """Quantum Gibbs states along regime.beta_hbar against their limit."""
     hs = _check_ladder(hbars)
-    if isinstance(regime, SuperLinear):
-        limit = 0.0  # no limit state: the values themselves must vanish
-    elif isinstance(regime, Linear):
-        limit = gibbs_classical(sys.source, regime.beta).chars(panel)
-    else:
+    if regime.limit == "classical":
+        limit = gibbs_classical(sys.source, regime.coefficient).chars(panel)
+    elif regime.limit == "point":
         limit = dirac(-sys.j_over_omega).chars(panel)
-    states = (gibbs_quantum(sys.source, _beta_hbar(regime, h), h) for h in hs)
+    else:
+        limit = 0.0  # no limit state: the values themselves must vanish
+    states = (gibbs_quantum(sys.source, regime.beta_hbar(h), h) for h in hs)
     return _report(hs, [_sup_deviation(state, limit, panel) for state in states])

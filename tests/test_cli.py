@@ -209,7 +209,7 @@ def test_kms_batch_rows_equal_one_pair_calls(tmp_path):
     code, csv, _ = _run(tmp_path, "kms", *overrides)
     assert code == 0
     cfg = resolve_config(cli._defaults("kms"), None, overrides)
-    sys_ = cli._system_from(cfg, cli._grid_from(cfg))
+    sys_ = cli.dynamics.make_system(cli._source_from(cfg))
     state = gibbs_quantum(sys_.source, cfg["beta_h"], cfg["hbar"])
     ts = np.linspace(cfg["t_min"], cfg["t_max"], cfg["t_points"])
     pairs = list(cli._kms_pairs(sys_.grid, cfg["seed"], cfg["pairs"]))
@@ -312,6 +312,11 @@ def test_kms_seed_is_taken_mod_2_64(tmp_path):
         ("equilibrium", "regime=sublinear epsilon=2"),
         ("equilibrium", "regime=sublinear coefficient=-1"),
         ("equilibrium", "regime=superlinear coefficient=0"),
+        # beta_hbar = c hbar^power underflows to 0 on the hbar ladder
+        ("equilibrium", "regime=superlinear epsilon=1000"),
+        ("equilibrium", "regime=linear beta=5e-324"),
+        ("equilibrium", "regime=linear beta=1e-320"),
+        ("equilibrium", "regime=superlinear coefficient=1e-300 epsilon=20"),
         ("scattering", "points=16"),
         ("garding", "k_min=0"),
         ("fock-spectrum", "cutoff=5"),
@@ -367,7 +372,7 @@ def test_bad_kms_and_evolve_parameters_exit_2_before_compute(
     def computed(*args, **kwargs):
         pytest.fail("computed before validating")
 
-    monkeypatch.setattr(cli, "_system_from", computed)
+    monkeypatch.setattr(cli.dynamics, "make_system", computed)
     monkeypatch.setattr(cli.fock, "adequate_cutoff", computed)
     monkeypatch.setattr(cli.fock, "ground_state_analysis", computed)
     monkeypatch.setattr(cli.fock, "garding_probe", computed)
@@ -839,7 +844,8 @@ def test_transport_vs_dynamics_stays_under_a_tenth_of_its_tolerance(tmp_path, ov
 
 
 def _wrapped(module, name, wrap):
-    """A patch: module.name replaced by wrap(the original) for one test.
+    """A patch: module.name (a module's or a class's attribute) replaced by
+    wrap(the original) for one test.
     Applied, it returns the list that each call of the replacement appends
     to, so a test can tell a patch that never ran from one no check sees."""
 
@@ -1020,7 +1026,7 @@ _UNLEDGERED = {
 _BLIND = {
     "superlinear_beta_h_times_10": (
         "equilibrium regime=superlinear",
-        _wrapped(cli.semiclassics, "_beta_hbar",
+        _wrapped(cli.semiclassics.Regime, "beta_hbar",
                  lambda real: lambda regime, hbar: 10.0 * real(regime, hbar)),
         "item 2: the superlinear values vanish either way; a closed-form exponent sees it",
     ),

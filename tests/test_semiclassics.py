@@ -19,6 +19,7 @@ from vanhove.semiclassics import (
     DEFAULT_HBAR_LADDER,
     GroundState,
     Linear,
+    Regime,
     SubLinear,
     SuperLinear,
     default_panel,
@@ -146,6 +147,24 @@ def test_regime_parameter_validation():
     ]:
         with pytest.raises(ValueError, match=key):
             regime(*args)
+
+
+def test_each_regime_is_one_record_of_its_scaling_and_limit(system_g03, panel):
+    assert GroundState() == Regime(math.inf, 0.0, "point")
+    assert Linear(2.0) == Regime(2.0, 1.0, "classical")
+    assert SubLinear(3.0, 0.25) == Regime(3.0, 0.75, "point")
+    assert SuperLinear(3.0, 0.5) == Regime(3.0, 1.5, "none")
+    # hbar^1 and hbar^0 are exact: beta hbar and oo to the bit
+    assert Linear(0.3).beta_hbar(0.1) == 0.3 * 0.1
+    assert GroundState().beta_hbar(0.1) == math.inf
+    # the limit is named, not read off the power: 1 + 1e-17 rounds to 1
+    assert SuperLinear(1.0, 1e-17) == Regime(1.0, 1.0, "none")
+    with pytest.raises(ValueError, match="limit"):
+        Regime(1.0, 1.0, "nowhere")
+    # a beta_hbar that underflows to 0 is refused, not handed to gibbs_quantum
+    for regime in (SuperLinear(1.0, 1000.0), Linear(5e-324)):
+        with pytest.raises(ValueError, match=r"beta_hbar = .* must be > 0"):
+            equilibrium_sweep(system_g03, regime, panel)
 
 
 def test_flow_gap_is_round_off_and_sees_a_wrong_flow(system_g03, center, panel, monkeypatch):
