@@ -6,7 +6,8 @@ Every command is one declaration in ``_COMMANDS``: its runner, its keys as
 positional overrides; unknown keys are an error), checks every rule before
 any compute, runs one workbench computation and returns ``Check`` records.
 The rules hold only what belongs to the command line (spans, ``t_min <=
-t_max``, Fock truncations and memory ceilings).  The rest is refused by the
+t_max``, time axes whose phases t omega stay finite, Fock truncations and
+memory ceilings).  The rest is refused by the
 objects that take the parameters, built first: the grid (``make_grid``) and
 the source on it, then the spectral window (``kms_window``), the Filon rule's
 grid (``check_filon_grid``), the regime and its beta_hbar on the hbar ladder,
@@ -73,8 +74,10 @@ _DIM: Rule = (f"in 1..{DIM_MAX}", lambda d: 1 <= d <= DIM_MAX)
 #:   row and CSV line (10^5 more evolve steps: +50 MB), so 2^17 rows ~65 MB;
 #: - panels x points grid nodes cost ~120 B each (2^16 nodes: +8 MB);
 #: - a (t_points, N) phase table costs ~24 B an entry in kms (the complex table
-#:   beside its real factor; 20,000 x 512: +234 MB) and ~30 B in scattering
-#:   (+312 MB): 2^21 entries ~50 and ~63 MB.
+#:   beside its real factor; 4096 x 512: +50 MB) and ~30 B in scattering
+#:   (20,000 x 512: +312 MB): 2^21 entries ~50 and ~63 MB.  kms's pair blocks
+#:   add 2^14-entry weights and cross terms, past 4096 times one pair's
+#:   (t_points, 4) cross terms (131,072 x 16: 57 MB traced, the table 52 MB).
 _ROWS_MAX, _NODES_MAX, _TABLE_MAX = 2**17, 2**16, 2**21
 _ROWS: Rule = (f"in 1..{_ROWS_MAX}", lambda n: 1 <= n <= _ROWS_MAX)
 
@@ -93,6 +96,24 @@ def _span(low: str, high: str, count: int) -> CrossRule:
         f"{low}..{high} must span at least {count} value{'s' * (count > 1)}, "
         f"got {{{low}}}..{{{high}}}",
         lambda c: c[high] - c[low] + 1 >= count,
+    )
+
+
+def _finite_phases(*keys: str, mirrored: bool = False) -> CrossRule:
+    """The time axis through the keys' values (and their negations, when
+    ``mirrored``) keeps its span and every phase t omega finite: omega <=
+    hypot(r_max, mass) on the grid, and past the float range e^{i t omega} is nan."""
+
+    def holds(c: dict) -> bool:
+        ends = [c[k] for k in keys] + [-c[k] for k in keys if mirrored]
+        reach = max(map(abs, ends)) * math.hypot(c["r_max"], c["mass"])
+        return math.isfinite(reach) and math.isfinite(max(ends) - min(ends))
+
+    shown = ", ".join(f"{k}={{{k}}}" for k in (*keys, "r_max", "mass"))
+    return (
+        "|t| x hypot(r_max, mass) and the span of the time axis must be finite, "
+        f"got {shown}",
+        holds,
     )
 
 
@@ -226,20 +247,23 @@ def _source_from(cfg: dict) -> sources.SourceSpec:
     return _configured(sources.power_law_gaussian, grid, cfg["gamma"], ir_cutoff=cutoff)
 
 
-def _kms_pairs(grid: MomentumGrid, seed: int, count: int) -> Iterable[tuple]:
+def _kms_pairs(grid: MomentumGrid, seed: int, count: int, block: int) -> Iterable[tuple]:
     """``count`` random (f, g) pairs from one Generator seeded by ``seed`` mod
-    2^64, drawn lazily, f before g: each member sums exp(-s r^2), s = 0.5, 1,
-    2, 4, with standard complex normal coefficients, so pair k does not depend
-    on ``count``."""
+    2^64, f before g: each member sums exp(-s r^2), s = 0.5, 1, 2, 4, left to
+    right, with standard complex normal coefficients (4 real parts, then 4
+    imaginary parts), so pair k depends on neither ``count`` nor ``block``.
+    They are drawn lazily, ``block`` pairs per Generator call."""
     rng = np.random.default_rng(seed % 2**64)
     gaussians = [np.exp(-s * grid.nodes**2) for s in (0.5, 1.0, 2.0, 4.0)]
-
-    def member():
-        coeffs = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        return from_values(grid, sum(c * g for c, g in zip(coeffs, gaussians)))
-
-    for _ in range(count):
-        yield member(), member()
+    for start in range(0, count, block):
+        draws = rng.standard_normal((min(block, count - start), 2, 2, 4))
+        coeffs = draws[:, :, 0] + 1j * draws[:, :, 1]
+        # summed in place from 0, left to right, as sum() would
+        members = np.zeros((len(draws), 2, grid.size), dtype=np.complex128)
+        for i, gauss in enumerate(gaussians):
+            members += coeffs[..., i, None] * gauss
+        for f, g in members:
+            yield from_values(grid, f), from_values(grid, g)
 
 
 def _verdict(holds: bool) -> float:
@@ -348,7 +372,9 @@ def cmd_kms(cfg: dict) -> CommandResult:
     sys_ = dynamics.make_system(_source_from(cfg))
     state = states.gibbs_quantum(sys_.source, cfg["beta_h"], cfg["hbar"])
     ts = np.linspace(cfg["t_min"], cfg["t_max"], cfg["t_points"])
-    pairs = _kms_pairs(sys_.grid, cfg["seed"], cfg["pairs"])
+    # drawn one block at a time, as kms_check checks them
+    block = dynamics.kms_block(sys_.grid, ts.size)
+    pairs = _kms_pairs(sys_.grid, cfg["seed"], cfg["pairs"], block)
     defects = dynamics.kms_check(sys_, state, cfg["beta_h"], pairs, ts)
     worst = float(np.max(defects))
     return CommandResult(
@@ -599,7 +625,7 @@ _COMMANDS: dict[str, tuple[Callable[[dict], CommandResult], dict, list[CrossRule
             "hbar": (0.5, _POSITIVE), "beta_h": (1.0, ("> 0", lambda x: x > 0.0)),
             "perturbation": (0.5, _FINITE),
         },
-        _GRID_RULES,
+        [*_GRID_RULES, _finite_phases("t_max", mirrored=True)],
     ),
     "kms": (
         cmd_kms,
@@ -608,7 +634,11 @@ _COMMANDS: dict[str, tuple[Callable[[dict], CommandResult], dict, list[CrossRule
             "t_min": (-5.0, _FINITE), "t_max": (5.0, _FINITE), "t_points": (21, _ROWS),
             "pairs": (5, _ROWS), "seed": (0, _ANY),
         },
-        [*_GRID_RULES, _at_most(_TABLE_MAX, "t_points", "panels", "points")],
+        [
+            *_GRID_RULES,
+            _at_most(_TABLE_MAX, "t_points", "panels", "points"),
+            _finite_phases("t_min", "t_max"),
+        ],
     ),
     "groundstate": (
         cmd_groundstate,
@@ -627,7 +657,7 @@ _COMMANDS: dict[str, tuple[Callable[[dict], CommandResult], dict, list[CrossRule
     "egorov": (
         cmd_egorov,
         {**_grid_keys(), "t": (1.0, _FINITE), "center_scale": (1.0, _FINITE), **_LADDER_KEYS},
-        [*_GRID_RULES, _span("k_min", "k_max", 2)],
+        [*_GRID_RULES, _span("k_min", "k_max", 2), _finite_phases("t")],
     ),
     "equilibrium": (
         cmd_equilibrium,
@@ -650,6 +680,7 @@ _COMMANDS: dict[str, tuple[Callable[[dict], CommandResult], dict, list[CrossRule
             *_GRID_RULES,
             _at_most(_TABLE_MAX, "t_points", "panels", "points"),
             ("t_min must be <= t_max, got {t_min}, {t_max}", lambda c: c["t_min"] <= c["t_max"]),
+            _finite_phases("t_min", "t_max"),
         ],
     ),
     "fock-spectrum": (

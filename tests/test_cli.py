@@ -212,7 +212,8 @@ def test_kms_batch_rows_equal_one_pair_calls(tmp_path):
     sys_ = cli.dynamics.make_system(cli._source_from(cfg))
     state = gibbs_quantum(sys_.source, cfg["beta_h"], cfg["hbar"])
     ts = np.linspace(cfg["t_min"], cfg["t_max"], cfg["t_points"])
-    pairs = list(cli._kms_pairs(sys_.grid, cfg["seed"], cfg["pairs"]))
+    block = cli.dynamics.kms_block(sys_.grid, ts.size)
+    pairs = list(cli._kms_pairs(sys_.grid, cfg["seed"], cfg["pairs"], block))
     batch = kms_check(sys_, state, cfg["beta_h"], pairs, ts)
     assert batch.shape == (6,)
     written = [float(line.split(",")[1]) for line in csv.splitlines()[-6:]]
@@ -232,13 +233,87 @@ def _kms_defects(tmp_path: Path, *overrides: str) -> list[str]:
     return [line for line in csv.splitlines() if not line.startswith("#")][1:]
 
 
+def _small_kms_block() -> int:
+    """The pairs kms_check takes per block on the _SMALL grid at 5 times."""
+    return cli.dynamics.kms_block(make_grid(panels=8, points=16, r_min=1e-4), 5)
+
+
 def test_kms_pair_k_does_not_depend_on_the_pair_count(tmp_path):
-    # one Generator draws the pairs in order, so more pairs only append rows
+    # one Generator draws the pairs in order, block by block, so more pairs
+    # (here past two blocks) only append rows
+    more = 2 * _small_kms_block() + 3
     three = _kms_defects(tmp_path, "pairs=3", "seed=5")
-    six = _kms_defects(tmp_path, "pairs=6", "seed=5")
-    assert len(three) == 3 and len(six) == 6
-    assert three == six[:3]
+    longer = _kms_defects(tmp_path, f"pairs={more}", "seed=5")
+    assert len(three) == 3 and len(longer) == more
+    assert three == longer[:3]
     assert _kms_defects(tmp_path, "pairs=3", "seed=6") != three
+
+
+def test_kms_rows_are_one_pair_calls_across_the_block_edges(tmp_path):
+    """At pair counts that straddle a block, each written defect is bitwise a
+    one-pair kms_check call, so the first rows do not depend on the count."""
+    block = _small_kms_block()
+    overrides = [*_SMALL, "t_points=5", "seed=11"]
+    cfg = resolve_config(cli._defaults("kms"), None, overrides)
+    sys_ = cli.dynamics.make_system(cli._source_from(cfg))
+    state = gibbs_quantum(sys_.source, cfg["beta_h"], cfg["hbar"])
+    ts = np.linspace(cfg["t_min"], cfg["t_max"], cfg["t_points"])
+    longest = 2 * block + 3
+    ones = np.array([
+        kms_check(sys_, state, cfg["beta_h"], [pair], ts)[0]
+        for pair in cli._kms_pairs(sys_.grid, cfg["seed"], longest, block)
+    ])
+    for count in (block - 1, block, block + 1, longest):
+        code, csv, _ = _run(tmp_path, "kms", *overrides, f"pairs={count}")
+        assert code == 0
+        rows = [line.split(",") for line in csv.splitlines() if not line.startswith("#")][1:]
+        assert [int(k) for k, _ in rows] == list(range(count))
+        written = np.array([float(defect) for _, defect in rows])
+        assert written.tobytes() == ones[:count].tobytes()
+
+
+def test_kms_pairs_are_the_per_member_draws():
+    """One Generator call per block gives bitwise the per-member stream, at any
+    block size: f before g, each from 4 real then 4 imaginary parts, the
+    Gaussians summed left to right.  At r_max = 40 they underflow to 0 on the
+    outer panels, so the signs of the zeros are compared too."""
+    grid = make_grid(panels=8, points=16, r_min=1e-4, r_max=40.0)
+    gaussians = [np.exp(-s * grid.nodes**2) for s in (0.5, 1.0, 2.0, 4.0)]
+    count = 11
+    rng = np.random.default_rng(7)
+
+    def member() -> np.ndarray:
+        coeffs = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        total = 0
+        for c, gaussian in zip(coeffs, gaussians):
+            total = total + c * gaussian
+        return total
+
+    expected = [(member(), member()) for _ in range(count)]
+    assert (expected[0][0] == 0).any()
+    for block in (1, 4, count + 1):
+        drawn = list(cli._kms_pairs(grid, 7, count, block))
+        assert len(drawn) == count
+        for (f, g), (f_ref, g_ref) in zip(drawn, expected):
+            assert f.values.tobytes() == f_ref.tobytes()
+            assert g.values.tobytes() == g_ref.tobytes()
+
+
+@pytest.mark.parametrize(
+    "command, overrides",
+    [
+        ("kms", ["t_max=1e307"]),
+        ("kms", ["t_min=-8e307", "t_max=8e307", "r_max=1"]),
+        ("evolve", ["t_max=1e307"]),
+        ("egorov", ["t=1e307"]),
+        ("scattering", ["t_max=1e300"]),
+    ],
+)
+def test_time_axes_whose_phases_stay_finite_run(tmp_path, command, overrides):
+    # just inside the phase rule's reach: |t| hypot(r_max, mass) and the span finite
+    code, _, js = _run(tmp_path, command, *_CHEAP[command], *overrides)
+    assert code == 0
+    assert json.loads(js)["failures"] == []
 
 
 def test_kms_seed_is_taken_mod_2_64(tmp_path):
@@ -270,6 +345,17 @@ def test_kms_seed_is_taken_mod_2_64(tmp_path):
         ("equilibrium", "beta=0"),
         ("scattering", "t_min=5 t_max=1"),
         ("kms", "t_min=nan"),
+        # |t| hypot(r_max, mass) or the time span overflows: every phase
+        # e^{i t omega} past it is nan
+        ("kms", "t_max=1e308"),
+        ("kms", "t_min=-1e308 t_max=1e308"),
+        ("kms", "t_min=1e307 t_max=1e308"),
+        ("kms", "t_min=-9e307 t_max=9e307 r_max=1"),
+        ("evolve", "t_max=1e308"),
+        ("evolve", "r_max=0.5 t_max=1e308"),
+        ("egorov", "t=1e308"),
+        ("egorov", "t=-1e308"),
+        ("scattering", "t_max=1e308"),
         ("soft-photons", "n_min_log2=5 n_max_log2=3"),
         ("garding", "k_min=8 k_max=3"),
         ("fock-spectrum", "coupling_re=nan"),
@@ -441,7 +527,7 @@ def test_benchmark_configs_and_the_ceilings_themselves_pass_the_rules():
         ("evolve", [f"steps={cli._ROWS_MAX}"]),
         ("kms", ["t_points=4096"]),
         ("kms", ["pairs=10000", "t_points=209", "panels=4", "points=8"]),
-        # kms holds one pair's cross terms at a time: pairs meets only the row ceiling
+        # kms holds one block's cross terms at a time: pairs meets only the row ceiling
         ("kms", ["pairs=20000", "t_points=201"]),
         ("energy", ["panels=2048", "points=32"]),
     ]:

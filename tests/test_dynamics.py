@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -311,6 +312,68 @@ def test_kms_check_needs_a_finite_temperature_gibbs_state(
     for beta_h in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="beta_h"):
             kms_check(system_g03, gibbs, beta_h, pair, ts)
+
+
+def test_kms_check_draws_its_pairs_one_block_ahead_at_most(system_g03):
+    # each member logs its reads (kms_check reads only ``values``), the
+    # generator how many pairs were read when it drew each one
+    grid = system_g03.grid
+    ts = np.linspace(-3.0, 3.0, 7)
+    block = dynamics.kms_block(grid, ts.size)
+    rng = np.random.default_rng(3)
+    state = gibbs_quantum(system_g03.source, 1.0, 0.5)
+    read: set[int] = set()
+    seen_at_draw: list[int] = []
+
+    class Logged:
+        def __init__(self, k: int):
+            self.k, self.member = k, random_member(grid, rng)
+
+        @property
+        def values(self) -> np.ndarray:
+            read.add(self.k)
+            return self.member.values
+
+    def pairs(count: int):
+        for k in range(count):
+            seen_at_draw.append(len(read))
+            yield Logged(k), Logged(k)
+
+    with pytest.raises(ValueError, match="one time"):
+        kms_check(system_g03, state, 1.0, pairs(5), [])
+    assert seen_at_draw == []  # the empty time axis is refused before any draw
+    count = 3 * block + 2
+    defects = kms_check(system_g03, state, 1.0, pairs(count), ts)
+    assert defects.shape == (count,) and defects.max() <= 1e-14
+    # at most one block of pairs is ever drawn and not yet read
+    assert max(k + 1 - seen for k, seen in enumerate(seen_at_draw)) <= block
+    assert read == set(range(count))
+
+
+def test_kms_check_memory_does_not_grow_with_the_pair_count(system_g03):
+    # the bench config's 201 times: forty blocks of lazily drawn pairs peak
+    # within one block's (4B, N) weights and (t_points, 4B) cross terms of one
+    # block's peak; all 40B pairs held at once would add 40B * 2N * 16 B = 5.2 MB.
+    # Both stay near the phase table beside its real factor (24 B an entry)
+    # plus a block's two budgets of complex entries
+    grid = system_g03.grid
+    state = gibbs_quantum(system_g03.source, 1.0, 0.5)
+    ts = np.linspace(-5.0, 5.0, 201)
+    block = dynamics.kms_block(grid, ts.size)
+
+    def peak(count: int) -> int:
+        rng = np.random.default_rng(9)
+        pairs = ((random_member(grid, rng), random_member(grid, rng)) for _ in range(count))
+        tracemalloc.start()
+        try:
+            kms_check(system_g03, state, 1.0, pairs, ts)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    many = peak(40 * block)
+    assert many - peak(block) <= 16 * 4 * block * (grid.size + ts.size)
+    assert many <= 24 * ts.size * grid.size + 2 * 16 * dynamics._PAIR_BLOCK
 
 
 # --------------------------------------------------------------------------
