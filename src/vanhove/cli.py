@@ -571,14 +571,13 @@ def _grid_keys(**defaults) -> dict:
     }
 
 
-#: Widest groundstate window.  kms_window scans |F(t)| at 2501 times (50
-#: anchors x 51 comb steps) against Q = ceil(1.1 * 5000 * width / 12) sigma
-#: panels of 16 nodes.  It holds the (51, Q) comb table, one (51, Q) anchor
-#: chunk of complex phases and the (Q, 16) rule and weight matrix, ~2.9 kB per
-#: panel, and makes 2501 * 16 * Q complex multiply-adds: at width 8 (Q = 3667)
-#: that is 11 MB and 1.5e8 (a run peaks at ~65 MB, 55 MB of it the imports);
-#: s_plus = 100 at the default s_minus asks for Q = 47,209, 1.9e9 and a
-#: ~160 MB peak, s_plus = 1000 for ~1.3 GB.
+#: Widest groundstate window.  Its cost falls with the width (t_max = 596 / h
+#: + 25): at width 8 the rule has 128 sigma panels to t_max = 174, and a run
+#: takes ~19 ms in process and peaks at ~40 MB resident, the imports; even
+#: [-3, 997] traces 13 MB.  What bounds it is ground_state_check's fixed time
+#: step (ROADMAP item 7), which aliases frequencies near |sigma| ~ 100: [-65, -1]
+#: reads 4.8e-10 and [-129, -1] 1.2e-4 (exit 1), against 5.6e-16 and 4.7e-10 at
+#: resolution=2.  Width 8 from the default s_minus stays clear of that.
 _WINDOW_WIDTH_MAX = 8.0
 
 #: Largest fock-spectrum truncation N.  A run holds only length-(N + 1)

@@ -47,8 +47,11 @@ t -> omega^oo(W(f) tau_t[W(g)]) contains only nonnegative frequencies, so
 smearing with a window F(t) = int Fhat(sigma) e^{-i sigma t} d sigma whose
 profile is supported in sigma < 0 must annihilate it, while windows over
 positive frequencies inside the dispersion range see the one-excitation
-mass.  Windows use the standard smooth bump exp(-1/(1-u^2)) and a t-range
-chosen so the window transform has decayed below 1e-12 of its peak.
+mass.  Windows use the standard smooth bump exp(-1/(1-u^2)) scaled to
+half-width h, so |F(t)| / F(0) = |B(h t)| / B(0) with B the transform of the
+unit bump, and the t-range is that law's closed form t_max = 596 / h + 25: B
+stays below 1e-12 of B(0) from 596 on (on the rungs 0, 2, 4, ...; between
+them from ~597.7).
 
 Every phase in these sums is e^{-i sigma t} with both axes on uniform panels:
 a frequency node is sigma = S_q + d_k (panel mid plus a shared offset), and a
@@ -229,7 +232,9 @@ def evolve_rows(
 class KmsWindow:
     """Smooth frequency window: profile exp(-1/(1-u^2)) scaled to
     [s_minus, s_plus], realized as a panelized quadrature rule, together
-    with the time range past which its transform is negligible.
+    with the time range past which its transform is negligible: the scale
+    law |F(t)| / F(0) = |B(h t)| / B(0) of a window of half-width h, with B
+    the unit bump's transform, gives t_max = 596 / h + 25 by default.
 
     The panels are uniform, so every node is (mid of its panel) + (one of a
     shared set of offsets).  That splits e^{-i sigma t} into a per-panel
@@ -336,7 +341,8 @@ def _sigma_rule(
     offsets = half * x
     nodes = mids[:, None] + offsets[None, :]
     u = (2.0 * nodes - (s_plus + s_minus)) / (s_plus - s_minus)
-    weights = half * w[None, :] * np.exp(-1.0 / (1.0 - u**2))
+    with np.errstate(divide="ignore"):  # nodes rounded onto u = +-1 weigh exp(-inf) = 0
+        weights = half * w[None, :] * np.exp(-1.0 / (1.0 - u**2))
     for arr in (mids, offsets, weights):
         arr.setflags(write=False)
     return mids, offsets, weights
@@ -347,50 +353,37 @@ def _window_panels(s_minus: float, s_plus: float, t_max: float) -> int:
     return max(_WINDOW_PANELS_MIN, math.ceil(1.1 * t_max * half_width / _THETA_MAX))
 
 
-def kms_window(
-    s_minus: float,
-    s_plus: float,
-    t_max: float | None = None,
-) -> KmsWindow:
+#: |F(t)| / F(0) = |B(h t)| / B(0) at half-width h, B the unit bump's transform:
+#: |B| stays below _WINDOW_DROP of B(0) from 596 on the rungs 0, 2, 4, ... (from
+#: ~597.7 between them, inside the margin of 25 for every h >= 0.068).
+_DECAY_K = 596.0
+_BUMP_INTEGRAL = 0.44399381616808  # B(0)
+
+
+def kms_window(s_minus: float, s_plus: float, t_max: float | None = None) -> KmsWindow:
+    """The window on [s_minus, s_plus], its rule resolved to ``t_max``, by
+    default the scale law's t_max = 596 / h + 25.  Refuses a window too narrow
+    for t_max <= 5000, and a rule that misses its integral h B(0) by more than
+    make_grid's 1e-12 (far from sigma = 0, where rounding moves the nodes and
+    panel widths, or flattens them onto the profile's zero ends)."""
     if not s_minus < s_plus:
         raise ValueError(f"need s_minus < s_plus, got [{s_minus}, {s_plus}]")
+    half_width = 0.5 * (s_plus - s_minus)
     if t_max is None:
-        t_max = _auto_t_max(kms_window(s_minus, s_plus, _SCAN_TO))
+        t_max = _DECAY_K / half_width + 25.0
+        if t_max > 5000.0:
+            raise ValueError(
+                f"window transform does not decay below {_WINDOW_DROP:g} of its peak "
+                f"within t <= 5000: [{s_minus}, {s_plus}] is too narrow"
+            )
     mids, offsets, weights = _sigma_rule(s_minus, s_plus, _window_panels(s_minus, s_plus, t_max))
-    return KmsWindow(
-        s_minus=float(s_minus),
-        s_plus=float(s_plus),
-        t_max=float(t_max),
-        sigma_mids=mids,
-        sigma_offsets=offsets,
-        sigma_weights=weights,
-    )
-
-
-_SCAN_TO = 5000.0
-_SCAN_STEP = 2.0
-
-
-def _auto_t_max(window: KmsWindow) -> float:
-    """Smallest t past which |F| stays below the drop threshold, scanned on the
-    ladder 0, 2, ..., window.t_max (the rule resolves F that far), with margin
-    for the oscillation between samples."""
-    count = math.floor(window.t_max / _SCAN_STEP) + 1
-    anchors, comb = _ladder(0.0, _SCAN_STEP, count)
-    vals = np.abs(
-        _phase_grid(
-            window.sigma_mids, window.sigma_offsets, window.sigma_weights, anchors, comb, _ZERO
-        )[:count, 0]
-    )
-    threshold = _WINDOW_DROP * window.peak
-    tail_max = np.maximum.accumulate(vals[::-1])[::-1]
-    ok = tail_max < threshold
-    if not ok[-1]:
+    total, integral = float(weights.sum()), half_width * _BUMP_INTEGRAL
+    if not abs(total - integral) <= 1e-12 * integral:
         raise ValueError(
-            f"window transform does not decay below {_WINDOW_DROP:g} of its "
-            f"peak within t <= {window.t_max:g}"
+            f"the window rule on [{s_minus}, {s_plus}] integrates its profile to "
+            f"{total!r}, not {integral!r}: its nodes and panel widths round"
         )
-    return float(int(np.argmax(ok)) * _SCAN_STEP + 25.0)
+    return KmsWindow(float(s_minus), float(s_plus), float(t_max), mids, offsets, weights)
 
 
 #: Entries of one block's (4B, N) weights and of its (t_points, 4B) cross

@@ -405,11 +405,9 @@ def _direct(window, t):
 
 @pytest.fixture(scope="module", params=_WINDOWS, ids=lambda w: f"[{w[0]:g},{w[1]:g}]")
 def scan_and_window(request):
-    """The window kms_window scans for t_max (resolved to t = 5000), and the
-    window it returns."""
+    """The window resolved to t = 5000, and the one kms_window returns."""
     s_minus, s_plus = request.param
-    scan = kms_window(s_minus, s_plus, dynamics._SCAN_TO)
-    return scan, kms_window(s_minus, s_plus, dynamics._auto_t_max(scan))
+    return kms_window(s_minus, s_plus, t_max=5000.0), kms_window(s_minus, s_plus)
 
 
 def test_phase_grid_matches_the_direct_sum(scan_and_window):
@@ -435,22 +433,57 @@ def test_phase_grid_matches_the_direct_sum(scan_and_window):
     assert np.max(np.abs(grid[rows] - _direct(w, t))) <= 1e-12 * w.peak
 
 
-def test_auto_t_max_matches_a_direct_scan(scan_and_window):
-    # |F| on every rung of 0, 2, ..., 5000, each from its own exponentials
-    # (per panel mid and per offset), then the first rung past which |F|
-    # stays below 1e-12 of the peak, plus the margin of 25
-    scan, w = scan_and_window
+def test_unit_window_decays_below_the_drop_from_596_on():
+    # |F| of the unit window (h = 1) on every rung of 0, 2, ..., 5000, each
+    # from its own exponentials (per panel mid and per offset): the first rung
+    # past which |F| stays below 1e-12 of the peak is the scale law's 596
+    unit = kms_window(-1.0, 1.0, t_max=5000.0)
     t = np.arange(0.0, 5002.0, 2.0)
     vals = np.concatenate([
         np.abs(np.sum(
-            (np.exp(-1j * np.multiply.outer(ts, scan.sigma_mids)) @ scan.sigma_weights)
-            * np.exp(-1j * np.multiply.outer(ts, scan.sigma_offsets)),
+            (np.exp(-1j * np.multiply.outer(ts, unit.sigma_mids)) @ unit.sigma_weights)
+            * np.exp(-1j * np.multiply.outer(ts, unit.sigma_offsets)),
             axis=1,
         ))
         for ts in np.array_split(t, 20)
     ])
-    above = np.flatnonzero(vals >= 1e-12 * scan.peak)
-    assert w.t_max == t[above[-1] + 1] + 25.0
+    above = np.flatnonzero(vals >= 1e-12 * unit.peak)
+    assert t[above[-1] + 1] == dynamics._DECAY_K == 596.0
+
+
+_WIDTHS = [0.25, 0.5, 1.0, 2.0, 3.0, 8.0]
+
+
+@pytest.mark.parametrize(
+    "width, s_minus",
+    # [100, 100.5] is refused: its rule misses h B(0) by 1.2e-12
+    [(w, s) for s in (-3.0, 14.0, 100.0) for w in _WIDTHS if (w, s) != (0.5, 100.0)],
+)
+def test_t_max_follows_the_scale_law(width, s_minus):
+    h = 0.5 * width
+    assert kms_window(s_minus, s_minus + width).t_max == 596.0 / h + 25.0
+
+
+@pytest.mark.parametrize("width", _WIDTHS)
+def test_the_margin_covers_the_dense_crossing(width):
+    # |F(t)| / F(0) = |B(h t)| / B(0) crosses 1e-12 at h t ~ 597.7 between the
+    # rungs, so the unfactored sum stays below it on a fine ladder from 598 / h
+    # to t_max.  Read near sigma = 0: far out, the rounding of the nodes, the
+    # panel widths and the phases sigma t lifts |F| there to ~1e-12 of its peak.
+    h = 0.5 * width
+    w = kms_window(-3.0, -3.0 + width)
+    t = np.arange(598.0 / h, w.t_max, 0.05 / h)
+    assert np.max(np.abs(_direct(w, t))) < 1e-12 * w.peak
+
+
+def test_window_refuses_a_narrow_window_and_a_rule_that_misses_its_integral():
+    # t_max = 596 / h + 25 past 5000, and nodes that rounding moves (or, at
+    # 1e15, flattens onto the profile's zero ends)
+    with pytest.raises(ValueError, match="does not decay"):
+        kms_window(-3.0, -2.8)
+    for s_minus, s_plus in ((100.0, 100.5), (300.0, 302.0), (-1000.0, -998.0), (1e15, 1e15 + 2)):
+        with pytest.raises(ValueError, match="integrates its profile"):
+            kms_window(s_minus, s_plus)
 
 
 def test_ground_state_check_matches_the_unfactored_evaluation(
