@@ -451,6 +451,29 @@ def test_unit_window_decays_below_the_drop_from_596_on():
     assert t[above[-1] + 1] == dynamics._DECAY_K == 596.0
 
 
+def test_auto_t_max_matches_a_direct_scan(scan_and_window):
+    # |F| on every rung of 0, 2, ..., 5000, each from its own exponentials
+    # (per panel mid and per offset); the first rung past which |F| stays
+    # below 1e-12 of the peak, plus the margin of 25, is the scan's t_max.
+    # The scale law's t_max is that, or later by less than one rung: at
+    # h = 1 they agree, at [-7, 1] (h = 4) the scan gives 173, the law 174
+    scan, w = scan_and_window
+    t = np.arange(0.0, 5002.0, 2.0)
+    vals = np.concatenate([
+        np.abs(np.sum(
+            (np.exp(-1j * np.multiply.outer(ts, scan.sigma_mids)) @ scan.sigma_weights)
+            * np.exp(-1j * np.multiply.outer(ts, scan.sigma_offsets)),
+            axis=1,
+        ))
+        for ts in np.array_split(t, 20)
+    ])
+    above = np.flatnonzero(vals >= 1e-12 * scan.peak)
+    scanned = t[above[-1] + 1] + 25.0
+    assert scanned <= w.t_max < scanned + 2.0
+    if w.s_plus - w.s_minus == 2.0:
+        assert w.t_max == scanned
+
+
 _WIDTHS = [0.25, 0.5, 1.0, 2.0, 3.0, 8.0]
 
 
