@@ -80,6 +80,8 @@ _DIM: Rule = (f"in 1..{DIM_MAX}", lambda d: 1 <= d <= DIM_MAX)
 #:   (t_points, 4) cross terms (131,072 x 16: 57 MB traced, the table 52 MB).
 _ROWS_MAX, _NODES_MAX, _TABLE_MAX = 2**17, 2**16, 2**21
 _ROWS: Rule = (f"in 1..{_ROWS_MAX}", lambda n: 1 <= n <= _ROWS_MAX)
+#: Rows the CSV writer formats at a time
+_CSV_BLOCK = 2**8
 
 
 def _at_most(limit: int, *keys: str) -> CrossRule:
@@ -211,11 +213,17 @@ class CommandResult:
 
 def _write_outputs(out_prefix: str, cfg: dict, result: CommandResult) -> None:
     chash = config_hash(cfg)
-    # line by line: the joined text of 2^17 rows would add ~40 MB to the peak
+    # by blocks of rows (the text of 2^17 rows would add ~40 MB), then by column
     with open(out_prefix + ".csv", "w") as csv:
         csv.writelines(f"# {k}={_fmt(cfg[k])}\n" for k in sorted(cfg))
         csv.write(f"# config_hash={chash}\n{','.join(result.header)}\n")
-        csv.writelines(",".join(_fmt(x) for x in row) + "\n" for row in result.rows)
+        for first in range(0, len(result.rows), _CSV_BLOCK):
+            cells = [
+                [format(v, ".17g") for v in column]
+                if all(type(v) is float for v in column) else list(map(_fmt, column))
+                for column in zip(*result.rows[first : first + _CSV_BLOCK])
+            ]
+            csv.writelines(",".join(row) + "\n" for row in zip(*cells))
     payload = {
         "config": {k: cfg[k] for k in sorted(cfg)},
         "config_hash": chash,
@@ -346,10 +354,11 @@ def cmd_evolve(cfg: dict) -> CommandResult:
     gibbs = states.gibbs_quantum(sys_.source, cfg["beta_h"], cfg["hbar"])
     probe = sample(grid, lambda r: np.exp(-(r**2)))
     char0 = gibbs.char(probe)
-    ts = np.linspace(-cfg["t_max"], cfg["t_max"], cfg["steps"])
+    axis = (-cfg["t_max"], cfg["t_max"], cfg["steps"])
+    ts = np.linspace(*axis)
     # Heisenberg picture: evolve_state would only move the centre along the
     # flow, which fixes -J/omega exactly and so could not drift at all.
-    energies, chars = dynamics.evolve_rows(sys_, alpha0, gibbs, probe, ts)
+    energies, chars = dynamics.evolve_rows(sys_, alpha0, gibbs, probe, *axis)
     energy_drift = np.abs(energies - e0) / scale
     d = chars - char0
     # |chi(t) - chi(0)| / |chi(0)|, nan where chi(0) underflows (hypot: abs, bit for bit)

@@ -15,14 +15,16 @@ hbar.  The Heisenberg dynamics acts on exponential elements by
 
 one phase for all hbar >= 0 (at hbar = 0 this is the flow transposed).
 
-Over a whole time axis ``evolve_rows`` gives E(Phi_t alpha) and
-omega(tau_t[W_h(f)]) at every t in one loop over chunks of at most 2^13
-(time x node) entries (16 rows at N = 512).  Each chunk builds one
-e^{i t omega} table: the flow takes its conjugate, e^{-i t omega} bit for bit,
-and the Heisenberg route the table itself.  Entry i is bitwise the scalar
-composition at ts[i] (``classical_energy`` of ``classical_flow``, and
-``evaluate`` of ``evolve_weyl``), which stay as the reference API.  The two
-routes share the table and no formula: the Heisenberg one never moves the state.
+On a uniform time axis linspace(start, stop, count) ``evolve_rows`` gives
+E(Phi_t alpha) and omega(tau_t[W_h(f)]) in one loop over chunks of at most
+2^13 (time x node) entries (16 rows at N = 512).  A chunk's e^{i t omega}
+table is the carrier at its centre time times a comb shared by every full
+chunk: O((count / rows + rows) N) exponentials, not count N, each entry within
+6 eps (1 + max|t| omega) of np.exp at the linspace time.  The flow takes the
+table's conjugate and the Heisenberg route the table itself; they share no
+formula, and the Heisenberg one never moves the state.  The scalar compositions
+(``classical_energy`` of ``classical_flow``, ``evaluate`` of ``evolve_weyl``)
+stay as the reference API.
 
 Two spectral diagnostics close the module.  ``kms_check`` verifies the
 thermal boundary condition at a given beta_h: the analytic continuation
@@ -186,29 +188,41 @@ def evolve_state(sys: VanHoveSystem, state: CharState, t: float) -> CharState:
     return replace(state, center=classical_flow(sys, state.center, t))
 
 
+def _phase_rows(start: float, stop: float, count: int, omega: np.ndarray):
+    """(slice, e^{i t omega} rows) per chunk of t = linspace(start, stop, count):
+    the carrier e^{i a omega} at the chunk's centre time a times the comb
+    e^{i c omega}, c = step (b - mid), built once (and for a short last chunk)."""
+    rows = max(1, _ROW_CHUNK // omega.size)
+    step = (stop - start) / max(count - 1, 1)
+    for first in range(0, count, rows):
+        n = min(rows, count - first)
+        mid = 0.5 * (n - 1)
+        if first == 0 or n < rows:
+            comb = np.exp(1j * np.multiply.outer(step * (np.arange(n) - mid), omega))
+        yield slice(first, first + n), np.exp(1j * ((start + step * (first + mid)) * omega)) * comb
+
+
 def evolve_rows(
-    sys: VanHoveSystem, alpha: RadialFunction, state: CharState, f: RadialFunction, ts
+    sys: VanHoveSystem, alpha: RadialFunction, state: CharState, f: RadialFunction,
+    start: float, stop: float, count: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """E(Phi_t alpha) and state(tau_t[W_h(f)]), h = state.hbar, at every t in
-    ts; entry i is bitwise classical_energy(sys, classical_flow(sys, alpha,
-    ts[i])) and evaluate(state, evolve_weyl(sys, weyl(f, h), ts[i])).  The
-    state is never moved: this is the Heisenberg side of the invariance of a
-    Gibbs state."""
+    """E(Phi_t alpha) and state(tau_t[W_h(f)]), h = state.hbar, at every t of
+    linspace(start, stop, count): classical_energy(sys, classical_flow(sys,
+    alpha, t)) and evaluate(state, evolve_weyl(sys, weyl(f, h), t)), their
+    phases e^{i t omega} taken from ``_phase_rows`` within 6 eps (1 + T omega),
+    T = max(|start|, |stop|).  The state is never moved: this is the
+    Heisenberg side of the invariance of a Gibbs state."""
     if state.grid is not sys.grid or f.grid is not sys.grid:
         raise ValueError("state or probe lives on a different grid than the system")
     grid = sys.grid
-    ts = np.asarray(ts, dtype=np.float64)
     jw = sys.j_over_omega.values
     shifted = (alpha + sys.j_over_omega).values
     m0, m1 = grid.measure(0), grid.measure(1)
     probe = weyl(f, state.hbar)
     paired = m0 * np.conj(probe.gens[0])
-    energies = np.empty(ts.size)
-    chars = np.empty(ts.size, dtype=np.complex128)
-    rows = max(1, _ROW_CHUNK // grid.size)
-    for start in range(0, ts.size, rows):
-        part = slice(start, start + rows)
-        phase = np.exp(np.multiply.outer(1j * ts[part], grid.omega))
+    energies = np.empty(count)
+    chars = np.empty(count, dtype=np.complex128)
+    for part, phase in _phase_rows(start, stop, count, grid.omega):
         back = np.conj(phase)
         flowed = shifted * back - jw
         if not np.isfinite(flowed.view(np.float64)).all():
@@ -243,6 +257,8 @@ class KmsWindow:
     single global rule would only return aliasing noise.  The time axis is
     split the same way (anchor, comb step and offset of a uniform ladder), so
     F on a ladder costs two small exponential tables per axis and one matmul.
+    Narrow windows far from sigma = 0 keep |F| past t_max only at a floor of
+    ~1e-12 of the peak, the rounding of the nodes, panel widths and sigma t.
     """
 
     s_minus: float
@@ -336,7 +352,7 @@ def _sigma_rule(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     edges = np.linspace(s_minus, s_plus, panels + 1)
     mids = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1] - edges[0])
+    half = (s_plus - s_minus) / (2 * panels)  # not from two rounded edges
     x, w = np.polynomial.legendre.leggauss(_WINDOW_GL)
     offsets = half * x
     nodes = mids[:, None] + offsets[None, :]
@@ -364,8 +380,8 @@ def kms_window(s_minus: float, s_plus: float, t_max: float | None = None) -> Kms
     """The window on [s_minus, s_plus], its rule resolved to ``t_max``, by
     default the scale law's t_max = 596 / h + 25.  Refuses a window too narrow
     for t_max <= 5000, and a rule that misses its integral h B(0) by more than
-    make_grid's 1e-12 (far from sigma = 0, where rounding moves the nodes and
-    panel widths, or flattens them onto the profile's zero ends)."""
+    make_grid's 1e-12 (at 1e15, where rounding flattens the nodes onto the
+    profile's zero ends)."""
     if not s_minus < s_plus:
         raise ValueError(f"need s_minus < s_plus, got [{s_minus}, {s_plus}]")
     half_width = 0.5 * (s_plus - s_minus)

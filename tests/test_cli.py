@@ -391,9 +391,8 @@ def test_kms_seed_is_taken_mod_2_64(tmp_path):
         ("groundstate", "s_minus=-1 s_plus=-3"),
         # a window too narrow to resolve: kms_window's t_max = 596 / h + 25 passes 5000
         ("groundstate", "s_minus=-3 s_plus=-2.8"),
-        # rounding moves (at 1e15 flattens) the rule's nodes on a window this far
-        # out, so it misses its own integral h B(0)
-        ("groundstate", "s_minus=1000 s_plus=1002"),
+        # rounding flattens the rule's nodes on a window this far out, so it
+        # misses its own integral h B(0)
         ("groundstate", "s_minus=1e15 s_plus=1000000000000001"),
         ("evolve", "perturbation=nan"),
         ("egorov", "center_scale=inf"),
@@ -1310,3 +1309,22 @@ def test_csv_header_records_the_full_configuration(tmp_path):
     for key, value in payload["config"].items():
         assert f"# {key}=" in csv
     assert payload["config_hash"] in csv
+
+
+@pytest.mark.parametrize("count", [0, 1, cli._CSV_BLOCK, cli._CSV_BLOCK + 1])
+def test_the_columnar_writer_writes_the_bytes_of_per_cell_fmt(tmp_path, count):
+    # an all-float column (with nan, +-inf and -0.0) takes format(v, ".17g"),
+    # every other column _fmt: bools, ints past 2^53, numpy scalars and strings
+    floats = [0.1, math.nan, math.inf, -math.inf, -0.0, 1e-300, 2.5e300]
+    mixed = [True, 7, np.int64(-3), 2**53 + 1, 0.1, np.float64(1 / 3), math.nan, -0.0, "abc"]
+    rows = [
+        (floats[i % 7] if i % 3 else i / 7, mixed[i % 9], np.float64(i) / 3, i % 2 == 0,
+         2**60 + i, f"s{i}")
+        for i in range(count)
+    ]
+    cfg = {"dim": 3, "gamma": 0.3, "name": "x"}
+    cli._write_outputs(str(tmp_path / "out"), cfg, cli.CommandResult(list("abcdef"), rows, {}))
+    expected = "".join(f"# {k}={cli._fmt(cfg[k])}\n" for k in sorted(cfg))
+    expected += f"# config_hash={config_hash(cfg)}\na,b,c,d,e,f\n"
+    expected += "".join(",".join(cli._fmt(x) for x in row) + "\n" for row in rows)
+    assert (tmp_path / "out.csv").read_text() == expected
