@@ -27,6 +27,7 @@ Generator seeded by the ``seed`` key mod 2^64.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -397,6 +398,7 @@ def cmd_kms(cfg: dict) -> CommandResult:
 def cmd_groundstate(cfg: dict) -> CommandResult:
     spec = _source_from(cfg)
     window = _configured(dynamics.kms_window, cfg["s_minus"], cfg["s_plus"])
+    _configured(dynamics.ground_state_panels, spec.grid, window)  # refuses before allocating
     sys_ = dynamics.make_system(spec)
     grid = sys_.grid
     f = sample(grid, lambda r: np.exp(-(r**2)))
@@ -580,13 +582,13 @@ def _grid_keys(**defaults) -> dict:
     }
 
 
-#: Widest groundstate window.  Its cost falls with the width (t_max = 596 / h
-#: + 25): at width 8 the rule has 128 sigma panels to t_max = 174, and a run
-#: takes ~19 ms in process and peaks at ~40 MB resident, the imports; even
-#: [-3, 997] traces 13 MB.  What bounds it is ground_state_check's fixed time
-#: step (ROADMAP item 7), which aliases frequencies near |sigma| ~ 100: [-65, -1]
-#: reads 4.8e-10 and [-129, -1] 1.2e-4 (exit 1), against 5.6e-16 and 4.7e-10 at
-#: resolution=2.  Width 8 from the default s_minus stays clear of that.
+#: Widest groundstate window.  ground_state_check's time step follows the
+#: bandwidth, so no width aliases: [-131, -3] reads 1.8e-16 and [-1003, -3]
+#: 4.1e-15, and positive windows up to [-3, 125] agree with resolution=2 to
+#: 2.2e-15.  What grows with the width is the sigma panels x time panels of its
+#: window sum, about as the width squared past ~100 (one BLAS thread, in
+#: process): 128 x 986 at [-3, 5] takes ~12 ms, 403 x 1568 at [-3, 125] ~27 ms,
+#: and 2401 x 8810 at [-3, 997] ~0.7 s and 16 MB traced.  8 stays well inside.
 _WINDOW_WIDTH_MAX = 8.0
 
 #: Largest fock-spectrum truncation N.  A run holds only length-(N + 1)
@@ -743,7 +745,9 @@ def _defaults(command: str) -> dict:
     return {key: default for key, (default, _) in _COMMANDS[command][1].items()}
 
 
-def main(argv: Sequence[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call to ``main`` (not at import)."""
     parser = argparse.ArgumentParser(
         prog="vanhove",
         description="exactly solvable field-theory workbench",
@@ -754,7 +758,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         p.add_argument("--config", default=None, help="key=value file")
         p.add_argument("--out", default=None, help="output prefix")
         p.add_argument("overrides", nargs="*", help="key=value overrides")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
     runner, keys, cross = _COMMANDS[args.command]
     try:
         cfg = resolve_config(_defaults(args.command), args.config, args.overrides)

@@ -53,7 +53,11 @@ mass.  Windows use the standard smooth bump exp(-1/(1-u^2)) scaled to
 half-width h, so |F(t)| / F(0) = |B(h t)| / B(0) with B the transform of the
 unit bump, and the t-range is that law's closed form t_max = 596 / h + 25: B
 stays below 1e-12 of B(0) from 596 on (on the rungs 0, 2, 4, ...; between
-them from ~597.7).
+them from ~597.7).  Each time panel sweeps at most _THETA_MAX = 6 radians of
+the bandwidth max(|s_minus|, |s_plus|) + max omega (the sigma panels take the
+same constant against t_max): a 10-point Gauss-Legendre panel integrates
+e^{-i sigma t} across 6 radians to ~1.7e-15 of its width, and the rule's first
+alias, at 2 pi / width, lies past the bandwidth.
 
 Every phase in these sums is e^{-i sigma t} with both axes on uniform panels:
 a frequency node is sigma = S_q + d_k (panel mid plus a shared offset), and a
@@ -102,6 +106,7 @@ __all__ = [
     "kms_check",
     "kms_block",
     "GroundStateReport",
+    "ground_state_panels",
     "ground_state_check",
     "WINDOW_TOL",
 ]
@@ -501,6 +506,32 @@ class GroundStateReport:
         return self.value <= WINDOW_TOL
 
 
+_TIME_GL = 10  # quadrature order per time panel
+
+#: Most time panels ground_state_check takes.  Its two complex (panel, node)
+#: tables cost 32 B a node: at [1250, 1252], 2,616,460 nodes, a check takes 1.7-2.0 s at one
+#: BLAS thread and peaks at 85 MB traced (121 MB resident); [1000, 1002] needs
+#: 2,098,960 nodes (1.1-1.7 s, 68 MB traced), and mass = 1e4 would need ~20.7M.
+_TIME_PANELS_MAX = 1 << 18
+
+
+def ground_state_panels(grid: MomentumGrid, window: KmsWindow, resolution: int = 1) -> int:
+    """The time panels of ``ground_state_check`` on [-t_max, t_max], each at most
+    _THETA_MAX / (max(|s_minus|, |s_plus|) + max omega) / resolution wide: the
+    composite rule first aliases at 2 pi / width, above the window's and the
+    one-excitation spectrum's frequencies.  Refuses more than _TIME_PANELS_MAX."""
+    top = float(grid.omega.max())
+    bandwidth = max(abs(window.s_minus), abs(window.s_plus)) + top
+    n_panels = 2 * max(1, math.ceil(window.t_max / (_THETA_MAX / bandwidth / resolution)))
+    if n_panels > _TIME_PANELS_MAX:
+        raise ValueError(
+            f"the ground-state time rule needs {n_panels} panels, more than "
+            f"{_TIME_PANELS_MAX}: the window [{window.s_minus}, {window.s_plus}] and the "
+            f"top frequency {top!r} of the dispersion reach too far"
+        )
+    return n_panels
+
+
 def ground_state_check(
     sys: VanHoveSystem,
     f: RadialFunction,
@@ -514,8 +545,12 @@ def ground_state_check(
     The correlation has the closed form C0 P exp(-pi^2 hbar <f, e^{it omega} g>_0)
     (all frequencies >= 0), so a window with s_plus < 0 must yield ~0 (below
     WINDOW_TOL), while windows over positive frequencies in the dispersion
-    range pick up the one-excitation line.  ``resolution`` doubles the time
-    quadrature for oracle/agreement runs.
+    range pick up the one-excitation line.  The time integral is a composite
+    10-point Gauss-Legendre rule on ``ground_state_panels`` panels, whose width
+    follows the bandwidth max(|s_minus|, |s_plus|) + max omega; ``resolution``
+    divides it for oracle/agreement runs.  The n-excitation terms of the
+    exponential, at frequencies up to n max omega, lie past that bandwidth and
+    can still alias onto a window when max omega is large (mass ~ 100).
     """
     if not 0.0 < hbar < math.inf:
         raise ValueError(f"hbar must be finite and > 0, got {hbar}")
@@ -524,10 +559,9 @@ def ground_state_check(
         if func.grid is not grid:
             raise ValueError("argument lives on a different grid than the system")
     t_max = window.t_max
-    panel_width = 0.25 / resolution
-    n_panels = 2 * max(1, math.ceil(t_max / panel_width))
+    n_panels = ground_state_panels(grid, window, resolution)
     half = t_max / n_panels
-    xg, wg = np.polynomial.legendre.leggauss(10)
+    xg, wg = np.polynomial.legendre.leggauss(_TIME_GL)
     offsets = half * xg
     node_w = half * wg
     anchors, comb = _ladder(half - t_max, 2.0 * half, n_panels)
@@ -542,11 +576,16 @@ def ground_state_check(
     fvals = _phase_grid(
         window.sigma_mids, window.sigma_offsets, window.sigma_weights, anchors, comb, offsets
     )[:n_panels]
-    corr = c0 * p * np.exp(-_PI2 * hbar * s)
-    integral = np.sum(node_w[None, :] * fvals * corr)
+    # in place, so the check's peak is its two (panel, node) tables: s turns into
+    # the correlation, fvals into the integrand
+    s *= -_PI2 * hbar
+    np.exp(s, out=s)
+    s *= c0 * p
+    fvals *= node_w
+    fvals *= s
     return GroundStateReport(
-        value=abs(integral),
+        value=abs(np.sum(fvals)),
         window=window,
         hbar=hbar,
-        t_points=n_panels * 10,
+        t_points=n_panels * _TIME_GL,
     )

@@ -560,7 +560,7 @@ def test_ground_state_check_matches_the_unfactored_evaluation(
     window = kms_window(1.0, 3.0, t_max=100.0)
     grid = system_g03.grid
     hbar = 0.1
-    n_panels = 800
+    n_panels = dynamics.ground_state_panels(grid, window)
     edges = np.linspace(-100.0, 100.0, n_panels + 1)
     half = 0.5 * (edges[1] - edges[0])
     x, wg = np.polynomial.legendre.leggauss(10)
@@ -620,6 +620,40 @@ def test_window_outside_the_dispersion_range_sees_nothing(
     # the grid tops out at r_max = 12, so frequencies above it are empty
     window = kms_window(14.0, 16.0)
     report = ground_state_check(system_g03, f_gauss, g_gauss, window)
+    assert report.value <= WINDOW_TOL
+
+
+def test_the_time_rule_follows_the_bandwidth_at_the_defaults(system_g03):
+    # panels of at most 6 / (3 + max omega) = 6 / 14.99..., so 2 * 1552 of them
+    # on [-621, 621]
+    window = kms_window(-3.0, -1.0)
+    assert dynamics.ground_state_panels(system_g03.grid, window) * 10 == 31040
+
+
+@pytest.mark.parametrize(
+    "mass, s_minus, s_plus",
+    [(100.0, -3.0, -1.0), (0.0, -102.0, -100.0)],
+    ids=["mass=100", "[-102,-100]"],
+)
+def test_negative_windows_far_from_zero_are_annihilated(mass, s_minus, s_plus):
+    # the dispersion reaching ~100.7, or the window reaching sigma = -102: the
+    # step follows either, so neither aliases onto the window
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "massive dispersion", UserWarning)
+        sys_ = make_system(power_law_gaussian(make_grid(mass=mass), 0.3))
+    f = sample(sys_.grid, lambda r: np.exp(-(r**2)))
+    g = sample(sys_.grid, lambda r: np.exp(-2.0 * r**2))
+    window = kms_window(s_minus, s_plus)
+    report = ground_state_check(sys_, f, g, window)
+    fine = ground_state_check(sys_, f, g, window, resolution=2)
+    assert report.is_annihilated and fine.is_annihilated
+    assert report.value == pytest.approx(fine.value, abs=1e-12)
+
+
+def test_a_window_above_the_spectrum_does_not_alias(system_g03, f_gauss, g_gauss):
+    # sigma in [100, 102], far above max omega ~ 12: nothing to see, and a step
+    # fixed at 0.25 read ~2.5e-6 there
+    report = ground_state_check(system_g03, f_gauss, g_gauss, kms_window(100.0, 102.0))
     assert report.value <= WINDOW_TOL
 
 
