@@ -72,13 +72,17 @@ _DIM: Rule = (f"in 1..{DIM_MAX}", lambda d: 1 <= d <= DIM_MAX)
 
 #: Count ceilings, each from the memory it drives (peak RSS growth measured):
 #: - output rows (evolve steps, kms pairs, scattering times) cost ~500 B each,
-#:   row and CSV line (10^5 more evolve steps: +50 MB), so 2^17 rows ~65 MB;
+#:   row and CSV line (10^5 more evolve steps: +50 MB), so 2^17 rows ~65 MB; a
+#:   kms pair's 8 complex coefficients (128 B) go before its rows are formed
+#:   (2^17 pairs: 19 MB traced, 58 MB resident at one BLAS thread);
 #: - panels x points grid nodes cost ~120 B each (2^16 nodes: +8 MB);
-#: - a (t_points, N) phase table costs ~24 B an entry in kms (the complex table
-#:   beside its real factor; 4096 x 512: +50 MB) and ~30 B in scattering
-#:   (20,000 x 512: +312 MB): 2^21 entries ~50 and ~63 MB.  kms's pair blocks
-#:   add 2^14-entry weights and cross terms, past 4096 times one pair's
-#:   (t_points, 4) cross terms (131,072 x 16: 57 MB traced, the table 52 MB).
+#: - a (t_points, N) phase table costs ~30 B an entry in scattering
+#:   (20,000 x 512: +312 MB): 2^21 entries ~63 MB.  kms forms no such table:
+#:   it holds (4, t_points, 16) atom tables, 64 complex entries a time, beside
+#:   one chunk of phase rows, so its ceiling counts max(N, 64) entries a time
+#:   (2^21 of them 34 MB; 32,768 x 64: 39 MB traced, 4096 x 512: 6 MB, where
+#:   its (t_points, N) table took 51 MB).  Its 2^14-entry block of cross terms
+#:   grows past 4096 times to one pair's (4 t_points, 1).
 _ROWS_MAX, _NODES_MAX, _TABLE_MAX = 2**17, 2**16, 2**21
 _ROWS: Rule = (f"in 1..{_ROWS_MAX}", lambda n: 1 <= n <= _ROWS_MAX)
 #: Rows the CSV writer formats at a time
@@ -256,23 +260,26 @@ def _source_from(cfg: dict) -> sources.SourceSpec:
     return _configured(sources.power_law_gaussian, grid, cfg["gamma"], ir_cutoff=cutoff)
 
 
-def _kms_pairs(grid: MomentumGrid, seed: int, count: int, block: int) -> Iterable[tuple]:
-    """``count`` random (f, g) pairs from one Generator seeded by ``seed`` mod
-    2^64, f before g: each member sums exp(-s r^2), s = 0.5, 1, 2, 4, left to
-    right, with standard complex normal coefficients (4 real parts, then 4
-    imaginary parts), so pair k depends on neither ``count`` nor ``block``.
-    They are drawn lazily, ``block`` pairs per Generator call."""
+#: kms's pairs sum exp(-s r^2) at these s; its atom tables take 4 x 4^2
+#: columns a time.
+_KMS_WIDTHS = np.array([0.5, 1.0, 2.0, 4.0])
+_KMS_COLUMNS = 4 * _KMS_WIDTHS.size**2
+
+
+def _kms_draws(grid: MomentumGrid, seed: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (4, N) members exp(-s r^2), s in _KMS_WIDTHS, and the (count, 2, 4)
+    coefficients of ``count`` random (f, g) pairs over them, from one
+    Generator seeded by ``seed`` mod 2^64: f before g, each standard complex
+    normal (4 real parts, then 4 imaginary parts), so pair k does not depend
+    on ``count``.  The normals are drawn _CSV_BLOCK pairs a call, so only the
+    complex coefficients are ever held whole."""
+    members = np.exp(-np.multiply.outer(_KMS_WIDTHS, grid.nodes**2))
     rng = np.random.default_rng(seed % 2**64)
-    gaussians = [np.exp(-s * grid.nodes**2) for s in (0.5, 1.0, 2.0, 4.0)]
-    for start in range(0, count, block):
-        draws = rng.standard_normal((min(block, count - start), 2, 2, 4))
-        coeffs = draws[:, :, 0] + 1j * draws[:, :, 1]
-        # summed in place from 0, left to right, as sum() would
-        members = np.zeros((len(draws), 2, grid.size), dtype=np.complex128)
-        for i, gauss in enumerate(gaussians):
-            members += coeffs[..., i, None] * gauss
-        for f, g in members:
-            yield from_values(grid, f), from_values(grid, g)
+    coeffs = np.empty((count, 2, 4), dtype=np.complex128)
+    for first in range(0, count, _CSV_BLOCK):
+        draws = rng.standard_normal((min(_CSV_BLOCK, count - first), 2, 2, 4))
+        coeffs[first : first + len(draws)] = draws[:, :, 0] + 1j * draws[:, :, 1]
+    return members, coeffs
 
 
 def _verdict(holds: bool) -> float:
@@ -381,11 +388,11 @@ def cmd_evolve(cfg: dict) -> CommandResult:
 def cmd_kms(cfg: dict) -> CommandResult:
     sys_ = dynamics.make_system(_source_from(cfg))
     state = states.gibbs_quantum(sys_.source, cfg["beta_h"], cfg["hbar"])
-    ts = np.linspace(cfg["t_min"], cfg["t_max"], cfg["t_points"])
-    # drawn one block at a time, as kms_check checks them
-    block = dynamics.kms_block(sys_.grid, ts.size)
-    pairs = _kms_pairs(sys_.grid, cfg["seed"], cfg["pairs"], block)
-    defects = dynamics.kms_check(sys_, state, cfg["beta_h"], pairs, ts)
+    # the coefficients go when the check returns, before the rows are formed
+    defects = dynamics.kms_check(
+        sys_, state, cfg["beta_h"], *_kms_draws(sys_.grid, cfg["seed"], cfg["pairs"]),
+        cfg["t_min"], cfg["t_max"], cfg["t_points"],
+    )
     worst = float(np.max(defects))
     return CommandResult(
         ["pair", "defect"],
@@ -584,12 +591,13 @@ def _grid_keys(**defaults) -> dict:
 
 #: Widest groundstate window.  ground_state_check's time step follows the
 #: bandwidth, so no width aliases: [-131, -3] reads 1.8e-16 and [-1003, -3]
-#: 4.1e-15, and positive windows up to [-3, 125] agree with resolution=2 to
-#: 2.2e-15.  What grows with the width is the sigma panels x time panels of its
-#: window sum, about as the width squared past ~100 (one BLAS thread, in
-#: process): 128 x 986 at [-3, 5] takes ~12 ms, 403 x 1568 at [-3, 125] ~27 ms,
-#: and 2401 x 8810 at [-3, 997] ~0.7 s and 16 MB traced.  8 stays well inside.
-_WINDOW_WIDTH_MAX = 8.0
+#: 4.1e-15, and at width 128 [-3, 125], [1, 129] and [-200, -72] agree with
+#: resolution=2 to 2.2e-15, 8.7e-17 and 1.7e-15 ([-3, 100]: 1.5e-15).  What
+#: grows with the width is the sigma panels x time panels of its window sum,
+#: about as the width squared past ~100 (one BLAS thread, in process): 128 x 986
+#: at [-3, 5] takes ~12 ms, 403 x 1568 at [-3, 125] 27-30 ms, [1, 129] ~31 ms,
+#: and 2401 x 8810 at [-3, 997] ~0.7 s and 16 MB traced.
+_WINDOW_WIDTH_MAX = 128.0
 
 #: Largest fock-spectrum truncation N.  A run holds only length-(N + 1)
 #: vectors: at N = 2048 it takes ~2 ms in process and peaks at 0.2 MB traced
@@ -646,7 +654,12 @@ _COMMANDS: dict[str, tuple[Callable[[dict], CommandResult], dict, list[CrossRule
         },
         [
             *_GRID_RULES,
-            _at_most(_TABLE_MAX, "t_points", "panels", "points"),
+            (
+                f"t_points x max(panels x points, {_KMS_COLUMNS}) must be <= {_TABLE_MAX}, "
+                "got {t_points}, {panels}, {points}",
+                lambda c: c["t_points"] * max(c["panels"] * c["points"], _KMS_COLUMNS)
+                <= _TABLE_MAX,
+            ),
             _finite_phases("t_min", "t_max"),
         ],
     ),

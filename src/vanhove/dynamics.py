@@ -37,11 +37,16 @@ m_0 (coth(x) + 1) e^{-2x} = 2 m_0/(e^{2x}-1) and m_0 (coth(x) - 1) e^{+2x} =
 share their Gaussian diagonal and centre phase, so only the cross terms
 differ, and the condition reads as the defect
 max_t |cross_lhs - cross_rhs| / max_t |cross_rhs|: relative, free of hbar, and
-so unmoved when the values themselves underflow.  A batch of (f, g) pairs
-shares the phase matrix and the per-node factors, and is taken in blocks of
-``kms_block`` pairs: each block stacks its four weighted products per pair into
-one (4B, N) matrix, and one matmul against the phase matrix forms every cross
-term of the block.
+so unmoved when the values themselves underflow.  The pairs are combinations
+of K member functions u_i, f with coefficients c and g with d, so each base
+conj(f) g is sum_ij w_ij conj(u_i) u_j, w_ij = conj(c_i) d_j, and each side's
+cross terms are linear in w.  The K^2 atoms conj(u_i) u_j times the four
+per-node factors meet the e^{i t omega} rows of ``_phase_rows`` once, in
+(4, t, K^2) atom tables A, B (t N 4K^2 multiply-adds; no (t, N) table is
+held).  Each block of ``kms_block`` pairs, padded to that one width so a pair
+meets the same matmul alone as in a batch, then takes one (4t, K^2) @ (K^2, B)
+matmul for every side of every pair, A w + conj(B w): t K^2 P more for P
+pairs.
 
 ``ground_state_check`` probes the spectral measure of the dressed ground
 state omega^oo (the coherent state at -J/omega): the correlation
@@ -73,10 +78,8 @@ instead of one per (time, frequency) pair.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable
 
 import numpy as np
 
@@ -162,9 +165,9 @@ def ground_energy(sys: VanHoveSystem) -> float:
     return -weighted_norm_sq(sys.j, -1)
 
 
-#: Entries of one (time, node) phase table in ``evolve_rows`` (128 KB of
-#: complex128, 16 rows at N = 512): larger chunks run no faster and only raise
-#: the peak memory.
+#: Entries of one (time, node) phase table in ``evolve_rows`` and
+#: ``kms_check`` (128 KB of complex128, 16 rows at N = 512): larger chunks run
+#: no faster and only raise the peak memory.
 _ROW_CHUNK = 1 << 13
 
 
@@ -407,29 +410,37 @@ def kms_window(s_minus: float, s_plus: float, t_max: float | None = None) -> Kms
     return KmsWindow(float(s_minus), float(s_plus), float(t_max), mids, offsets, weights)
 
 
-#: Entries of one block's (4B, N) weights and of its (t_points, 4B) cross
-#: terms in ``kms_check`` (256 KB of complex128 each; B = 8 pairs at N = 512
-#: and t_points <= 512).  Larger blocks gain little and hold more: at 201 x 512
-#: and one BLAS thread 400 pairs took 58, 48 and 44 ms at B = 4, 8 and 16, and
-#: the block's working set (weights, cross terms, pairs) grows with B.
+#: Entries of one block's (4 t_points, B) cross terms in ``kms_check`` (256 KB of
+#: complex128; B = 16 pairs at 201 times).  Every block is padded to B, so a
+#: pair meets the same zgemm shape alone as in a batch.
 _PAIR_BLOCK = 1 << 14
 
 
-def kms_block(grid: MomentumGrid, t_points: int) -> int:
-    """The pairs ``kms_check`` takes per block on ``grid`` and ``t_points`` times."""
-    return max(1, _PAIR_BLOCK // (4 * max(grid.size, t_points)))
+def kms_block(t_points: int) -> int:
+    """The pairs ``kms_check`` takes per block at ``t_points`` times: the largest
+    power of two, at least 1, whose (4 t_points, B) cross terms fit _PAIR_BLOCK
+    entries."""
+    fit = max(1, _PAIR_BLOCK // (4 * t_points))
+    return 1 << (fit.bit_length() - 1)
 
 
 def kms_check(
     sys: VanHoveSystem,
     state: CharState,
     beta_h: float,
-    pairs: Iterable[tuple[RadialFunction, RadialFunction]],
-    t_grid,
+    members,
+    coeffs,
+    start: float,
+    stop: float,
+    count: int,
 ) -> np.ndarray:
     """The KMS condition of ``state`` at inverse temperature beta_h: one defect
     max_t |cross_lhs - cross_rhs| / max_t |cross_rhs| per (f, g) pair (0 when
-    both vanish).
+    both vanish), at t = linspace(start, stop, count).
+
+    The pairs are combinations of the K ``members`` u_i, a (K, N) array:
+    ``coeffs`` is (P, 2, K), f = sum_i coeffs[p, 0, i] u_i and g = sum_j
+    coeffs[p, 1, j] u_j.
 
     LHS: omega(W(f) tau_t[W(g)]) continued to t + i beta_h, from the
     expm1-stable continued Gibbs factors.  RHS: omega(tau_t[W(g)] W(f)) from
@@ -437,18 +448,61 @@ def kms_check(
     arithmetic level, at any hbar and any size of the values (~1e-89 at the CLI
     defaults).
 
-    Entry k is bitwise that of ``kms_check(..., beta_h, [pairs[k]], t_grid)``.
-    ``pairs`` is consumed one block of ``kms_block(sys.grid, t_points)`` pairs
-    at a time, so an iterator may draw each block only when it is checked.
+    The cross terms come from the K^2 atoms conj(u_i) u_j, never from f or g:
+    atom tables at t N 4K^2 multiply-adds, then t K^2 P for the P pairs, in
+    blocks of ``kms_block(count)`` pairs, each padded to that width.  So entry
+    k is bitwise that of a call with ``coeffs[k : k + 1]``.
     """
+    defects = [
+        _defects(lhs, rhs)
+        for lhs, rhs in _kms_cross_terms(sys, state, beta_h, members, coeffs, start, stop, count)
+    ]
+    return np.concatenate(defects)
+
+
+def _defects(cross_lhs: np.ndarray, cross_rhs: np.ndarray) -> np.ndarray:
+    """max_t |cross_lhs - cross_rhs| / max_t |cross_rhs| per column: inf where
+    only the difference is nonzero, 0 where both vanish."""
+    # the Gaussian diagonal and the centre phase are common factors of both
+    # sides, so only the cross terms can differ
+    worst = np.max(np.abs(cross_lhs - cross_rhs), axis=0)
+    size = np.max(np.abs(cross_rhs), axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = worst / size
+    return np.where(size == 0.0, np.where(worst == 0.0, 0.0, math.inf), ratio)
+
+
+def _kms_cross_terms(
+    sys: VanHoveSystem,
+    state: CharState,
+    beta_h: float,
+    members,
+    coeffs,
+    start: float,
+    stop: float,
+    count: int,
+):
+    """(cross_lhs, cross_rhs) of ``kms_check``, each (count, pairs of the block),
+    per block of ``kms_block(count)`` pairs: the (4K^2, N) weighted atoms meet
+    each ``_phase_rows`` chunk in one matmul, and each padded block of
+    w_ij = conj(c_i) d_j in one more."""
     if not 0.0 < beta_h < math.inf:
         raise ValueError(f"beta_h must be finite and > 0, got {beta_h}")
     if state.grid is not sys.grid:
         raise ValueError("state lives on a different grid than the system")
     grid = sys.grid
-    t = np.asarray(t_grid, dtype=np.float64)
-    if not t.size:
+    members = np.asarray(members, dtype=np.complex128)
+    coeffs = np.asarray(coeffs, dtype=np.complex128)
+    if not count or not coeffs.size:
         raise ValueError("kms_check needs at least one (f, g) pair and one time")
+    n_members = len(members)
+    if members.shape != (n_members, grid.size) or coeffs.shape[1:] != (2, n_members):
+        raise ValueError(
+            f"need (K, {grid.size}) members and (P, 2, K) coefficients, got "
+            f"{members.shape} and {coeffs.shape}"
+        )
+    if not all(np.isfinite(a.view(np.float64)).all() for a in (members, coeffs)):
+        raise ValueError("members and coefficients must be finite")
     m = grid.measure(0)
     x = 0.5 * beta_h * grid.omega
 
@@ -458,36 +512,26 @@ def kms_check(
         a_lhs = 2.0 * m / np.expm1(2.0 * x)
     b_lhs = 2.0 * m / (-np.expm1(-2.0 * x))
     # rows a_lhs, b_lhs, a_rhs, b_rhs: the last two from the state's own weight
-    factors = np.stack([a_lhs, b_lhs, state.weight - m, state.weight + m])[:, None, :]
+    factors = np.stack([a_lhs, b_lhs, state.weight - m, state.weight + m])
 
-    phases = 1j * np.multiply.outer(t, grid.omega)
-    np.exp(phases, out=phases)  # in place: the largest array of the check
-    defects, pairs, size = [], iter(pairs), kms_block(grid, t.size)
-    while block := _block_defects(phases, factors, itertools.islice(pairs, size)):
-        defects += block
-    if not defects:
-        raise ValueError("kms_check needs at least one (f, g) pair and one time")
-    return np.array(defects)
+    n_atoms = n_members**2
+    atoms = (np.conj(members)[:, None] * members[None]).reshape(n_atoms, grid.size)
+    weighted = (factors[:, None] * atoms[None]).reshape(-1, grid.size)
+    tables = np.empty((4, count, n_atoms), dtype=np.complex128)
+    for part, phase in _phase_rows(start, stop, count, grid.omega):
+        tables[:, part] = (phase @ weighted.T).reshape(-1, 4, n_atoms).transpose(1, 0, 2)
+    tables = tables.reshape(4 * count, n_atoms)
 
-
-def _block_defects(phases: np.ndarray, factors: np.ndarray, block: Iterable) -> list[float]:
-    """The defects of one block of (f, g) pairs (none for an empty block): one
-    matmul of the (t, N) phases against the (4B, N) stack of ``factors`` times
-    each pair's conj(f) g.  The pairs and temporaries go on return, before the
-    next block is drawn."""
-    # the reversed product conj(g) f is the conjugate of each base
-    bases = np.array([np.conj(f.values) * g.values for f, g in block])
-    if not bases.size:
-        return []
-    weighted = (factors * bases).reshape(-1, phases.shape[1])
-    lhs_a, lhs_b, rhs_a, rhs_b = np.split(phases @ weighted.T, 4, axis=1)
-    cross_lhs = lhs_a + np.conj(lhs_b)
-    cross_rhs = rhs_a + np.conj(rhs_b)
-    # the Gaussian diagonal and the centre phase are common factors of both
-    # sides, so only the cross terms can differ
-    worst = np.max(np.abs(cross_lhs - cross_rhs), axis=0).tolist()
-    size = np.max(np.abs(cross_rhs), axis=0).tolist()
-    return [w / s if s else (math.inf if w else 0.0) for w, s in zip(worst, size)]
+    size = kms_block(count)
+    w = np.zeros((n_atoms, size), dtype=np.complex128)
+    for first in range(0, len(coeffs), size):
+        block = coeffs[first : first + size]
+        n = len(block)
+        w[:, :n] = (np.conj(block[:, 0, :, None]) * block[:, 1, None, :]).reshape(n, n_atoms).T
+        w[:, n:] = 0.0
+        # the reversed product conj(g) f is the conjugate of each base
+        lhs_a, lhs_b, rhs_a, rhs_b = (tables @ w).reshape(4, count, size)
+        yield (lhs_a + np.conj(lhs_b))[:, :n], (rhs_a + np.conj(rhs_b))[:, :n]
 
 
 # --------------------------------------------------------------------------

@@ -61,13 +61,33 @@ def panel(grid) -> list[RadialFunction]:
     return default_panel(grid)
 
 
+#: The widths s of the Gaussians exp(-s r^2) that random members combine.
+WIDTHS = (0.5, 1.0, 2.0, 4.0)
+
+
+def gaussians(grid: MomentumGrid) -> np.ndarray:
+    """The (4, N) Gaussians exp(-s r^2), s in WIDTHS: the members of kms_check's
+    random pairs."""
+    return np.array([np.exp(-s * grid.nodes**2) for s in WIDTHS])
+
+
 def random_member(grid: MomentumGrid, rng: np.random.Generator) -> RadialFunction:
     """Random complex combination of four Gaussians; infrared-regular."""
     coeffs = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    vals = sum(
-        c * np.exp(-s * grid.nodes**2) for c, s in zip(coeffs, (0.5, 1.0, 2.0, 4.0))
-    )
-    return from_values(grid, vals)
+    return from_values(grid, sum(c * u for c, u in zip(coeffs, gaussians(grid))))
+
+
+def random_pair_coeffs(rng: np.random.Generator, count: int) -> np.ndarray:
+    """(count, 2, 4) coefficients over ``gaussians``: the draws of ``count``
+    (random_member, random_member) pairs, in the same order."""
+    return np.array([
+        [rng.standard_normal(4) + 1j * rng.standard_normal(4) for _ in "fg"]
+        for _ in range(count)
+    ])
+
+
+#: kms_check's coefficients of the one pair (f, g) over the members [f, g].
+ONE_PAIR = [[[1.0, 0.0], [0.0, 1.0]]]
 
 
 #: One state per constructor.

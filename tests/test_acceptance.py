@@ -16,7 +16,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import random_member
+from conftest import gaussians, random_member, random_pair_coeffs
 from vanhove import (
     apply_free_phase,
     classical_energy,
@@ -200,13 +200,13 @@ def test_gibbs_detailed_balance_and_ground_window_annihilation(
     random pairs, and a strictly negative spectral window applied to the
     dressed ground pair vanishes to 1e-6 while a positive window does not."""
     t0 = time.monotonic()
-    ts = np.linspace(-5.0, 5.0, 21)
     rng = np.random.default_rng(42)
     worst = 0.0
     for beta in (0.5, 1.0, 4.0):
         st = gibbs_quantum(system_g03.source, beta, 0.5)
-        pairs = [(random_member(grid, rng), random_member(grid, rng)) for _ in range(20)]
-        worst = max(worst, kms_check(system_g03, st, beta, pairs, ts).max())
+        coeffs = random_pair_coeffs(rng, 20)
+        defects = kms_check(system_g03, st, beta, gaussians(grid), coeffs, -5.0, 5.0, 21)
+        worst = max(worst, defects.max())
     assert worst <= 1e-13
 
     wneg = kms_window(-3.0, -1.0)

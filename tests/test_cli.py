@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vanhove import cli, gibbs_quantum, kms_check, make_grid
+from vanhove import cli, gibbs_quantum, kms_check, make_grid, sample
 from vanhove.cli import ConfigError, config_hash, main, resolve_config
 
 # a fast shared configuration for commands that take grid keys
@@ -201,6 +201,17 @@ def test_outputs_are_byte_identical_across_runs(tmp_path):
     assert js1 == js2
 
 
+def _kms_inputs(overrides: list[str]):
+    """The system, Gibbs state, beta_h, members, coefficients and time axis of
+    the kms command at ``overrides``."""
+    cfg = resolve_config(cli._defaults("kms"), None, overrides)
+    sys_ = cli.dynamics.make_system(cli._source_from(cfg))
+    state = gibbs_quantum(sys_.source, cfg["beta_h"], cfg["hbar"])
+    members, coeffs = cli._kms_draws(sys_.grid, cfg["seed"], cfg["pairs"])
+    axis = (cfg["t_min"], cfg["t_max"], cfg["t_points"])
+    return sys_, state, cfg["beta_h"], members, coeffs, axis
+
+
 def test_kms_batch_rows_equal_one_pair_calls(tmp_path):
     """The kms command checks all its pairs in one batched kms_check; each
     batched defect is bitwise equal to a one-pair call, and the command
@@ -208,23 +219,18 @@ def test_kms_batch_rows_equal_one_pair_calls(tmp_path):
     overrides = ["pairs=6", "t_points=9", "seed=11", *_SMALL]
     code, csv, _ = _run(tmp_path, "kms", *overrides)
     assert code == 0
-    cfg = resolve_config(cli._defaults("kms"), None, overrides)
-    sys_ = cli.dynamics.make_system(cli._source_from(cfg))
-    state = gibbs_quantum(sys_.source, cfg["beta_h"], cfg["hbar"])
-    ts = np.linspace(cfg["t_min"], cfg["t_max"], cfg["t_points"])
-    block = cli.dynamics.kms_block(sys_.grid, ts.size)
-    pairs = list(cli._kms_pairs(sys_.grid, cfg["seed"], cfg["pairs"], block))
-    batch = kms_check(sys_, state, cfg["beta_h"], pairs, ts)
+    sys_, state, beta_h, members, coeffs, axis = _kms_inputs(overrides)
+    batch = kms_check(sys_, state, beta_h, members, coeffs, *axis)
     assert batch.shape == (6,)
     written = [float(line.split(",")[1]) for line in csv.splitlines()[-6:]]
-    for defect, pair, defect_written in zip(batch, pairs, written):
-        one = kms_check(sys_, state, cfg["beta_h"], [pair], ts)
+    for k, (defect, defect_written) in enumerate(zip(batch, written)):
+        one = kms_check(sys_, state, beta_h, members, coeffs[k : k + 1], *axis)
         assert defect.tobytes() == one[0].tobytes()
         assert defect_written == defect
     with pytest.raises(ValueError, match="one time"):
-        kms_check(sys_, state, cfg["beta_h"], [], ts)
+        kms_check(sys_, state, beta_h, members, coeffs[:0], *axis)
     with pytest.raises(ValueError, match="one time"):
-        kms_check(sys_, state, cfg["beta_h"], pairs, [])
+        kms_check(sys_, state, beta_h, members, coeffs, *axis[:2], 0)
 
 
 def _kms_defects(tmp_path: Path, *overrides: str) -> list[str]:
@@ -233,15 +239,10 @@ def _kms_defects(tmp_path: Path, *overrides: str) -> list[str]:
     return [line for line in csv.splitlines() if not line.startswith("#")][1:]
 
 
-def _small_kms_block() -> int:
-    """The pairs kms_check takes per block on the _SMALL grid at 5 times."""
-    return cli.dynamics.kms_block(make_grid(panels=8, points=16, r_min=1e-4), 5)
-
-
 def test_kms_pair_k_does_not_depend_on_the_pair_count(tmp_path):
-    # one Generator draws the pairs in order, block by block, so more pairs
-    # (here past two blocks) only append rows
-    more = 2 * _small_kms_block() + 3
+    # one Generator draws the pairs in order, so more pairs (here past two
+    # blocks) only append rows
+    more = 2 * cli.dynamics.kms_block(5) + 3
     three = _kms_defects(tmp_path, "pairs=3", "seed=5")
     longer = _kms_defects(tmp_path, f"pairs={more}", "seed=5")
     assert len(three) == 3 and len(longer) == more
@@ -252,16 +253,13 @@ def test_kms_pair_k_does_not_depend_on_the_pair_count(tmp_path):
 def test_kms_rows_are_one_pair_calls_across_the_block_edges(tmp_path):
     """At pair counts that straddle a block, each written defect is bitwise a
     one-pair kms_check call, so the first rows do not depend on the count."""
-    block = _small_kms_block()
+    block = cli.dynamics.kms_block(5)
     overrides = [*_SMALL, "t_points=5", "seed=11"]
-    cfg = resolve_config(cli._defaults("kms"), None, overrides)
-    sys_ = cli.dynamics.make_system(cli._source_from(cfg))
-    state = gibbs_quantum(sys_.source, cfg["beta_h"], cfg["hbar"])
-    ts = np.linspace(cfg["t_min"], cfg["t_max"], cfg["t_points"])
     longest = 2 * block + 3
+    sys_, state, beta_h, members, coeffs, axis = _kms_inputs([*overrides, f"pairs={longest}"])
     ones = np.array([
-        kms_check(sys_, state, cfg["beta_h"], [pair], ts)[0]
-        for pair in cli._kms_pairs(sys_.grid, cfg["seed"], longest, block)
+        kms_check(sys_, state, beta_h, members, coeffs[k : k + 1], *axis)[0]
+        for k in range(longest)
     ])
     for count in (block - 1, block, block + 1, longest):
         code, csv, _ = _run(tmp_path, "kms", *overrides, f"pairs={count}")
@@ -273,30 +271,23 @@ def test_kms_rows_are_one_pair_calls_across_the_block_edges(tmp_path):
 
 
 def test_kms_pairs_are_the_per_member_draws():
-    """One Generator call per block gives bitwise the per-member stream, at any
-    block size: f before g, each from 4 real then 4 imaginary parts, the
-    Gaussians summed left to right.  At r_max = 40 they underflow to 0 on the
-    outer panels, so the signs of the zeros are compared too."""
-    grid = make_grid(panels=8, points=16, r_min=1e-4, r_max=40.0)
-    gaussians = [np.exp(-s * grid.nodes**2) for s in (0.5, 1.0, 2.0, 4.0)]
-    count = 11
+    """Generator calls of _CSV_BLOCK pairs give bitwise the per-member stream:
+    f before g, each from 4 real then 4 imaginary parts, so pair k does not
+    depend on the count.  The members are exp(-s r^2), s = 0.5, 1, 2, 4, in
+    that order."""
+    grid = make_grid(panels=8, points=16, r_min=1e-4)
+    count = 2 * cli._CSV_BLOCK + 3
     rng = np.random.default_rng(7)
-
-    def member() -> np.ndarray:
-        coeffs = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        total = 0
-        for c, gaussian in zip(coeffs, gaussians):
-            total = total + c * gaussian
-        return total
-
-    expected = [(member(), member()) for _ in range(count)]
-    assert (expected[0][0] == 0).any()
-    for block in (1, 4, count + 1):
-        drawn = list(cli._kms_pairs(grid, 7, count, block))
-        assert len(drawn) == count
-        for (f, g), (f_ref, g_ref) in zip(drawn, expected):
-            assert f.values.tobytes() == f_ref.tobytes()
-            assert g.values.tobytes() == g_ref.tobytes()
+    expected = np.array([
+        [rng.standard_normal(4) + 1j * rng.standard_normal(4) for _ in "fg"]
+        for _ in range(count)
+    ])
+    for n in (1, 4, cli._CSV_BLOCK + 1, count):
+        members, coeffs = cli._kms_draws(grid, 7, n)
+        assert coeffs.shape == (n, 2, 4)
+        assert coeffs.tobytes() == expected[:n].tobytes()
+    gaussians = [np.exp(-s * grid.nodes**2) for s in (0.5, 1.0, 2.0, 4.0)]
+    assert members.tobytes() == np.array(gaussians).tobytes()
 
 
 @pytest.mark.parametrize(
@@ -409,14 +400,14 @@ def test_kms_seed_is_taken_mod_2_64(tmp_path):
         ("fock-spectrum", "cutoff=5"),
         # ceilings: garding would allocate gigabytes past its own, fock-spectrum
         # would derive truncations past its measured one, groundstate's widest
-        # window bounds the sigma panels x time panels its check multiplies, and
-        # its time rule, whose step follows max(|s_minus|, |s_plus|) + max omega,
-        # would take ~20.7M time nodes at mass=1e4
+        # window (width 128) bounds the sigma panels x time panels its check
+        # multiplies, and its time rule, whose step follows max(|s_minus|,
+        # |s_plus|) + max omega, would take ~20.7M time nodes at mass=1e4
         ("fock-spectrum", "coupling_re=30"),
         ("fock-spectrum", "coupling_im=1e300"),
         ("fock-spectrum", "omega=1e-300"),
         ("garding", "k_max=13"),
-        ("groundstate", "s_plus=100"),
+        ("groundstate", "s_minus=-3 s_plus=126.5"),
         ("groundstate", "s_plus=1000"),
         ("groundstate", "mass=1e4"),
         # grid measures that overflow to inf (nan photon numbers, nan windows)
@@ -435,6 +426,8 @@ def test_kms_seed_is_taken_mod_2_64(tmp_path):
         ("kms", "pairs=10000000000000"),
         ("kms", "t_points=10000000000000"),
         ("kms", "t_points=4097"),
+        # kms's atom tables take 64 entries a time on grids under 64 nodes
+        ("kms", "panels=4 points=8 t_points=65536"),
         ("scattering", "t_points=10000000000000"),
         ("scattering", "t_points=4097"),
         ("energy", "panels=10000000000000"),
@@ -532,6 +525,8 @@ def test_benchmark_configs_and_the_ceilings_themselves_pass_the_rules():
         ("evolve", [f"steps={cli._ROWS_MAX}"]),
         ("kms", ["t_points=4096"]),
         ("kms", ["pairs=10000", "t_points=209", "panels=4", "points=8"]),
+        ("kms", ["t_points=32768", "panels=4", "points=8"]),
+        ("groundstate", ["s_minus=-3", "s_plus=125"]),
         # kms holds one block's cross terms at a time: pairs meets only the row ceiling
         ("kms", ["pairs=20000", "t_points=201"]),
         ("energy", ["panels=2048", "points=32"]),
@@ -577,6 +572,24 @@ def test_groundstate_flags_a_window_value_that_is_not_finite(tmp_path, capsys):
     assert math.isnan(payload["summary"]["window_value"])
     assert payload["failures"] == ["window value finite"]
     assert "invariant failed: window value finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("window", ["s_plus=100", "s_minus=-3 s_plus=125"])
+def test_groundstate_takes_windows_up_to_the_width_ceiling(tmp_path, window):
+    # widths 103 and 128, the ceiling, on the default grid: the time step
+    # follows the bandwidth, so the value is the doubled time rule's to the
+    # rounding level (1.5e-15 and 2.2e-15 apart), each check in ~30 ms
+    code, _, js = _run(tmp_path, "groundstate", *window.split())
+    assert code == 0
+    payload = json.loads(js)
+    assert payload["failures"] == []
+    cfg = resolve_config(cli._defaults("groundstate"), None, window.split())
+    sys_ = cli.dynamics.make_system(cli._source_from(cfg))
+    f = sample(sys_.grid, lambda r: np.exp(-(r**2)))
+    g = sample(sys_.grid, lambda r: np.exp(-2.0 * r**2))
+    rule = cli.dynamics.kms_window(cfg["s_minus"], cfg["s_plus"])
+    fine = cli.dynamics.ground_state_check(sys_, f, g, rule, hbar=cfg["hbar"], resolution=2)
+    assert payload["summary"]["window_value"] == pytest.approx(fine.value, abs=1e-12)
 
 
 def test_groundstate_checks_every_window_value_is_finite(tmp_path):

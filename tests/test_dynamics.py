@@ -33,7 +33,14 @@ from vanhove import (
 )
 from vanhove import dynamics
 from vanhove.dynamics import WINDOW_TOL, window_transform
-from conftest import STATE_KINDS, every_state, random_member
+from conftest import (
+    ONE_PAIR,
+    STATE_KINDS,
+    WIDTHS,
+    every_state,
+    gaussians,
+    random_pair_coeffs,
+)
 
 
 @pytest.fixture(scope="module")
@@ -315,22 +322,19 @@ def test_make_system_realizes_its_source_once(grid, monkeypatch):
 
 
 def test_kms_residual_is_at_arithmetic_level(system_g03, f_gauss, g_gauss):
-    ts = np.linspace(-5.0, 5.0, 41)
+    members = [f_gauss.values, g_gauss.values]
     for beta in (0.5, 1.0, 4.0, 40.0):
         state = gibbs_quantum(system_g03.source, beta, 0.5)
-        defects = kms_check(system_g03, state, beta, [(f_gauss, g_gauss)], ts)
+        defects = kms_check(system_g03, state, beta, members, ONE_PAIR, -5.0, 5.0, 41)
         assert defects.max() <= 1e-14, f"beta_h={beta}"
 
 
 def test_kms_residual_with_random_arguments(system_g03):
     rng = np.random.default_rng(5)
-    ts = np.linspace(-3.0, 3.0, 13)
     state = gibbs_quantum(system_g03.source, 2.0, 0.3)
-    pairs = [
-        (random_member(system_g03.grid, rng), random_member(system_g03.grid, rng))
-        for _ in range(5)
-    ]
-    assert kms_check(system_g03, state, 2.0, pairs, ts).max() <= 1e-14
+    coeffs = random_pair_coeffs(rng, 5)
+    members = gaussians(system_g03.grid)
+    assert kms_check(system_g03, state, 2.0, members, coeffs, -3.0, 3.0, 13).max() <= 1e-14
 
 
 def test_kms_check_needs_a_finite_temperature_gibbs_state(
@@ -339,81 +343,111 @@ def test_kms_check_needs_a_finite_temperature_gibbs_state(
     # the check reads the state's covariance, so a state that is not the Gibbs
     # state at the beta_h it is checked at fails it
     center = sample(system_g03.grid, lambda r: np.exp(-(r**2)))
-    ts = np.linspace(-3.0, 3.0, 7)
-    pair = [(f_gauss, g_gauss)]
+    members = [f_gauss.values, g_gauss.values]
     for state, beta_h in (
         (coherent(center, 0.5), 1.0),
         (gibbs_quantum(system_g03.source, math.inf, 0.5), 1.0),
         (gibbs_quantum(system_g03.source, 1.0, 0.5), 2.0),
         (gibbs_quantum(system_g03.source, 1.0, 0.5), 1.001),
     ):
-        assert kms_check(system_g03, state, beta_h, pair, ts).max() > 1e-12, beta_h
+        defects = kms_check(system_g03, state, beta_h, members, ONE_PAIR, -3.0, 3.0, 7)
+        assert defects.max() > 1e-12, beta_h
     gibbs = gibbs_quantum(system_g03.source, 1.0, 0.5)
     for beta_h in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="beta_h"):
-            kms_check(system_g03, gibbs, beta_h, pair, ts)
+            kms_check(system_g03, gibbs, beta_h, members, ONE_PAIR, -3.0, 3.0, 7)
 
 
-def test_kms_check_draws_its_pairs_one_block_ahead_at_most(system_g03):
-    # each member logs its reads (kms_check reads only ``values``), the
-    # generator how many pairs were read when it drew each one
+def test_kms_check_refuses_members_and_coefficients_that_do_not_pair(
+    system_g03, f_gauss, g_gauss
+):
+    gibbs = gibbs_quantum(system_g03.source, 1.0, 0.5)
+    members = [f_gauss.values, g_gauss.values]
+    for bad_members, coeffs in (
+        ([f_gauss.values[:-1], g_gauss.values[:-1]], ONE_PAIR),
+        (members, [[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]]),
+        (members, [[1.0, 0.0], [0.0, 1.0]]),
+    ):
+        with pytest.raises(ValueError, match="members and .* coefficients"):
+            kms_check(system_g03, gibbs, 1.0, bad_members, coeffs, -3.0, 3.0, 7)
+    for bad_members, coeffs in (
+        ([f_gauss.values * math.nan, g_gauss.values], ONE_PAIR),
+        (members, [[[math.inf, 0.0], [0.0, 1.0]]]),
+    ):
+        with pytest.raises(ValueError, match="finite"):
+            kms_check(system_g03, gibbs, 1.0, bad_members, coeffs, -3.0, 3.0, 7)
+
+
+@pytest.mark.parametrize("twisted", [False, True], ids=["gaussians", "twisted"])
+def test_kms_cross_terms_are_the_per_pair_route_within_rounding(system_g03, twisted):
+    """The atom route against the per-pair route it replaced, kept here as the
+    reference.  At the bench config (201 times on the default grid) each
+    pair's members f and g are summed, conj(f) g is weighted by the four
+    per-node factors, and one matmul against the np.exp phase table gives its
+    cross terms.  Both sides of 70 pairs (four blocks and a padded tail) agree
+    within the rounding bound: per node, the ladder's 6 eps (1 + T omega) plus
+    the worst case of a length-(N + K^2) sum, (N + K^2 + 8) eps, on
+    sum_n |factor_n| (|c| |u|)_n (|d| |u|)_n, the size of every term of either
+    route.  The CLI's Gaussians are real, so the members are also taken
+    twisted by e^{i s r}, where conj(u_i) u_j is not u_i u_j."""
     grid = system_g03.grid
-    ts = np.linspace(-3.0, 3.0, 7)
-    block = dynamics.kms_block(grid, ts.size)
-    rng = np.random.default_rng(3)
-    state = gibbs_quantum(system_g03.source, 1.0, 0.5)
-    read: set[int] = set()
-    seen_at_draw: list[int] = []
+    beta_h, count = 1.0, 201
+    state = gibbs_quantum(system_g03.source, beta_h, 0.5)
+    members = gaussians(grid)
+    if twisted:
+        members = members * np.exp(1j * np.multiply.outer(WIDTHS, grid.nodes))
+    coeffs = random_pair_coeffs(np.random.default_rng(17), 70)
+    blocks = dynamics._kms_cross_terms(
+        system_g03, state, beta_h, members, coeffs, -5.0, 5.0, count
+    )
+    lhs, rhs = (np.hstack(side) for side in zip(*blocks))
+    assert lhs.shape == rhs.shape == (count, len(coeffs))
 
-    class Logged:
-        def __init__(self, k: int):
-            self.k, self.member = k, random_member(grid, rng)
-
-        @property
-        def values(self) -> np.ndarray:
-            read.add(self.k)
-            return self.member.values
-
-    def pairs(count: int):
-        for k in range(count):
-            seen_at_draw.append(len(read))
-            yield Logged(k), Logged(k)
-
-    with pytest.raises(ValueError, match="one time"):
-        kms_check(system_g03, state, 1.0, pairs(5), [])
-    assert seen_at_draw == []  # the empty time axis is refused before any draw
-    count = 3 * block + 2
-    defects = kms_check(system_g03, state, 1.0, pairs(count), ts)
-    assert defects.shape == (count,) and defects.max() <= 1e-14
-    # at most one block of pairs is ever drawn and not yet read
-    assert max(k + 1 - seen for k, seen in enumerate(seen_at_draw)) <= block
-    assert read == set(range(count))
+    m, x = grid.measure(0), 0.5 * beta_h * grid.omega
+    with np.errstate(over="ignore"):
+        a_lhs = 2.0 * m / np.expm1(2.0 * x)
+    factors = np.stack([a_lhs, 2.0 * m / -np.expm1(-2.0 * x), state.weight - m, state.weight + m])
+    phases = np.exp(1j * np.multiply.outer(np.linspace(-5.0, 5.0, count), grid.omega))
+    eps = np.finfo(float).eps
+    per_node = _ladder_gap(-5.0, 5.0, grid.omega) + (grid.size + len(members) ** 2 + 8) * eps
+    for k, (c, d) in enumerate(coeffs):
+        f = sum(ci * u for ci, u in zip(c, members))
+        g = sum(di * u for di, u in zip(d, members))
+        ref_a_lhs, ref_b_lhs, ref_a_rhs, ref_b_rhs = (phases @ (factors * (np.conj(f) * g)).T).T
+        size = np.abs(factors) * (np.abs(c) @ np.abs(members)) * (np.abs(d) @ np.abs(members))
+        bound = size @ per_node
+        assert np.all(np.abs(lhs[:, k] - (ref_a_lhs + np.conj(ref_b_lhs))) <= bound[0] + bound[1])
+        assert np.all(np.abs(rhs[:, k] - (ref_a_rhs + np.conj(ref_b_rhs))) <= bound[2] + bound[3])
 
 
 def test_kms_check_memory_does_not_grow_with_the_pair_count(system_g03):
-    # the bench config's 201 times: forty blocks of lazily drawn pairs peak
-    # within one block's (4B, N) weights and (t_points, 4B) cross terms of one
-    # block's peak; all 40B pairs held at once would add 40B * 2N * 16 B = 5.2 MB.
-    # Both stay near the phase table beside its real factor (24 B an entry)
-    # plus a block's two budgets of complex entries
+    # the bench config's 201 times: forty blocks of pairs peak within one
+    # block's peak plus, per further pair, at most its 2K complex coefficients
+    # (a copy, were they passed as another dtype) and its defect.  Both stay
+    # within what the atom route forms once (the complex members, K^2 atoms,
+    # 4K^2 weighted atoms and (4, t, K^2) tables), three budgets of a block's
+    # cross terms and three phase-row chunks: no (t, N) phase table
     grid = system_g03.grid
     state = gibbs_quantum(system_g03.source, 1.0, 0.5)
-    ts = np.linspace(-5.0, 5.0, 201)
-    block = dynamics.kms_block(grid, ts.size)
+    members = gaussians(grid)
+    k, t_points = len(members), 201
+    block = dynamics.kms_block(t_points)
+    per_pair = 2 * k * 16 + 8
 
     def peak(count: int) -> int:
-        rng = np.random.default_rng(9)
-        pairs = ((random_member(grid, rng), random_member(grid, rng)) for _ in range(count))
+        coeffs = random_pair_coeffs(np.random.default_rng(9), count)
         tracemalloc.start()
         try:
-            kms_check(system_g03, state, 1.0, pairs, ts)
+            kms_check(system_g03, state, 1.0, members, coeffs, -5.0, 5.0, t_points)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
     many = peak(40 * block)
-    assert many - peak(block) <= 16 * 4 * block * (grid.size + ts.size)
-    assert many <= 24 * ts.size * grid.size + 2 * 16 * dynamics._PAIR_BLOCK
+    assert many - peak(block) <= 39 * block * per_pair
+    once = 16 * (k * grid.size + 5 * k**2 * grid.size + 4 * t_points * k**2)
+    chunks = 16 * 3 * (dynamics._PAIR_BLOCK + dynamics._ROW_CHUNK)
+    assert many <= once + chunks + 40 * block * per_pair
 
 
 # --------------------------------------------------------------------------
