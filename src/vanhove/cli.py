@@ -433,14 +433,14 @@ def cmd_egorov(cfg: dict) -> CommandResult:
     grid = sys_.grid
     center = sample(grid, lambda r: cfg["center_scale"] * (1.0 + 0.5j) * np.exp(-(r**2)))
     panel = semiclassics.default_panel(grid)
-    report = semiclassics.egorov_sweep(sys_, center, cfg["t"], panel, _hbar_ladder(cfg))
+    gap = semiclassics.flow_gap(sys_, center, panel, cfg["t"])
     # the Heisenberg route and the flow meet at the rounding of their angles
     tol = _roundoff_tol(1e-14, max(_angle_size(sys_, f, center, 2.0) for f in panel))
     return CommandResult(
-        ["hbar", "deviation"],
-        list(zip(report.hbar_values, report.deviations)),
-        {"fitted_order": report.fitted_order, "t": cfg["t"]},
-        [Check("flow vs dynamics", semiclassics.flow_gap(sys_, center, panel, cfg["t"]), tol)],
+        ["quantity", "value"],
+        [("flow_gap", gap)],
+        {"flow_gap": gap, "t": cfg["t"]},
+        [Check("flow vs dynamics", gap, tol)],
     )
 
 
@@ -578,7 +578,6 @@ _SOURCE_KEYS = {"gamma": (0.0, _FINITE), "ir_cutoff": (0, (">= 0 (0: none)", lam
 #: domain (the range's order, edges, nodes and measures that overflow) is
 #: make_grid's to refuse, when _source_from builds the grid.
 _GRID_RULES = [_at_most(_NODES_MAX, "panels", "points")]
-_LADDER_KEYS = {"k_min": (3, _EXPONENT), "k_max": (14, _EXPONENT)}
 
 
 def _grid_keys(**defaults) -> dict:
@@ -679,8 +678,8 @@ _COMMANDS: dict[str, tuple[Callable[[dict], CommandResult], dict, list[CrossRule
     ),
     "egorov": (
         cmd_egorov,
-        {**_grid_keys(), "t": (1.0, _FINITE), "center_scale": (1.0, _FINITE), **_LADDER_KEYS},
-        [*_GRID_RULES, _span("k_min", "k_max", 2), _finite_phases("t")],
+        {**_grid_keys(), "t": (1.0, _FINITE), "center_scale": (1.0, _FINITE)},
+        [*_GRID_RULES, _finite_phases("t")],
     ),
     "equilibrium": (
         cmd_equilibrium,
@@ -688,7 +687,7 @@ _COMMANDS: dict[str, tuple[Callable[[dict], CommandResult], dict, list[CrossRule
             **_grid_keys(gamma=0.3),
             "regime": ("linear", (f"one of {', '.join(_REGIMES)}", lambda r: r in _REGIMES)),
             "beta": (1.0, _FINITE), "coefficient": (1.0, _FINITE), "epsilon": (0.5, _FINITE),
-            **_LADDER_KEYS,
+            "k_min": (3, _EXPONENT), "k_max": (14, _EXPONENT),
         },
         [*_GRID_RULES, _span("k_min", "k_max", 2)],
     ),

@@ -610,9 +610,6 @@ def ground_state_check(
     node_w = half * wg
     anchors, comb = _ladder(half - t_max, 2.0 * half, n_panels)
 
-    c0 = math.exp(
-        -0.5 * _PI2 * hbar * (weighted_norm_sq(f, 0) + weighted_norm_sq(g, 0))
-    )
     p = _cis(2.0 * math.pi * inner_product(f + g, -sys.j_over_omega, 0).real)
     v = grid.measure(0) * np.conj(f.values) * g.values
     # <f, e^{i t omega} g>_0 is a one-node-per-panel rule at frequencies -omega
@@ -621,10 +618,14 @@ def ground_state_check(
         window.sigma_mids, window.sigma_offsets, window.sigma_weights, anchors, comb, offsets
     )[:n_panels]
     # in place, so the check's peak is its two (panel, node) tables: s turns into
-    # the correlation, fvals into the integrand
+    # the correlation, fvals into the integrand.  C0 goes inside the exponent,
+    # whose real part Re<f, e^{it omega} g>_0 + (||f||^2 + ||g||^2)/2 is >= 0, so
+    # |correlation| <= 1 at every hbar (C0 apart would underflow to 0 against an
+    # overflowing exponential: 0 * inf)
+    s += 0.5 * (weighted_norm_sq(f, 0) + weighted_norm_sq(g, 0))
     s *= -_PI2 * hbar
     np.exp(s, out=s)
-    s *= c0 * p
+    s *= p
     fvals *= node_w
     fvals *= s
     return GroundStateReport(

@@ -3,14 +3,12 @@ r"""Semiclassical sweeps: hbar -> 0 along a ladder, with fitted rates.
 Two families of checks, both phrased as sup-deviations of characteristic
 values over a fixed panel of test functions:
 
-* Egorov: evolving a coherent family and its classical limit commutes with
-  the dynamics; for coherent states the deviation is exactly
-  |e^{-(pi^2 hbar/2)||f||^2} - 1| at every time, so the sweep converges at
-  rate 1 and t-independently, whatever the flow does.  ``flow_gap`` sees the
-  flow: on the point mass, Heisenberg route and flow agree to round-off.
+* Egorov: ``flow_gap`` sees the flow: on the point mass, Heisenberg route and
+  flow agree to round-off.
 * equilibrium: the quantum Gibbs state at inverse temperature beta_hbar
   converges, depending on how beta_hbar scales against hbar, to the dressed
-  point mass (beta_hbar/hbar -> oo: ground-state and sub-linear regimes), to
+  point mass (beta_hbar/hbar -> oo: ground-state and sub-linear regimes; the
+  ground state's deviation is exactly |e^{-(pi^2 hbar/2)||f||^2} - 1|, rate 1), to
   the classical Gibbs state at beta (beta_hbar = beta hbar, rate 2), or to
   nothing (super-linear: characteristic values vanish, no state survives).
   A regime is one record: beta_hbar = coefficient * hbar^power and the limit
@@ -33,7 +31,7 @@ import numpy as np
 
 from .dynamics import VanHoveSystem, evolve_state, evolve_weyl
 from .grid import MomentumGrid, RadialFunction, sample
-from .states import CharState, coherent, dirac, evaluate, gibbs_classical, gibbs_quantum
+from .states import CharState, dirac, evaluate, gibbs_classical, gibbs_quantum
 from .weyl import weyl
 
 __all__ = [
@@ -46,7 +44,6 @@ __all__ = [
     "SweepReport",
     "default_panel",
     "fit_rate",
-    "egorov_sweep",
     "flow_gap",
     "equilibrium_sweep",
 ]
@@ -182,24 +179,6 @@ def _report(hbars: tuple[float, ...], devs: list[float]) -> SweepReport:
         fitted_order=order,
         verdict="converged" if converged else "diverged",
     )
-
-
-def egorov_sweep(
-    sys: VanHoveSystem,
-    center: RadialFunction,
-    t: float,
-    panel: Sequence[RadialFunction],
-    hbars: Sequence[float] = DEFAULT_HBAR_LADDER,
-) -> SweepReport:
-    """Evolve coherent(center, hbar) and its limit dirac(center) to t, compare.
-
-    The flow moves only the centre and does not depend on hbar, so it runs
-    once: each rung is coherent(flowed centre, hbar)."""
-    hs = _check_ladder(hbars)
-    moved = evolve_state(sys, dirac(center), t)
-    limit = moved.chars(panel)
-    devs = [_sup_deviation(coherent(moved.center, h), limit, panel) for h in hs]
-    return _report(hs, devs)
 
 
 def flow_gap(

@@ -23,7 +23,6 @@ from vanhove.semiclassics import (
     SubLinear,
     SuperLinear,
     default_panel,
-    egorov_sweep,
     equilibrium_sweep,
     fit_rate,
     flow_gap,
@@ -69,25 +68,17 @@ def fit_ladder_probe(hbars):
     g = make_grid(panels=4, points=8)
     sys_small = make_system(power_law_gaussian(g, 0.0))
     c = sample(g, lambda r: np.exp(-(r**2)))
-    return egorov_sweep(sys_small, c, 0.0, [c], hbars)
+    return equilibrium_sweep(sys_small, GroundState(), [c], hbars)
 
 
-def test_egorov_deviation_has_the_exact_closed_form(system_g03, center, f_gauss):
-    # per test function the deviation is |e^{-(pi^2 h / 2)||f||^2} - 1|,
-    # independently of the evolution time
-    for t in (0.0, 1.0, 10.0, 100.0):
-        rep = egorov_sweep(system_g03, center, t, [f_gauss])
-        for h, dev in zip(rep.hbar_values, rep.deviations):
-            expect = abs(
-                math.exp(-0.5 * _PI2 * h * weighted_norm_sq(f_gauss, 0)) - 1.0
-            )
-            assert dev == pytest.approx(expect, abs=1e-12), f"t={t}, h={h}"
-
-
-def test_egorov_sweep_converges_at_rate_one(system_g03, center, panel):
-    rep = egorov_sweep(system_g03, center, 1.0, panel)
-    assert rep.converged
-    assert rep.fitted_order == pytest.approx(1.0, abs=0.05)
+def test_egorov_deviation_has_the_exact_closed_form(system_g03, f_gauss):
+    # the ground state is the coherent state at the dressed point mass, so per
+    # test function its deviation is |e^{-(pi^2 h / 2)||f||^2} - 1|, the gap of
+    # any coherent state to its point mass at any evolution time
+    rep = equilibrium_sweep(system_g03, GroundState(), [f_gauss])
+    for h, dev in zip(rep.hbar_values, rep.deviations):
+        expect = abs(math.exp(-0.5 * _PI2 * h * weighted_norm_sq(f_gauss, 0)) - 1.0)
+        assert dev == pytest.approx(expect, abs=1e-12), f"h={h}"
 
 
 def test_ground_state_regime_converges_at_rate_one(system_g03, panel):
@@ -181,8 +172,8 @@ def test_flow_gap_is_round_off_and_sees_a_wrong_flow(system_g03, center, panel, 
     assert flow_gap(system_g03, center, panel, 1.0) > 0.1
 
 
-def test_report_fields_are_consistent(system_g03, center, panel):
-    rep = egorov_sweep(system_g03, center, 0.5, panel)
+def test_report_fields_are_consistent(system_g03, panel):
+    rep = equilibrium_sweep(system_g03, GroundState(), panel)
     assert len(rep.hbar_values) == len(rep.deviations) == 12
     assert rep.verdict in ("converged", "diverged")
     assert rep.converged == (rep.verdict == "converged")
