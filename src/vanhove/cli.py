@@ -592,10 +592,11 @@ def _grid_keys(**defaults) -> dict:
 #: bandwidth, so no width aliases: [-131, -3] reads 1.8e-16 and [-1003, -3]
 #: 4.1e-15, and at width 128 [-3, 125], [1, 129] and [-200, -72] agree with
 #: resolution=2 to 2.2e-15, 8.7e-17 and 1.7e-15 ([-3, 100]: 1.5e-15).  What
-#: grows with the width is the sigma panels x time panels of its window sum,
-#: about as the width squared past ~100 (one BLAS thread, in process): 128 x 986
-#: at [-3, 5] takes ~12 ms, 403 x 1568 at [-3, 125] 27-30 ms, [1, 129] ~31 ms,
-#: and 2401 x 8810 at [-3, 997] ~0.7 s and 16 MB traced.
+#: grows with the width is the sigma panels x time panels of its window sum (the
+#: positive half of them evaluated), about as the width squared past ~100 (the
+#: check at one BLAS thread): 128 x 986 at [-3, 5] takes ~6 ms, 403 x 1568 at
+#: [-3, 125] 13-14 ms, [1, 129] ~14 ms, and 2401 x 8810 at [-3, 997] ~0.3 s and
+#: 17 MB traced.
 _WINDOW_WIDTH_MAX = 128.0
 
 #: Largest fock-spectrum truncation N.  A run holds only length-(N + 1)

@@ -294,6 +294,10 @@ _THETA_MAX = 6.0  # largest phase (radians) a panel half-width may sweep
 #: Entries of one phase table chunk (1 MB of complex128).
 _CHUNK = 1 << 16
 
+#: Most frequencies one phase-grid zgemm sums over: OpenBLAS splits a longer sum
+#: by the thread count (at [-3, 125]'s 403 sigma panels), and the bytes with it.
+_GEMM_DEPTH = 128
+
 _ZERO = np.zeros(1)
 
 
@@ -320,26 +324,32 @@ def _phase_grid(
     t_comb: np.ndarray,
     t_offsets: np.ndarray,
 ) -> np.ndarray:
-    """sum_{q,k} weights[q, k] e^{-i (mids[q] + offsets[k]) t} at every
-    t = t_anchors[a] + t_comb[b] + t_offsets[j], as rows a * len(t_comb) + b and
-    columns j.
+    """sum_{q,k} weights[r, q, k] e^{-i (mids[q] + offsets[k]) t} for each weight
+    set r at every t = t_anchors[a] + t_comb[b] + t_offsets[j], as out[r, a *
+    len(t_comb) + b, j].
 
-    The per-offset phases go into a (Q, J*K) comb-weighted weight matrix once;
-    each chunk of anchors then costs one (rows, Q) @ (Q, J*K) matmul and one
-    (rows, K) carrier contraction."""
-    n_q, n_k = weights.shape
+    The weight sets share every carrier table: the per-offset phases go into one
+    (Q, R*J*K) comb-weighted weight matrix once; each chunk of anchors then costs
+    one (rows, Q) @ (Q, R*J*K) matmul and one (rows, K) carrier contraction.  So
+    [v, conj(v)] gives sum v e^{-i sigma t} and conj(sum v e^{+i sigma t})."""
+    n_r, n_q, n_k = weights.shape
     nodes = mids[:, None, None] + offsets[None, None, :]
-    combed = (weights[:, None, :] * np.exp(-1j * nodes * t_offsets[:, None])).reshape(n_q, -1)
+    combed = weights[:, :, None, :] * np.exp(-1j * nodes * t_offsets[:, None])
+    combed = combed.transpose(1, 0, 2, 3).reshape(n_q, -1)
     teeth_q = np.exp(-1j * np.multiply.outer(t_comb, mids))
     teeth_k = np.exp(-1j * np.multiply.outer(t_comb, offsets))
     rows = t_comb.size
-    out = np.empty((t_anchors.size * rows, t_offsets.size), dtype=np.complex128)
+    out = np.empty((n_r, t_anchors.size * rows, t_offsets.size), dtype=np.complex128)
     per_chunk = max(1, _CHUNK // (rows * max(n_q, combed.shape[1])))
     for start in range(0, t_anchors.size, per_chunk):
         anchors = t_anchors[start : start + per_chunk]
-        summed = (_cis_ladder(anchors, teeth_q, mids) @ combed).reshape(-1, t_offsets.size, n_k)
-        out[start * rows : (start + anchors.size) * rows] = np.einsum(
-            "pjk,pk->pj", summed, _cis_ladder(anchors, teeth_k, offsets)
+        carriers = _cis_ladder(anchors, teeth_q, mids)
+        summed = carriers[:, :_GEMM_DEPTH] @ combed[:_GEMM_DEPTH]
+        for q in range(_GEMM_DEPTH, n_q, _GEMM_DEPTH):
+            summed += carriers[:, q : q + _GEMM_DEPTH] @ combed[q : q + _GEMM_DEPTH]
+        summed = summed.reshape(-1, n_r, t_offsets.size, n_k)
+        out[:, start * rows : (start + anchors.size) * rows] = np.einsum(
+            "prjk,pk->rpj", summed, _cis_ladder(anchors, teeth_k, offsets)
         )
     return out
 
@@ -348,8 +358,8 @@ def window_transform(window: KmsWindow, t) -> np.ndarray | complex:
     """F(t) = int Fhat(sigma) e^{-i sigma t} d sigma on the window rule."""
     tt = np.atleast_1d(np.asarray(t, dtype=np.float64)).ravel()
     out = _phase_grid(
-        window.sigma_mids, window.sigma_offsets, window.sigma_weights, tt, _ZERO, _ZERO
-    )[:, 0]
+        window.sigma_mids, window.sigma_offsets, window.sigma_weights[None], tt, _ZERO, _ZERO
+    )[0, :, 0]
     if np.isscalar(t):
         return complex(out[0])
     return out.reshape(np.shape(t))
@@ -552,10 +562,10 @@ class GroundStateReport:
 
 _TIME_GL = 10  # quadrature order per time panel
 
-#: Most time panels ground_state_check takes.  Its two complex (panel, node)
-#: tables cost 32 B a node: at [1250, 1252], 2,616,460 nodes, a check takes 1.7-2.0 s at one
-#: BLAS thread and peaks at 85 MB traced (121 MB resident); [1000, 1002] needs
-#: 2,098,960 nodes (1.1-1.7 s, 68 MB traced), and mass = 1e4 would need ~20.7M.
+#: Most time panels ground_state_check takes.  Its complex tables on the positive
+#: half cost 24 B a node: at [1250, 1252], 2,616,460 nodes, a check takes 0.82-0.88 s
+#: at one BLAS thread and peaks at 72 MB traced (106 MB resident); [1000, 1002] needs
+#: 2,098,960 nodes (0.63-0.77 s, 59 MB traced, 93 MB), and mass = 1e4 would need ~20.7M.
 _TIME_PANELS_MAX = 1 << 18
 
 
@@ -592,7 +602,10 @@ def ground_state_check(
     range pick up the one-excitation line.  The time integral is a composite
     10-point Gauss-Legendre rule on ``ground_state_panels`` panels, whose width
     follows the bandwidth max(|s_minus|, |s_plus|) + max omega; ``resolution``
-    divides it for oracle/agreement runs.  The n-excitation terms of the
+    divides it for oracle/agreement runs.  The panels are even in number and the
+    nodes antisymmetric, so only the positive half is evaluated, its mirror -t read
+    off it: F(-t) = conj F(t) (real window weights), and <f, e^{-it omega} g>_0 is
+    the weight set conj(v) on the same carriers.  The n-excitation terms of the
     exponential, at frequencies up to n max omega, lie past that bandwidth and
     can still alias onto a window when max omega is large (mass ~ 100).
     """
@@ -608,28 +621,33 @@ def ground_state_check(
     xg, wg = np.polynomial.legendre.leggauss(_TIME_GL)
     offsets = half * xg
     node_w = half * wg
-    anchors, comb = _ladder(half - t_max, 2.0 * half, n_panels)
+    n_half = n_panels // 2
+    anchors, comb = _ladder(half, 2.0 * half, n_half)
 
+    fvals = _phase_grid(
+        window.sigma_mids, window.sigma_offsets, window.sigma_weights[None], anchors, comb, offsets
+    )[0, :n_half]
     p = _cis(2.0 * math.pi * inner_product(f + g, -sys.j_over_omega, 0).real)
     v = grid.measure(0) * np.conj(f.values) * g.values
-    # <f, e^{i t omega} g>_0 is a one-node-per-panel rule at frequencies -omega
-    s = _phase_grid(-grid.omega, _ZERO, v[:, None], anchors, comb, offsets)[:n_panels]
-    fvals = _phase_grid(
-        window.sigma_mids, window.sigma_offsets, window.sigma_weights, anchors, comb, offsets
-    )[:n_panels]
-    # in place, so the check's peak is its two (panel, node) tables: s turns into
-    # the correlation, fvals into the integrand.  C0 goes inside the exponent,
-    # whose real part Re<f, e^{it omega} g>_0 + (||f||^2 + ||g||^2)/2 is >= 0, so
-    # |correlation| <= 1 at every hbar (C0 apart would underflow to 0 against an
-    # overflowing exponential: 0 * inf)
+    # <f, e^{+-i t omega} g>_0 is a one-node-per-panel rule at frequencies -omega:
+    # s[0] = s(t) and s[1] = conj(s(-t)), from one positive-t carrier table
+    s = _phase_grid(
+        -grid.omega, _ZERO, np.stack([v, np.conj(v)])[:, :, None], anchors, comb, offsets
+    )[:, :n_half]
+    # in place, so the check's peak is its s and F tables: s turns into C(t) and
+    # conj C(-t), then into the integrand at t and the conjugate of the one at -t,
+    # as F(-t) = conj F(t).  C0 goes inside the exponent, whose real part Re<f, e^{it omega}
+    # g>_0 + (||f||^2 + ||g||^2)/2 is >= 0, so |correlation| <= 1 at every hbar
+    # (C0 apart would underflow to 0 against an overflowing exponential: 0 * inf)
     s += 0.5 * (weighted_norm_sq(f, 0) + weighted_norm_sq(g, 0))
     s *= -_PI2 * hbar
     np.exp(s, out=s)
-    s *= p
+    s[0] *= p
+    s[1] *= np.conj(p)
     fvals *= node_w
-    fvals *= s
+    s *= fvals
     return GroundStateReport(
-        value=abs(np.sum(fvals)),
+        value=abs(np.sum(s[0]) + np.conj(np.sum(s[1]))),
         window=window,
         hbar=hbar,
         t_points=n_panels * _TIME_GL,

@@ -986,6 +986,14 @@ def _coth_times(factor):
     return _wrapped(cli.states, "stable_coth", lambda real: lambda x: real(x) * factor)
 
 
+def _rows_at_minus_t():
+    """A patch: every e^{i t omega} row of ``_phase_rows`` conjugated, so at -t."""
+    return _wrapped(
+        cli.dynamics, "_phase_rows",
+        lambda real: lambda *args: ((part, np.conj(rows)) for part, rows in real(*args)),
+    )
+
+
 # committed bugs as (command and overrides, patch, expected check): each is a
 # bug the check's own statement rules out, run at the command's defaults unless
 # overrides follow the command
@@ -1169,6 +1177,14 @@ _BLIND = {
         _wrapped(cli.scattering, "_filon_fit", lambda real: lambda *args: 10.0 * real(*args)),
         "item 16: no check reads the Filon rows past t = 32, and overlap decay is absolute",
     ),
+    "evolve_rows_at_minus_t": (
+        "evolve steps=2001 t_max=1000", _rows_at_minus_t(),
+        "item 22: evolve's checks read invariants; the Schrodinger flow at t is the second route",
+    ),
+    "kms_rows_at_minus_t": (
+        "kms pairs=400 t_points=201", _rows_at_minus_t(),
+        "item 22: the KMS condition holds at -t too; the Schrodinger flow at t is the second route",
+    ),
 }
 
 
@@ -1209,6 +1225,7 @@ _FALSE_ALARMS = {
     "equilibrium regime=sublinear": "item 2: the 1%-of-peak rule, not a fitted rate",
     "equilibrium k_min=12": "item 2: the 1%-of-peak rule, not a fitted rate",
     "equilibrium k_max=4": "item 2: the 1%-of-peak rule, not a fitted rate",
+    "equilibrium regime=ground dim=16": "item 2: the 1%-of-peak rule, not a fitted rate",
     "equilibrium regime=sublinear epsilon=6e-17":
         "item 2: 1 - epsilon rounds to within an ulp of 1",
     "equilibrium regime=superlinear epsilon=1.2e-16":

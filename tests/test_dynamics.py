@@ -486,25 +486,26 @@ def scan_and_window(request):
 
 def test_phase_grid_matches_the_direct_sum(scan_and_window):
     # the scan ladder 0, 2, ..., 5000 (anchors x comb) and the ground-state
-    # ladder (anchors x comb x Gauss-Legendre offsets), on a subsample of rows
+    # ladder (anchors x comb x Gauss-Legendre offsets) of the rule's positive
+    # half, with a second weight set i w, on a subsample of rows
     scan, w = scan_and_window
     anchors, comb = dynamics._ladder(0.0, 2.0, 2501)
     grid = dynamics._phase_grid(
-        scan.sigma_mids, scan.sigma_offsets, scan.sigma_weights, anchors, comb, np.zeros(1)
-    )[:2501, 0]
+        scan.sigma_mids, scan.sigma_offsets, scan.sigma_weights[None], anchors, comb, np.zeros(1)
+    )[0, :2501, 0]
     rows = np.arange(0, 2501, 47)
     assert np.max(np.abs(grid[rows] - _direct(scan, 2.0 * rows))) <= 1e-12 * scan.peak
 
-    n_panels = 2 * math.ceil(w.t_max / 0.25)
-    half = w.t_max / n_panels
+    n_half = math.ceil(w.t_max / 0.25)
+    half = w.t_max / (2 * n_half)
     offsets = half * np.polynomial.legendre.leggauss(10)[0]
-    anchors, comb = dynamics._ladder(half - w.t_max, 2.0 * half, n_panels)
-    grid = dynamics._phase_grid(
-        w.sigma_mids, w.sigma_offsets, w.sigma_weights, anchors, comb, offsets
-    )
-    rows = np.arange(0, n_panels, 47)
-    t = (half - w.t_max + 2.0 * half * rows)[:, None] + offsets[None, :]
-    assert np.max(np.abs(grid[rows] - _direct(w, t))) <= 1e-12 * w.peak
+    anchors, comb = dynamics._ladder(half, 2.0 * half, n_half)
+    weights = np.stack([w.sigma_weights, 1j * w.sigma_weights])
+    grid = dynamics._phase_grid(w.sigma_mids, w.sigma_offsets, weights, anchors, comb, offsets)
+    rows = np.arange(0, n_half, 47)
+    direct = _direct(w, (half + 2.0 * half * rows)[:, None] + offsets[None, :])
+    assert np.max(np.abs(grid[0, rows] - direct)) <= 1e-12 * w.peak
+    assert np.max(np.abs(grid[1, rows] - 1j * direct)) <= 1e-12 * w.peak
 
 
 def test_unit_window_decays_below_the_drop_from_596_on():
@@ -586,13 +587,19 @@ def test_window_refuses_a_narrow_window_and_a_rule_that_misses_its_integral():
         assert kms_window(s_minus, s_plus).peak == pytest.approx(integral, rel=1e-14)
 
 
+@pytest.mark.parametrize(
+    "s_minus, s_plus, chirp", [(1.0, 3.0, 0.0), (-7.0, 1.0, 0.7)], ids=["[1,3]", "[-7,1]"]
+)
 def test_ground_state_check_matches_the_unfactored_evaluation(
-    system_g03, f_gauss, g_gauss
+    system_g03, f_gauss, g_gauss, s_minus, s_plus, chirp
 ):
-    # one exp per (t, omega) and per (t, sigma) at every time node; a short
-    # t_max keeps that affordable without changing the rule
-    window = kms_window(1.0, 3.0, t_max=100.0)
+    # one exp per (t, omega) and per (t, sigma) at every time node of both
+    # halves; a short t_max keeps that affordable without changing the rule.
+    # [-7, 1] straddles sigma = 0, where a mirror missing a conjugate shows,
+    # and its chirped g makes conj(f) g complex, so s(-t) != conj s(t) there
+    window = kms_window(s_minus, s_plus, t_max=100.0)
     grid = system_g03.grid
+    g_gauss = from_values(grid, g_gauss.values * np.exp(1j * chirp * grid.nodes))
     hbar = 0.1
     n_panels = dynamics.ground_state_panels(grid, window)
     edges = np.linspace(-100.0, 100.0, n_panels + 1)
@@ -611,6 +618,29 @@ def test_ground_state_check_matches_the_unfactored_evaluation(
     report = ground_state_check(system_g03, f_gauss, g_gauss, window, hbar=hbar)
     assert report.t_points == t.size
     assert report.value == pytest.approx(expect, rel=1e-12)
+
+
+def test_the_time_rule_is_its_positive_half_and_that_half_mirrored(system_g03):
+    # every node -t of the negative half is a node t of the positive half
+    # negated, with the same weight, and on those nodes the window transform
+    # (real weights) is the conjugate: F(-t) = conj F(t)
+    window = kms_window(-7.0, 1.0)
+    n_panels = dynamics.ground_state_panels(system_g03.grid, window)
+    half = window.t_max / n_panels
+    x, wg = np.polynomial.legendre.leggauss(10)
+    offsets, node_w = half * x, half * wg
+    anchors, comb = dynamics._ladder(half, 2.0 * half, n_panels // 2)
+    mids = (anchors[:, None] + comb[None, :]).ravel()[: n_panels // 2]
+    positive = mids[:, None] + offsets[None, :]
+    negative = -mids[:, None] + offsets[None, :]
+    assert np.array_equal(negative[:, ::-1], -positive)
+    assert np.array_equal(node_w[::-1], node_w)
+    # the halves tile [-t_max, t_max] as the full rule's panels do
+    full = np.linspace(-window.t_max, window.t_max, n_panels + 1)
+    assert np.allclose(mids, 0.5 * (full[1:] + full[:-1])[n_panels // 2 :], rtol=0, atol=1e-12)
+    t = positive.ravel()
+    gap = window_transform(window, -t) - np.conj(window_transform(window, t))
+    assert np.max(np.abs(gap)) <= 1e-15 * window.peak
 
 
 def test_window_peak_and_decay(negative_window):
